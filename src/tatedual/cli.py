@@ -125,7 +125,7 @@ def _verify_nilpotence(args) -> int:
     failures = 0
     reports = []
     for k in ks:
-        max_deg = args.max_degree or cp_rep.default_degree_cap(params, k)
+        max_deg = cp_rep.default_degree_cap(params, k) if args.max_degree is None else args.max_degree
         report = cp_rep.nilpotence_report(params, k, max_deg)
         reports.append(report)
         if args.json:
@@ -149,7 +149,7 @@ def _verify_freeness(args) -> int:
     ks = [args.k] if args.k is not None else list(range(0, params.n))
     failures = 0
     for k in ks:
-        max_deg = args.max_degree or cp_rep.default_degree_cap(params, k)
+        max_deg = cp_rep.default_degree_cap(params, k) if args.max_degree is None else args.max_degree
         degrees = [d for d in range(1, max_deg + 1) if k + 1 <= d % p <= p - 1]
         bad = [d for d in degrees if not cp_rep.freeness_check(params, k, d)]
         status = "PASS" if not bad else "FAIL"
@@ -162,6 +162,8 @@ def _verify_freeness(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_degree is not None and args.max_degree < 1:
+        raise InvalidInput(f"--max-degree must be at least 1, got {args.max_degree}")
     runner = {
         "congruence": _verify_congruence,
         "cancellation": _verify_cancellation,

@@ -385,13 +385,9 @@ def jordan_decompose(m: CpModule) -> JordanProfile:
 
 
 def _norm_matrix(m: CpModule) -> np.ndarray:
-    """N = 1 + zeta + ... + zeta^(p-1), by Horner."""
-    g = m.gen_action
-    ident = np.eye(m.dim, dtype=np.int64)
-    acc = ident.copy()
-    for _ in range(m.p - 1):
-        acc = (linalg.matmul_mod(g, acc, m.p) + ident) % m.p
-    return acc
+    """N = 1 + zeta + ... + zeta^(p-1), computed as (zeta - 1)^(p-1): the
+    two polynomials agree in F_p[x]."""
+    return linalg.matrix_power_mod(_nilpotent_part(m), m.p - 1, m.p)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from tatedual import cli
 
 EXPECTED_SHIFTS_P3 = """\
@@ -84,6 +86,24 @@ def test_verify_freeness_small(capsys):
     assert code == 0
     assert "PASS freeness p=3 k=0" in out
     assert "PASS freeness p=3 k=1" in out
+
+
+@pytest.mark.parametrize("suite", ["nilpotence", "freeness"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_degree_below_one_refused(capsys, suite, value):
+    code, out, err = run_cli(capsys, "verify", suite, "--prime", "3", "--max-degree", value)
+    assert code == 2
+    assert out == ""
+    assert "--max-degree must be at least 1" in err
+
+
+def test_max_degree_one_is_honoured(capsys):
+    code, out, _ = run_cli(capsys, "verify", "freeness", "--prime", "3", "--max-degree", "1")
+    assert code == 0
+    assert out == (
+        "PASS freeness p=3 k=0 degrees_checked=1 max_degree=1\n"
+        "PASS freeness p=3 k=1 degrees_checked=0 max_degree=1\n"
+    )
 
 
 def test_sympow_json(capsys):

@@ -187,6 +187,30 @@ class TestTate:
             td = cp_rep.tate_cohomology(module)
             assert td.even_dim == td.odd_dim == expected
 
+    @staticmethod
+    def _horner_norm(m):
+        """1 + zeta + ... + zeta^(p-1) in Python integers, by Horner."""
+        g = m.gen_action.astype(object)
+        ident = np.eye(m.dim, dtype=np.int64).astype(object)
+        acc = ident
+        for _ in range(m.p - 1):
+            acc = (g @ acc + ident) % m.p
+        return acc.astype(np.int64)
+
+    def test_norm_matches_horner_on_random_modules(self):
+        rng = np.random.default_rng(2024)
+        for p in (3, 5, 7):
+            for _ in range(6):
+                module, _ = random_cp_module(rng, p, max_dim=30)
+                assert np.array_equal(cp_rep._norm_matrix(module), self._horner_norm(module))
+
+    @pytest.mark.parametrize("p,k,deg", [(3, 0, 7), (3, 1, 9), (5, 1, 6), (5, 2, 11), (7, 1, 4), (7, 3, 8)])
+    def test_norm_matches_horner_on_symmetric_powers(self, p, k, deg):
+        module = cp_rep.symmetric_power(cp_rep.u_k_module(height_params(p), k), deg)
+        norm = cp_rep._norm_matrix(module)
+        assert np.array_equal(norm, self._horner_norm(module))
+        assert not linalg.matmul_mod(cp_rep._nilpotent_part(module), norm, p).any()
+
     def test_sparse_module_rejected(self):
         diag = sparse.identity(3000, dtype=np.int64, format="csc")
         big = cp_rep.CpModule(p=5, dim=3000, gen_action=diag)

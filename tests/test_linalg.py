@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from tatedual import linalg
+from tatedual import cp_rep, linalg
+from tatedual.mod_arith import height_params
 
 
 def _random_with_rank(rng, m, n, r, p):
@@ -13,17 +14,46 @@ def _random_with_rank(rng, m, n, r, p):
     return linalg.matmul_mod(a, b, p)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 101])
+ORACLE_PRIMES = [2, 3, 5, 7, 101, 65521]
+
+# (rows, cols, rank): single rows and columns, shapes on both sides of the
+# recursion base (32 columns) and of _BLOCKED_MIN (192), wide and tall
+# matrices that run out of rows or columns, and a rank-deficient 600 x 600
+ORACLE_SHAPES = [
+    (1, 1, 1), (1, 45, 1), (45, 1, 1), (31, 33, 12), (32, 64, 32), (65, 97, 40),
+    (191, 193, 191), (192, 192, 150), (200, 191, 0), (230, 420, 230),
+    (420, 230, 200), (600, 600, 300),
+]
+
+
+def _structured(rng, m, n, r, p):
+    """Rank r (at most) with zero columns, a repeated column and a whole
+    pivot-free column panel, so the recursion sees empty halves."""
+    a = _random_with_rank(rng, m, n, r, p)
+    if n > 4:
+        a[:, rng.choice(n, size=n // 5, replace=False)] = 0
+        a[:, n // 2] = a[:, 1]
+    if n > 100:
+        a[:, 40:80] = 0
+    return a
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
 def test_blocked_matches_naive(p):
+    """Same echelon form, byte for byte, and the same pivots."""
     rng = np.random.default_rng(10 + p)
-    for _ in range(8):
-        m = int(rng.integers(1, 80))
-        n = int(rng.integers(1, 80))
-        a = rng.integers(0, p, size=(m, n), dtype=np.int64)
+    cases = [rng.integers(0, p, size=(int(rng.integers(1, 80)), int(rng.integers(1, 80))), dtype=np.int64)
+             for _ in range(8)]
+    cases += [_structured(rng, m, n, r, p) for m, n, r in ORACLE_SHAPES
+              if (m, n) != (600, 600) or p in (5, 65521)]
+    for a in cases:
+        before = a.copy()
         e1, p1 = linalg._forward_naive(a.copy(), p)
-        e2, p2 = linalg._forward_blocked(a.copy(), p)
-        assert p1 == p2
-        assert np.array_equal(e1, e2)
+        e2, p2 = linalg._forward_blocked(a, p)
+        assert np.array_equal(a, before), "the input was modified"
+        assert p2 == p1, a.shape
+        assert e2.dtype == e1.dtype and e2.shape == e1.shape
+        assert e2.tobytes() == e1.tobytes(), a.shape
 
 
 def test_blocked_matches_naive_large_rank_deficient():
@@ -34,6 +64,79 @@ def test_blocked_matches_naive_large_rank_deficient():
     e2, p2 = linalg._forward_blocked(a.copy(), p)
     assert p1 == p2 and len(p1) == 137
     assert np.array_equal(e1, e2)
+
+
+@pytest.fixture(scope="module")
+def s20_u1_p5():
+    return cp_rep.symmetric_power(cp_rep.u_k_module(height_params(5), 1), 20)
+
+
+@pytest.mark.parametrize("which", ["z", "N"])
+def test_forward_blocked_is_naive_on_s20_u1(s20_u1_p5, which):
+    """zeta - 1 and the norm on S^20(U_1) at p = 5 (dim 1771), the largest
+    dense eliminations of the nilpotence suite."""
+    m = s20_u1_p5
+    a = cp_rep._nilpotent_part(m) if which == "z" else cp_rep._norm_matrix(m)
+    e1, p1 = linalg._forward_naive(a.copy(), 5)
+    e2, p2 = linalg._forward_blocked(a.copy(), 5)
+    assert len(p1) == {"z": 1416, "N": 354}[which]
+    assert p2 == p1
+    assert e2.tobytes() == e1.tobytes()
+
+
+def _back_substitution(m, b, p):
+    x = np.zeros_like(b)
+    for t in range(m.shape[0] - 1, -1, -1):
+        x[t] = (b[t] - m[t, t + 1 :] @ x[t + 1 :]) % p
+    return x
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("k,f", [(1, 1), (5, 3), (32, 7), (33, 40), (100, 1), (300, 25)])
+def test_solve_unit_upper_matches_back_substitution(p, k, f):
+    rng = np.random.default_rng(7 * k + f + p)
+    m = np.triu(rng.integers(0, p, size=(k, k), dtype=np.int64), 1) + np.eye(k, dtype=np.int64)
+    b = rng.integers(0, p, size=(k, f), dtype=np.int64)
+    x = linalg._solve_unit_upper(m, b, p)
+    assert x.dtype == np.int64
+    assert np.array_equal(x, _back_substitution(m, b, p))
+
+
+def _near_top(rows, inner, cols, p):
+    """Entries p-1 except one last entry p-2 per row and column, so the
+    exact products are odd and close to inner * (p-1)^2."""
+    a = np.full((rows, inner), p - 1, dtype=np.int64)
+    b = np.full((inner, cols), p - 1, dtype=np.int64)
+    a[:, -1] = p - 2
+    b[-1, :] = p - 2
+    return a, b
+
+
+@pytest.mark.parametrize("inner", [1677, 1678])
+def test_matmul_mod_exact_across_float32_boundary(inner):
+    """At p = 101 the float32 bound inner * 100^2 < 2^24 holds up to inner
+    1677; one more and the product needs float64."""
+    p = 101
+    a, b = _near_top(2, inner, 3, p)
+    exact = a.astype(object) @ b.astype(object)
+    assert np.array_equal(linalg.matmul_mod(a, b, p), (exact % p).astype(np.int64))
+    in_float32 = a.astype(np.float32) @ b.astype(np.float32)
+    assert (linalg._float_type(inner, p) is np.float32) == (inner == 1677)
+    # just above the bound, float32 itself would be wrong
+    assert np.array_equal(in_float32.astype(object), exact) == (inner == 1677)
+
+
+def test_matmul_mod_refuses_inexact_float64():
+    p = 65521
+    limit = -(-(2**53) // (p - 1) ** 2)  # least inner with inner * (p-1)^2 >= 2^53
+    a = np.full((1, limit - 1), p - 1, dtype=np.int64)
+    b = np.full((limit - 1, 1), p - 1, dtype=np.int64)
+    # (p-1)^2 = 1 mod p, so the exact product is the inner dimension mod p
+    assert linalg.matmul_mod(a, b, p)[0, 0] == (limit - 1) % p
+    with pytest.raises(OverflowError):
+        linalg.matmul_mod(np.zeros((1, limit), dtype=np.int64), np.zeros((limit, 1), dtype=np.int64), p)
+    with pytest.raises(OverflowError):
+        linalg.matmul_mod(np.ones((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64), 2**31 - 1)
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (1, 1)])
