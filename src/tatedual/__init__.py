@@ -6,6 +6,7 @@ from .cp_rep import (
     CpModule,
     JordanProfile,
     TateDims,
+    freeness_by_degree,
     freeness_check,
     jordan_decompose,
     orbit_product,

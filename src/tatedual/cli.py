@@ -151,7 +151,8 @@ def _verify_freeness(args) -> int:
     for k in ks:
         max_deg = cp_rep.default_degree_cap(params, k) if args.max_degree is None else args.max_degree
         degrees = [d for d in range(1, max_deg + 1) if k + 1 <= d % p <= p - 1]
-        bad = [d for d in degrees if not cp_rep.freeness_check(params, k, d)]
+        free = cp_rep.freeness_by_degree(params, k, degrees)
+        bad = [d for d in degrees if not free[d]]
         status = "PASS" if not bad else "FAIL"
         print(
             f"{status} freeness p={p} k={k} degrees_checked={len(degrees)} "

@@ -3,10 +3,16 @@
 A module is a matrix over the prime field giving the action of a fixed
 generator zeta with zeta^p = 1.  The tools here decompose such modules into
 Jordan blocks, extend the action to symmetric powers on the monomial basis,
-compute the two Tate cohomology groups via kernels and images of zeta - 1
-and of the norm N = 1 + zeta + ... + zeta^(p-1), and verify that repeated
-multiplication by the invariant bottom variable eventually annihilates
-Tate cohomology of symmetric powers.
+and compute the two Tate cohomology groups ker(z)/im(N) and ker(N)/im(z),
+where z = zeta - 1 and N = 1 + zeta + ... + zeta^(p-1) = z^(p-1).
+
+The verification suites walk the symmetric powers of a height module once,
+degree by degree, and work from ranks: a module is free iff
+rank(z) = dim - dim/p, and both Tate groups have dimension
+dim - rank(z) - rank(N).  Multiplication by the invariant bottom variable
+vanishes on Tate cohomology in every window of consecutive degrees that
+contains a degree with vanishing cohomology; only a window without one would
+be tested with explicit subquotient bases and induced-map matrices.
 
 Everything is computed over F_p.  Coefficient extensions to F_{p^n} only
 rescale multiplicities, so dimension counts, freeness and vanishing
@@ -17,7 +23,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -143,12 +150,8 @@ def u_k_module(params: HeightParams, k: int) -> CpModule:
     n = params.n
     if not 0 <= k <= n:
         raise InvalidInput(f"k must lie in [0, {n}], got {k}")
-    dim = n - k + 1
-    mat = np.eye(dim, dtype=np.int64)
-    for t in range(dim - 1):
-        mat[t + 1, t] = 1
-    labels = tuple(f"z{n - t}" for t in range(dim))
-    return CpModule(p=params.p, dim=dim, gen_action=mat, basis_labels=labels)
+    labels = tuple(f"z{n - t}" for t in range(n - k + 1))
+    return replace(jordan_block_module(params.p, n - k + 1), basis_labels=labels)
 
 
 def jordan_block_module(p: int, size: int) -> CpModule:
@@ -318,23 +321,33 @@ class _SymmetricChain:
         self.last_var_embed = embeds[v - 1]
 
 
-def symmetric_power(m: CpModule, deg: int, dim_cap: int | None = None) -> CpModule:
-    """The induced action on the monomial basis of total degree deg."""
-    if deg < 0:
+def _symmetric_walk(base: CpModule, max_deg: int, dim_cap: int | None = None):
+    """Yield (deg, module, embed) for the symmetric powers of base in degrees
+    0, 1, ..., max_deg, where embed is the index scatter of multiplication by
+    the last variable from degree deg - 1 (None in degree 0).
+
+    The dimension cap is checked once, for max_deg, before any step.
+    """
+    if max_deg < 0:
         raise InvalidInput("degree must be nonnegative")
     cap = dimension_cap() if dim_cap is None else dim_cap
-    final_dim = symmetric_dimension(m.dim, deg)
+    final_dim = symmetric_dimension(base.dim, max_deg)
     if final_dim > cap:
         raise ResourceGuard(
             f"symmetric power dimension {final_dim} exceeds cap {cap} "
             f"(override with {_DIM_CAP_ENV})"
         )
-    if deg == 1:
-        return m
-    chain = _SymmetricChain(m)
-    for _ in range(deg):
+    chain = _SymmetricChain(base)
+    yield 0, chain.current_module(), None
+    for _ in range(max_deg):
         chain.step()
-    return chain.current_module()
+        yield chain.deg, chain.current_module(), chain.last_var_embed
+
+
+def symmetric_power(m: CpModule, deg: int, dim_cap: int | None = None) -> CpModule:
+    """The induced action on the monomial basis of total degree deg."""
+    _, module, _ = deque(_symmetric_walk(m, deg, dim_cap), maxlen=1)[0]
+    return m if deg == 1 else module
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +384,10 @@ def jordan_decompose(m: CpModule) -> JordanProfile:
         power = linalg.matmul_mod(power, z, p)
     if ranks[-1] != 0:
         raise InvalidInput("action of wrong order: (zeta - 1)^p is nonzero")
-    while len(ranks) < p + 2:
-        ranks.append(0)
-    blocks = []
-    for size in range(1, p + 1):
-        ge_size = ranks[size - 1] - ranks[size]
-        ge_next = ranks[size] - ranks[size + 1]
-        blocks.extend([size] * (ge_size - ge_next))
-    blocks.sort(reverse=True)
-    profile = JordanProfile(blocks=tuple(blocks))
+    ranks += [0] * (p + 2 - len(ranks))
+    # blocks of size exactly s: (at least s) - (at least s + 1)
+    counts = {s: ranks[s - 1] - 2 * ranks[s] + ranks[s + 1] for s in range(p, 0, -1)}
+    profile = JordanProfile(blocks=tuple(s for s, c in counts.items() for _ in range(c)))
     assert profile.total == m.dim
     return profile
 
@@ -442,6 +450,17 @@ def tate_cohomology(m: CpModule) -> TateDims:
     return _tate_data(m).tate
 
 
+def _tate_dim_by_rank(m: CpModule) -> int:
+    """The common dimension of both Tate groups of a dense module, from two
+    ranks: im(N) lies in ker(z), so ker(z)/im(N) has dimension
+    (dim - rank z) - rank N."""
+    p = m.p
+    z = _nilpotent_part(m)
+    norm = _norm_matrix(m)
+    assert not linalg.matmul_mod(z, norm, p).any()
+    return m.dim - linalg.rank_mod(z, p) - linalg.rank_mod(norm, p)
+
+
 def _free_by_rank(m: CpModule) -> bool:
     """Freeness from the rank of zeta - 1 alone: all Jordan blocks have the
     maximal size p iff the block count dim - rank equals dim / p."""
@@ -452,18 +471,21 @@ def _free_by_rank(m: CpModule) -> bool:
 
 
 def freeness_check(params: HeightParams, k: int, deg: int, dim_cap: int | None = None) -> bool:
-    """Is the degree-deg symmetric power of the height module free over F_p[C_p]?
+    """Is the degree-deg symmetric power of the height module free over
+    F_p[C_p]?  Decided by the rank of zeta - 1 alone, dense or sparse."""
+    return _free_by_rank(symmetric_power(u_k_module(params, k), deg, dim_cap=dim_cap))
 
-    Dense modules go through the full Jordan decomposition; above
-    DENSE_LIMIT the equivalent rank criterion is used.
-    """
-    n = params.n
-    if not 0 <= k <= n:
-        raise InvalidInput(f"k must lie in [0, {n}]")
-    module = symmetric_power(u_k_module(params, k), deg, dim_cap=dim_cap)
-    if module.is_dense():
-        return jordan_decompose(module).all_full(params.p)
-    return _free_by_rank(module)
+
+def freeness_by_degree(params: HeightParams, k: int, degrees) -> dict[int, bool]:
+    """freeness_check at each of the given degrees, from one walk up the
+    symmetric powers of the height module."""
+    wanted = set(degrees)
+    if not wanted:
+        return {}
+    if min(wanted) < 0:
+        raise InvalidInput("degrees must be nonnegative")
+    walk = _symmetric_walk(u_k_module(params, k), max(wanted))
+    return {deg: _free_by_rank(mod) for deg, mod, _ in walk if deg in wanted}
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +561,6 @@ class MultiplicationMaps:
     odd: np.ndarray
 
 
-def _scatter_apply(embed: np.ndarray, vecs: np.ndarray, target_dim: int) -> np.ndarray:
-    out = np.zeros((target_dim, vecs.shape[1]), dtype=np.int64)
-    out[embed, :] = vecs
-    return out
-
-
 def _induced_step(
     p: int,
     embed: np.ndarray,
@@ -556,7 +572,8 @@ def _induced_step(
     def one_parity(src_dim, tgt_dim, src_basis, tgt_basis, tgt_modulus, check_mat):
         if src_dim == 0 or tgt_dim == 0:
             return np.zeros((tgt_dim, src_dim), dtype=np.int64)
-        moved = _scatter_apply(embed, src_basis, tgt_dim_total)
+        moved = np.zeros((tgt_dim_total, src_basis.shape[1]), dtype=np.int64)
+        moved[embed] = src_basis
         assert not linalg.matmul_mod(check_mat, moved, p).any(), "induced map leaves the subspace"
         span = np.hstack([tgt_basis, tgt_modulus])
         coords = linalg.coordinates_in_span(span, moved, p)
@@ -571,25 +588,30 @@ def _induced_step(
 def multiplication_action(params: HeightParams, k: int, deg: int) -> MultiplicationMaps:
     """Standalone computation of the induced maps from degree deg to deg+1
     for the height module with bottom index k."""
-    n = params.n
-    if not 0 <= k <= n:
-        raise InvalidInput(f"k must lie in [0, {n}]")
-    chain = _SymmetricChain(u_k_module(params, k))
-    cap = dimension_cap()
-    if symmetric_dimension(chain.nvars, deg + 1) > cap:
-        raise ResourceGuard(f"symmetric power dimension exceeds cap {cap}")
-    for _ in range(deg):
-        chain.step()
-    src_mod = chain.current_module()
-    if not src_mod.is_dense():
-        raise ResourceGuard("multiplication_action needs dense symmetric powers")
-    src = _tate_data(src_mod)
-    chain.step()
-    tgt_mod = chain.current_module()
-    if not tgt_mod.is_dense():
-        raise ResourceGuard("multiplication_action needs dense symmetric powers")
-    tgt = _tate_data(tgt_mod)
-    return _induced_step(params.p, chain.last_var_embed, tgt_mod.dim, src, tgt, deg)
+    if deg < 0:
+        raise InvalidInput("degree must be nonnegative")
+    walk = _symmetric_walk(u_k_module(params, k), deg + 1)
+    (_, src_mod, _), (_, tgt_mod, embed) = deque(walk, maxlen=2)
+    return _induced_step(params.p, embed, tgt_mod.dim, _tate_data(src_mod), _tate_data(tgt_mod), deg)
+
+
+def _window_vanishes(p: int, window: list) -> bool:
+    """The explicit test of one window of consecutive degrees, given as the
+    (deg, module, embed) triples of _symmetric_walk: Tate data with
+    subquotient bases at each degree, the maps induced by multiplication
+    between them, and their composite, which must be zero."""
+    if not all(mod.is_dense() for _, mod, _ in window):
+        raise ResourceGuard(
+            f"window {window[0][0]}..{window[-1][0]} has no vanishing degree and exceeds the dense limit"
+        )
+    data = [_tate_data(mod) for _, mod, _ in window]
+    even = np.eye(data[0].tate.even_dim, dtype=np.int64)
+    odd = np.eye(data[0].tate.odd_dim, dtype=np.int64)
+    for (deg, mod, embed), src, tgt in zip(window[1:], data, data[1:]):
+        step = _induced_step(p, embed, mod.dim, src, tgt, deg - 1)
+        even = linalg.matmul_mod(step.even, even, p)
+        odd = linalg.matmul_mod(step.odd, odd, p)
+    return not (even.any() or odd.any())
 
 
 # ---------------------------------------------------------------------------
@@ -641,11 +663,13 @@ def nilpotence_report(params: HeightParams, k: int, max_deg: int) -> NilpotenceR
     zero on Tate cohomology of symmetric powers, in all start degrees m with
     m + k + 1 <= max_deg.
 
-    Degrees of dimension at most DENSE_LIMIT carry explicit subquotient
-    bases and honest induced-map matrices.  Beyond that only freeness (which
-    forces vanishing cohomology) is computed; a composite is then zero as
-    soon as its window contains a vanishing degree, which the freeness
-    pattern guarantees for valid inputs.
+    One walk up the symmetric powers.  A dense degree's Tate dimension comes
+    from two ranks; above DENSE_LIMIT only freeness is computed, and a degree
+    that is not free reports unknown dimensions.  A composite vanishes when
+    its window contains a vanishing degree, which the freeness pattern (d is
+    free when k+1 <= d mod p <= p-1) guarantees for valid inputs.  A window
+    of k+2 non-vanishing degrees goes to the explicit test _window_vanishes,
+    so the current run of non-vanishing degrees is kept, at most k+2 long.
     """
     p, n = params.p, params.n
     if k == 0:
@@ -655,58 +679,23 @@ def nilpotence_report(params: HeightParams, k: int, max_deg: int) -> NilpotenceR
         raise InvalidInput(f"k must lie in [0, {n - 1}]")
     if max_deg < k + 1:
         raise InvalidInput("max_deg must be at least k + 1")
-    cap = dimension_cap()
-    chain = _SymmetricChain(u_k_module(params, k))
-    if symmetric_dimension(chain.nvars, max_deg) > cap:
-        raise ResourceGuard(f"symmetric power dimension exceeds cap {cap}")
 
     summaries: list[DegreeSummary] = []
-    steps: list[MultiplicationMaps | None] = []
-    prev_data: _CohomologyData | None = None
-
-    for deg in range(max_deg + 1):
-        if deg > 0:
-            chain.step()
-        mod = chain.current_module()
+    run: list = []
+    holds = True
+    for deg, mod, embed in _symmetric_walk(u_k_module(params, k), max_deg):
         if mod.is_dense():
-            data = _tate_data(mod)
-            tate = data.tate
-            summaries.append(
-                DegreeSummary(deg, mod.dim, tate.even_dim, tate.odd_dim, tate.even_dim == 0)
-            )
+            dim = _tate_dim_by_rank(mod)
+            summaries.append(DegreeSummary(deg, mod.dim, dim, dim, dim == 0))
         else:
-            data = None
             free = _free_by_rank(mod)
             summaries.append(DegreeSummary(deg, mod.dim, 0 if free else None, 0 if free else None, free))
-        if deg > 0:
-            if prev_data is not None and data is not None:
-                steps.append(
-                    _induced_step(p, chain.last_var_embed, mod.dim, prev_data, data, deg - 1)
-                )
-            else:
-                steps.append(None)
-        prev_data = data
-
-    holds = True
-    windows = 0
-    for m in range(0, max_deg - k):
-        windows += 1
-        window = summaries[m : m + k + 2]
-        if any(s.even_dim == 0 and s.odd_dim == 0 for s in window):
-            continue  # the composite factors through a vanishing group
-        if any(steps[d] is None for d in range(m, m + k + 1)):
-            raise ResourceGuard(
-                f"window {m}..{m + k + 1} has no vanishing degree and exceeds the dense limit"
-            )
-        even = np.eye(summaries[m].even_dim, dtype=np.int64)
-        odd = np.eye(summaries[m].odd_dim, dtype=np.int64)
-        for d in range(m, m + k + 1):
-            even = linalg.matmul_mod(steps[d].even, even, p)
-            odd = linalg.matmul_mod(steps[d].odd, odd, p)
-        if even.any() or odd.any():
+        # a vanishing degree makes every composite through it zero
+        run = [] if summaries[-1].free else (run + [(deg, mod, embed)])[-(k + 2):]
+        if len(run) == k + 2 and not _window_vanishes(p, run):
             holds = False
     return NilpotenceReport(
-        p=p, k=k, max_deg=max_deg, degrees=tuple(summaries), windows=windows, holds=holds
+        p=p, k=k, max_deg=max_deg, degrees=tuple(summaries), windows=max_deg - k, holds=holds
     )
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,9 @@ Cp      3  dual        4           18  D(a)                     6
 F       3  both       22           72  D(a D^-1)               24
 G       3  both       22           72  D(a D^-1)               24
 """
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +83,16 @@ def test_verify_nilpotence_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "nilpotence", "--prime", "3", "--max-degree", "9")
     assert code == 0
     assert "PASS nilpotence p=3 k=1 max_degree=9" in out
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [(("--prime", "3"), "nilpotence_p3.json"), (("--prime", "5", "--k", "2"), "nilpotence_p5_k2.json")],
+)
+def test_verify_nilpotence_json_golden(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, "verify", "nilpotence", *argv, "--json")
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_verify_freeness_small(capsys):

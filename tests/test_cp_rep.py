@@ -218,6 +218,27 @@ class TestTate:
             cp_rep.tate_cohomology(big)
 
 
+class TestTateRankFormula:
+    """dim - rank(z) - rank(N) against the explicit subquotient bases."""
+
+    @staticmethod
+    def _agrees(module):
+        td = cp_rep.tate_cohomology(module)
+        return cp_rep._tate_dim_by_rank(module) == td.even_dim == td.odd_dim
+
+    def test_random_modules(self):
+        rng = np.random.default_rng(7919)
+        for trial in range(200):
+            module, blocks = random_cp_module(rng, int(rng.choice([3, 5, 7])), max_dim=40)
+            assert self._agrees(module), (trial, blocks)
+
+    @pytest.mark.parametrize("p,k,max_deg", [(3, 0, 12), (3, 1, 12), (5, 1, 10), (5, 2, 15)])
+    def test_symmetric_powers(self, p, k, max_deg):
+        walk = cp_rep._symmetric_walk(cp_rep.u_k_module(height_params(p), k), max_deg)
+        for deg, module, _ in walk:
+            assert self._agrees(module), deg
+
+
 class TestFreeness:
     @pytest.mark.parametrize(
         "p,k,deg,expected",
@@ -257,6 +278,18 @@ class TestFreeness:
         mod = cp_rep.CpModule(p=5, dim=dense.dim, gen_action=sparse.csc_matrix(dense.gen_action))
         assert cp_rep._free_by_rank(mod) is True
 
+    @pytest.mark.parametrize("p,k", [(3, 0), (3, 1), (3, 2), (5, 2), (5, 3)])
+    def test_one_pass_matches_per_degree(self, p, k):
+        pa = height_params(p)
+        degrees = range(0, cp_rep.default_degree_cap(pa, k) + 1)
+        expected = {d: cp_rep.freeness_check(pa, k, d) for d in degrees}
+        assert cp_rep.freeness_by_degree(pa, k, degrees) == expected
+
+    def test_one_pass_edge_cases(self, params3):
+        assert cp_rep.freeness_by_degree(params3, 1, []) == {}
+        with pytest.raises(InvalidInput):
+            cp_rep.freeness_by_degree(params3, 1, [-1, 2])
+
 
 class TestOrbitProduct:
     def test_expansion_p3(self, params3):
@@ -285,6 +318,10 @@ class TestMultiplication:
         maps = cp_rep.multiplication_action(params3, 1, 3)
         assert maps.even.shape == (1, 1)
         assert maps.even.any() or maps.odd.any()
+
+    def test_negative_degree_refused(self, params5):
+        with pytest.raises(InvalidInput):
+            cp_rep.multiplication_action(params5, 1, -1)
 
     def test_embedding_is_equivariant(self, params3):
         # z_k is invariant, so multiplication commutes with the action
@@ -330,6 +367,34 @@ class TestNilpotence:
         assert blob["holds"] is True
         assert blob["windows_checked"] == report.windows
         assert len(blob["degrees"]) == 7
+
+
+class TestNilpotenceFallback:
+    """The explicit window test that no valid input reaches on its own."""
+
+    @pytest.mark.parametrize("p,k,max_deg", [(3, 1, 12), (5, 2, 15), (5, 3, 15)])
+    def test_every_window_explicit(self, p, k, max_deg, monkeypatch):
+        tested = []
+        explicit = cp_rep._window_vanishes
+
+        def counted(p_, window):
+            tested.append(window[0][0])
+            return explicit(p_, window)
+
+        monkeypatch.setattr(cp_rep, "_tate_dim_by_rank", lambda m: 1)
+        monkeypatch.setattr(cp_rep, "_window_vanishes", counted)
+        report = cp_rep.nilpotence_report(height_params(p), k, max_deg)
+        assert report.holds
+        assert tested == list(range(max_deg - k)) and report.windows == max_deg - k
+
+    @pytest.mark.parametrize(
+        "p,k,max_deg,nonzero", [(3, 1, 12, [0, 3, 6, 9]), (5, 3, 15, [0, 5, 10])]
+    )
+    def test_shortened_windows_can_fail(self, p, k, max_deg, nonzero):
+        # k-fold instead of (k+1)-fold composites: the check must be able to fail
+        walk = list(cp_rep._symmetric_walk(cp_rep.u_k_module(height_params(p), k), max_deg))
+        starts = range(max_deg - k + 1)
+        assert [m for m in starts if not cp_rep._window_vanishes(p, walk[m : m + k + 1])] == nonzero
 
 
 def test_default_degree_caps():
