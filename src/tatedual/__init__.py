@@ -39,18 +39,15 @@ from .mod_arith import (
     invariant_delta_residue,
 )
 from .tate_engine import (
+    DualSequence,
     MonomialClass,
     Page,
     SequenceRecord,
-    TwistedPage,
-    dualize,
     e2_page,
-    find_cycle_generator,
     hfpss_view,
     hoss_view,
     run_to_einfty,
     turn_page,
-    twisted_e2,
 )
 
 __version__ = "0.1.0"

@@ -16,12 +16,17 @@ import json
 from dataclasses import dataclass
 
 from . import tate_engine as eng
-from .errors import InvalidInput
+from .errors import InvalidInput, ResourceGuard
 from .mod_arith import HeightParams, height_params
 
 FORMATS = ("ascii", "svg", "json")
 
-DEFAULT_COLORS = {"first": "gray", "second": "blue"}
+# arrow colour of each differential family
+COLORS = {"first": "gray", "second": "blue"}
+
+# a window is refused above this many lattice cells, before any page is
+# built: the ASCII grid alone writes one character per cell
+MAX_CHART_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -34,8 +39,6 @@ class ChartSpec:
     s_min: int
     s_max: int
     fmt: str = "ascii"
-    color_first: str = "gray"
-    color_second: str = "blue"
 
     def __post_init__(self):
         if self.fmt not in FORMATS:
@@ -44,6 +47,12 @@ class ChartSpec:
             raise InvalidInput(f"unknown group {self.group!r}")
         if self.page < 2:
             raise InvalidInput("page index must be at least 2")
+        cells = max(self.x_max - self.x_min + 1, 0) * max(self.s_max - self.s_min + 1, 0)
+        if cells > MAX_CHART_CELLS:
+            raise ResourceGuard(
+                f"chart window has {cells} cells, above the budget of {MAX_CHART_CELLS}; "
+                "choose a smaller window"
+            )
 
     def params(self) -> HeightParams:
         return height_params(self.p)
@@ -64,10 +73,6 @@ def page_at_stage(group: str, params: HeightParams, r: int) -> eng.Page:
     if r <= eng.second_diff_index(params):
         return mid
     return eng.turn_page(mid, eng.differential_map(mid))
-
-
-def _color_for(spec: ChartSpec, r: int, params: HeightParams) -> str:
-    return spec.color_first if r == eng.first_diff_index(params) else spec.color_second
 
 
 def build_document(spec: ChartSpec, fates: dict | None = None) -> dict:
@@ -116,7 +121,7 @@ def build_document(spec: ChartSpec, fates: dict | None = None) -> dict:
             arrows.append(
                 {
                     **eng.pair_json(cls, tgt, coeff, r, params),
-                    "color": _color_for(spec, r, params),
+                    "color": COLORS["first" if r == eng.first_diff_index(params) else "second"],
                 }
             )
 
@@ -127,7 +132,7 @@ def build_document(spec: ChartSpec, fates: dict | None = None) -> dict:
             "page": spec.page,
             "window": {"x": [spec.x_min, spec.x_max], "s": [spec.s_min, spec.s_max]},
             "format": spec.fmt,
-            "colors": {"first": spec.color_first, "second": spec.color_second},
+            "colors": dict(COLORS),
             "overlay": fates is not None,
         },
         "coeff_field_degree": page.coeff_field_degree,
@@ -299,12 +304,3 @@ def diff_overlay(spec: ChartSpec, fates: dict | None) -> str:
         return render(spec)
     return serialize(build_document(spec, fates=fates), spec.fmt)
 
-
-def parse_json_document(text: str) -> dict:
-    return json.loads(text)
-
-
-def reserialize_json(doc: dict) -> str:
-    """Inverse of the json render path; reserializing a parsed document is
-    byte-identical to the original render."""
-    return json.dumps(doc, indent=1) + "\n"

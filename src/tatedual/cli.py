@@ -109,8 +109,8 @@ def _verify_cancellation(args) -> int:
     params = _params(args.prime)
     failures = 0
     for group in tate_engine.GROUPS:
-        ok = duality_shifts.verify_tate_vanishing(group, params)
         record = tate_engine.run_to_einfty(group, params)
+        ok = record.einfty().is_empty()
         left = len(record.einfty().fundamental_domain())
         status = "PASS" if ok else "FAIL"
         print(f"{status} cancellation group={group} p={params.p} final_page_classes={left}")

@@ -392,10 +392,16 @@ def jordan_decompose(m: CpModule) -> JordanProfile:
     return profile
 
 
-def _norm_matrix(m: CpModule) -> np.ndarray:
-    """N = 1 + zeta + ... + zeta^(p-1), computed as (zeta - 1)^(p-1): the
-    two polynomials agree in F_p[x]."""
-    return linalg.matrix_power_mod(_nilpotent_part(m), m.p - 1, m.p)
+def _norm_matrix(m: CpModule) -> tuple[np.ndarray, np.ndarray]:
+    """z = zeta - 1 and N = 1 + zeta + ... + zeta^(p-1) of a dense module,
+    N computed as z^(p-1): the two polynomials agree in F_p[x].
+
+    z and N are polynomials in the generator, so they commute, and one
+    vanishing product certifies im(N) <= ker(z) and im(z) <= ker(N)."""
+    z = _nilpotent_part(m)
+    norm = linalg.matrix_power_mod(z, m.p - 1, m.p)
+    assert not linalg.matmul_mod(z, norm, m.p).any()
+    return z, norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,12 +420,7 @@ def _tate_data(m: CpModule) -> _CohomologyData:
             "larger modules support rank-based freeness checks only"
         )
     p = m.p
-    z = _nilpotent_part(m)
-    norm = _norm_matrix(m)
-    # z and norm are polynomials in the generator, so they commute and one
-    # vanishing product certifies im(N) <= ker(zeta-1) and im(zeta-1) <= ker(N)
-    assert not linalg.matmul_mod(z, norm, p).any()
-
+    z, norm = _norm_matrix(m)
     ker_z, im_z = linalg.kernel_and_image(z, p)
     ker_n, im_n = linalg.kernel_and_image(norm, p)
 
@@ -455,9 +456,7 @@ def _tate_dim_by_rank(m: CpModule) -> int:
     ranks: im(N) lies in ker(z), so ker(z)/im(N) has dimension
     (dim - rank z) - rank N."""
     p = m.p
-    z = _nilpotent_part(m)
-    norm = _norm_matrix(m)
-    assert not linalg.matmul_mod(z, norm, p).any()
+    z, norm = _norm_matrix(m)
     return m.dim - linalg.rank_mod(z, p) - linalg.rank_mod(norm, p)
 
 

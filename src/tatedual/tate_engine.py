@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidInput, VerificationFailure
-from .mod_arith import HeightParams, det_tau_exponent, invariant_delta_exponent
+from .mod_arith import HeightParams
 
 GROUPS = ("Cp", "F", "G")
 
@@ -511,12 +511,6 @@ class DualSequence:
         self.record = record
         self.params = record.params
         self.group = record.group
-        for dmap in record.diffs:
-            for src, tgt, coeff in dmap.pairs:
-                s0, t0 = self.bidegree(DualClass(tgt))
-                s1, t1 = self.bidegree(DualClass(src))
-                if (s1 - s0, t1 - t0) != (dmap.r, dmap.r - 1):
-                    raise VerificationFailure("bidegree inconsistency after dualization")
 
     def bidegree(self, dual: DualClass) -> tuple[int, int]:
         n = self.params.n
@@ -565,18 +559,6 @@ class DualSequence:
             out.append((DualClass(tgt), DualClass(src), coeff))
         return out
 
-    def dualize(self) -> SequenceRecord:
-        return self.record
-
-
-def dualize(obj):
-    """Pontryagin-dual transform; an involution."""
-    if isinstance(obj, SequenceRecord):
-        return DualSequence(obj)
-    if isinstance(obj, DualSequence):
-        return obj.dualize()
-    raise InvalidInput("dualize expects a recorded sequence or a dual sequence")
-
 
 # ---------------------------------------------------------------------------
 # quadrant views
@@ -596,10 +578,6 @@ class SequenceView:
         self.record = record
         self.params = record.params
         self.regions = regions
-
-    @property
-    def norm_included(self) -> bool:
-        return False
 
     @property
     def notes(self) -> str:
@@ -672,64 +650,6 @@ def hoss_view(obj) -> SequenceView:
 
 
 # ---------------------------------------------------------------------------
-# twisted pages
-
-
-@dataclass(frozen=True)
-class TwistedPage:
-    """A rank-one module page over a base page, free on one generator y.
-
-    twist_lambda is the coefficient of the first differential of y against
-    a b^n D^(-1) y; the generator sits in bidegree (0, t0)."""
-
-    base: Page
-    generator_label: str
-    twist_lambda: int
-    generator_degree: tuple[int, int]
-
-    def first_differential_coefficient(self, j: int, gamma: int = 1) -> int:
-        """Coefficient of d(D^j y) against a b^n D^(j-1) y: j*gamma + lambda."""
-        return (j * gamma + self.twist_lambda) % self.base.params.p
-
-
-def find_cycle_generator(lam: int, gamma: int, params: HeightParams) -> int:
-    """The exponent k mod p with k*gamma + lambda = 0, so that D^k y is a
-    cycle for the first differential of a twisted page."""
-    p = params.p
-    if gamma % p == 0:
-        raise InvalidInput("gamma must be nonzero mod p")
-    k = (-lam * pow(gamma % p, -1, p)) % p
-    assert (k * gamma + lam) % p == 0
-    return k
-
-
-def twisted_e2(group: str, params: HeightParams) -> TwistedPage:
-    """The determinant-twisted page for F or G: the base page, free of rank
-    one on a generator in internal degree 2p*k, where k is the invariant
-    power of delta.  The generator is invariant, so its twist vanishes.
-
-    The restriction of the determinant to Cp is trivial, so for Cp the
-    untwisted page is the right object and this raises."""
-    if group == "Cp":
-        raise InvalidInput("determinant twist is trivial for Cp; use the untwisted page")
-    k = invariant_delta_exponent(params)
-    base = e2_page(group, params)
-    return TwistedPage(
-        base=base,
-        generator_label="y",
-        twist_lambda=0,
-        generator_degree=(0, 2 * params.p * k),
-    )
-
-
-def twisted_zero_line_is_invariant(params: HeightParams, j: int) -> bool:
-    """Is delta^j y fixed by the twisted action?  Exactly the solutions of
-    -p*j + (p^n - 1)/n = 0 mod n^2."""
-    n = params.n
-    return (-params.p * j + det_tau_exponent(params)) % (n * n) == 0
-
-
-# ---------------------------------------------------------------------------
 # property checks shared by the test suites
 
 
@@ -774,12 +694,9 @@ def verify_coefficient_law(group: str, params: HeightParams, periods: int = 3) -
 
 
 def verify_duality_involution(record: SequenceRecord) -> None:
-    """dualize is an involution and reverses each pairing exactly once."""
-    dual = dualize(record)
-    back = dualize(dual)
-    if back is not record:
-        raise VerificationFailure("dualize is not an involution")
-    params = record.params
+    """The dual sequence reverses each pairing exactly once, and its
+    differential on each reversed source is the original coefficient."""
+    dual = DualSequence(record)
     for stage, dmap in enumerate(record.diffs):
         reversed_pairs = dual.dual_pairs(stage)
         if len(reversed_pairs) != len(dmap.pairs):

@@ -8,7 +8,7 @@ import pytest
 
 from tatedual import chart_render as cr
 from tatedual import tate_engine as eng
-from tatedual.errors import InvalidInput
+from tatedual.errors import InvalidInput, ResourceGuard
 from tatedual.mod_arith import height_params
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -28,8 +28,7 @@ class TestDeterminism:
     def test_json_roundtrip_is_byte_identical(self):
         spec = spec_cp(fmt="json")
         text = cr.render(spec)
-        doc = cr.parse_json_document(text)
-        assert cr.reserialize_json(doc) == text
+        assert json.dumps(json.loads(text), indent=1) + "\n" == text
 
     def test_svg_roundtrip_via_spec(self):
         spec = spec_cp(fmt="svg")
@@ -103,6 +102,12 @@ class TestInvariants:
 
 
 class TestWindows:
+    def test_cell_budget(self):
+        side = 10**5
+        cr.ChartSpec(group="F", p=7, page=2, x_min=1, x_max=side, s_min=1, s_max=cr.MAX_CHART_CELLS // side)
+        with pytest.raises(ResourceGuard):
+            cr.ChartSpec(group="F", p=7, page=2, x_min=0, x_max=side, s_min=1, s_max=cr.MAX_CHART_CELLS // side)
+
     def test_zero_area_window(self):
         spec = spec_cp(x_min=5, x_max=4, s_min=3, s_max=2)
         out = cr.render(spec)

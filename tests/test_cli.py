@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ G       3  both       22           72  D(a D^-1)               24
 
 
 GOLDEN = Path(__file__).parent / "golden"
+BENCH_EXPECTED = Path(__file__).parent.parent / "bench" / "expected"
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +48,15 @@ def test_shifts_routes(capsys):
     code, out, _ = run_cli(capsys, "shifts", "--prime", "5", "--route", "det")
     assert code == 0
     assert "Cp" not in out
+
+
+@pytest.mark.parametrize("route", ["det", "dual"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_shifts_single_route_golden(capsys, p, route):
+    code, out, err = run_cli(capsys, "shifts", "--prime", str(p), "--route", route)
+    assert code == 0
+    assert err == ""
+    assert out.encode() == (GOLDEN / f"shifts_p{p}_{route}.txt").read_bytes()
 
 
 def test_composite_prime_rejected(capsys):
@@ -185,6 +196,29 @@ def test_chart_default_window(capsys):
     code, out, _ = run_cli(capsys, "chart", "--prime", "3")
     assert code == 0
     assert "window: t-s in [-18, 18], s in [-10, 10]" in out
+
+
+def test_chart_over_cell_budget_refused(capsys):
+    # the default F window at p = 31 has about 8e8 cells
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "chart", "--group", "F", "--prime", "31")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "cells" in err
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("--group", "F", "--prime", "7", "--format", "svg"), "chart-f-p7.svg"),
+        (("--prime", "5", "--overlay"), "chart-overlay-p5.out"),
+    ],
+)
+def test_bench_charts_within_budget(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, "chart", *argv)
+    assert code == 0
+    assert out.encode() == (BENCH_EXPECTED / expected).read_bytes()
 
 
 def test_verification_failure_exit_code(capsys, monkeypatch):

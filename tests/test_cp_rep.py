@@ -202,14 +202,15 @@ class TestTate:
         for p in (3, 5, 7):
             for _ in range(6):
                 module, _ = random_cp_module(rng, p, max_dim=30)
-                assert np.array_equal(cp_rep._norm_matrix(module), self._horner_norm(module))
+                assert np.array_equal(cp_rep._norm_matrix(module)[1], self._horner_norm(module))
 
     @pytest.mark.parametrize("p,k,deg", [(3, 0, 7), (3, 1, 9), (5, 1, 6), (5, 2, 11), (7, 1, 4), (7, 3, 8)])
     def test_norm_matches_horner_on_symmetric_powers(self, p, k, deg):
         module = cp_rep.symmetric_power(cp_rep.u_k_module(height_params(p), k), deg)
-        norm = cp_rep._norm_matrix(module)
+        z, norm = cp_rep._norm_matrix(module)
+        assert np.array_equal(z, cp_rep._nilpotent_part(module))
         assert np.array_equal(norm, self._horner_norm(module))
-        assert not linalg.matmul_mod(cp_rep._nilpotent_part(module), norm, p).any()
+        assert not linalg.matmul_mod(z, norm, p).any()
 
     def test_sparse_module_rejected(self):
         diag = sparse.identity(3000, dtype=np.int64, format="csc")
@@ -360,6 +361,19 @@ class TestNilpotence:
             cp_rep.nilpotence_report(params5, 4, 10)
         with pytest.raises(InvalidInput):
             cp_rep.nilpotence_report(params5, 2, 2)
+
+    def test_z_built_once_per_dense_degree(self, params5, monkeypatch):
+        built = []
+        real = cp_rep._nilpotent_part
+
+        def counted(m):
+            built.append(m.dim)
+            return real(m)
+
+        monkeypatch.setattr(cp_rep, "_nilpotent_part", counted)
+        report = cp_rep.nilpotence_report(params5, 2, 15)
+        assert all(d.dim <= cp_rep.DENSE_LIMIT for d in report.degrees)
+        assert built == [d.dim for d in report.degrees]
 
     def test_report_json_shape(self, params3):
         report = cp_rep.nilpotence_report(params3, 1, 6)

@@ -101,7 +101,7 @@ def test_certificate_is_dual_cycle(params5):
     # underlying class supports the long differential
     report = ds.shift_dual_route("Cp", params5)
     rec = eng.run_to_einfty("Cp", params5)
-    dual = eng.dualize(rec)
+    dual = eng.DualSequence(rec)
     n = params5.n
     base = eng.MonomialClass(1, n // 2 - 1, 1 - n // 2, "Cp")
     cert = eng.DualClass(base)
@@ -115,7 +115,7 @@ def test_certificate_is_dual_cycle(params5):
 def test_zero_line_cycle_spacing(params5):
     # cycles on the dual zero line sit exactly one periodicity apart
     rec = eng.run_to_einfty("F", params5)
-    dual = eng.dualize(rec)
+    dual = eng.DualSequence(rec)
     r1 = eng.first_diff_index(params5)
     cycles = [c for c in dual.zero_line_classes(-15, 15) if dual.is_cycle(c, r1)]
     degrees = sorted(dual.bidegree(c)[1] for c in cycles)

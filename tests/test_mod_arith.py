@@ -87,6 +87,19 @@ def test_twice_p_times_invariant_exponent_is_suspension(p):
     assert 2 * p * invariant_delta_exponent(pa) == -p * n * (n - 2)
 
 
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_101)
+def test_invariant_exponents(p):
+    # brute force over two periods each side: the solutions of
+    # -p*j + (p^n - 1)/n = 0 mod n^2 are exactly one residue class
+    n = p - 1
+    m = n * n
+    tau = (p**n - 1) // n
+    window = range(-2 * m, 2 * m)
+    sols = [j for j in window if (-p * j + tau) % m == 0]
+    residue = invariant_delta_residue(height_params(p))
+    assert sols == [j for j in window if j % m == residue]
+
+
 def test_trial_division_matches_known_primes():
     known = {2}
     for m in range(3, 500):

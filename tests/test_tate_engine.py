@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from tatedual import duality_shifts as ds
 from tatedual import tate_engine as eng
 from tatedual.errors import InvalidInput, VerificationFailure
 from tatedual.mod_arith import height_params
@@ -198,19 +199,23 @@ class TestPropertySuites:
 class TestDualize:
     def test_example_class(self, params5):
         rec = eng.run_to_einfty("Cp", params5)
-        dual = eng.dualize(rec)
+        dual = eng.DualSequence(rec)
         eps_class = eng.DualClass(cls_cp(1, 1, -1))
         assert eng.bidegree(eps_class.base, params5) == (3, -12)
         assert dual.bidegree(eps_class) == (0, 20)
 
     @pytest.mark.parametrize("group,p", ALL_CASES)
     def test_involution(self, group, p):
+        # reversing the reversed pairings gives back the recorded ones
         rec = eng.run_to_einfty(group, height_params(p))
-        assert eng.dualize(eng.dualize(rec)) is rec
+        dual = eng.DualSequence(rec)
+        for stage, dmap in enumerate(rec.diffs):
+            back = tuple((dtgt.base, dsrc.base, c) for dsrc, dtgt, c in dual.dual_pairs(stage))
+            assert back == dmap.pairs
 
     def test_dual_differential_reverses(self, params3):
         rec = eng.run_to_einfty("Cp", params3)
-        dual = eng.dualize(rec)
+        dual = eng.DualSequence(rec)
         src, tgt, coeff = rec.diffs[0].pairs[0]
         got = dual.differential(eng.DualClass(tgt), rec.diffs[0].r)
         assert got is not None
@@ -218,7 +223,7 @@ class TestDualize:
 
     def test_dual_spans_bidegree_law(self, params5):
         rec = eng.run_to_einfty("F", params5)
-        dual = eng.dualize(rec)
+        dual = eng.DualSequence(rec)
         for stage, dmap in enumerate(rec.diffs):
             for dsrc, dtgt, coeff in dual.dual_pairs(stage):
                 s0, t0 = dual.bidegree(dsrc)
@@ -227,15 +232,11 @@ class TestDualize:
 
     def test_boundary_detection(self, params3):
         rec = eng.run_to_einfty("Cp", params3)
-        dual = eng.dualize(rec)
+        dual = eng.DualSequence(rec)
         r1 = eng.first_diff_index(params3)
         # delta supports d_5, so D(delta) is a boundary; a is a first-cycle
         assert dual.is_boundary(eng.DualClass(cls_cp(0, 0, 1)), r1)
         assert not dual.is_boundary(eng.DualClass(cls_cp(1, 0, 0)), r1)
-
-    def test_dualize_rejects_garbage(self):
-        with pytest.raises(InvalidInput):
-            eng.dualize(42)
 
 
 class TestViews:
@@ -243,7 +244,6 @@ class TestViews:
         rec = eng.run_to_einfty("Cp", params3)
         view = eng.hfpss_view(rec)
         assert view.zero_line_einfty_exponents(-9, 10) == [-9, -6, -3, 0, 3, 6, 9]
-        assert not view.norm_included
         assert "norm" in view.notes
 
     def test_f_zero_line_p5(self, params5):
@@ -282,51 +282,32 @@ class TestViews:
 
 
 class TestTwisted:
-    @pytest.mark.parametrize(
-        "lam,gamma,p,expected", [(0, 1, 5, 0), (2, 2, 5, 4), (3, 3, 7, 6), (2, 1, 5, 3)]
-    )
-    def test_find_cycle_generator(self, lam, gamma, p, expected):
-        assert eng.find_cycle_generator(lam, gamma, height_params(p)) == expected
-
-    def test_lambda_equals_gamma_gives_p_minus_1(self):
-        for p in (3, 5, 7):
-            pa = height_params(p)
-            for gamma in range(1, p):
-                assert eng.find_cycle_generator(gamma, gamma, pa) == p - 1
-
-    def test_gamma_zero_rejected(self, params5):
-        with pytest.raises(InvalidInput):
-            eng.find_cycle_generator(1, 0, params5)
-        with pytest.raises(InvalidInput):
-            eng.find_cycle_generator(1, 5, params5)
+    """The determinant twist: the shift route through the invariant
+    generator d^k y."""
 
     @pytest.mark.parametrize("p,degree", [(3, 0), (5, -40), (7, -168)])
     def test_twisted_generator_degrees(self, p, degree):
         pa = height_params(p)
-        tp = eng.twisted_e2("F", pa)
-        assert tp.generator_degree == (0, degree)
-        assert tp.twist_lambda == 0
+        report = ds.shift_det_route("F", pa)
+        assert report.certificate_degree == degree
+        assert report.certificate == f"d^{degree // (2 * p)} y"
 
     def test_g_twisted_page(self, params7):
-        tp = eng.twisted_e2("G", params7)
-        assert tp.generator_degree == (0, -168)
-        assert tp.base.coeff_field_degree == 1
+        assert ds.shift_det_route("G", params7).certificate_degree == -168
+        assert eng.e2_page("G", params7).coeff_field_degree == 1
 
     def test_cp_twist_rejected(self, params5):
         with pytest.raises(InvalidInput):
-            eng.twisted_e2("Cp", params5)
+            ds.shift_det_route("Cp", params5)
+        with pytest.raises(InvalidInput):
+            ds.shift_det_route("H", params5)
 
     def test_twisted_differential_coefficients(self, params5):
-        tp = eng.twisted_e2("F", params5)
-        # untwisted generator: d(D^j y) has coefficient j
+        # the generator is untwisted: d(D^j y) has coefficient j, so D^j y
+        # is a first-differential cycle exactly when p divides j
         for j in range(-6, 7):
-            assert tp.first_differential_coefficient(j) == j % 5
-
-    def test_invariant_exponents(self, params5):
-        # solutions of the invariance congruence are k mod n^2
-        sols = [j for j in range(-40, 40) if eng.twisted_zero_line_is_invariant(params5, j)]
-        assert sols == [j for j in range(-40, 40) if j % 16 == 12]
-        assert eng.twisted_zero_line_is_invariant(params5, -4)
+            out = eng.d_first(eng.MonomialClass(0, 0, j, "F"), params5)
+            assert (0 if out is None else out[1]) == j % 5
 
 
 class TestWindows:
