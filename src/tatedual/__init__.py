@@ -2,19 +2,6 @@
 height n = p - 1."""
 
 from .chart_render import ChartSpec, diff_overlay, render
-from .cp_rep import (
-    CpModule,
-    JordanProfile,
-    TateDims,
-    freeness_by_degree,
-    freeness_check,
-    jordan_decompose,
-    orbit_product,
-    symmetric_power,
-    tate_cohomology,
-    u_k_module,
-    vk_nilpotence_check,
-)
 from .duality_shifts import (
     ShiftReport,
     periodicity,
@@ -51,3 +38,19 @@ from .tate_engine import (
 )
 
 __version__ = "0.1.0"
+
+# cp_rep loads numpy; these names are resolved on first access, so the
+# commands that do no linear algebra start without it
+_CP_REP_NAMES = (
+    "CpModule", "JordanProfile", "TateDims", "freeness_by_degree", "freeness_check",
+    "jordan_decompose", "orbit_product", "symmetric_power", "tate_cohomology",
+    "u_k_module", "vk_nilpotence_check",
+)
+
+
+def __getattr__(name):
+    if name in _CP_REP_NAMES:
+        from . import cp_rep
+
+        return getattr(cp_rep, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,6 +7,9 @@ Jordan profile and Tate cohomology of one symmetric power.
 Exit codes: 0 success (all checks verified), 1 a mathematical verification
 failed, 2 invalid input or an environment problem.  Identical invocations
 print byte-identical standard output.
+
+Only `verify nilpotence`, `verify freeness` and `sympow` import cp_rep, and
+with it numpy; the other commands start without it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import argparse
 import json
 import sys
 
-from . import chart_render, cp_rep, duality_shifts, mod_arith, tate_engine
+from . import chart_render, duality_shifts, mod_arith, tate_engine
 from .errors import InvalidInput, ResourceGuard, VerificationFailure
 
 _SHIFT_ROW = "{group:<5} {p:>3}  {route:<5} {shift:>7} {periodicity:>12}  {certificate:<18} {degree:>7}"
@@ -120,6 +123,7 @@ def _verify_cancellation(args) -> int:
 
 
 def _verify_nilpotence(args) -> int:
+    from . import cp_rep
     params = _params(args.prime)
     ks = [args.k] if args.k is not None else list(range(1, params.n))
     failures = 0
@@ -144,6 +148,7 @@ def _verify_nilpotence(args) -> int:
 
 
 def _verify_freeness(args) -> int:
+    from . import cp_rep
     params = _params(args.prime)
     p = params.p
     ks = [args.k] if args.k is not None else list(range(0, params.n))
@@ -175,6 +180,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sympow(args) -> int:
+    from . import cp_rep
     params = _params(args.prime)
     module = cp_rep.symmetric_power(cp_rep.u_k_module(params, args.k), args.degree)
     profile = cp_rep.jordan_decompose(module)

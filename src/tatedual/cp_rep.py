@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy import sparse
 
 from . import linalg
 from .errors import InvalidInput, ResourceGuard
@@ -76,6 +75,8 @@ class CpModule:
             if not np.array_equal(power, ident):
                 raise InvalidInput("generator action does not have order p")
         else:
+            from scipy import sparse
+
             power = self.gen_action
             for _ in range(self.p - 1):
                 power = (power @ self.gen_action).tocsc()
@@ -126,7 +127,7 @@ class TateDims:
 
 def module_from_action(p: int, action, basis_labels=None, check: bool = True) -> CpModule:
     """Public constructor: wraps and (by default) validates an action matrix."""
-    if sparse.issparse(action):
+    if hasattr(action, "tocsc"):
         mat = action.tocsc()
         dim = mat.shape[0]
     else:
@@ -291,6 +292,8 @@ class _SymmetricChain:
             cur %= p
             self.matrix = cur
         else:
+            from scipy import sparse
+
             if isinstance(prev_mat, np.ndarray):
                 prev_mat = sparse.csc_matrix(prev_mat)
             rows_acc, cols_acc, data_acc = [], [], []
@@ -357,6 +360,8 @@ def symmetric_power(m: CpModule, deg: int, dim_cap: int | None = None) -> CpModu
 def _nilpotent_part(m: CpModule):
     if m.is_dense():
         return (m.gen_action - np.eye(m.dim, dtype=np.int64)) % m.p
+    from scipy import sparse
+
     z = (m.gen_action - sparse.identity(m.dim, dtype=np.int64, format="csc")).tocsc()
     z.data %= m.p
     z.eliminate_zeros()

@@ -16,13 +16,14 @@ Panels of _BASE columns are reduced column by column, touching only rows
 with a nonzero multiplier.  The kernel works on one float copy of the
 matrix and returns exactly the echelon form and pivots of the row loop
 kept for small matrices.  The sparse routines exist for symmetric powers
-whose dimension exceeds DENSE_LIMIT; they compute ranks only.
+whose dimension exceeds DENSE_LIMIT; they compute ranks only, and take any
+matrix with a `tocsr` method, so this module never imports scipy; cp_rep
+imports scipy.sparse only in its sparse branches.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 DENSE_LIMIT = 2000
 
@@ -244,7 +245,7 @@ def _solve_unit_upper(m: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def rank_mod(a, p: int) -> int:
-    if sparse.issparse(a):
+    if hasattr(a, "tocsr"):
         return sparse_rank_mod(a, p)
     _, pivots = forward_eliminate(a, p)
     return len(pivots)

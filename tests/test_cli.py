@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -18,6 +21,7 @@ G       3  both       22           72  D(a D^-1)               24
 
 GOLDEN = Path(__file__).parent / "golden"
 BENCH_EXPECTED = Path(__file__).parent.parent / "bench" / "expected"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -231,3 +235,61 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "shifts", "--prime", "3")
     assert code == 1
     assert "VERIFICATION FAILED" in out
+
+
+def _modules_after(code):
+    """Which of numpy, scipy and scipy.sparse a fresh interpreter on src/
+    has loaded after running code."""
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        + "".join(f"    {line}\n" for line in code.splitlines())
+        + "print(json.dumps([m for m in ('numpy', 'scipy', 'scipy.sparse') if m in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _main(argv):
+    return f"from tatedual import cli\nassert cli.main({list(argv)!r}) == 0"
+
+
+def _command_id(argv):
+    return " ".join(argv) or "import"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("shifts", "--prime", "7"),
+        ("chart", "--prime", "5", "--overlay"),
+        ("verify", "cancellation", "--prime", "3"),
+        ("verify", "congruence"),
+    ],
+    ids=_command_id,
+)
+def test_closed_form_commands_load_no_numpy(argv):
+    assert _modules_after(_main(argv) if argv else "import tatedual.cli") == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "nilpotence", "--prime", "3"), ("sympow", "--prime", "5", "--k", "1", "--degree", "6")],
+    ids=_command_id,
+)
+def test_dense_commands_load_numpy_without_scipy(argv):
+    assert _modules_after(_main(argv)) == ["numpy"]
+
+
+def test_step_past_dense_limit_loads_scipy_sparse():
+    code = (
+        "from tatedual import cp_rep\n"
+        "from tatedual.mod_arith import height_params\n"
+        "m = cp_rep.symmetric_power(cp_rep.u_k_module(height_params(7), 2), 13)\n"
+        "assert m.dim == 2380 > cp_rep.DENSE_LIMIT and not m.is_dense()"
+    )
+    assert "scipy.sparse" in _modules_after(code)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import tatedual
 from tatedual import cp_rep, linalg
 from tatedual.errors import InvalidInput, ResourceGuard
 from tatedual.mod_arith import height_params
@@ -423,3 +424,38 @@ def test_module_from_action_validates():
         cp_rep.module_from_action(5, np.array([[2, 0], [0, 1]]))
     ok = cp_rep.module_from_action(5, np.array([[1, 0], [1, 1]]))
     assert ok.dim == 2
+
+
+@pytest.mark.parametrize(
+    "wrap,dense",
+    [(sparse.csc_matrix, False), (sparse.csr_array, False), (np.ndarray.tolist, True)],
+    ids=["csc_matrix", "csr_array", "list"],
+)
+def test_module_from_action_input_types(wrap, dense):
+    # scipy input is detected by its tocsc method and validated by the sparse branch
+    with pytest.raises(InvalidInput, match="order p"):
+        cp_rep.module_from_action(5, wrap(np.array([[2, 0], [0, 1]])))
+    ok = cp_rep.module_from_action(5, wrap(np.array([[1, 0], [1, 1]])))
+    assert ok.is_dense() == dense
+    assert ok.dim == 2
+    assert np.array_equal(ok.gen_action if dense else ok.gen_action.toarray(), [[1, 0], [1, 1]])
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "CpModule", "JordanProfile", "TateDims", "freeness_by_degree", "freeness_check",
+        "jordan_decompose", "orbit_product", "symmetric_power", "tate_cohomology",
+        "u_k_module", "vk_nilpotence_check",
+    ],
+)
+def test_package_exports_cp_rep_names(name):
+    assert getattr(tatedual, name) is getattr(cp_rep, name)
+
+
+def test_package_lazy_names_import_and_unknown_names_raise():
+    from tatedual import freeness_by_degree
+
+    assert freeness_by_degree is cp_rep.freeness_by_degree
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tatedual.no_such_name

@@ -7,6 +7,10 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 LAUNCHER = Path(__file__).parent.parent / "bench" / "launcher.py"
@@ -34,3 +38,20 @@ def test_layer_calls_resolve():
         assert callable(target), (module_name, attr)
         # attrs(out, *call_args): it reads the wrapped call's positional arguments
         assert _positional(target) >= _positional(attrs) - 1, (module_name, attr)
+
+
+def test_spans_land_for_function_local_imports(tmp_path):
+    # cli imports cp_rep inside the commands that use it; the patched module
+    # attributes must still see every call
+    spans_path = tmp_path / "spans.json"
+    root = LAUNCHER.parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(LAUNCHER), str(spans_path), "--", "verify", "nilpotence", "--prime", "3"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (root / "bench" / "expected" / "nilpotence-p3.out").read_bytes()
+    names = {span["name"] for span in json.loads(spans_path.read_text())}
+    assert {"cp_rep.nilpotence", "linalg.naive"} <= names
