@@ -43,8 +43,7 @@ __version__ = "0.1.0"
 # commands that do no linear algebra start without it
 _CP_REP_NAMES = (
     "CpModule", "JordanProfile", "TateDims", "freeness_by_degree", "freeness_check",
-    "jordan_decompose", "orbit_product", "symmetric_power", "tate_cohomology",
-    "u_k_module", "vk_nilpotence_check",
+    "jordan_decompose", "symmetric_power", "tate_cohomology", "u_k_module",
 )
 
 

@@ -182,7 +182,15 @@ def cmd_verify(args) -> int:
 def cmd_sympow(args) -> int:
     from . import cp_rep
     params = _params(args.prime)
-    module = cp_rep.symmetric_power(cp_rep.u_k_module(params, args.k), args.degree)
+    base = cp_rep.u_k_module(params, args.k)
+    # the Jordan profile and the Tate bases need a dense action
+    dim = cp_rep.symmetric_dimension(base.dim, args.degree)
+    if dim > cp_rep.DENSE_LIMIT:
+        raise ResourceGuard(
+            f"sympow needs dimension <= {cp_rep.DENSE_LIMIT}, but degree {args.degree} has "
+            f"dimension {dim}; `tatedual verify freeness` checks larger powers from ranks"
+        )
+    module = cp_rep.symmetric_power(base, args.degree)
     profile = cp_rep.jordan_decompose(module)
     tate = cp_rep.tate_cohomology(module)
     out = {

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -55,36 +55,20 @@ def dimension_cap() -> int:
 class CpModule:
     """A finite-dimensional C_p-representation over F_p.
 
-    gen_action is the matrix of the chosen generator on the given basis
-    (dense int64 for dimensions up to DENSE_LIMIT, scipy sparse beyond).
+    gen_action is the matrix of the chosen generator (dense int64 for
+    dimensions up to DENSE_LIMIT, scipy sparse beyond).  Its columns follow
+    the basis order of the constructor: z_n, ..., z_k for u_k_module, and the
+    descending-lex monomials of _monomials for symmetric powers.  The order
+    of the action is not checked here; jordan_decompose raises on an action
+    whose order is not p.
     """
 
     p: int
     dim: int
     gen_action: object
-    basis_labels: tuple[str, ...] | None = None
 
     def is_dense(self) -> bool:
         return isinstance(self.gen_action, np.ndarray)
-
-    def validate(self) -> None:
-        """Check that the action has order dividing p (unipotence follows)."""
-        if self.is_dense():
-            ident = np.eye(self.dim, dtype=np.int64)
-            power = linalg.matrix_power_mod(self.gen_action, self.p, self.p)
-            if not np.array_equal(power, ident):
-                raise InvalidInput("generator action does not have order p")
-        else:
-            from scipy import sparse
-
-            power = self.gen_action
-            for _ in range(self.p - 1):
-                power = (power @ self.gen_action).tocsc()
-                power.data %= self.p
-            diff = power - sparse.identity(self.dim, dtype=np.int64, format="csc")
-            diff.data %= self.p
-            if diff.nnz and np.any(diff.data):
-                raise InvalidInput("generator action does not have order p")
 
 
 @dataclass(frozen=True)
@@ -125,34 +109,13 @@ class TateDims:
         return {"even_dim": self.even_dim, "odd_dim": self.odd_dim}
 
 
-def module_from_action(p: int, action, basis_labels=None, check: bool = True) -> CpModule:
-    """Public constructor: wraps and (by default) validates an action matrix."""
-    if hasattr(action, "tocsc"):
-        mat = action.tocsc()
-        dim = mat.shape[0]
-    else:
-        mat = linalg.as_field_matrix(action, p)
-        dim = mat.shape[0]
-    if mat.shape[0] != mat.shape[1]:
-        raise InvalidInput("action matrix must be square")
-    if basis_labels is not None:
-        basis_labels = tuple(basis_labels)
-        if len(basis_labels) != dim:
-            raise InvalidInput("label count does not match dimension")
-    mod = CpModule(p=p, dim=dim, gen_action=mat, basis_labels=basis_labels)
-    if check:
-        mod.validate()
-    return mod
-
-
 def u_k_module(params: HeightParams, k: int) -> CpModule:
     """The height module on z_n, ..., z_k: zeta shifts each z_i by z_{i-1}
     and fixes z_k.  A single Jordan block of size n - k + 1."""
     n = params.n
     if not 0 <= k <= n:
         raise InvalidInput(f"k must lie in [0, {n}], got {k}")
-    labels = tuple(f"z{n - t}" for t in range(n - k + 1))
-    return replace(jordan_block_module(params.p, n - k + 1), basis_labels=labels)
+    return jordan_block_module(params.p, n - k + 1)
 
 
 def jordan_block_module(p: int, size: int) -> CpModule:
@@ -163,11 +126,6 @@ def jordan_block_module(p: int, size: int) -> CpModule:
     for t in range(size - 1):
         mat[t + 1, t] = 1
     return CpModule(p=p, dim=size, gen_action=mat)
-
-
-def regular_module(p: int) -> CpModule:
-    """The free module of rank one, i.e. one full Jordan block."""
-    return jordan_block_module(p, p)
 
 
 def direct_sum(modules: list[CpModule]) -> CpModule:
@@ -204,16 +162,6 @@ def _monomials(nvars: int, deg: int) -> list[tuple[int, ...]]:
     return out
 
 
-def monomial_label(expo: tuple[int, ...], var_labels: tuple[str, ...]) -> str:
-    parts = []
-    for v, e in enumerate(expo):
-        if e == 1:
-            parts.append(var_labels[v])
-        elif e > 1:
-            parts.append(f"{var_labels[v]}^{e}")
-    return " ".join(parts) if parts else "1"
-
-
 def symmetric_dimension(nvars: int, deg: int) -> int:
     return math.comb(deg + nvars - 1, nvars - 1)
 
@@ -236,7 +184,6 @@ class _SymmetricChain:
         self.base = base
         self.p = base.p
         self.nvars = base.dim
-        self.var_labels = base.basis_labels or tuple(f"x{t}" for t in range(base.dim))
         self.deg = 0
         self.monos: list[tuple[int, ...]] = [(0,) * self.nvars]
         self.index = {self.monos[0]: 0}
@@ -246,8 +193,7 @@ class _SymmetricChain:
         self.last_var_embed: np.ndarray | None = None
 
     def current_module(self) -> CpModule:
-        labels = tuple(monomial_label(m, self.var_labels) for m in self.monos)
-        return CpModule(p=self.p, dim=len(self.monos), gen_action=self.matrix, basis_labels=labels)
+        return CpModule(p=self.p, dim=len(self.monos), gen_action=self.matrix)
 
     def step(self) -> None:
         p, v = self.p, self.nvars
@@ -324,7 +270,7 @@ class _SymmetricChain:
         self.last_var_embed = embeds[v - 1]
 
 
-def _symmetric_walk(base: CpModule, max_deg: int, dim_cap: int | None = None):
+def _symmetric_walk(base: CpModule, max_deg: int):
     """Yield (deg, module, embed) for the symmetric powers of base in degrees
     0, 1, ..., max_deg, where embed is the index scatter of multiplication by
     the last variable from degree deg - 1 (None in degree 0).
@@ -333,7 +279,7 @@ def _symmetric_walk(base: CpModule, max_deg: int, dim_cap: int | None = None):
     """
     if max_deg < 0:
         raise InvalidInput("degree must be nonnegative")
-    cap = dimension_cap() if dim_cap is None else dim_cap
+    cap = dimension_cap()
     final_dim = symmetric_dimension(base.dim, max_deg)
     if final_dim > cap:
         raise ResourceGuard(
@@ -347,9 +293,9 @@ def _symmetric_walk(base: CpModule, max_deg: int, dim_cap: int | None = None):
         yield chain.deg, chain.current_module(), chain.last_var_embed
 
 
-def symmetric_power(m: CpModule, deg: int, dim_cap: int | None = None) -> CpModule:
+def symmetric_power(m: CpModule, deg: int) -> CpModule:
     """The induced action on the monomial basis of total degree deg."""
-    _, module, _ = deque(_symmetric_walk(m, deg, dim_cap), maxlen=1)[0]
+    _, module, _ = deque(_symmetric_walk(m, deg), maxlen=1)[0]
     return m if deg == 1 else module
 
 
@@ -474,10 +420,10 @@ def _free_by_rank(m: CpModule) -> bool:
     return linalg.rank_mod(z, m.p) == m.dim - m.dim // m.p
 
 
-def freeness_check(params: HeightParams, k: int, deg: int, dim_cap: int | None = None) -> bool:
+def freeness_check(params: HeightParams, k: int, deg: int) -> bool:
     """Is the degree-deg symmetric power of the height module free over
     F_p[C_p]?  Decided by the rank of zeta - 1 alone, dense or sparse."""
-    return _free_by_rank(symmetric_power(u_k_module(params, k), deg, dim_cap=dim_cap))
+    return _free_by_rank(symmetric_power(u_k_module(params, k), deg))
 
 
 def freeness_by_degree(params: HeightParams, k: int, degrees) -> dict[int, bool]:
@@ -490,65 +436,6 @@ def freeness_by_degree(params: HeightParams, k: int, degrees) -> dict[int, bool]
         raise InvalidInput("degrees must be nonnegative")
     walk = _symmetric_walk(u_k_module(params, k), max(wanted))
     return {deg: _free_by_rank(mod) for deg, mod, _ in walk if deg in wanted}
-
-
-# ---------------------------------------------------------------------------
-# orbit product
-
-
-@dataclass(frozen=True, eq=False)
-class SymElement:
-    """An element of a symmetric power, as exponent-tuple coefficients."""
-
-    module: CpModule
-    coeffs: dict
-    vector: np.ndarray
-
-    def label(self, var_labels: tuple[str, ...]) -> str:
-        parts = []
-        for expo in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[expo]
-            mono = monomial_label(expo, var_labels)
-            parts.append(mono if c == 1 else f"{c} {mono}")
-        return " + ".join(parts) if parts else "0"
-
-
-def orbit_product(params: HeightParams, k: int) -> SymElement:
-    """The product of the full C_p-orbit of the top variable z_n, expanded
-    in degree p.  Verified invariant under the generator."""
-    base = u_k_module(params, k)
-    p, v = params.p, base.dim
-    sym = symmetric_power(base, p)
-
-    forms = []
-    w = np.zeros(v, dtype=np.int64)
-    w[0] = 1
-    for _ in range(p):
-        forms.append(w.copy())
-        w = (base.gen_action @ w) % p
-
-    poly = {(0,) * v: 1}
-    for form in forms:
-        nxt: dict = {}
-        for expo, c in poly.items():
-            for t in range(v):
-                val = int(form[t])
-                if not val:
-                    continue
-                bumped = list(expo)
-                bumped[t] += 1
-                key = tuple(bumped)
-                nxt[key] = (nxt.get(key, 0) + c * val) % p
-        poly = {e: c for e, c in nxt.items() if c}
-
-    monos = _monomials(v, p)
-    index = {m: c for c, m in enumerate(monos)}
-    vec = np.zeros(len(monos), dtype=np.int64)
-    for expo, c in poly.items():
-        vec[index[expo]] = c
-    image = (sym.gen_action @ vec) % p
-    assert np.array_equal(image, vec), "orbit product is not invariant"
-    return SymElement(module=sym, coeffs=poly, vector=vec)
 
 
 # ---------------------------------------------------------------------------
@@ -587,16 +474,6 @@ def _induced_step(
     even = one_parity(s.even_dim, t.even_dim, s.even_basis, t.even_basis, t.even_modulus, tgt.z)
     odd = one_parity(s.odd_dim, t.odd_dim, s.odd_basis, t.odd_basis, t.odd_modulus, tgt.norm)
     return MultiplicationMaps(deg=deg, even=even, odd=odd)
-
-
-def multiplication_action(params: HeightParams, k: int, deg: int) -> MultiplicationMaps:
-    """Standalone computation of the induced maps from degree deg to deg+1
-    for the height module with bottom index k."""
-    if deg < 0:
-        raise InvalidInput("degree must be nonnegative")
-    walk = _symmetric_walk(u_k_module(params, k), deg + 1)
-    (_, src_mod, _), (_, tgt_mod, embed) = deque(walk, maxlen=2)
-    return _induced_step(params.p, embed, tgt_mod.dim, _tate_data(src_mod), _tate_data(tgt_mod), deg)
 
 
 def _window_vanishes(p: int, window: list) -> bool:
@@ -701,13 +578,6 @@ def nilpotence_report(params: HeightParams, k: int, max_deg: int) -> NilpotenceR
     return NilpotenceReport(
         p=p, k=k, max_deg=max_deg, degrees=tuple(summaries), windows=max_deg - k, holds=holds
     )
-
-
-def vk_nilpotence_check(params: HeightParams, k: int, max_deg: int) -> bool:
-    """True iff every (k+1)-fold composite of the multiplication maps on
-    Tate cohomology vanishes up to max_deg.  The k = 0 case is the plain
-    p-torsion statement and reports True without computation."""
-    return nilpotence_report(params, k, max_deg).holds
 
 
 def default_degree_cap(params: HeightParams, k: int) -> int:

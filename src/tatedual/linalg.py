@@ -251,11 +251,6 @@ def rank_mod(a, p: int) -> int:
     return len(pivots)
 
 
-def kernel_basis(a, p: int) -> np.ndarray:
-    """Columns form a basis of the right nullspace of a over F_p."""
-    return kernel_and_image(a, p)[0]
-
-
 def kernel_and_image(a, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Kernel basis and image basis (the pivot columns of a) from a single
     elimination."""
@@ -296,17 +291,6 @@ def complete_subspace(sub: np.ndarray, space: np.ndarray, p: int) -> np.ndarray:
         raise ValueError("sub columns are not independent")
     extra = [c - k for c in pivots if c >= k]
     return np.asarray(space, dtype=np.int64)[:, extra] % p
-
-
-def inverse_mod(a, p: int) -> np.ndarray:
-    a = as_field_matrix(a, p)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError("not square")
-    try:
-        return coordinates_in_span(a, np.eye(n, dtype=np.int64), p)
-    except ValueError as exc:
-        raise ValueError("matrix is singular mod p") from exc
 
 
 def sparse_rank_mod(a, p: int) -> int:

@@ -427,12 +427,6 @@ class ClassFate:
     partner: MonomialClass | None = None
     coeff: int | None = None
 
-    def describe(self) -> str:
-        if self.fate == "survives":
-            return "survives"
-        verb = "hits" if self.fate == "source" else "hit by"
-        return f"{self.fate} at d_{self.r} ({verb} {self.partner.label()}, coeff {self.coeff})"
-
 
 @dataclass(frozen=True)
 class SequenceRecord:
@@ -567,23 +561,17 @@ class DualSequence:
 class SequenceView:
     """A truncation of the recorded sequence to a half plane.
 
-    The fixed-point view keeps s >= 0; the orbit view keeps s <= -1 and is
-    reported in the homological regrading sigma = -s - 1.  In both cases a
-    differential belongs to the view only if source and target do.  The
-    s = 0 line of the fixed-point view carries only the Tate part: the norm
-    image is deliberately not computed, so that line is approximate.
+    The fixed-point view keeps s >= 0; the orbit view keeps s <= -1, which
+    is homological degree -s - 1.  In both cases a differential belongs to
+    the view only if source and target do.  The s = 0 line of the
+    fixed-point view carries only the Tate part: the norm image is
+    deliberately not computed, so that line is approximate.
     """
 
     def __init__(self, record: SequenceRecord, regions: tuple[str, ...]):
         self.record = record
         self.params = record.params
         self.regions = regions
-
-    @property
-    def notes(self) -> str:
-        if "hfpss" in self.regions:
-            return "exact away from s = 0; s = 0 is the Tate part only (norm image not computed)"
-        return "exact away from s = 0"
 
     def contains_filtration(self, s: int) -> bool:
         for region in self.regions:
@@ -592,9 +580,6 @@ class SequenceView:
             if region == "hoss" and s > -1:
                 return False
         return True
-
-    def homological_degree(self, s: int) -> int:
-        return -s - 1
 
     def fate_in_view(self, cls: MonomialClass) -> ClassFate:
         """Run both differentials inside the truncated region."""
@@ -708,12 +693,3 @@ def verify_duality_involution(record: SequenceRecord) -> None:
             if got is None or got[0].base != src or got[1] != coeff:
                 raise VerificationFailure("dual differential disagrees with reversed pairing")
 
-
-def verify_page_invariants(record: SequenceRecord) -> None:
-    """The bundle of structural checks run on every produced sequence."""
-    for dmap in record.diffs:
-        verify_bidegree_law(dmap, record.params)
-    verify_d_squared(record)
-    verify_lattice_equivariance(record)
-    verify_coefficient_law(record.group, record.params)
-    verify_duality_involution(record)

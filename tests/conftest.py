@@ -29,6 +29,12 @@ def random_invertible(rng: np.random.Generator, dim: int, p: int) -> np.ndarray:
             return m
 
 
+def inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverse of an invertible square matrix: coordinates of the identity
+    in its columns (raises ValueError when a is singular)."""
+    return linalg.coordinates_in_span(a, np.eye(a.shape[0], dtype=np.int64), p)
+
+
 def random_cp_module(rng: np.random.Generator, p: int, max_dim: int = 40) -> cp_rep.CpModule:
     """A random unipotent module: random Jordan blocks scrambled by a random
     change of basis."""
@@ -42,7 +48,7 @@ def random_cp_module(rng: np.random.Generator, p: int, max_dim: int = 40) -> cp_
     plain = cp_rep.direct_sum([cp_rep.jordan_block_module(p, b) for b in blocks])
     basis = random_invertible(rng, plain.dim, p)
     action = linalg.matmul_mod(
-        linalg.matmul_mod(basis, plain.gen_action, p), linalg.inverse_mod(basis, p), p
+        linalg.matmul_mod(basis, plain.gen_action, p), inverse_mod(basis, p), p
     )
     module = cp_rep.CpModule(p=p, dim=plain.dim, gen_action=action)
     return module, tuple(sorted(blocks, reverse=True))

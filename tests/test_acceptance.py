@@ -112,7 +112,7 @@ def test_criterion_5_nilpotence_and_freeness_suite():
             pa = height_params(p)
             assert set(caps) == set(range(1, pa.n))
             for k, max_deg in caps.items():
-                assert cp_rep.vk_nilpotence_check(pa, k, max_deg) is True
+                assert cp_rep.nilpotence_report(pa, k, max_deg).holds is True
                 degrees = [d for d in range(1, max_deg + 1) if k + 1 <= d % p <= p - 1]
                 for deg in degrees:
                     assert cp_rep.freeness_check(pa, k, deg) is True, (p, k, deg)

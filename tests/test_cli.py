@@ -157,6 +157,21 @@ def test_sympow_resource_guard(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_sympow_above_dense_limit_refused_before_walking(capsys, monkeypatch):
+    # S^14(U_0) at p = 7 has dimension 38760: no dense Jordan profile exists,
+    # so the command must refuse before building any symmetric power
+    from tatedual import cp_rep
+
+    def no_steps(self):
+        raise AssertionError("sympow stepped the chain")
+
+    monkeypatch.setattr(cp_rep._SymmetricChain, "step", no_steps)
+    code, out, err = run_cli(capsys, "sympow", "--prime", "7", "--k", "0", "--degree", "14")
+    assert code == 2
+    assert out == ""
+    assert "38760" in err and "verify freeness" in err
+
+
 def test_chart_stdout_and_file(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "chart", "--group", "Cp", "--prime", "5", "--window", "-20", "20", "-10", "10"

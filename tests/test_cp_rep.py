@@ -19,7 +19,8 @@ class TestHeightModules:
         m = cp_rep.u_k_module(params5, 0)
         assert m.dim == 5
         assert cp_rep.jordan_decompose(m).blocks == (5,)
-        assert m.basis_labels == ("z4", "z3", "z2", "z1", "z0")
+        # basis z4, ..., z0: zeta(z_i) = z_i + z_(i-1)
+        assert np.array_equal(m.gen_action, np.eye(5, dtype=np.int64) + np.eye(5, k=-1, dtype=np.int64))
 
     def test_top_k_is_trivial(self, params5):
         m = cp_rep.u_k_module(params5, 4)
@@ -41,12 +42,13 @@ class TestHeightModules:
 
     def test_generator_has_order_p(self, params7):
         for k in range(7):
-            cp_rep.u_k_module(params7, k).validate()
+            m = cp_rep.u_k_module(params7, k)
+            assert np.array_equal(linalg.matrix_power_mod(m.gen_action, 7, 7), np.eye(m.dim, dtype=np.int64))
 
 
 class TestJordan:
     def test_regular_module(self):
-        assert cp_rep.jordan_decompose(cp_rep.regular_module(5)).blocks == (5,)
+        assert cp_rep.jordan_decompose(cp_rep.jordan_block_module(5, 5)).blocks == (5,)
 
     def test_trivial_module(self):
         assert cp_rep.jordan_decompose(cp_rep.jordan_block_module(7, 1)).blocks == (1,)
@@ -77,7 +79,7 @@ class TestSymmetricPower:
     def test_degree_zero(self, params3):
         m = cp_rep.symmetric_power(cp_rep.u_k_module(params3, 0), 0)
         assert m.dim == 1
-        assert m.basis_labels == ("1",)
+        assert np.array_equal(m.gen_action, np.ones((1, 1), dtype=np.int64))
 
     def test_binomial_dimension(self, params3):
         m = cp_rep.symmetric_power(cp_rep.u_k_module(params3, 1), 2)
@@ -143,12 +145,11 @@ class TestSymmetricPower:
         sparse_mod = cp_rep.symmetric_power(cp_rep.u_k_module(params5, 1), 5)
         assert not sparse_mod.is_dense()
         assert np.array_equal(sparse_mod.gen_action.toarray() % 5, dense.gen_action)
-        sparse_mod.validate()
 
 
 class TestTate:
     def test_free_module_vanishes(self):
-        td = cp_rep.tate_cohomology(cp_rep.regular_module(5))
+        td = cp_rep.tate_cohomology(cp_rep.jordan_block_module(5, 5))
         assert (td.even_dim, td.odd_dim) == (0, 0)
 
     def test_trivial_module(self):
@@ -275,7 +276,7 @@ class TestFreeness:
 
     def test_sparse_rank_route(self):
         # block-diagonal free module above the dense limit
-        blocks = [cp_rep.regular_module(5) for _ in range(500)]
+        blocks = [cp_rep.jordan_block_module(5, 5) for _ in range(500)]
         dense = cp_rep.direct_sum(blocks)
         mod = cp_rep.CpModule(p=5, dim=dense.dim, gen_action=sparse.csc_matrix(dense.gen_action))
         assert cp_rep._free_by_rank(mod) is True
@@ -294,36 +295,78 @@ class TestFreeness:
 
 
 class TestOrbitProduct:
+    """The product of the C_p-orbit of the top variable is an invariant of
+    degree p: the symmetric power's action must fix it."""
+
+    @staticmethod
+    def _orbit_product(base, p):
+        """Exponent-tuple coefficients of the product of g^t(x_0), t < p,
+        expanded with Python integers."""
+        v = base.dim
+        poly = {(0,) * v: 1}
+        form = np.zeros(v, dtype=np.int64)
+        form[0] = 1
+        for _ in range(p):
+            nxt: dict = {}
+            for expo, c in poly.items():
+                for t in np.flatnonzero(form):
+                    key = tuple(e + (u == t) for u, e in enumerate(expo))
+                    nxt[key] = (nxt.get(key, 0) + c * int(form[t])) % p
+            poly = {e: c for e, c in nxt.items() if c}
+            form = (base.gen_action @ form) % p
+        return poly
+
+    @staticmethod
+    def _fixed(base, p, poly):
+        sym = cp_rep.symmetric_power(base, p)
+        index = {m: c for c, m in enumerate(cp_rep._monomials(base.dim, p))}
+        vec = np.zeros(sym.dim, dtype=np.int64)
+        for expo, c in poly.items():
+            vec[index[expo]] = c
+        return np.array_equal((sym.gen_action @ vec) % p, vec)
+
     def test_expansion_p3(self, params3):
-        op = cp_rep.orbit_product(params3, 0)
-        assert op.coeffs == {(3, 0, 0): 1, (2, 0, 1): 1, (1, 2, 0): 2, (1, 1, 1): 1}
-        labels = cp_rep.u_k_module(params3, 0).basis_labels
-        assert op.label(labels) == "z2^3 + z2^2 z0 + 2 z2 z1^2 + z2 z1 z0"
+        # z2 (z2 + z1) (z2 + 2 z1 + z0) on the basis z2, z1, z0
+        expansion = {(3, 0, 0): 1, (2, 0, 1): 1, (1, 2, 0): 2, (1, 1, 1): 1}
+        base = cp_rep.u_k_module(params3, 0)
+        assert self._orbit_product(base, 3) == expansion
+        assert self._fixed(base, 3, expansion)
 
     @pytest.mark.parametrize("p,k", [(3, 0), (3, 1), (5, 0), (5, 2), (5, 4)])
     def test_degree_and_invariance(self, p, k):
-        pa = height_params(p)
-        op = cp_rep.orbit_product(pa, k)
-        assert all(sum(e) == p for e in op.coeffs)
-        image = (op.module.gen_action @ op.vector) % p
-        assert np.array_equal(image, op.vector)
+        base = cp_rep.u_k_module(height_params(p), k)
+        poly = self._orbit_product(base, p)
+        assert all(sum(e) == p for e in poly)
+        assert self._fixed(base, p, poly)
+
+
+def _tate_window(params, k, lo, hi):
+    """The (deg, module, embed) triples of _symmetric_walk in degrees lo..hi,
+    and the Tate data of each module."""
+    walk = list(cp_rep._symmetric_walk(cp_rep.u_k_module(params, k), hi))[lo:]
+    return walk, [cp_rep._tate_data(mod) for _, mod, _ in walk]
 
 
 class TestMultiplication:
     def test_zero_map_between_zero_spaces(self, params5):
         # two consecutive free degrees
-        maps = cp_rep.multiplication_action(params5, 1, 2)
+        walk, (src, tgt) = _tate_window(params5, 1, 2, 3)
+        _, tgt_mod, embed = walk[1]
+        maps = cp_rep._induced_step(5, embed, tgt_mod.dim, src, tgt, 2)
         assert maps.even.shape == (0, 0)
         assert maps.odd.shape == (0, 0)
 
     def test_single_step_can_be_nonzero(self, params3):
-        maps = cp_rep.multiplication_action(params3, 1, 3)
+        walk, (src, tgt) = _tate_window(params3, 1, 3, 4)
+        _, tgt_mod, embed = walk[1]
+        maps = cp_rep._induced_step(3, embed, tgt_mod.dim, src, tgt, 3)
         assert maps.even.shape == (1, 1)
         assert maps.even.any() or maps.odd.any()
+        assert not cp_rep._window_vanishes(3, walk)
 
     def test_negative_degree_refused(self, params5):
         with pytest.raises(InvalidInput):
-            cp_rep.multiplication_action(params5, 1, -1)
+            list(cp_rep._symmetric_walk(cp_rep.u_k_module(params5, 1), -1))
 
     def test_embedding_is_equivariant(self, params3):
         # z_k is invariant, so multiplication commutes with the action
@@ -341,11 +384,9 @@ class TestMultiplication:
 
     def test_composites_vanish(self, params3):
         # product of k+1 = 2 consecutive maps is zero even when steps are not
-        m_and_maps = [cp_rep.multiplication_action(params3, 1, d) for d in range(0, 8)]
+        walk = list(cp_rep._symmetric_walk(cp_rep.u_k_module(params3, 1), 8))
         for d in range(0, 7):
-            even = linalg.matmul_mod(m_and_maps[d + 1].even, m_and_maps[d].even, 3)
-            odd = linalg.matmul_mod(m_and_maps[d + 1].odd, m_and_maps[d].odd, 3)
-            assert not even.any() and not odd.any()
+            assert cp_rep._window_vanishes(3, walk[d : d + 3]), d
 
 
 class TestNilpotence:
@@ -355,7 +396,7 @@ class TestNilpotence:
 
     @pytest.mark.parametrize("p,k,max_deg", [(3, 1, 30), (5, 3, 20), (5, 2, 15)])
     def test_examples(self, p, k, max_deg):
-        assert cp_rep.vk_nilpotence_check(height_params(p), k, max_deg) is True
+        assert cp_rep.nilpotence_report(height_params(p), k, max_deg).holds is True
 
     def test_bad_inputs(self, params5):
         with pytest.raises(InvalidInput):
@@ -419,34 +460,11 @@ def test_default_degree_caps():
     assert cp_rep.default_degree_cap(height_params(7), 1) == 14
 
 
-def test_module_from_action_validates():
-    with pytest.raises(InvalidInput):
-        cp_rep.module_from_action(5, np.array([[2, 0], [0, 1]]))
-    ok = cp_rep.module_from_action(5, np.array([[1, 0], [1, 1]]))
-    assert ok.dim == 2
-
-
-@pytest.mark.parametrize(
-    "wrap,dense",
-    [(sparse.csc_matrix, False), (sparse.csr_array, False), (np.ndarray.tolist, True)],
-    ids=["csc_matrix", "csr_array", "list"],
-)
-def test_module_from_action_input_types(wrap, dense):
-    # scipy input is detected by its tocsc method and validated by the sparse branch
-    with pytest.raises(InvalidInput, match="order p"):
-        cp_rep.module_from_action(5, wrap(np.array([[2, 0], [0, 1]])))
-    ok = cp_rep.module_from_action(5, wrap(np.array([[1, 0], [1, 1]])))
-    assert ok.is_dense() == dense
-    assert ok.dim == 2
-    assert np.array_equal(ok.gen_action if dense else ok.gen_action.toarray(), [[1, 0], [1, 1]])
-
-
 @pytest.mark.parametrize(
     "name",
     [
         "CpModule", "JordanProfile", "TateDims", "freeness_by_degree", "freeness_check",
-        "jordan_decompose", "orbit_product", "symmetric_power", "tate_cohomology",
-        "u_k_module", "vk_nilpotence_check",
+        "jordan_decompose", "symmetric_power", "tate_cohomology", "u_k_module",
     ],
 )
 def test_package_exports_cp_rep_names(name):
