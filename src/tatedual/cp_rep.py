@@ -56,7 +56,7 @@ class CpModule:
     """A finite-dimensional C_p-representation over F_p.
 
     gen_action is the matrix of the chosen generator (dense int64 for
-    dimensions up to DENSE_LIMIT, scipy sparse beyond).  Its columns follow
+    dimensions up to DENSE_LIMIT, linalg.Triplets beyond).  Its columns follow
     the basis order of the constructor: z_n, ..., z_k for u_k_module, and the
     descending-lex monomials of _monomials for symmetric powers.  The order
     of the action is not checked here; jordan_decompose raises on an action
@@ -170,10 +170,12 @@ class _SymmetricChain:
     """Extends a generator action degree by degree through symmetric powers.
 
     Keeps only the previous degree's matrix, so iterating to high degree is
-    memory-safe.  Columns of the degree-d matrix are built from degree d-1:
-    if a monomial factors as x_l * m', its image is the image of x_l times
-    the image of m', and multiplication by a fixed variable is an index
-    scatter between monomial bases.
+    memory-safe.  Each degree's action is built as index triplets and kept
+    as their dense int64 sum up to DENSE_LIMIT, as coalesced Triplets
+    beyond.  Columns of the degree-d action are built from degree d-1: if a
+    monomial factors as x_l * m', its image is the image of x_l times the
+    image of m', and multiplication by a fixed variable is an index scatter
+    between monomial bases.
     """
 
     def __init__(self, base: CpModule):
@@ -186,7 +188,6 @@ class _SymmetricChain:
         self.nvars = base.dim
         self.deg = 0
         self.monos: list[tuple[int, ...]] = [(0,) * self.nvars]
-        self.index = {self.monos[0]: 0}
         self.matrix: object = np.ones((1, 1), dtype=np.int64)
         # index scatter of multiplication by the last (invariant-slot) variable,
         # from the previous degree into the current one
@@ -197,76 +198,53 @@ class _SymmetricChain:
 
     def step(self) -> None:
         p, v = self.p, self.nvars
-        prev_monos, prev_index, prev_mat = self.monos, self.index, self.matrix
+        prev_monos, prev = self.monos, self.matrix
+        if isinstance(prev, np.ndarray):
+            rows, cols = np.nonzero(prev)
+            prev = linalg.Triplets(prev.shape, rows, cols, prev[rows, cols])
         deg = self.deg + 1
         monos = _monomials(v, deg)
         index = {m: c for c, m in enumerate(monos)}
         dim = len(monos)
-        dim_prev = len(prev_monos)
 
-        embeds = []
-        for t in range(v):
-            emb = np.empty(dim_prev, dtype=np.int64)
-            for r, m in enumerate(prev_monos):
+        # embeds[t][c]: the column of x_t times monomial c of the previous degree
+        embeds = np.empty((v, len(prev_monos)), dtype=np.int64)
+        # first[c]: the first variable of positive exponent in monomial c
+        first = np.empty(len(prev_monos), dtype=np.int64)
+        for c, m in enumerate(prev_monos):
+            first[c] = next((t for t, e in enumerate(m) if e > 0), v)
+            for t in range(v):
                 bumped = list(m)
                 bumped[t] += 1
-                emb[r] = index[tuple(bumped)]
-            embeds.append(emb)
+                embeds[t, c] = index[tuple(bumped)]
 
-        # factor each new monomial by its first variable with positive exponent
-        cols_by_var: list[list[int]] = [[] for _ in range(v)]
-        prev_col_by_var: list[list[int]] = [[] for _ in range(v)]
-        for c, m in enumerate(monos):
-            l = next(t for t, e in enumerate(m) if e > 0)
-            reduced = list(m)
-            reduced[l] -= 1
-            cols_by_var[l].append(c)
-            prev_col_by_var[l].append(prev_index[tuple(reduced)])
-
+        # factor each new monomial by its first variable with positive
+        # exponent, x_l; the cofactor is a monomial c with first[c] >= l
         gen = self.base.gen_action
-        if isinstance(prev_mat, np.ndarray) and dim <= DENSE_LIMIT:
-            cur = np.zeros((dim, dim), dtype=np.int64)
-            for l in range(v):
-                if not cols_by_var[l]:
-                    continue
-                cc = np.asarray(cols_by_var[l])
-                w = prev_mat[:, prev_col_by_var[l]]
-                for t in range(v):
-                    val = int(gen[t, l]) % p
-                    if val:
-                        cur[embeds[t][:, None], cc[None, :]] += val * w
-            cur %= p
-            self.matrix = cur
+        parts = []
+        for l in range(v):
+            sel = first[prev.cols] >= l
+            rows, cols, vals = prev.rows[sel], embeds[l][prev.cols[sel]], prev.vals[sel]
+            for t in range(v):
+                val = int(gen[t, l]) % p
+                if val:
+                    parts.append((embeds[t][rows], cols, val * vals))
+        # coalesce: sum the entries at each position mod p, in the matrix
+        # itself for a dense degree, by sorting positions beyond
+        if dim <= DENSE_LIMIT:
+            self.matrix = np.zeros((dim, dim), dtype=np.int64)
+            for rows, cols, vals in parts:
+                np.add.at(self.matrix, (rows, cols), vals)
+            self.matrix %= p
         else:
-            from scipy import sparse
-
-            if isinstance(prev_mat, np.ndarray):
-                prev_mat = sparse.csc_matrix(prev_mat)
-            rows_acc, cols_acc, data_acc = [], [], []
-            for l in range(v):
-                if not cols_by_var[l]:
-                    continue
-                cc = np.asarray(cols_by_var[l])
-                w = prev_mat[:, prev_col_by_var[l]].tocoo()
-                for t in range(v):
-                    val = int(gen[t, l]) % p
-                    if val:
-                        rows_acc.append(embeds[t][w.row])
-                        cols_acc.append(cc[w.col])
-                        data_acc.append((val * w.data) % p)
-            coo = sparse.coo_matrix(
-                (np.concatenate(data_acc), (np.concatenate(rows_acc), np.concatenate(cols_acc))),
-                shape=(dim, dim),
-                dtype=np.int64,
-            )
-            cur = coo.tocsc()
-            cur.data %= p
-            cur.eliminate_zeros()
-            self.matrix = cur
+            rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+            keys, where = np.unique(rows * dim + cols, return_inverse=True)
+            vals = np.bincount(where, weights=vals).astype(np.int64) % p
+            nonzero = vals != 0
+            self.matrix = linalg.Triplets((dim, dim), keys[nonzero] // dim, keys[nonzero] % dim, vals[nonzero])
 
         self.deg = deg
         self.monos = monos
-        self.index = index
         self.last_var_embed = embeds[v - 1]
 
 
@@ -304,14 +282,16 @@ def symmetric_power(m: CpModule, deg: int) -> CpModule:
 
 
 def _nilpotent_part(m: CpModule):
+    """z = zeta - 1, dense or as Triplets with the diagonal -1 appended."""
     if m.is_dense():
         return (m.gen_action - np.eye(m.dim, dtype=np.int64)) % m.p
-    from scipy import sparse
-
-    z = (m.gen_action - sparse.identity(m.dim, dtype=np.int64, format="csc")).tocsc()
-    z.data %= m.p
-    z.eliminate_zeros()
-    return z
+    g, diag = m.gen_action, np.arange(m.dim)
+    return linalg.Triplets(
+        g.shape,
+        np.concatenate([g.rows, diag]),
+        np.concatenate([g.cols, diag]),
+        np.concatenate([g.vals, np.full(m.dim, m.p - 1)]),
+    )
 
 
 def jordan_decompose(m: CpModule) -> JordanProfile:
@@ -416,8 +396,8 @@ def _free_by_rank(m: CpModule) -> bool:
     maximal size p iff the block count dim - rank equals dim / p."""
     if m.dim % m.p != 0:
         return False
-    z = _nilpotent_part(m)
-    return linalg.rank_mod(z, m.p) == m.dim - m.dim // m.p
+    rank = linalg.rank_mod if m.is_dense() else linalg.sparse_rank_mod
+    return rank(_nilpotent_part(m), m.p) == m.dim - m.dim // m.p
 
 
 def freeness_check(params: HeightParams, k: int, deg: int) -> bool:

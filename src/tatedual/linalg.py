@@ -1,4 +1,4 @@
-"""Exact dense and sparse linear algebra over the prime field F_p.
+"""Exact linear algebra over the prime field F_p.
 
 Dense matrices are int64 numpy arrays with entries in [0, p).  Every
 product goes through `_mul`, which multiplies in float BLAS and reduces
@@ -15,22 +15,42 @@ updates the pivot rows and the trailing rows with one product each.
 Panels of _BASE columns are reduced column by column, touching only rows
 with a nonzero multiplier.  The kernel works on one float copy of the
 matrix and returns exactly the echelon form and pivots of the row loop
-kept for small matrices.  The sparse routines exist for symmetric powers
-whose dimension exceeds DENSE_LIMIT; they compute ranks only, and take any
-matrix with a `tocsr` method, so this module never imports scipy; cp_rep
-imports scipy.sparse only in its sparse branches.
+kept for small matrices.
+
+Symmetric powers above DENSE_LIMIT keep their action as Triplets, index
+arrays of the nonzero entries; only their ranks are computed, by the same
+kernel on one float array of at most RANK_BYTES.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from .errors import ResourceGuard
+
 DENSE_LIMIT = 2000
+# the float work array of sparse_rank_mod: 512 MiB holds a float32 square
+# matrix of dimension 11585; the elimination peaks at about 2.25 times the
+# array (traced at dimensions 4368 and 8568)
+RANK_BYTES = 2**29
 
 _F32_EXACT = 2**24
 _F64_EXACT = 2**53
 _BASE = 32
 _BLOCKED_MIN = 192
+
+
+@dataclass(frozen=True, eq=False)
+class Triplets:
+    """A matrix over F_p of the given shape whose entry (rows[i], cols[i])
+    is vals[i]; entries given twice at one position add up."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
 
 def as_field_matrix(a, p: int) -> np.ndarray:
@@ -245,8 +265,6 @@ def _solve_unit_upper(m: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def rank_mod(a, p: int) -> int:
-    if hasattr(a, "tocsr"):
-        return sparse_rank_mod(a, p)
     _, pivots = forward_eliminate(a, p)
     return len(pivots)
 
@@ -293,54 +311,22 @@ def complete_subspace(sub: np.ndarray, space: np.ndarray, p: int) -> np.ndarray:
     return np.asarray(space, dtype=np.int64)[:, extra] % p
 
 
-def sparse_rank_mod(a, p: int) -> int:
-    """Rank of a scipy sparse matrix over F_p by elimination on row dicts.
+def sparse_rank_mod(a: Triplets, p: int) -> int:
+    """Rank over F_p of a matrix given as triplets.
 
-    Pivots are chosen on the column of least fill to keep the elimination
-    sparse; adequate for the structured matrices produced here.
+    The triplets are scattered into one float array, summing repeated
+    positions, and eliminated in place by the kernel of _forward_blocked
+    without its echelon copy.  Refused before anything is allocated when
+    that array would exceed RANK_BYTES.
     """
-    a = a.tocsr()
-    rows: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
-    for i in range(a.shape[0]):
-        lo, hi = a.indptr[i], a.indptr[i + 1]
-        entries = {}
-        for j, v in zip(a.indices[lo:hi], a.data[lo:hi]):
-            v = int(v) % p
-            if v:
-                entries[int(j)] = v
-        if entries:
-            rows[i] = entries
-            for j in entries:
-                col_rows.setdefault(j, set()).add(i)
-    rank = 0
-    while col_rows:
-        c = min(col_rows, key=lambda j: (len(col_rows[j]), j))
-        touching = col_rows[c]
-        pr = min(touching, key=lambda i: (len(rows[i]), i))
-        prow = rows.pop(pr)
-        for j in prow:
-            col_rows[j].discard(pr)
-            if not col_rows[j]:
-                del col_rows[j]
-        inv = pow(prow[c], -1, p)
-        prow = {j: (v * inv) % p for j, v in prow.items()}
-        for i in list(col_rows.get(c, ())):
-            row = rows[i]
-            f = row[c]
-            for j, v in prow.items():
-                cur = row.get(j)
-                nv = ((cur or 0) - f * v) % p
-                if nv:
-                    if cur is None:
-                        col_rows.setdefault(j, set()).add(i)
-                    row[j] = nv
-                elif cur is not None:
-                    del row[j]
-                    col_rows[j].discard(i)
-                    if not col_rows[j]:
-                        del col_rows[j]
-            if not row:
-                del rows[i]
-        rank += 1
-    return rank
+    rows, cols = a.shape
+    ft = _float_type(min(rows, cols), p)
+    size = np.dtype(ft).itemsize * rows * cols
+    if size > RANK_BYTES:
+        raise ResourceGuard(
+            f"a rank of a {rows} x {cols} matrix mod {p} needs {size} bytes, over the {RANK_BYTES} byte budget"
+        )
+    w = np.zeros(a.shape, dtype=ft)
+    np.add.at(w, (a.rows, a.cols), a.vals.astype(ft))
+    _reduce(w, p)
+    return len(_eliminate(w, p, 0, 0, cols, False)[0])

@@ -172,6 +172,19 @@ def test_sympow_above_dense_limit_refused_before_walking(capsys, monkeypatch):
     assert "38760" in err and "verify freeness" in err
 
 
+def test_freeness_over_rank_budget_exits_2(capsys, monkeypatch):
+    # degree 13 of U_0 at p = 5 has dimension 2380, a multiple of 5, so its
+    # freeness needs a rank above DENSE_LIMIT; its float32 work array of
+    # 4 * 2380^2 bytes is one byte over the patched budget
+    from tatedual import linalg
+
+    monkeypatch.setattr(linalg, "RANK_BYTES", 4 * 2380**2 - 1)
+    code, out, err = run_cli(capsys, "verify", "freeness", "--prime", "5", "--k", "0", "--max-degree", "13")
+    assert code == 2
+    assert out == ""
+    assert "2380 x 2380" in err and "byte budget" in err
+
+
 def test_chart_stdout_and_file(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "chart", "--group", "Cp", "--prime", "5", "--window", "-20", "20", "-10", "10"
@@ -300,11 +313,14 @@ def test_dense_commands_load_numpy_without_scipy(argv):
     assert _modules_after(_main(argv)) == ["numpy"]
 
 
-def test_step_past_dense_limit_loads_scipy_sparse():
+def test_step_past_dense_limit_loads_numpy_without_scipy():
+    # S^13(U_2) at p = 7 (dimension 2380) is kept as triplets, and its rank
+    # goes through the float kernel
     code = (
         "from tatedual import cp_rep\n"
         "from tatedual.mod_arith import height_params\n"
         "m = cp_rep.symmetric_power(cp_rep.u_k_module(height_params(7), 2), 13)\n"
-        "assert m.dim == 2380 > cp_rep.DENSE_LIMIT and not m.is_dense()"
+        "assert m.dim == 2380 > cp_rep.DENSE_LIMIT and not m.is_dense()\n"
+        "assert cp_rep._free_by_rank(m)"
     )
-    assert "scipy.sparse" in _modules_after(code)
+    assert _modules_after(code) == ["numpy"]

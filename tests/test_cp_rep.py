@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 import tatedual
 from tatedual import cp_rep, linalg
@@ -144,7 +143,14 @@ class TestSymmetricPower:
         monkeypatch.setattr(cp_rep, "DENSE_LIMIT", 10)
         sparse_mod = cp_rep.symmetric_power(cp_rep.u_k_module(params5, 1), 5)
         assert not sparse_mod.is_dense()
-        assert np.array_equal(sparse_mod.gen_action.toarray() % 5, dense.gen_action)
+        t = sparse_mod.gen_action
+        assert t.shape == dense.gen_action.shape
+        # coalesced: each position once, every value nonzero mod 5
+        assert len(set(zip(t.rows.tolist(), t.cols.tolist()))) == t.vals.size
+        assert ((0 < t.vals) & (t.vals < 5)).all()
+        scattered = np.zeros(t.shape, dtype=np.int64)
+        scattered[t.rows, t.cols] = t.vals
+        assert np.array_equal(scattered, dense.gen_action)
 
 
 class TestTate:
@@ -215,8 +221,9 @@ class TestTate:
         assert not linalg.matmul_mod(z, norm, p).any()
 
     def test_sparse_module_rejected(self):
-        diag = sparse.identity(3000, dtype=np.int64, format="csc")
-        big = cp_rep.CpModule(p=5, dim=3000, gen_action=diag)
+        diag = np.arange(3000)
+        identity = linalg.Triplets((3000, 3000), diag, diag, np.ones(3000, dtype=np.int64))
+        big = cp_rep.CpModule(p=5, dim=3000, gen_action=identity)
         with pytest.raises(ResourceGuard):
             cp_rep.tate_cohomology(big)
 
@@ -275,11 +282,15 @@ class TestFreeness:
             assert free == ((td.even_dim, td.odd_dim) == (0, 0))
 
     def test_sparse_rank_route(self):
-        # block-diagonal free module above the dense limit
-        blocks = [cp_rep.jordan_block_module(5, 5) for _ in range(500)]
-        dense = cp_rep.direct_sum(blocks)
-        mod = cp_rep.CpModule(p=5, dim=dense.dim, gen_action=sparse.csc_matrix(dense.gen_action))
-        assert cp_rep._free_by_rank(mod) is True
+        # block-diagonal modules above the dense limit, free and not free
+        def as_triplets(sizes):
+            dense = cp_rep.direct_sum([cp_rep.jordan_block_module(5, s) for s in sizes]).gen_action
+            rows, cols = np.nonzero(dense)
+            action = linalg.Triplets(dense.shape, rows, cols, dense[rows, cols])
+            return cp_rep.CpModule(p=5, dim=dense.shape[0], gen_action=action)
+
+        assert cp_rep._free_by_rank(as_triplets([5] * 500)) is True
+        assert cp_rep._free_by_rank(as_triplets([5] * 499 + [4, 1])) is False
 
     @pytest.mark.parametrize("p,k", [(3, 0), (3, 1), (3, 2), (5, 2), (5, 3)])
     def test_one_pass_matches_per_degree(self, p, k):

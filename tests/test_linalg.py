@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy import sparse
 
 from tatedual import cp_rep, linalg
+from tatedual.errors import ResourceGuard
 from tatedual.mod_arith import height_params
 
 from conftest import inverse_mod
@@ -229,16 +231,34 @@ def test_matrix_power_mod():
 
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_sparse_rank_matches_dense(p):
+    # triplets that repeat positions and carry values beyond p, against the
+    # dense rank of their sum
     rng = np.random.default_rng(100 + p)
     for _ in range(6):
-        m = int(rng.integers(5, 120))
-        n = int(rng.integers(5, 120))
-        dense = rng.integers(0, p, size=(m, n), dtype=np.int64)
-        dense[rng.random(size=dense.shape) < 0.8] = 0
-        sp = sparse.csr_matrix(dense)
-        assert linalg.sparse_rank_mod(sp, p) == linalg.rank_mod(dense, p)
+        m = int(rng.integers(5, 260))
+        n = int(rng.integers(5, 260))
+        nnz = int(rng.integers(1, m * n // 3))
+        rows = rng.integers(0, m, size=nnz)
+        cols = rng.integers(0, n, size=nnz)
+        vals = rng.integers(0, 3 * p, size=nnz)
+        dense = np.zeros((m, n), dtype=np.int64)
+        np.add.at(dense, (rows, cols), vals)
+        triplets = linalg.Triplets((m, n), rows, cols, vals)
+        assert linalg.sparse_rank_mod(triplets, p) == linalg.rank_mod(dense, p)
 
 
-def test_rank_mod_dispatches_on_sparse():
-    dense = np.eye(10, dtype=np.int64)
-    assert linalg.rank_mod(sparse.csr_matrix(dense), 3) == 10
+def test_sparse_rank_budget_refuses_before_allocating(monkeypatch):
+    # S^13(U_0) at p = 5 has dimension 2380; its float32 work array needs
+    # 4 * 2380^2 bytes, one more than the patched budget
+    mod = cp_rep.symmetric_power(cp_rep.u_k_module(height_params(5), 0), 13)
+    assert mod.dim == 2380 and not mod.is_dense()
+    z = cp_rep._nilpotent_part(mod)
+    monkeypatch.setattr(linalg, "RANK_BYTES", 4 * 2380**2 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuard, match="byte budget"):
+            linalg.sparse_rank_mod(z, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

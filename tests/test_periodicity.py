@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tatedual import cp_rep
+from tatedual import cp_rep, linalg
 from tatedual.mod_arith import height_params
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -135,10 +135,23 @@ def test_freeness_pattern(p):
 
 def test_p7_k1_rank_golden():
     # ranks of z on S^d(U_1) at p = 7 above the dense limit, recorded from
-    # the sparse elimination; degree 14 needs no rank (7 does not divide 11628)
+    # an earlier dict-based sparse elimination; degree 14 needs no rank (7
+    # does not divide 11628)
     golden = json.loads((GOLDEN / "ranks_p7_k1.json").read_text())
     assert (golden["p"], golden["k"]) == (7, 1)
     assert [row["degree"] for row in golden["degrees"]] == list(range(9, 14))
     for row in golden["degrees"]:
         dim, rz, _ = predicted(7, 1, row["degree"])
         assert (row["dimension"], row["rank_z"]) == (dim, rz), row
+
+
+# degrees 11-13 (dimensions 4368-8568) take about 20 s together and peak
+# near 0.8 GB; CI runs them with -m slow
+@pytest.mark.parametrize("degree", [9, 10, *(pytest.param(d, marks=pytest.mark.slow) for d in (11, 12, 13))])
+def test_p7_k1_rank_path_matches_golden(degree):
+    golden = json.loads((GOLDEN / "ranks_p7_k1.json").read_text())
+    row = next(row for row in golden["degrees"] if row["degree"] == degree)
+    mod = cp_rep.symmetric_power(cp_rep.u_k_module(height_params(7), 1), degree)
+    assert not mod.is_dense()
+    rank = linalg.sparse_rank_mod(cp_rep._nilpotent_part(mod), 7)
+    assert (mod.dim, rank) == (row["dimension"], row["rank_z"])
