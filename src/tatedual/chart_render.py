@@ -99,8 +99,7 @@ def build_document(spec: ChartSpec, fates: dict | None = None) -> dict:
             "label": cls.label(),
         }
         if fates is not None:
-            fate = fates.get(page.canonical(cls))
-            dot["fate"] = fate.fate if fate is not None else "survives"
+            dot["fate"] = fates.get(page.canonical(cls), "survives")
         dots.append(dot)
 
     arrows = []

@@ -210,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tatedual",
         description="Tate spectral sequence engine and duality shift calculator at height p-1.",
-        epilog="Resource cap: set TATEDUAL_MAX_DIM to raise the symmetric power dimension limit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

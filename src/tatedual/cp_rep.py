@@ -6,9 +6,11 @@ Jordan blocks, extend the action to symmetric powers on the monomial basis,
 and compute the two Tate cohomology groups ker(z)/im(N) and ker(N)/im(z),
 where z = zeta - 1 and N = 1 + zeta + ... + zeta^(p-1) = z^(p-1).
 
-The verification suites walk the symmetric powers of a height module once,
-degree by degree, and work from ranks: a module is free iff
-rank(z) = dim - dim/p, and both Tate groups have dimension
+Symmetric powers keep their action as coalesced linalg.Triplets at every
+degree; z = zeta - 1 is made a dense int64 matrix only up to DENSE_LIMIT,
+in _nilpotent_part.  The verification suites walk the symmetric powers of a
+height module once, degree by degree, and work from ranks: a module is free
+iff rank(z) = dim - dim/p, and both Tate groups have dimension
 dim - rank(z) - rank(N).  Multiplication by the invariant bottom variable
 vanishes on Tate cohomology in every window of consecutive degrees that
 contains a degree with vanishing cohomology; only a window without one would
@@ -22,7 +24,6 @@ statements are unaffected.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -34,33 +35,20 @@ from .errors import InvalidInput, ResourceGuard
 from .linalg import DENSE_LIMIT
 from .mod_arith import HeightParams
 
-DEFAULT_DIM_CAP = 50_000
-_DIM_CAP_ENV = "TATEDUAL_MAX_DIM"
-
-
-def dimension_cap() -> int:
-    raw = os.environ.get(_DIM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DIM_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InvalidInput(f"{_DIM_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise InvalidInput(f"{_DIM_CAP_ENV} must be positive")
-    return cap
+# the largest symmetric power a walk builds
+DIM_CAP = 50_000
 
 
 @dataclass(frozen=True, eq=False)
 class CpModule:
     """A finite-dimensional C_p-representation over F_p.
 
-    gen_action is the matrix of the chosen generator (dense int64 for
-    dimensions up to DENSE_LIMIT, linalg.Triplets beyond).  Its columns follow
-    the basis order of the constructor: z_n, ..., z_k for u_k_module, and the
-    descending-lex monomials of _monomials for symmetric powers.  The order
-    of the action is not checked here; jordan_decompose raises on an action
-    whose order is not p.
+    gen_action is the matrix of the chosen generator: an int64 array for
+    Jordan blocks and direct sums, coalesced linalg.Triplets for symmetric
+    powers.  Its columns follow the basis order of the constructor: z_n,
+    ..., z_k for u_k_module, and the descending-lex monomials of _monomials
+    for symmetric powers.  The order of the action is not checked here;
+    jordan_decompose raises on an action whose order is not p.
     """
 
     p: int
@@ -68,7 +56,9 @@ class CpModule:
     gen_action: object
 
     def is_dense(self) -> bool:
-        return isinstance(self.gen_action, np.ndarray)
+        """Whether z is a dense matrix: always for an array action, up to
+        DENSE_LIMIT for Triplets."""
+        return isinstance(self.gen_action, np.ndarray) or self.dim <= DENSE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -134,8 +124,8 @@ def direct_sum(modules: list[CpModule]) -> CpModule:
     p = modules[0].p
     if any(m.p != p for m in modules):
         raise InvalidInput("mixed primes in direct sum")
-    if not all(m.is_dense() for m in modules):
-        raise InvalidInput("direct_sum supports dense modules only")
+    if not all(isinstance(m.gen_action, np.ndarray) for m in modules):
+        raise InvalidInput("direct_sum supports array actions only")
     dim = sum(m.dim for m in modules)
     mat = np.zeros((dim, dim), dtype=np.int64)
     off = 0
@@ -170,17 +160,17 @@ class _SymmetricChain:
     """Extends a generator action degree by degree through symmetric powers.
 
     Keeps only the previous degree's matrix, so iterating to high degree is
-    memory-safe.  Each degree's action is built as index triplets and kept
-    as their dense int64 sum up to DENSE_LIMIT, as coalesced Triplets
-    beyond.  Columns of the degree-d action are built from degree d-1: if a
-    monomial factors as x_l * m', its image is the image of x_l times the
-    image of m', and multiplication by a fixed variable is an index scatter
-    between monomial bases.
+    memory-safe.  Every degree's action, degree 0 included, is coalesced
+    Triplets: one entry per position, values in [1, p).  Columns of the
+    degree-d action are built from degree d-1: if a monomial factors as
+    x_l * m', its image is the image of x_l times the image of m', and
+    multiplication by a fixed variable is an index scatter between monomial
+    bases.
     """
 
     def __init__(self, base: CpModule):
-        if not base.is_dense():
-            raise InvalidInput("symmetric powers need a dense base module")
+        if not isinstance(base.gen_action, np.ndarray):
+            raise InvalidInput("symmetric powers need a base module with an array action")
         if base.dim == 0:
             raise InvalidInput("empty base module")
         self.base = base
@@ -188,7 +178,8 @@ class _SymmetricChain:
         self.nvars = base.dim
         self.deg = 0
         self.monos: list[tuple[int, ...]] = [(0,) * self.nvars]
-        self.matrix: object = np.ones((1, 1), dtype=np.int64)
+        one = np.zeros(1, dtype=np.int64)
+        self.matrix = linalg.Triplets((1, 1), one, one, one + 1)
         # index scatter of multiplication by the last (invariant-slot) variable,
         # from the previous degree into the current one
         self.last_var_embed: np.ndarray | None = None
@@ -199,9 +190,6 @@ class _SymmetricChain:
     def step(self) -> None:
         p, v = self.p, self.nvars
         prev_monos, prev = self.monos, self.matrix
-        if isinstance(prev, np.ndarray):
-            rows, cols = np.nonzero(prev)
-            prev = linalg.Triplets(prev.shape, rows, cols, prev[rows, cols])
         deg = self.deg + 1
         monos = _monomials(v, deg)
         index = {m: c for c, m in enumerate(monos)}
@@ -229,19 +217,12 @@ class _SymmetricChain:
                 val = int(gen[t, l]) % p
                 if val:
                     parts.append((embeds[t][rows], cols, val * vals))
-        # coalesce: sum the entries at each position mod p, in the matrix
-        # itself for a dense degree, by sorting positions beyond
-        if dim <= DENSE_LIMIT:
-            self.matrix = np.zeros((dim, dim), dtype=np.int64)
-            for rows, cols, vals in parts:
-                np.add.at(self.matrix, (rows, cols), vals)
-            self.matrix %= p
-        else:
-            rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-            keys, where = np.unique(rows * dim + cols, return_inverse=True)
-            vals = np.bincount(where, weights=vals).astype(np.int64) % p
-            nonzero = vals != 0
-            self.matrix = linalg.Triplets((dim, dim), keys[nonzero] // dim, keys[nonzero] % dim, vals[nonzero])
+        # coalesce: sort the positions and sum the entries at each mod p
+        rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+        keys, where = np.unique(rows * dim + cols, return_inverse=True)
+        vals = np.bincount(where, weights=vals).astype(np.int64) % p
+        nonzero = vals != 0
+        self.matrix = linalg.Triplets((dim, dim), keys[nonzero] // dim, keys[nonzero] % dim, vals[nonzero])
 
         self.deg = deg
         self.monos = monos
@@ -257,13 +238,9 @@ def _symmetric_walk(base: CpModule, max_deg: int):
     """
     if max_deg < 0:
         raise InvalidInput("degree must be nonnegative")
-    cap = dimension_cap()
     final_dim = symmetric_dimension(base.dim, max_deg)
-    if final_dim > cap:
-        raise ResourceGuard(
-            f"symmetric power dimension {final_dim} exceeds cap {cap} "
-            f"(override with {_DIM_CAP_ENV})"
-        )
+    if final_dim > DIM_CAP:
+        raise ResourceGuard(f"symmetric power dimension {final_dim} exceeds cap {DIM_CAP}")
     chain = _SymmetricChain(base)
     yield 0, chain.current_module(), None
     for _ in range(max_deg):
@@ -282,16 +259,19 @@ def symmetric_power(m: CpModule, deg: int) -> CpModule:
 
 
 def _nilpotent_part(m: CpModule):
-    """z = zeta - 1, dense or as Triplets with the diagonal -1 appended."""
-    if m.is_dense():
-        return (m.gen_action - np.eye(m.dim, dtype=np.int64)) % m.p
-    g, diag = m.gen_action, np.arange(m.dim)
-    return linalg.Triplets(
+    """z = zeta - 1: an int64 array for a dense module, the action's Triplets
+    with the diagonal p - 1 appended beyond DENSE_LIMIT."""
+    g = m.gen_action
+    if isinstance(g, np.ndarray):
+        return (g - np.eye(m.dim, dtype=np.int64)) % m.p
+    diag = np.arange(m.dim)
+    z = linalg.Triplets(
         g.shape,
         np.concatenate([g.rows, diag]),
         np.concatenate([g.cols, diag]),
         np.concatenate([g.vals, np.full(m.dim, m.p - 1)]),
     )
+    return z.scatter(np.int64) % m.p if m.is_dense() else z
 
 
 def jordan_decompose(m: CpModule) -> JordanProfile:
@@ -400,6 +380,17 @@ def _free_by_rank(m: CpModule) -> bool:
     return rank(_nilpotent_part(m), m.p) == m.dim - m.dim // m.p
 
 
+def _check_rank_budgets(base: CpModule, k: int, degrees) -> None:
+    """Refuse a walk before its first step if a rank it will take above
+    DENSE_LIMIT, at a degree whose dimension p divides, is over the budget
+    of linalg.sparse_rank_mod.  Degrees are given ascending, so the first
+    refusal names the lowest such degree."""
+    for deg in degrees:
+        dim = symmetric_dimension(base.dim, deg)
+        if dim > DENSE_LIMIT and dim % base.p == 0:
+            linalg.check_rank_budget((dim, dim), base.p, f"k={k} degree {deg} has dimension {dim}: ")
+
+
 def freeness_check(params: HeightParams, k: int, deg: int) -> bool:
     """Is the degree-deg symmetric power of the height module free over
     F_p[C_p]?  Decided by the rank of zeta - 1 alone, dense or sparse."""
@@ -408,13 +399,16 @@ def freeness_check(params: HeightParams, k: int, deg: int) -> bool:
 
 def freeness_by_degree(params: HeightParams, k: int, degrees) -> dict[int, bool]:
     """freeness_check at each of the given degrees, from one walk up the
-    symmetric powers of the height module."""
+    symmetric powers of the height module; a rank over budget is refused
+    before the walk."""
     wanted = set(degrees)
     if not wanted:
         return {}
     if min(wanted) < 0:
         raise InvalidInput("degrees must be nonnegative")
-    walk = _symmetric_walk(u_k_module(params, k), max(wanted))
+    base = u_k_module(params, k)
+    _check_rank_budgets(base, k, sorted(wanted))
+    walk = _symmetric_walk(base, max(wanted))
     return {deg: _free_by_rank(mod) for deg, mod, _ in walk if deg in wanted}
 
 
@@ -525,8 +519,9 @@ def nilpotence_report(params: HeightParams, k: int, max_deg: int) -> NilpotenceR
     m + k + 1 <= max_deg.
 
     One walk up the symmetric powers.  A dense degree's Tate dimension comes
-    from two ranks; above DENSE_LIMIT only freeness is computed, and a degree
-    that is not free reports unknown dimensions.  A composite vanishes when
+    from two ranks; above DENSE_LIMIT only freeness is computed, a rank over
+    budget is refused before the walk, and a degree that is not free
+    reports unknown dimensions.  A composite vanishes when
     its window contains a vanishing degree, which the freeness pattern (d is
     free when k+1 <= d mod p <= p-1) guarantees for valid inputs.  A window
     of k+2 non-vanishing degrees goes to the explicit test _window_vanishes,
@@ -541,10 +536,12 @@ def nilpotence_report(params: HeightParams, k: int, max_deg: int) -> NilpotenceR
     if max_deg < k + 1:
         raise InvalidInput("max_deg must be at least k + 1")
 
+    base = u_k_module(params, k)
+    _check_rank_budgets(base, k, range(max_deg + 1))
     summaries: list[DegreeSummary] = []
     run: list = []
     holds = True
-    for deg, mod, embed in _symmetric_walk(u_k_module(params, k), max_deg):
+    for deg, mod, embed in _symmetric_walk(base, max_deg):
         if mod.is_dense():
             dim = _tate_dim_by_rank(mod)
             summaries.append(DegreeSummary(deg, mod.dim, dim, dim, dim == 0))

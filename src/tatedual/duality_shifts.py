@@ -34,18 +34,6 @@ class ShiftReport:
     certificate_degree: int
     agreement: bool | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "p": self.p,
-            "route": self.route,
-            "shift": self.shift,
-            "periodicity": self.periodicity,
-            "certificate": self.certificate,
-            "certificate_degree": self.certificate_degree,
-            "agreement": self.agreement,
-        }
-
 
 def periodicity(group: str, params: HeightParams) -> int:
     """Internal degree of the pure periodicity translation of the page

@@ -17,9 +17,12 @@ with a nonzero multiplier.  The kernel works on one float copy of the
 matrix and returns exactly the echelon form and pivots of the row loop
 kept for small matrices.
 
-Symmetric powers above DENSE_LIMIT keep their action as Triplets, index
-arrays of the nonzero entries; only their ranks are computed, by the same
-kernel on one float array of at most RANK_BYTES.
+Symmetric powers keep their action as Triplets, index arrays of the
+nonzero entries, at every degree; Triplets.scatter is the one conversion to
+an array.  Up to DENSE_LIMIT the callers scatter z = zeta - 1 into a dense
+int64 matrix; beyond, only its rank is computed, by the same kernel on one
+float array of at most RANK_BYTES, refused by check_rank_budget before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -51,6 +54,13 @@ class Triplets:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+
+    def scatter(self, dtype) -> np.ndarray:
+        """The matrix as an array of dtype, summing repeated positions; the
+        sums are not reduced mod p."""
+        out = np.zeros(self.shape, dtype=dtype)
+        np.add.at(out, (self.rows, self.cols), self.vals.astype(dtype))
+        return out
 
 
 def as_field_matrix(a, p: int) -> np.ndarray:
@@ -311,22 +321,27 @@ def complete_subspace(sub: np.ndarray, space: np.ndarray, p: int) -> np.ndarray:
     return np.asarray(space, dtype=np.int64)[:, extra] % p
 
 
-def sparse_rank_mod(a: Triplets, p: int) -> int:
-    """Rank over F_p of a matrix given as triplets.
-
-    The triplets are scattered into one float array, summing repeated
-    positions, and eliminated in place by the kernel of _forward_blocked
-    without its echelon copy.  Refused before anything is allocated when
-    that array would exceed RANK_BYTES.
-    """
-    rows, cols = a.shape
+def check_rank_budget(shape: tuple[int, int], p: int, context: str = ""):
+    """The float type of sparse_rank_mod's work array for a matrix of this
+    shape; raises ResourceGuard, prefixed by context, when the array would
+    exceed RANK_BYTES."""
+    rows, cols = shape
     ft = _float_type(min(rows, cols), p)
     size = np.dtype(ft).itemsize * rows * cols
     if size > RANK_BYTES:
         raise ResourceGuard(
-            f"a rank of a {rows} x {cols} matrix mod {p} needs {size} bytes, over the {RANK_BYTES} byte budget"
+            f"{context}a rank of a {rows} x {cols} matrix mod {p} needs {size} bytes, "
+            f"over the {RANK_BYTES} byte budget"
         )
-    w = np.zeros(a.shape, dtype=ft)
-    np.add.at(w, (a.rows, a.cols), a.vals.astype(ft))
-    _reduce(w, p)
-    return len(_eliminate(w, p, 0, 0, cols, False)[0])
+    return ft
+
+
+def sparse_rank_mod(a: Triplets, p: int) -> int:
+    """Rank over F_p of a matrix given as triplets.
+
+    The triplets are scattered into one float array and eliminated in place
+    by the kernel of _forward_blocked without its echelon copy.  Refused
+    before anything is allocated when that array would exceed RANK_BYTES.
+    """
+    w = _reduce(a.scatter(check_rank_budget(a.shape, p)), p)
+    return len(_eliminate(w, p, 0, 0, a.shape[1], False)[0])

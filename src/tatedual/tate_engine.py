@@ -245,23 +245,6 @@ class Page:
                 found.append(base.translate(0, dj2 * v))
         return found
 
-    def to_json(self, diffs=()) -> dict:
-        dom = []
-        for cls in self.fundamental_domain():
-            s, t = bidegree(cls, self.params)
-            dom.append({"eps": cls.eps, "i": cls.i, "j": cls.j, "s": s, "t": t})
-        lattice = [{"di": di, "dj": dj, "label": lab} for di, dj, lab in self.lattice()]
-        out = {
-            "group": self.group,
-            "p": self.params.p,
-            "r": self.r,
-            "coeff_field_degree": self.coeff_field_degree,
-            "lattice": lattice,
-            "fundamental_domain": dom,
-            "differentials": [pair_json(src, tgt, coeff, d.r, self.params) for d in diffs for (src, tgt, coeff) in d.pairs],
-        }
-        return out
-
 
 def _range_for(value_at, lo, hi):
     """Integers u with lo <= value_at(u) <= hi, for an affine value_at."""
@@ -421,17 +404,10 @@ def turn_page_rank_route(page: Page, diff: DifferentialMap) -> Page:
 
 
 @dataclass(frozen=True)
-class ClassFate:
-    fate: str  # "survives" | "source" | "target"
-    r: int | None = None
-    partner: MonomialClass | None = None
-    coeff: int | None = None
-
-
-@dataclass(frozen=True)
 class SequenceRecord:
     """A fully recorded Tate spectral sequence: the three stages, both
-    differentials, and one fate per fundamental-domain class."""
+    differentials, and one fate per fundamental-domain class, "source",
+    "target" or "survives"."""
 
     group: str
     params: HeightParams
@@ -457,27 +433,19 @@ def run_to_einfty(group: str, params: HeightParams) -> SequenceRecord:
     dmap2 = differential_map(page_mid)
     page_end = turn_page(page_mid, dmap2)
 
-    r1, r2 = dmap1.r, dmap2.r
     fates = {}
     for cls in page2.fundamental_domain():
-        key = page2.canonical(cls)
-        out1 = d_first(cls, params)
-        if out1 is not None:
-            fates[key] = ClassFate("source", r1, out1[0], out1[1])
-            continue
-        inc1 = d_first_incoming(cls, params)
-        if inc1 is not None:
-            fates[key] = ClassFate("target", r1, inc1[0], inc1[1])
-            continue
-        out2 = d_second(cls, params)
-        if out2 is not None:
-            fates[key] = ClassFate("source", r2, out2[0], out2[1])
-            continue
-        inc2 = d_second_incoming(cls, params)
-        if inc2 is not None and page_mid.contains(inc2[0]):
-            fates[key] = ClassFate("target", r2, inc2[0], inc2[1])
-            continue
-        fates[key] = ClassFate("survives")
+        if d_first(cls, params) is not None:
+            fate = "source"
+        elif d_first_incoming(cls, params) is not None:
+            fate = "target"
+        elif d_second(cls, params) is not None:
+            fate = "source"
+        elif (inc2 := d_second_incoming(cls, params)) is not None and page_mid.contains(inc2[0]):
+            fate = "target"
+        else:
+            fate = "survives"
+        fates[page2.canonical(cls)] = fate
 
     return SequenceRecord(
         group=group, params=params, pages=(page2, page_mid, page_end), diffs=(dmap1, dmap2), fates=fates
@@ -581,30 +549,32 @@ class SequenceView:
                 return False
         return True
 
-    def fate_in_view(self, cls: MonomialClass) -> ClassFate:
-        """Run both differentials inside the truncated region."""
+    def fate_in_view(self, cls: MonomialClass) -> str:
+        """Run both differentials inside the truncated region: "source",
+        "target" or "survives"."""
         params = self.params
         s, _ = bidegree(cls, params)
         if not self.contains_filtration(s):
             raise InvalidInput("class is outside the view")
         r1, r2 = first_diff_index(params), second_diff_index(params)
-        out1 = d_first(cls, params)
-        if out1 is not None and self.contains_filtration(s + r1):
-            return ClassFate("source", r1, out1[0], out1[1])
-        inc1 = d_first_incoming(cls, params)
-        if inc1 is not None and self.contains_filtration(s - r1):
-            return ClassFate("target", r1, inc1[0], inc1[1])
-        out2 = d_second(cls, params)
-        if out2 is not None and self.record.pages[1].contains(cls) and self.contains_filtration(s + r2):
-            return ClassFate("source", r2, out2[0], out2[1])
+        if d_first(cls, params) is not None and self.contains_filtration(s + r1):
+            return "source"
+        if d_first_incoming(cls, params) is not None and self.contains_filtration(s - r1):
+            return "target"
+        if (
+            d_second(cls, params) is not None
+            and self.record.pages[1].contains(cls)
+            and self.contains_filtration(s + r2)
+        ):
+            return "source"
         inc2 = d_second_incoming(cls, params)
         if (
             inc2 is not None
             and self.record.pages[1].contains(inc2[0])
             and self.contains_filtration(s - r2)
         ):
-            return ClassFate("target", r2, inc2[0], inc2[1])
-        return ClassFate("survives")
+            return "target"
+        return "survives"
 
     def zero_line_einfty_exponents(self, j_lo: int, j_hi: int) -> list[int]:
         """Exponents j of the classes d^j (or D^j) surviving on s = 0."""
@@ -613,7 +583,7 @@ class SequenceView:
         out = []
         for j in range(j_lo, j_hi):
             cls = MonomialClass(0, 0, j, self.record.family)
-            if self.fate_in_view(cls).fate == "survives":
+            if self.fate_in_view(cls) == "survives":
                 out.append(j)
         return out
 

@@ -151,7 +151,9 @@ def test_sympow_json(capsys):
 
 
 def test_sympow_resource_guard(capsys, monkeypatch):
-    monkeypatch.setenv("TATEDUAL_MAX_DIM", "5")
+    from tatedual import cp_rep
+
+    monkeypatch.setattr(cp_rep, "DIM_CAP", 5)
     code, out, err = run_cli(capsys, "sympow", "--prime", "5", "--k", "0", "--degree", "3")
     assert code == 2
     assert "cap" in err
@@ -175,14 +177,20 @@ def test_sympow_above_dense_limit_refused_before_walking(capsys, monkeypatch):
 def test_freeness_over_rank_budget_exits_2(capsys, monkeypatch):
     # degree 13 of U_0 at p = 5 has dimension 2380, a multiple of 5, so its
     # freeness needs a rank above DENSE_LIMIT; its float32 work array of
-    # 4 * 2380^2 bytes is one byte over the patched budget
-    from tatedual import linalg
+    # 4 * 2380^2 bytes is one byte over the patched budget; the command
+    # must refuse before building any symmetric power
+    from tatedual import cp_rep, linalg
 
+    def no_steps(self):
+        raise AssertionError("freeness stepped the chain")
+
+    monkeypatch.setattr(cp_rep._SymmetricChain, "step", no_steps)
     monkeypatch.setattr(linalg, "RANK_BYTES", 4 * 2380**2 - 1)
     code, out, err = run_cli(capsys, "verify", "freeness", "--prime", "5", "--k", "0", "--max-degree", "13")
     assert code == 2
     assert out == ""
     assert "2380 x 2380" in err and "byte budget" in err
+    assert "k=0" in err and "degree 13" in err
 
 
 def test_chart_stdout_and_file(tmp_path, capsys):

@@ -13,6 +13,12 @@ from tatedual.mod_arith import height_params
 from conftest import random_cp_module
 
 
+def _action(m):
+    """The generator of m as an int64 array; symmetric powers keep Triplets."""
+    g = m.gen_action
+    return g if isinstance(g, np.ndarray) else g.scatter(np.int64)
+
+
 class TestHeightModules:
     def test_u0_is_one_full_block(self, params5):
         m = cp_rep.u_k_module(params5, 0)
@@ -78,7 +84,7 @@ class TestSymmetricPower:
     def test_degree_zero(self, params3):
         m = cp_rep.symmetric_power(cp_rep.u_k_module(params3, 0), 0)
         assert m.dim == 1
-        assert np.array_equal(m.gen_action, np.ones((1, 1), dtype=np.int64))
+        assert np.array_equal(_action(m), np.ones((1, 1), dtype=np.int64))
 
     def test_binomial_dimension(self, params3):
         m = cp_rep.symmetric_power(cp_rep.u_k_module(params3, 1), 2)
@@ -124,19 +130,32 @@ class TestSymmetricPower:
                 e = [0] * base.dim
                 e[a] += 1
                 e[b] += 1
-                assert np.array_equal(sq.gen_action[:, index[tuple(e)]], prod)
+                assert np.array_equal(_action(sq)[:, index[tuple(e)]], prod)
 
     def test_resource_guard(self, params5):
         with pytest.raises(ResourceGuard):
             cp_rep.symmetric_power(cp_rep.u_k_module(params5, 0), 400)
 
     def test_env_cap_override(self, params5, monkeypatch):
-        monkeypatch.setenv("TATEDUAL_MAX_DIM", "10")
+        monkeypatch.setattr(cp_rep, "DIM_CAP", 10)
         with pytest.raises(ResourceGuard):
             cp_rep.symmetric_power(cp_rep.u_k_module(params5, 0), 3)
-        monkeypatch.setenv("TATEDUAL_MAX_DIM", "junk")
-        with pytest.raises(InvalidInput):
-            cp_rep.symmetric_power(cp_rep.u_k_module(params5, 0), 3)
+
+    @pytest.mark.parametrize("p,k,max_deg", [(5, 1, 20), (7, 2, 14)])
+    def test_walk_keeps_coalesced_triplets(self, p, k, max_deg):
+        # one representation at every degree; z is dense exactly up to DENSE_LIMIT
+        walk = cp_rep._symmetric_walk(cp_rep.u_k_module(height_params(p), k), max_deg)
+        for deg, m, _ in walk:
+            t = m.gen_action
+            assert isinstance(t, linalg.Triplets), deg
+            assert t.shape == (m.dim, m.dim)
+            keys = t.rows * m.dim + t.cols
+            assert np.unique(keys).size == keys.size
+            assert ((0 < t.vals) & (t.vals < p)).all()
+            z = cp_rep._nilpotent_part(m)
+            dense = m.dim <= cp_rep.DENSE_LIMIT
+            assert m.is_dense() is dense
+            assert (isinstance(z, np.ndarray) and z.dtype == np.int64) is dense, deg
 
     def test_sparse_path_matches_dense(self, params5, monkeypatch):
         dense = cp_rep.symmetric_power(cp_rep.u_k_module(params5, 1), 5)
@@ -150,7 +169,7 @@ class TestSymmetricPower:
         assert ((0 < t.vals) & (t.vals < 5)).all()
         scattered = np.zeros(t.shape, dtype=np.int64)
         scattered[t.rows, t.cols] = t.vals
-        assert np.array_equal(scattered, dense.gen_action)
+        assert np.array_equal(scattered, _action(dense))
 
 
 class TestTate:
@@ -198,7 +217,7 @@ class TestTate:
     @staticmethod
     def _horner_norm(m):
         """1 + zeta + ... + zeta^(p-1) in Python integers, by Horner."""
-        g = m.gen_action.astype(object)
+        g = _action(m).astype(object)
         ident = np.eye(m.dim, dtype=np.int64).astype(object)
         acc = ident
         for _ in range(m.p - 1):
@@ -334,7 +353,7 @@ class TestOrbitProduct:
         vec = np.zeros(sym.dim, dtype=np.int64)
         for expo, c in poly.items():
             vec[index[expo]] = c
-        return np.array_equal((sym.gen_action @ vec) % p, vec)
+        return np.array_equal((_action(sym) @ vec) % p, vec)
 
     def test_expansion_p3(self, params3):
         # z2 (z2 + z1) (z2 + 2 z1 + z0) on the basis z2, z1, z0
@@ -389,8 +408,8 @@ class TestMultiplication:
             emb = chain.last_var_embed
             t_mat = np.zeros((cur.dim, prev.dim), dtype=np.int64)
             t_mat[emb, np.arange(prev.dim)] = 1
-            lhs = linalg.matmul_mod(t_mat, prev.gen_action, 3)
-            rhs = linalg.matmul_mod(cur.gen_action, t_mat, 3)
+            lhs = linalg.matmul_mod(t_mat, _action(prev), 3)
+            rhs = linalg.matmul_mod(_action(cur), t_mat, 3)
             assert np.array_equal(lhs, rhs)
 
     def test_composites_vanish(self, params3):

@@ -146,22 +146,6 @@ def test_route_disagreement_is_loud(monkeypatch, params3):
     assert "dual gives 22" in str(info.value)
 
 
-def test_report_json(params3):
-    report = ds.shift_report("F", params3)
-    blob = report.to_json()
-    assert list(blob) == [
-        "group",
-        "p",
-        "route",
-        "shift",
-        "periodicity",
-        "certificate",
-        "certificate_degree",
-        "agreement",
-    ]
-    assert blob["shift"] == 22
-
-
 def test_unknown_route(params3):
     with pytest.raises(InvalidInput):
         ds.shift_report("F", params3, route="sideways")

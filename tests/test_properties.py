@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,20 +46,6 @@ def test_dual_transform_is_an_involution_on_bidegrees(p, i, j):
     s, t = eng.bidegree(eng.MonomialClass(0, i, j, "Cp"), pa)
     s2, t2 = n - 1 - (n - 1 - s), 2 * n - (2 * n - t)
     assert (s2, t2) == (s, t)
-
-
-def test_page_json_schema_and_stability(params5):
-    page = eng.e2_page("Cp", params5)
-    d1 = eng.differential_map(page)
-    blob = page.to_json(diffs=[d1])
-    assert list(blob) == [
-        "group", "p", "r", "coeff_field_degree", "lattice", "fundamental_domain", "differentials",
-    ]
-    for entry in blob["fundamental_domain"]:
-        assert list(entry) == ["eps", "i", "j", "s", "t"]
-    for pair in blob["differentials"]:
-        assert list(pair) == ["source", "target", "coeff", "r"]
-    assert json.dumps(blob) == json.dumps(page.to_json(diffs=[d1]))
 
 
 def test_differential_pairing_is_injective(params7):

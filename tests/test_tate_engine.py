@@ -158,25 +158,22 @@ class TestRunToEinfty:
     def test_full_cancellation(self, group, p):
         rec = eng.run_to_einfty(group, height_params(p))
         assert rec.einfty().is_empty()
-        assert all(f.fate != "survives" for f in rec.fates.values())
+        assert all(f != "survives" for f in rec.fates.values())
 
     @pytest.mark.parametrize("group,p", ALL_CASES)
     def test_fates_reconcile_with_pairings(self, group, p):
         rec = eng.run_to_einfty(group, height_params(p))
         page2 = rec.e2()
-        for dmap, stage_page in zip(rec.diffs, rec.pages[:2]):
-            for src, tgt, coeff in dmap.pairs:
-                fs = rec.fates[page2.canonical(src)]
-                ft = rec.fates[page2.canonical(tgt)]
-                assert fs.fate == "source" and fs.r == dmap.r
-                assert ft.fate == "target" and ft.r == dmap.r
-                assert stage_page.canonical(fs.partner) == stage_page.canonical(tgt)
-                assert fs.coeff == ft.coeff == coeff
+        for dmap in rec.diffs:
+            for src, tgt, _ in dmap.pairs:
+                assert rec.fates[page2.canonical(src)] == "source"
+                assert rec.fates[page2.canonical(tgt)] == "target"
 
     def test_fate_description(self, params3):
         # at p = 3 classes die at both differentials, d_5 and d_9
         rec = eng.run_to_einfty("Cp", params3)
-        assert {fate.r for fate in rec.fates.values()} == {5, 9}
+        assert [dmap.r for dmap in rec.diffs] == [5, 9]
+        assert all(dmap.pairs for dmap in rec.diffs)
 
 
 class TestPropertySuites:
@@ -273,9 +270,8 @@ class TestViews:
         # fixed-point view: its would-be attacker sits at negative s
         rec = eng.run_to_einfty("Cp", params3)
         view = eng.hfpss_view(rec)
-        fate_full = rec.fates[rec.e2().canonical(cls_cp(0, 0, 0))]
-        assert fate_full.fate == "target"
-        assert view.fate_in_view(cls_cp(0, 0, 0)).fate == "survives"
+        assert rec.fates[rec.e2().canonical(cls_cp(0, 0, 0))] == "target"
+        assert view.fate_in_view(cls_cp(0, 0, 0)) == "survives"
 
     def test_outside_view_rejected(self, params3):
         rec = eng.run_to_einfty("Cp", params3)
