@@ -7,8 +7,10 @@ and compute the two Tate cohomology groups ker(z)/im(N) and ker(N)/im(z),
 where z = zeta - 1 and N = 1 + zeta + ... + zeta^(p-1) = z^(p-1).
 
 Symmetric powers keep their action as coalesced linalg.Triplets at every
-degree; z = zeta - 1 is made a dense int64 matrix only up to DENSE_LIMIT,
-in _nilpotent_part.  The verification suites walk the symmetric powers of a
+degree.  Freeness is ranked from the triplets of z = zeta - 1 at every
+dimension; z is made a dense matrix only up to DENSE_LIMIT, in the rank
+kernel's float type for Tate dimensions and as int64 for subquotient
+bases.  The verification suites walk the symmetric powers of a
 height module once, degree by degree, and work from ranks: a module is free
 iff rank(z) = dim - dim/p, and both Tate groups have dimension
 dim - rank(z) - rank(N).  Multiplication by the invariant bottom variable
@@ -217,12 +219,7 @@ class _SymmetricChain:
                 val = int(gen[t, l]) % p
                 if val:
                     parts.append((embeds[t][rows], cols, val * vals))
-        # coalesce: sort the positions and sum the entries at each mod p
-        rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-        keys, where = np.unique(rows * dim + cols, return_inverse=True)
-        vals = np.bincount(where, weights=vals).astype(np.int64) % p
-        nonzero = vals != 0
-        self.matrix = linalg.Triplets((dim, dim), keys[nonzero] // dim, keys[nonzero] % dim, vals[nonzero])
+        self.matrix = linalg.Triplets((dim, dim), *map(np.concatenate, zip(*parts))).coalesced(p)
 
         self.deg = deg
         self.monos = monos
@@ -258,20 +255,19 @@ def symmetric_power(m: CpModule, deg: int) -> CpModule:
 # Jordan decomposition and Tate cohomology
 
 
-def _nilpotent_part(m: CpModule):
-    """z = zeta - 1: an int64 array for a dense module, the action's Triplets
-    with the diagonal p - 1 appended beyond DENSE_LIMIT."""
+def _z_triplets(m: CpModule) -> linalg.Triplets:
+    """z = zeta - 1 as Triplets: the action's entries and p - 1 on the diagonal."""
     g = m.gen_action
     if isinstance(g, np.ndarray):
-        return (g - np.eye(m.dim, dtype=np.int64)) % m.p
-    diag = np.arange(m.dim)
-    z = linalg.Triplets(
-        g.shape,
-        np.concatenate([g.rows, diag]),
-        np.concatenate([g.cols, diag]),
-        np.concatenate([g.vals, np.full(m.dim, m.p - 1)]),
-    )
-    return z.scatter(np.int64) % m.p if m.is_dense() else z
+        g = linalg.Triplets(g.shape, *np.nonzero(g), g[np.nonzero(g)])
+    added = (np.arange(m.dim), np.arange(m.dim), np.full(m.dim, m.p - 1))
+    return linalg.Triplets(g.shape, *map(np.concatenate, zip((g.rows, g.cols, g.vals), added)))
+
+
+def _nilpotent_part(m: CpModule):
+    """z: an int64 array for a dense module, _z_triplets beyond DENSE_LIMIT."""
+    z = _z_triplets(m)
+    return z.coalesced(m.p).scatter(np.int64) if m.is_dense() else z
 
 
 def jordan_decompose(m: CpModule) -> JordanProfile:
@@ -303,16 +299,22 @@ def jordan_decompose(m: CpModule) -> JordanProfile:
     return profile
 
 
-def _norm_matrix(m: CpModule) -> tuple[np.ndarray, np.ndarray]:
-    """z = zeta - 1 and N = 1 + zeta + ... + zeta^(p-1) of a dense module,
-    N computed as z^(p-1): the two polynomials agree in F_p[x].
+def _z_and_norm(m: CpModule, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """z = zeta - 1 and N = 1 + zeta + ... + zeta^(p-1) of a dense module, as
+    arrays of dtype, N computed as z^(p-1): the two polynomials agree in
+    F_p[x].
 
     z and N are polynomials in the generator, so they commute, and one
     vanishing product certifies im(N) <= ker(z) and im(z) <= ker(N)."""
-    z = _nilpotent_part(m)
+    z = _z_triplets(m).coalesced(m.p).scatter(dtype)
     norm = linalg.matrix_power_mod(z, m.p - 1, m.p)
     assert not linalg.matmul_mod(z, norm, m.p).any()
     return z, norm
+
+
+def _norm_matrix(m: CpModule) -> tuple[np.ndarray, np.ndarray]:
+    """_z_and_norm as int64 arrays, for subquotient bases."""
+    return _z_and_norm(m, np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,9 +367,10 @@ def tate_cohomology(m: CpModule) -> TateDims:
 def _tate_dim_by_rank(m: CpModule) -> int:
     """The common dimension of both Tate groups of a dense module, from two
     ranks: im(N) lies in ker(z), so ker(z)/im(N) has dimension
-    (dim - rank z) - rank N."""
+    (dim - rank z) - rank N.  z and N are made in the float type of the
+    rank kernel, which reads them in place."""
     p = m.p
-    z, norm = _norm_matrix(m)
+    z, norm = _z_and_norm(m, linalg.check_rank_budget((m.dim, m.dim), p))
     return m.dim - linalg.rank_mod(z, p) - linalg.rank_mod(norm, p)
 
 
@@ -376,8 +379,7 @@ def _free_by_rank(m: CpModule) -> bool:
     maximal size p iff the block count dim - rank equals dim / p."""
     if m.dim % m.p != 0:
         return False
-    rank = linalg.rank_mod if m.is_dense() else linalg.sparse_rank_mod
-    return rank(_nilpotent_part(m), m.p) == m.dim - m.dim // m.p
+    return linalg.sparse_rank_mod(_z_triplets(m), m.p) == m.dim - m.dim // m.p
 
 
 def _check_rank_budgets(base: CpModule, k: int, degrees) -> None:
@@ -419,9 +421,8 @@ def freeness_by_degree(params: HeightParams, k: int, degrees) -> dict[int, bool]
 @dataclass(frozen=True, eq=False)
 class MultiplicationMaps:
     """The maps induced on Tate cohomology by multiplying with the invariant
-    variable, from symmetric degree deg to deg + 1."""
+    variable, from one symmetric degree to the next."""
 
-    deg: int
     even: np.ndarray
     odd: np.ndarray
 
@@ -434,6 +435,7 @@ def _induced_step(
     tgt: _CohomologyData,
     deg: int,
 ) -> MultiplicationMaps:
+    # deg, the source degree, labels the span of bench/launcher.py only
     def one_parity(src_dim, tgt_dim, src_basis, tgt_basis, tgt_modulus, check_mat):
         if src_dim == 0 or tgt_dim == 0:
             return np.zeros((tgt_dim, src_dim), dtype=np.int64)
@@ -447,7 +449,7 @@ def _induced_step(
     s, t = src.tate, tgt.tate
     even = one_parity(s.even_dim, t.even_dim, s.even_basis, t.even_basis, t.even_modulus, tgt.z)
     odd = one_parity(s.odd_dim, t.odd_dim, s.odd_basis, t.odd_basis, t.odd_modulus, tgt.norm)
-    return MultiplicationMaps(deg=deg, even=even, odd=odd)
+    return MultiplicationMaps(even=even, odd=odd)
 
 
 def _window_vanishes(p: int, window: list) -> bool:

@@ -32,7 +32,6 @@ class ShiftReport:
     periodicity: int
     certificate: str
     certificate_degree: int
-    agreement: bool | None = None
 
 
 def periodicity(group: str, params: HeightParams) -> int:
@@ -169,7 +168,6 @@ def shift_report(group: str, params: HeightParams, route: str = "both") -> Shift
         periodicity=via_dual.periodicity,
         certificate=via_dual.certificate,
         certificate_degree=via_dual.certificate_degree,
-        agreement=True,
     )
 
 

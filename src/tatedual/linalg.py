@@ -17,12 +17,12 @@ with a nonzero multiplier.  The kernel works on one float copy of the
 matrix and returns exactly the echelon form and pivots of the row loop
 kept for small matrices.
 
-Symmetric powers keep their action as Triplets, index arrays of the
-nonzero entries, at every degree; Triplets.scatter is the one conversion to
-an array.  Up to DENSE_LIMIT the callers scatter z = zeta - 1 into a dense
-int64 matrix; beyond, only its rank is computed, by the same kernel on one
-float array of at most RANK_BYTES, refused by check_rank_budget before
-anything is allocated.
+Ranks of such matrices, arrays or Triplets (index arrays of the nonzero
+entries, kept by symmetric powers), come from structural pivots: only the
+Schur complement of the columns with distinct first nonzero rows goes
+through the kernel, and the whole matrix is never formed.  check_rank_budget
+refuses a rank whose float array would exceed RANK_BYTES before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -34,15 +34,17 @@ import numpy as np
 from .errors import ResourceGuard
 
 DENSE_LIMIT = 2000
-# the float work array of sparse_rank_mod: 512 MiB holds a float32 square
-# matrix of dimension 11585; the elimination peaks at about 2.25 times the
-# array (traced at dimensions 4368 and 8568)
+# the float array of the largest matrix ranked: a float32 square matrix of
+# dimension 11585.  The rank never forms it; at dimension 8568 the rank of z
+# peaks at about 144 MiB of live data, half its float array
 RANK_BYTES = 2**29
 
 _F32_EXACT = 2**24
 _F64_EXACT = 2**53
 _BASE = 32
 _BLOCKED_MIN = 192
+# rows of the structural pivot block solved at a time
+_ROW_BLOCK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +63,13 @@ class Triplets:
         out = np.zeros(self.shape, dtype=dtype)
         np.add.at(out, (self.rows, self.cols), self.vals.astype(dtype))
         return out
+
+    def coalesced(self, p: int) -> Triplets:
+        """The matrix over F_p with one entry per position, in row-major
+        order, every value in [1, p)."""
+        keys, where = np.unique(self.rows * self.shape[1] + self.cols, return_inverse=True)
+        vals = np.bincount(where, weights=self.vals % p).astype(np.int64) % p
+        return Triplets(self.shape, *np.divmod(keys[vals != 0], self.shape[1]), vals[vals != 0])
 
 
 def as_field_matrix(a, p: int) -> np.ndarray:
@@ -96,24 +105,27 @@ def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p for int arrays with entries in [0, p)."""
+    """Exact a @ b mod p for arrays with entries in [0, p), as int64 or,
+    for a float a, as _mul's floats."""
     if a.shape[1] != b.shape[0]:
         raise ValueError("shape mismatch")
-    return _mul(a, b, p).astype(np.int64)
+    out = _mul(a, b, p)
+    return out if a.dtype.kind == "f" else out.astype(np.int64)
 
 
 def matrix_power_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e mod p for entries in [0, p), in the type matmul_mod returns."""
     if e < 0:
         raise ValueError("negative power")
     out = None
-    base = a % p
+    base = a
     while e:
         if e & 1:
             out = base if out is None else matmul_mod(out, base, p)
         e >>= 1
         if e:
             base = matmul_mod(base, base, p)
-    return np.eye(a.shape[0], dtype=np.int64) if out is None else out
+    return np.eye(a.shape[0], dtype=a.dtype) if out is None else out
 
 
 def _unit_lower_inverse(l: np.ndarray, p: int) -> np.ndarray:
@@ -259,8 +271,6 @@ def _forward_blocked(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def forward_eliminate(a, p: int) -> tuple[np.ndarray, list[int]]:
     """Row echelon form (not reduced) and pivot columns.  Copies the input."""
     a = as_field_matrix(a, p)
-    if min(a.shape) == 0:
-        return a, []
     if min(a.shape) >= _BLOCKED_MIN:
         return _forward_blocked(a, p)
     return _forward_naive(a, p)
@@ -274,9 +284,49 @@ def _solve_unit_upper(m: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _mul(_unit_lower_inverse(m.T, p).T, b, p).astype(np.int64)
 
 
+def _structural_rank(rows_of, lead: np.ndarray, shape: tuple[int, int], p: int, ft) -> int:
+    """Rank over F_p of M from structural pivots, as in Faugere-Lachartre
+    (PASCO 2010) and SpaSM (PASCO 2017).  Column c of M has its first
+    nonzero entry in row lead[c] (rows if none); rows_of(idx) returns rows
+    idx of M in type ft.  One column per distinct lead row gives s pivots on
+    which M is a lower triangular P with nonzero diagonal, so M, permuted to
+    [[P, B], [C, D]], has rank s + rank(D - C X) with X = P^-1 B, solved by
+    blocks of _ROW_BLOCK rows of P scaled to a unit diagonal."""
+    rows, cols = shape
+    piv_rows, piv_cols = np.unique(lead, return_index=True)
+    s = int(np.searchsorted(piv_rows, rows))  # the lead row of zero columns sorts last
+    row_order = np.concatenate([piv_rows[:s], np.setdiff1d(np.arange(rows), piv_rows)])
+    col_order = np.concatenate([piv_cols[:s], np.setdiff1d(np.arange(cols), piv_cols[:s])])
+    x = np.empty((s, cols - s), dtype=ft)
+    schur = np.empty((rows - s, cols - s), dtype=ft)
+    edges = [*range(0, s, _ROW_BLOCK), *range(s, rows, _ROW_BLOCK), rows]
+    for lo, hi in zip(edges, edges[1:]):
+        blk = rows_of(row_order[lo:hi])[:, col_order]
+        if hi <= s:
+            diag = blk[np.arange(hi - lo), np.arange(lo, hi)].tolist()
+            blk *= np.array([pow(int(v), -1, p) for v in diag], dtype=ft)[:, None]
+            _reduce(blk, p)
+        done = min(lo, s)
+        rest = blk[:, s:] - _mul(blk[:, :done], x[:done], p)
+        np.add(rest, p, out=rest, where=rest < 0)
+        if hi <= s:
+            x[lo:hi] = _mul(_unit_lower_inverse(blk[:, lo:hi], p), rest, p)
+        else:
+            schur[lo - s : hi - s] = rest
+    return s + len(_eliminate(schur, p, 0, 0, cols - s, False)[0])
+
+
 def rank_mod(a, p: int) -> int:
-    _, pivots = forward_eliminate(a, p)
-    return len(pivots)
+    """Rank over F_p by _forward_naive below _BLOCKED_MIN, else structural;
+    a float a must hold integers in [0, p) and is read in place."""
+    a = np.asarray(a)
+    if a.dtype.kind != "f" or min(a.shape) < _BLOCKED_MIN:
+        a = as_field_matrix(a, p)
+    if min(a.shape) < _BLOCKED_MIN:
+        return len(_forward_naive(a, p)[1])
+    ft, nonzero = _float_type(min(a.shape), p), a != 0
+    lead = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), a.shape[0])
+    return _structural_rank(lambda idx: a[idx].astype(ft, copy=False), lead, a.shape, p, ft)
 
 
 def kernel_and_image(a, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,9 +372,9 @@ def complete_subspace(sub: np.ndarray, space: np.ndarray, p: int) -> np.ndarray:
 
 
 def check_rank_budget(shape: tuple[int, int], p: int, context: str = ""):
-    """The float type of sparse_rank_mod's work array for a matrix of this
-    shape; raises ResourceGuard, prefixed by context, when the array would
-    exceed RANK_BYTES."""
+    """The float type of the rank kernel for a matrix of this shape; raises
+    ResourceGuard, prefixed by context, when a float array of that shape
+    would exceed RANK_BYTES."""
     rows, cols = shape
     ft = _float_type(min(rows, cols), p)
     size = np.dtype(ft).itemsize * rows * cols
@@ -337,11 +387,21 @@ def check_rank_budget(shape: tuple[int, int], p: int, context: str = ""):
 
 
 def sparse_rank_mod(a: Triplets, p: int) -> int:
-    """Rank over F_p of a matrix given as triplets.
+    """rank_mod of a matrix given as triplets, without forming it above
+    _BLOCKED_MIN; refused before anything is allocated over RANK_BYTES."""
+    ft = check_rank_budget(a.shape, p)
+    a = a.coalesced(p)
+    if min(a.shape) < _BLOCKED_MIN:
+        return rank_mod(a.scatter(np.int64), p)
+    (rows, cols), r, c, vals = a.shape, a.rows, a.cols, a.vals
+    lead = np.full(cols, rows)
+    np.minimum.at(lead, c, r)
+    bounds = np.searchsorted(r, np.arange(rows + 1))
 
-    The triplets are scattered into one float array and eliminated in place
-    by the kernel of _forward_blocked without its echelon copy.  Refused
-    before anything is allocated when that array would exceed RANK_BYTES.
-    """
-    w = _reduce(a.scatter(check_rank_budget(a.shape, p)), p)
-    return len(_eliminate(w, p, 0, 0, a.shape[1], False)[0])
+    def rows_of(idx):
+        out = np.zeros((idx.size, cols), dtype=ft)
+        at = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in idx])
+        out[np.repeat(np.arange(idx.size), bounds[idx + 1] - bounds[idx]), c[at]] = vals[at]
+        return out
+
+    return _structural_rank(rows_of, lead, a.shape, p, ft)

@@ -66,7 +66,7 @@ def test_criterion_2_shift_f_and_g():
                 elapsed = time.perf_counter() - start
                 expected = pa.n * p * p + pa.n * pa.n
                 assert dual.shift == det.shift == combined.shift == expected == EXPECTED[p][group]
-                assert combined.agreement is True
+                assert dual.periodicity == det.periodicity == combined.periodicity
                 assert elapsed < 1.0, f"runtime {elapsed:.3f}s at {group}/p={p}"
 
     criterion(2, "duality shift for the extended groups is np^2+n^2, both routes agree", check)

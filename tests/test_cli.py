@@ -102,7 +102,12 @@ def test_verify_nilpotence_small(capsys):
 
 @pytest.mark.parametrize(
     "argv,golden",
-    [(("--prime", "3"), "nilpotence_p3.json"), (("--prime", "5", "--k", "2"), "nilpotence_p5_k2.json")],
+    [
+        (("--prime", "3"), "nilpotence_p3.json"),
+        (("--prime", "5", "--k", "2"), "nilpotence_p5_k2.json"),
+        # ranks above DENSE_LIMIT at every k = 1 degree from 9 to 13
+        pytest.param(("--prime", "7"), "nilpotence_p7.json", marks=pytest.mark.slow),
+    ],
 )
 def test_verify_nilpotence_json_golden(capsys, argv, golden):
     code, out, _ = run_cli(capsys, "verify", "nilpotence", *argv, "--json")

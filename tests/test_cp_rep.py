@@ -436,13 +436,13 @@ class TestNilpotence:
 
     def test_z_built_once_per_dense_degree(self, params5, monkeypatch):
         built = []
-        real = cp_rep._nilpotent_part
+        real = cp_rep._z_triplets
 
         def counted(m):
             built.append(m.dim)
             return real(m)
 
-        monkeypatch.setattr(cp_rep, "_nilpotent_part", counted)
+        monkeypatch.setattr(cp_rep, "_z_triplets", counted)
         report = cp_rep.nilpotence_report(params5, 2, 15)
         assert all(d.dim <= cp_rep.DENSE_LIMIT for d in report.degrees)
         assert built == [d.dim for d in report.degrees]

@@ -65,7 +65,8 @@ def test_routes_agree(p):
     pa = height_params(p)
     for group in ("F", "G"):
         combined = ds.shift_report(group, pa, route="both")
-        assert combined.agreement is True
+        for route in (ds.shift_det_route(group, pa), ds.shift_dual_route(group, pa)):
+            assert (combined.shift, combined.periodicity) == (route.shift, route.periodicity)
         assert combined.route == "both"
         assert combined.shift == EXPECTED_SHIFTS[p][group]
 

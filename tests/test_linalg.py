@@ -262,3 +262,79 @@ def test_sparse_rank_budget_refuses_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# (rows, cols): both sides of _BLOCKED_MIN (192) and of the structural
+# rank's row block (512), wide and tall
+RANK_SHAPES = [(100, 300), (191, 191), (192, 192), (200, 420), (520, 196)]
+
+
+def _naive_rank(a, p):
+    return len(linalg._forward_naive(np.asarray(a, dtype=np.int64) % p, p)[1])
+
+
+def _rank_cases(rng, m, n, p):
+    """Dense random; rank deficient with zero rows and zero columns; sparse
+    with groups of columns sharing one lead row; strictly lower triangular
+    like zeta - 1; zero; full rank with a unit diagonal."""
+    yield rng.integers(0, p, size=(m, n))
+    a = _random_with_rank(rng, m, n, min(m, n) // 3, p)
+    a[rng.choice(m, size=m // 7, replace=False)] = 0
+    a[:, rng.choice(n, size=n // 7, replace=False)] = 0
+    yield a
+    a = rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < 0.02)
+    for c in range(0, n - 3, 4):
+        lead = int(rng.integers(0, m))
+        a[:lead, c : c + 4] = 0
+        a[lead, c : c + 4] = rng.integers(1, p, size=4)
+    yield a
+    yield np.tril(rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < 0.05), -1)
+    yield np.zeros((m, n), dtype=np.int64)
+    yield np.tril(rng.integers(0, p, size=(m, n)), -1) + np.eye(m, n, dtype=np.int64)
+
+
+def _repeated_triplets(rng, a, p):
+    """a as Triplets that give every nonzero position, and some zero ones,
+    twice in shuffled order, with values up to 3p."""
+    rows, cols = np.nonzero((a != 0) | (rng.random(a.shape) < 0.01))
+    first = rng.integers(0, 3 * p, size=rows.size)
+    second = (a[rows, cols] - first) % p + p * rng.integers(0, 2, size=rows.size)
+    order = rng.permutation(2 * rows.size)
+    return linalg.Triplets(
+        a.shape, np.tile(rows, 2)[order], np.tile(cols, 2)[order], np.concatenate([first, second])[order]
+    )
+
+
+@pytest.mark.parametrize("shape", RANK_SHAPES)
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_rank_matches_naive(p, shape, monkeypatch):
+    # the ranks of arrays (int and float) and of triplets against the row
+    # loop of _forward_naive; the structural rank also with a row block
+    # that splits every shape into several blocks and a short last one
+    rng = np.random.default_rng(p * 1000 + shape[0])
+    blocks = (linalg._ROW_BLOCK, 48) if min(shape) >= linalg._BLOCKED_MIN else (linalg._ROW_BLOCK,)
+    for a in _rank_cases(rng, *shape, p):
+        want = _naive_rank(a, p)
+        triplets = _repeated_triplets(rng, a, p)
+        for block in blocks:
+            monkeypatch.setattr(linalg, "_ROW_BLOCK", block)
+            assert linalg.rank_mod(a, p) == want
+            w = a.astype(np.float64)
+            assert linalg.rank_mod(w, p) == want
+            assert np.array_equal(w, a)
+            assert linalg.sparse_rank_mod(triplets, p) == want
+
+
+def test_rank_of_z_fits_in_memory():
+    # z on S^11(U_1) at p = 7 (dimension 4368): the whole float work array
+    # alone would be 73 MiB, and eliminating it peaked at 164 MiB
+    mod = cp_rep.symmetric_power(cp_rep.u_k_module(height_params(7), 1), 11)
+    z = cp_rep._nilpotent_part(mod)
+    tracemalloc.start()
+    try:
+        rank = linalg.sparse_rank_mod(z, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (mod.dim, rank) == (4368, 3744)
+    assert peak < 120 * 2**20

@@ -145,8 +145,8 @@ def test_p7_k1_rank_golden():
         assert (row["dimension"], row["rank_z"]) == (dim, rz), row
 
 
-# degrees 11-13 (dimensions 4368-8568) take about 20 s together and peak
-# near 0.8 GB; CI runs them with -m slow
+# degrees 11-13 (dimensions 4368-8568) take about 6 s together and peak
+# near 0.3 GB; CI runs them with -m slow
 @pytest.mark.parametrize("degree", [9, 10, *(pytest.param(d, marks=pytest.mark.slow) for d in (11, 12, 13))])
 def test_p7_k1_rank_path_matches_golden(degree):
     golden = json.loads((GOLDEN / "ranks_p7_k1.json").read_text())
