@@ -13,7 +13,9 @@ kernel's float type for Tate dimensions and as int64 for subquotient
 bases.  The verification suites walk the symmetric powers of a
 height module once, degree by degree, and work from ranks: a module is free
 iff rank(z) = dim - dim/p, and both Tate groups have dimension
-dim - rank(z) - rank(N).  Multiplication by the invariant bottom variable
+dim - rank(z) - rank(N), where N is never formed: rank(N) is the rank of
+its dim - rank(z) rows outside a set of independent columns of z, made by
+skinny products with z.  Multiplication by the invariant bottom variable
 vanishes on Tate cohomology in every window of consecutive degrees that
 contains a degree with vanishing cohomology; only a window without one would
 be tested with explicit subquotient bases and induced-map matrices.
@@ -299,22 +301,17 @@ def jordan_decompose(m: CpModule) -> JordanProfile:
     return profile
 
 
-def _z_and_norm(m: CpModule, dtype) -> tuple[np.ndarray, np.ndarray]:
+def _norm_matrix(m: CpModule) -> tuple[np.ndarray, np.ndarray]:
     """z = zeta - 1 and N = 1 + zeta + ... + zeta^(p-1) of a dense module, as
-    arrays of dtype, N computed as z^(p-1): the two polynomials agree in
-    F_p[x].
+    int64 arrays for subquotient bases, N computed as z^(p-1): the two
+    polynomials agree in F_p[x].
 
     z and N are polynomials in the generator, so they commute, and one
     vanishing product certifies im(N) <= ker(z) and im(z) <= ker(N)."""
-    z = _z_triplets(m).coalesced(m.p).scatter(dtype)
+    z = _nilpotent_part(m)
     norm = linalg.matrix_power_mod(z, m.p - 1, m.p)
     assert not linalg.matmul_mod(z, norm, m.p).any()
     return z, norm
-
-
-def _norm_matrix(m: CpModule) -> tuple[np.ndarray, np.ndarray]:
-    """_z_and_norm as int64 arrays, for subquotient bases."""
-    return _z_and_norm(m, np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,11 +364,28 @@ def tate_cohomology(m: CpModule) -> TateDims:
 def _tate_dim_by_rank(m: CpModule) -> int:
     """The common dimension of both Tate groups of a dense module, from two
     ranks: im(N) lies in ker(z), so ker(z)/im(N) has dimension
-    (dim - rank z) - rank N.  z and N are made in the float type of the
-    rank kernel, which reads them in place."""
+    (dim - rank z) - rank N.  z is made in the float type of the rank
+    kernel, which reads it in place, and N is never formed.
+
+    Let J be rank-z independent columns of z and R the other indices, one
+    per Jordan block.  The unit rows e_R complement the row space of z, so
+    every row vector is a + b z with a in span(e_R).  Then e z^p = b z^(p+1)
+    once z^p[R, :] = 0, so row(z^p) = row(z^(p+1)) = ... = 0 for nilpotent
+    z; and e N = a N, so rank N = rank N[R, :].  N[R, :] = z[R] z^(p-2) is
+    p - 2 skinny products; one more certifies z^p[R, :] = 0, and a strictly
+    lower triangular z is nilpotent; any other z is checked by z^p = 0 in
+    full.  Either way z N = z^p = 0, so im(N) <= ker(z)."""
     p = m.p
-    z, norm = _z_and_norm(m, linalg.check_rank_budget((m.dim, m.dim), p))
-    return m.dim - linalg.rank_mod(z, p) - linalg.rank_mod(norm, p)
+    triplets = _z_triplets(m).coalesced(p)
+    z = triplets.scatter(linalg.check_rank_budget((m.dim, m.dim), p))
+    indep = linalg.independent_columns(z, p)
+    y = np.delete(z, indep, axis=0)
+    for _ in range(p - 2):
+        y = linalg.matmul_mod(y, z, p)
+    assert not linalg.matmul_mod(y, z, p).any()
+    if not (triplets.rows > triplets.cols).all():
+        assert not linalg.matrix_power_mod(z, p, p).any()
+    return m.dim - len(indep) - linalg.rank_mod(y, p)
 
 
 def _free_by_rank(m: CpModule) -> bool:

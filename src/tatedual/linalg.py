@@ -17,10 +17,11 @@ with a nonzero multiplier.  The kernel works on one float copy of the
 matrix and returns exactly the echelon form and pivots of the row loop
 kept for small matrices.
 
-Ranks of such matrices, arrays or Triplets (index arrays of the nonzero
-entries, kept by symmetric powers), come from structural pivots: only the
-Schur complement of the columns with distinct first nonzero rows goes
-through the kernel, and the whole matrix is never formed.  check_rank_budget
+A rank is the number of independent_columns.  With a side at least
+_BLOCKED_MIN, for arrays or Triplets (index arrays of the nonzero entries,
+kept by symmetric powers), these are the columns with distinct first nonzero
+rows and the pivot columns of their Schur complement, which alone goes
+through the kernel; the whole matrix is never formed.  check_rank_budget
 refuses a rank whose float array would exceed RANK_BYTES before anything is
 allocated.
 """
@@ -284,19 +285,20 @@ def _solve_unit_upper(m: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _mul(_unit_lower_inverse(m.T, p).T, b, p).astype(np.int64)
 
 
-def _structural_rank(rows_of, lead: np.ndarray, shape: tuple[int, int], p: int, ft) -> int:
-    """Rank over F_p of M from structural pivots, as in Faugere-Lachartre
-    (PASCO 2010) and SpaSM (PASCO 2017).  Column c of M has its first
-    nonzero entry in row lead[c] (rows if none); rows_of(idx) returns rows
-    idx of M in type ft.  One column per distinct lead row gives s pivots on
-    which M is a lower triangular P with nonzero diagonal, so M, permuted to
-    [[P, B], [C, D]], has rank s + rank(D - C X) with X = P^-1 B, solved by
-    blocks of _ROW_BLOCK rows of P scaled to a unit diagonal."""
+def _structural_columns(rows_of, lead: np.ndarray, shape: tuple[int, int], p: int, ft) -> np.ndarray:
+    """Rank-many independent columns of M over F_p from structural pivots,
+    as in Faugere-Lachartre (PASCO 2010) and SpaSM (PASCO 2017).  Column c
+    of M has its first nonzero entry in row lead[c] (rows if none);
+    rows_of(idx) returns rows idx of M in type ft.  One column per distinct
+    lead row gives s pivots on which M is a lower triangular P with nonzero
+    diagonal, so M, permuted to [[P, B], [C, D]], has rank s + rank(D - C X)
+    with X = P^-1 B, solved by blocks of _ROW_BLOCK rows of P scaled to a
+    unit diagonal; the s columns and the pivots of D - C X are returned."""
     rows, cols = shape
     piv_rows, piv_cols = np.unique(lead, return_index=True)
     s = int(np.searchsorted(piv_rows, rows))  # the lead row of zero columns sorts last
-    row_order = np.concatenate([piv_rows[:s], np.setdiff1d(np.arange(rows), piv_rows)])
-    col_order = np.concatenate([piv_cols[:s], np.setdiff1d(np.arange(cols), piv_cols[:s])])
+    row_order = np.concatenate([piv_rows[:s], np.delete(np.arange(rows), piv_rows[:s])])
+    col_order = np.concatenate([piv_cols[:s], np.delete(np.arange(cols), piv_cols[:s])])
     x = np.empty((s, cols - s), dtype=ft)
     schur = np.empty((rows - s, cols - s), dtype=ft)
     edges = [*range(0, s, _ROW_BLOCK), *range(s, rows, _ROW_BLOCK), rows]
@@ -313,20 +315,28 @@ def _structural_rank(rows_of, lead: np.ndarray, shape: tuple[int, int], p: int, 
             x[lo:hi] = _mul(_unit_lower_inverse(blk[:, lo:hi], p), rest, p)
         else:
             schur[lo - s : hi - s] = rest
-    return s + len(_eliminate(schur, p, 0, 0, cols - s, False)[0])
+    schur_pivots = _eliminate(schur, p, 0, 0, cols - s, False)[0]
+    return np.concatenate([col_order[:s], col_order[s:][schur_pivots]])
+
+
+def independent_columns(a, p: int) -> np.ndarray:
+    """Indices of rank-many independent columns of a over F_p: the pivots of
+    _forward_naive when both sides are below _BLOCKED_MIN, else structural.
+    A float a must hold integers in [0, p) and is read in place."""
+    a = np.asarray(a)
+    small = max(a.shape) < _BLOCKED_MIN or not a.size
+    if a.dtype.kind != "f" or small:
+        a = as_field_matrix(a, p)
+    if small:
+        return np.array(_forward_naive(a, p)[1], dtype=np.int64)
+    ft, nonzero = _float_type(min(a.shape), p), a != 0
+    lead = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), a.shape[0])
+    return _structural_columns(lambda idx: a[idx].astype(ft, copy=False), lead, a.shape, p, ft)
 
 
 def rank_mod(a, p: int) -> int:
-    """Rank over F_p by _forward_naive below _BLOCKED_MIN, else structural;
-    a float a must hold integers in [0, p) and is read in place."""
-    a = np.asarray(a)
-    if a.dtype.kind != "f" or min(a.shape) < _BLOCKED_MIN:
-        a = as_field_matrix(a, p)
-    if min(a.shape) < _BLOCKED_MIN:
-        return len(_forward_naive(a, p)[1])
-    ft, nonzero = _float_type(min(a.shape), p), a != 0
-    lead = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), a.shape[0])
-    return _structural_rank(lambda idx: a[idx].astype(ft, copy=False), lead, a.shape, p, ft)
+    """Rank over F_p, as the number of independent_columns."""
+    return len(independent_columns(a, p))
 
 
 def kernel_and_image(a, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -387,11 +397,12 @@ def check_rank_budget(shape: tuple[int, int], p: int, context: str = ""):
 
 
 def sparse_rank_mod(a: Triplets, p: int) -> int:
-    """rank_mod of a matrix given as triplets, without forming it above
-    _BLOCKED_MIN; refused before anything is allocated over RANK_BYTES."""
+    """rank_mod of a matrix given as triplets, without forming it when a
+    side reaches _BLOCKED_MIN; refused before anything is allocated over
+    RANK_BYTES."""
     ft = check_rank_budget(a.shape, p)
     a = a.coalesced(p)
-    if min(a.shape) < _BLOCKED_MIN:
+    if max(a.shape) < _BLOCKED_MIN:
         return rank_mod(a.scatter(np.int64), p)
     (rows, cols), r, c, vals = a.shape, a.rows, a.cols, a.vals
     lead = np.full(cols, rows)
@@ -404,4 +415,4 @@ def sparse_rank_mod(a: Triplets, p: int) -> int:
         out[np.repeat(np.arange(idx.size), bounds[idx + 1] - bounds[idx]), c[at]] = vals[at]
         return out
 
-    return _structural_rank(rows_of, lead, a.shape, p, ft)
+    return len(_structural_columns(rows_of, lead, a.shape, p, ft))

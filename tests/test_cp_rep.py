@@ -267,6 +267,22 @@ class TestTateRankFormula:
         for deg, module, _ in walk:
             assert self._agrees(module), deg
 
+    @pytest.mark.parametrize("permuted", [False, True])
+    @pytest.mark.parametrize("size", ["p+1", 300])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_wrong_order_raises(self, p, size, permuted):
+        # one lower Jordan block longer than p, so z^p != 0: as is, z is
+        # strictly lower triangular; a random permutation of the basis makes
+        # it not triangular
+        dim = p + 1 if size == "p+1" else size
+        action = np.eye(dim, dtype=np.int64) + np.eye(dim, k=-1, dtype=np.int64)
+        if permuted:
+            perm = np.random.default_rng(7 + dim * p).permutation(dim)
+            action = action[np.ix_(perm, perm)]
+            assert np.triu(action, 1).any()
+        with pytest.raises(AssertionError):
+            cp_rep._tate_dim_by_rank(cp_rep.CpModule(p=p, dim=dim, gen_action=action))
+
 
 class TestFreeness:
     @pytest.mark.parametrize(

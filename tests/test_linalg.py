@@ -265,8 +265,9 @@ def test_sparse_rank_budget_refuses_before_allocating(monkeypatch):
 
 
 # (rows, cols): both sides of _BLOCKED_MIN (192) and of the structural
-# rank's row block (512), wide and tall
-RANK_SHAPES = [(100, 300), (191, 191), (192, 192), (200, 420), (520, 196)]
+# rank's row block (512), wide and tall; (160, 820) is shaped like the rows
+# of N that _tate_dim_by_rank ranks
+RANK_SHAPES = [(100, 300), (160, 820), (191, 191), (192, 192), (200, 420), (520, 196)]
 
 
 def _naive_rank(a, p):
@@ -309,15 +310,18 @@ def _repeated_triplets(rng, a, p):
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
 def test_rank_matches_naive(p, shape, monkeypatch):
     # the ranks of arrays (int and float) and of triplets against the row
-    # loop of _forward_naive; the structural rank also with a row block
-    # that splits every shape into several blocks and a short last one
+    # loop of _forward_naive, and the independent columns behind them; the
+    # structural rank also with a row block that splits every shape into
+    # several blocks and a short last one
     rng = np.random.default_rng(p * 1000 + shape[0])
-    blocks = (linalg._ROW_BLOCK, 48) if min(shape) >= linalg._BLOCKED_MIN else (linalg._ROW_BLOCK,)
+    blocks = (linalg._ROW_BLOCK, 48) if max(shape) >= linalg._BLOCKED_MIN else (linalg._ROW_BLOCK,)
     for a in _rank_cases(rng, *shape, p):
         want = _naive_rank(a, p)
         triplets = _repeated_triplets(rng, a, p)
         for block in blocks:
             monkeypatch.setattr(linalg, "_ROW_BLOCK", block)
+            cols = linalg.independent_columns(a, p)
+            assert len(cols) == want and _naive_rank(a[:, cols], p) == want
             assert linalg.rank_mod(a, p) == want
             w = a.astype(np.float64)
             assert linalg.rank_mod(w, p) == want
