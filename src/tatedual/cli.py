@@ -183,7 +183,7 @@ def cmd_sympow(args) -> int:
     from . import cp_rep
     params = _params(args.prime)
     base = cp_rep.u_k_module(params, args.k)
-    # the Jordan profile and the Tate bases need a dense action
+    # the Jordan profile needs a dense action
     dim = cp_rep.symmetric_dimension(base.dim, args.degree)
     if dim > cp_rep.DENSE_LIMIT:
         raise ResourceGuard(
@@ -192,14 +192,14 @@ def cmd_sympow(args) -> int:
         )
     module = cp_rep.symmetric_power(base, args.degree)
     profile = cp_rep.jordan_decompose(module)
-    tate = cp_rep.tate_cohomology(module)
+    tate = profile.tate_dim(params.p)
     out = {
         "p": params.p,
         "k": args.k,
         "degree": args.degree,
         "dimension": module.dim,
         "jordan": profile.to_json(),
-        "tate": tate.to_json(),
+        "tate": {"even_dim": tate, "odd_dim": tate},
         "free": profile.all_full(params.p),
     }
     print(json.dumps(out, indent=2))

@@ -1,24 +1,27 @@
 """Brute-force modular representation theory of the cyclic group C_p.
 
 A module is a matrix over the prime field giving the action of a fixed
-generator zeta with zeta^p = 1.  The tools here decompose such modules into
-Jordan blocks, extend the action to symmetric powers on the monomial basis,
-and compute the two Tate cohomology groups ker(z)/im(N) and ker(N)/im(z),
-where z = zeta - 1 and N = 1 + zeta + ... + zeta^(p-1) = z^(p-1).
+generator zeta with zeta^p = 1.  The tools here extend the action to
+symmetric powers on the monomial basis and read everything else off ranks
+of powers of z = zeta - 1: the Jordan profile, freeness, and the common
+dimension of the two Tate cohomology groups ker(z)/im(N) and ker(N)/im(z),
+where N = 1 + zeta + ... + zeta^(p-1) = z^(p-1).
 
 Symmetric powers keep their action as coalesced linalg.Triplets at every
-degree.  Freeness is ranked from the triplets of z = zeta - 1 at every
-dimension; z is made a dense matrix only up to DENSE_LIMIT, in the rank
-kernel's float type for Tate dimensions and as int64 for subquotient
-bases.  The verification suites walk the symmetric powers of a
-height module once, degree by degree, and work from ranks: a module is free
-iff rank(z) = dim - dim/p, and both Tate groups have dimension
+degree.  Freeness is ranked from the triplets of z at every dimension; z is
+made a dense matrix only up to DENSE_LIMIT.  sympow takes its Tate
+dimension from the Jordan profile: each block smaller than p contributes
+one class to each Tate group, and a block of size p none.  The
+verification suites walk the symmetric powers of a height module once,
+degree by degree, and work from ranks: a module is free iff
+rank(z) = dim - dim/p, and both Tate groups have dimension
 dim - rank(z) - rank(N), where N is never formed: rank(N) is the rank of
 its dim - rank(z) rows outside a set of independent columns of z, made by
 skinny products with z.  Multiplication by the invariant bottom variable
 vanishes on Tate cohomology in every window of consecutive degrees that
 contains a degree with vanishing cohomology; only a window without one would
-be tested with explicit subquotient bases and induced-map matrices.
+be tested with explicit subquotient bases and induced-map matrices, the one
+place they are built.
 
 Everything is computed over F_p.  Coefficient extensions to F_{p^n} only
 rescale multiplicities, so dimension counts, freeness and vanishing
@@ -47,11 +50,11 @@ DIM_CAP = 50_000
 class CpModule:
     """A finite-dimensional C_p-representation over F_p.
 
-    gen_action is the matrix of the chosen generator: an int64 array for
-    Jordan blocks and direct sums, coalesced linalg.Triplets for symmetric
-    powers.  Its columns follow the basis order of the constructor: z_n,
-    ..., z_k for u_k_module, and the descending-lex monomials of _monomials
-    for symmetric powers.  The order of the action is not checked here;
+    gen_action is the matrix of the chosen generator: an int64 array for a
+    Jordan block (and for the direct sums the tests build), coalesced
+    linalg.Triplets for symmetric powers.  Its columns follow the basis
+    order of the constructor: z_n, ..., z_k for u_k_module, and the
+    descending-lex monomials of _monomials for symmetric powers.  The order of the action is not checked here;
     jordan_decompose raises on an action whose order is not p.
     """
 
@@ -78,6 +81,11 @@ class JordanProfile:
     def all_full(self, p: int) -> bool:
         return all(b == p for b in self.blocks)
 
+    def tate_dim(self, p: int) -> int:
+        """The common dimension of both Tate groups: a block of size p is
+        free, and every smaller block contributes one class to each."""
+        return sum(1 for b in self.blocks if b < p)
+
     def to_json(self) -> dict:
         return {"blocks": list(self.blocks), "total": self.total}
 
@@ -99,9 +107,6 @@ class TateDims:
     even_modulus: np.ndarray
     odd_modulus: np.ndarray
 
-    def to_json(self) -> dict:
-        return {"even_dim": self.even_dim, "odd_dim": self.odd_dim}
-
 
 def u_k_module(params: HeightParams, k: int) -> CpModule:
     """The height module on z_n, ..., z_k: zeta shifts each z_i by z_{i-1}
@@ -122,23 +127,6 @@ def jordan_block_module(p: int, size: int) -> CpModule:
     return CpModule(p=p, dim=size, gen_action=mat)
 
 
-def direct_sum(modules: list[CpModule]) -> CpModule:
-    if not modules:
-        raise InvalidInput("empty direct sum")
-    p = modules[0].p
-    if any(m.p != p for m in modules):
-        raise InvalidInput("mixed primes in direct sum")
-    if not all(isinstance(m.gen_action, np.ndarray) for m in modules):
-        raise InvalidInput("direct_sum supports array actions only")
-    dim = sum(m.dim for m in modules)
-    mat = np.zeros((dim, dim), dtype=np.int64)
-    off = 0
-    for m in modules:
-        mat[off : off + m.dim, off : off + m.dim] = m.gen_action
-        off += m.dim
-    return CpModule(p=p, dim=dim, gen_action=mat)
-
-
 # ---------------------------------------------------------------------------
 # monomial bookkeeping for symmetric powers
 
@@ -157,6 +145,8 @@ def _monomials(nvars: int, deg: int) -> list[tuple[int, ...]]:
 
 
 def symmetric_dimension(nvars: int, deg: int) -> int:
+    if deg < 0:
+        raise InvalidInput(f"degree must be nonnegative, got {deg}")
     return math.comb(deg + nvars - 1, nvars - 1)
 
 
@@ -235,8 +225,6 @@ def _symmetric_walk(base: CpModule, max_deg: int):
 
     The dimension cap is checked once, for max_deg, before any step.
     """
-    if max_deg < 0:
-        raise InvalidInput("degree must be nonnegative")
     final_dim = symmetric_dimension(base.dim, max_deg)
     if final_dim > DIM_CAP:
         raise ResourceGuard(f"symmetric power dimension {final_dim} exceeds cap {DIM_CAP}")
@@ -281,7 +269,7 @@ def jordan_decompose(m: CpModule) -> JordanProfile:
     """
     p = m.p
     if not m.is_dense():
-        raise ResourceGuard("jordan_decompose needs a dense module; use freeness_check for large ones")
+        raise ResourceGuard("jordan_decompose needs a dense module; use freeness_by_degree for large ones")
     z = _nilpotent_part(m)
     ranks = [m.dim]
     power = z
@@ -324,9 +312,11 @@ class _CohomologyData:
 
 
 def _tate_data(m: CpModule) -> _CohomologyData:
+    """Even and odd Tate cohomology with explicit subquotient bases, for the
+    window test; asserts that the two parities have equal dimension."""
     if not m.is_dense():
         raise ResourceGuard(
-            f"tate_cohomology needs a dense module (dim <= {DENSE_LIMIT}); "
+            f"Tate subquotient bases need a dense module (dim <= {DENSE_LIMIT}); "
             "larger modules support rank-based freeness checks only"
         )
     p = m.p
@@ -350,15 +340,6 @@ def _tate_data(m: CpModule) -> _CohomologyData:
         odd_modulus=im_z,
     )
     return _CohomologyData(tate=tate, z=z, norm=norm)
-
-
-def tate_cohomology(m: CpModule) -> TateDims:
-    """Even and odd Tate cohomology with explicit subquotient bases.
-
-    Also asserts the structural facts used downstream: the norm lands in
-    the invariants, and the two parities have equal dimension.
-    """
-    return _tate_data(m).tate
 
 
 def _tate_dim_by_rank(m: CpModule) -> int:
@@ -407,16 +388,11 @@ def _check_rank_budgets(base: CpModule, k: int, degrees) -> None:
             linalg.check_rank_budget((dim, dim), base.p, f"k={k} degree {deg} has dimension {dim}: ")
 
 
-def freeness_check(params: HeightParams, k: int, deg: int) -> bool:
-    """Is the degree-deg symmetric power of the height module free over
-    F_p[C_p]?  Decided by the rank of zeta - 1 alone, dense or sparse."""
-    return _free_by_rank(symmetric_power(u_k_module(params, k), deg))
-
-
 def freeness_by_degree(params: HeightParams, k: int, degrees) -> dict[int, bool]:
-    """freeness_check at each of the given degrees, from one walk up the
-    symmetric powers of the height module; a rank over budget is refused
-    before the walk."""
+    """Is the symmetric power of the height module free over F_p[C_p], at
+    each of the given degrees?  Decided by the rank of zeta - 1 alone, dense
+    or sparse, from one walk up the symmetric powers; a rank over budget is
+    refused before the walk."""
     wanted = set(degrees)
     if not wanted:
         return {}

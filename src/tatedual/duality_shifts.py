@@ -46,12 +46,6 @@ def periodicity(group: str, params: HeightParams) -> int:
     return t1 - t0
 
 
-def verify_tate_vanishing(group: str, params: HeightParams) -> bool:
-    """Everything must cancel: the last page is empty."""
-    record = eng.run_to_einfty(group, params)
-    return record.einfty().is_empty()
-
-
 def shift_dual_route(group: str, params: HeightParams) -> ShiftReport:
     """Shift via the dual sequence.
 

@@ -94,12 +94,6 @@ def invariant_delta_exponent(params: HeightParams) -> int:
     return k
 
 
-def invariant_delta_residue(params: HeightParams) -> int:
-    """Least nonnegative residue of the invariant exponent modulo n^2."""
-    n = params.n
-    return invariant_delta_exponent(params) % (n * n)
-
-
 def congruence_check(params: HeightParams) -> bool:
     """Exact check of (n/2)(n-2)*p + (p^n - 1)/n == 0 mod n^2."""
     p, n = params.p, params.n

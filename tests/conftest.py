@@ -6,6 +6,8 @@ import pytest
 from tatedual import cp_rep, linalg
 from tatedual.mod_arith import height_params
 
+from oracles import direct_sum
+
 
 @pytest.fixture(scope="session")
 def params3():
@@ -45,7 +47,7 @@ def random_cp_module(rng: np.random.Generator, p: int, max_dim: int = 40) -> cp_
         size = int(rng.integers(1, min(p, target - total) + 1))
         blocks.append(size)
         total += size
-    plain = cp_rep.direct_sum([cp_rep.jordan_block_module(p, b) for b in blocks])
+    plain = direct_sum([cp_rep.jordan_block_module(p, b) for b in blocks])
     basis = random_invertible(rng, plain.dim, p)
     action = linalg.matmul_mod(
         linalg.matmul_mod(basis, plain.gen_action, p), inverse_mod(basis, p), p

@@ -11,6 +11,8 @@ from tatedual import tate_engine as eng
 from tatedual.errors import InvalidInput, ResourceGuard
 from tatedual.mod_arith import height_params
 
+from oracles import hfpss_view
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -142,7 +144,7 @@ class TestOverlay:
     def test_fixed_point_zero_line_survivors(self, params5):
         # on the s >= 0 truncation the zero line keeps the p-th powers
         rec = eng.run_to_einfty("F", params5)
-        view = eng.hfpss_view(rec)
+        view = hfpss_view(rec)
         pa = params5
         survivors = view.zero_line_einfty_exponents(-6, 7)
         degs = [2 * 5 * pa.n * pa.n * j for j in survivors]

@@ -155,6 +155,30 @@ def test_sympow_json(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (("--prime", "5", "--k", "1", "--degree", "6"), "sympow_p5_k1_d6.json"),
+        (("--prime", "7", "--k", "4", "--degree", "9"), "sympow_p7_k4_d9.json"),
+    ],
+)
+def test_sympow_golden(capsys, argv, golden):
+    # Tate dimensions 1 and 2: blocks smaller than p, one and two of them
+    code, out, err = run_cli(capsys, "sympow", *argv)
+    assert code == 0
+    assert err == ""
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [("--prime", "3", "--k", "2", "--degree", "-1"),
+                                  ("--prime", "5", "--k", "4", "--degree", "-3")])
+def test_sympow_negative_degree_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "sympow", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: degree must be nonnegative, got {argv[-1]}\n"
+
+
 def test_sympow_resource_guard(capsys, monkeypatch):
     from tatedual import cp_rep
 

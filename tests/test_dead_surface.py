@@ -1,7 +1,7 @@
 """Every top-level function, class and method in src/tatedual must have a
-caller in src/ other than its own definition and the package's export
-lists.  Code that only tests call is deleted rather than kept; the few
-names kept on purpose are listed in ALLOWED, each with its reason."""
+caller in src/ other than its own definition: src/ holds what the commands
+run.  Code that only tests call is deleted, or, when the tests use it as an
+independent oracle, kept in tests/oracles.py."""
 
 from __future__ import annotations
 
@@ -9,25 +9,6 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "tatedual"
-
-ALLOWED = {
-    # independent cross-checks the tests compare the engine against
-    "turn_page_rank_route": "second page turner, compared with turn_page",
-    "is_boundary": "dual boundary test, cross-checks the dual route's cycles",
-    "zero_line_einfty_exponents": "fixed-point zero line, acceptance criteria 7 and 8",
-    "hfpss_view": "fixed-point view behind zero_line_einfty_exponents",
-    "hoss_view": "orbit view, composed with hfpss_view",
-    # property checks that acceptance criterion 7 runs on every sequence
-    "verify_d_squared": "acceptance criterion 7",
-    "verify_lattice_equivariance": "acceptance criterion 7",
-    "verify_coefficient_law": "acceptance criterion 7",
-    "verify_duality_involution": "acceptance criterion 7",
-    "verify_tate_vanishing": "acceptance criterion 3: dual zero line against E_infinity",
-    "invariant_delta_residue": "acceptance criterion 3 and the brute-force oracle in test_mod_arith",
-    "freeness_check": "per-degree freeness, acceptance criterion 5 and the reference for freeness_by_degree",
-    "direct_sum": "builds the planted-block modules of the Jordan and Tate oracles",
-}
-
 
 def _definitions():
     """(file, name, node) for top-level functions and classes and their methods."""
@@ -60,7 +41,7 @@ def dead_names() -> list[str]:
             continue  # called by Python itself
         inside = range(node.lineno, node.end_lineno + 1)
         used = any(n == name and not (p == path and line in inside) for p, n, line in refs)
-        if not used and name not in ALLOWED:
+        if not used:
             dead.append(f"{path.name}:{node.lineno} {name}")
     return dead
 
@@ -68,8 +49,3 @@ def dead_names() -> list[str]:
 def test_no_test_only_surface():
     assert dead_names() == []
 
-
-def test_allowlist_names_exist():
-    # an entry whose name is gone would let a later dead name through
-    defined = {name for _, name, _ in _definitions()}
-    assert sorted(set(ALLOWED) - defined) == []
