@@ -7,13 +7,17 @@ of powers of z = zeta - 1: the Jordan profile, freeness, and the common
 dimension of the two Tate cohomology groups ker(z)/im(N) and ker(N)/im(z),
 where N = 1 + zeta + ... + zeta^(p-1) = z^(p-1).
 
-Symmetric powers keep their action as coalesced linalg.Triplets at every
-degree.  Freeness is ranked from the triplets of z at every dimension; z is
-made a dense matrix only up to DENSE_LIMIT.  sympow takes its Tate
-dimension from the Jordan profile: each block smaller than p contributes
-one class to each Tate group, and a block of size p none.  The
-verification suites walk the symmetric powers of a height module once,
-degree by degree, and work from ranks: a module is free iff
+Symmetric powers keep their monomials as exponent rows, placed by an
+arithmetic ranking of the descending-lex order, and their action as
+coalesced linalg.Triplets at every degree, so each degree costs a few numpy
+passes over its entries.  z is read off the action's triplets without a
+second sort, and every rank of z is taken from those triplets; z is made a
+dense matrix only up to DENSE_LIMIT, for jordan_decompose and for the
+skinny products of the Tate rank.  sympow takes its Tate dimension from the
+Jordan profile: each block smaller than p contributes one class to each
+Tate group, and a block of size p none.  The verification suites walk the
+symmetric powers of a height module once, degree by degree, up to the last
+degree that needs a rank, and work from ranks: a module is free iff
 rank(z) = dim - dim/p, and both Tate groups have dimension
 dim - rank(z) - rank(N), where N is never formed: rank(N) is the rank of
 its dim - rank(z) rows outside a set of independent columns of z, made by
@@ -30,10 +34,10 @@ statements are unaffected.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -54,8 +58,9 @@ class CpModule:
     Jordan block (and for the direct sums the tests build), coalesced
     linalg.Triplets for symmetric powers.  Its columns follow the basis
     order of the constructor: z_n, ..., z_k for u_k_module, and the
-    descending-lex monomials of _monomials for symmetric powers.  The order of the action is not checked here;
-    jordan_decompose raises on an action whose order is not p.
+    descending-lex monomials of _SymmetricChain.monos for symmetric powers.
+    The order of the action is not checked here; jordan_decompose raises on
+    an action whose order is not p.
     """
 
     p: int
@@ -131,35 +136,37 @@ def jordan_block_module(p: int, size: int) -> CpModule:
 # monomial bookkeeping for symmetric powers
 
 
-def _monomials(nvars: int, deg: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree deg, in descending lex order, so that
-    degree one reproduces the original basis order."""
-    out = []
-    for combo in combinations_with_replacement(range(nvars), deg):
-        expo = [0] * nvars
-        for v in combo:
-            expo[v] += 1
-        out.append(tuple(expo))
-    out.sort(reverse=True)
-    return out
-
-
 def symmetric_dimension(nvars: int, deg: int) -> int:
     if deg < 0:
         raise InvalidInput(f"degree must be nonnegative, got {deg}")
     return math.comb(deg + nvars - 1, nvars - 1)
 
 
+def _lex_positions(expo: np.ndarray, deg: int) -> np.ndarray:
+    """Positions of the exponent rows of total degree deg among all of them
+    in descending lex order: e comes after sum_{i < v-1} C(D_i - e_i + v-i-2,
+    v-i-1) monomials, where D_i = deg - sum_{j < i} e_j and the binomial
+    counts those that agree with e before i and exceed it at i."""
+    v = expo.shape[1]
+    i = np.arange(v - 1)
+    table = np.array([[math.comb(a, b) for b in range(v)] for a in range(deg + v)], dtype=np.int64)
+    top = deg + v - i - 2 - np.cumsum(expo[:, :-1], axis=1)
+    return table[top, v - i - 1].sum(axis=1)
+
+
 class _SymmetricChain:
     """Extends a generator action degree by degree through symmetric powers.
 
-    Keeps only the previous degree's matrix, so iterating to high degree is
-    memory-safe.  Every degree's action, degree 0 included, is coalesced
-    Triplets: one entry per position, values in [1, p).  Columns of the
-    degree-d action are built from degree d-1: if a monomial factors as
-    x_l * m', its image is the image of x_l times the image of m', and
+    Keeps only the previous degree, so iterating to high degree is
+    memory-safe.  monos holds the exponent rows of the current degree's
+    monomials in descending lex order, so that degree one reproduces the
+    original basis order.  Every degree's action, degree 0 included, is
+    coalesced Triplets: one entry per position, values in [1, p).  Columns
+    of the degree-d action are built from degree d-1: if a monomial factors
+    as x_l * m', its image is the image of x_l times the image of m', and
     multiplication by a fixed variable is an index scatter between monomial
-    bases.
+    bases that keeps their order, so each part of a step comes row-major
+    sorted.
     """
 
     def __init__(self, base: CpModule):
@@ -171,7 +178,7 @@ class _SymmetricChain:
         self.p = base.p
         self.nvars = base.dim
         self.deg = 0
-        self.monos: list[tuple[int, ...]] = [(0,) * self.nvars]
+        self.monos = np.zeros((1, self.nvars), dtype=np.int64)
         one = np.zeros(1, dtype=np.int64)
         self.matrix = linalg.Triplets((1, 1), one, one, one + 1)
         # index scatter of multiplication by the last (invariant-slot) variable,
@@ -185,20 +192,16 @@ class _SymmetricChain:
         p, v = self.p, self.nvars
         prev_monos, prev = self.monos, self.matrix
         deg = self.deg + 1
-        monos = _monomials(v, deg)
-        index = {m: c for c, m in enumerate(monos)}
-        dim = len(monos)
+        units = np.eye(v, dtype=np.int64)
 
-        # embeds[t][c]: the column of x_t times monomial c of the previous degree
-        embeds = np.empty((v, len(prev_monos)), dtype=np.int64)
+        # embeds[t][c]: the position of x_t times monomial c of the previous degree
+        embeds = np.stack([_lex_positions(prev_monos + unit, deg) for unit in units])
+        monos = np.empty((symmetric_dimension(v, deg), v), dtype=np.int64)
+        for t in range(v):
+            monos[embeds[t]] = prev_monos + units[t]
         # first[c]: the first variable of positive exponent in monomial c
-        first = np.empty(len(prev_monos), dtype=np.int64)
-        for c, m in enumerate(prev_monos):
-            first[c] = next((t for t, e in enumerate(m) if e > 0), v)
-            for t in range(v):
-                bumped = list(m)
-                bumped[t] += 1
-                embeds[t, c] = index[tuple(bumped)]
+        positive = prev_monos > 0
+        first = np.where(positive.any(axis=1), positive.argmax(axis=1), v)
 
         # factor each new monomial by its first variable with positive
         # exponent, x_l; the cofactor is a monomial c with first[c] >= l
@@ -211,7 +214,10 @@ class _SymmetricChain:
                 val = int(gen[t, l]) % p
                 if val:
                     parts.append((embeds[t][rows], cols, val * vals))
-        self.matrix = linalg.Triplets((dim, dim), *map(np.concatenate, zip(*parts))).coalesced(p)
+        dim = len(monos)
+        stacked = linalg.Triplets((dim, dim), *map(np.concatenate, zip(*parts)))
+        del parts, rows, cols, vals  # freed before the coalescing, the step's peak
+        self.matrix = stacked.coalesced(p)
 
         self.deg = deg
         self.monos = monos
@@ -246,18 +252,28 @@ def symmetric_power(m: CpModule, deg: int) -> CpModule:
 
 
 def _z_triplets(m: CpModule) -> linalg.Triplets:
-    """z = zeta - 1 as Triplets: the action's entries and p - 1 on the diagonal."""
-    g = m.gen_action
-    if isinstance(g, np.ndarray):
+    """z = zeta - 1 as coalesced Triplets.  A coalesced Triplets action with
+    an entry at every diagonal position, as every symmetric power has, gets
+    them lowered by one in place, which keeps the row-major order; any
+    other action gets p - 1 added on the diagonal and is coalesced."""
+    g, p = m.gen_action, m.p
+    if isinstance(g, linalg.Triplets):
+        diag = g.rows == g.cols
+        if np.count_nonzero(diag) == m.dim:
+            vals = g.vals.copy()
+            vals[diag] = (vals[diag] + p - 1) % p
+            keep = vals != 0
+            return linalg.Triplets(g.shape, g.rows[keep], g.cols[keep], vals[keep])
+    else:
         g = linalg.Triplets(g.shape, *np.nonzero(g), g[np.nonzero(g)])
-    added = (np.arange(m.dim), np.arange(m.dim), np.full(m.dim, m.p - 1))
-    return linalg.Triplets(g.shape, *map(np.concatenate, zip((g.rows, g.cols, g.vals), added)))
+    added = (np.arange(m.dim), np.arange(m.dim), np.full(m.dim, p - 1))
+    return linalg.Triplets(g.shape, *map(np.concatenate, zip((g.rows, g.cols, g.vals), added))).coalesced(p)
 
 
 def _nilpotent_part(m: CpModule):
     """z: an int64 array for a dense module, _z_triplets beyond DENSE_LIMIT."""
     z = _z_triplets(m)
-    return z.coalesced(m.p).scatter(np.int64) if m.is_dense() else z
+    return z.scatter(np.int64) if m.is_dense() else z
 
 
 def jordan_decompose(m: CpModule) -> JordanProfile:
@@ -345,8 +361,9 @@ def _tate_data(m: CpModule) -> _CohomologyData:
 def _tate_dim_by_rank(m: CpModule) -> int:
     """The common dimension of both Tate groups of a dense module, from two
     ranks: im(N) lies in ker(z), so ker(z)/im(N) has dimension
-    (dim - rank z) - rank N.  z is made in the float type of the rank
-    kernel, which reads it in place, and N is never formed.
+    (dim - rank z) - rank N.  The independent columns of z come from its
+    triplets; z is scattered once, in the float type of the rank kernel,
+    for the skinny products, and N is never formed.
 
     Let J be rank-z independent columns of z and R the other indices, one
     per Jordan block.  The unit rows e_R complement the row space of z, so
@@ -357,9 +374,9 @@ def _tate_dim_by_rank(m: CpModule) -> int:
     lower triangular z is nilpotent; any other z is checked by z^p = 0 in
     full.  Either way z N = z^p = 0, so im(N) <= ker(z)."""
     p = m.p
-    triplets = _z_triplets(m).coalesced(p)
+    triplets = _z_triplets(m)
     z = triplets.scatter(linalg.check_rank_budget((m.dim, m.dim), p))
-    indep = linalg.independent_columns(z, p)
+    indep = linalg.independent_columns(triplets, p)
     y = np.delete(z, indep, axis=0)
     for _ in range(p - 2):
         y = linalg.matmul_mod(y, z, p)
@@ -377,29 +394,33 @@ def _free_by_rank(m: CpModule) -> bool:
     return linalg.sparse_rank_mod(_z_triplets(m), m.p) == m.dim - m.dim // m.p
 
 
-def _check_rank_budgets(base: CpModule, k: int, degrees) -> None:
+def _check_rank_budgets(base: CpModule, k: int, degrees) -> list[int]:
     """Refuse a walk before its first step if a rank it will take above
     DENSE_LIMIT, at a degree whose dimension p divides, is over the budget
-    of linalg.sparse_rank_mod.  Degrees are given ascending, so the first
-    refusal names the lowest such degree."""
+    of linalg.sparse_rank_mod.  Degrees are given ascending, as any
+    iterable, and read only up to the first refusal, which names the lowest
+    such degree; returns the degrees read, as a list."""
+    read = []
     for deg in degrees:
         dim = symmetric_dimension(base.dim, deg)
         if dim > DENSE_LIMIT and dim % base.p == 0:
             linalg.check_rank_budget((dim, dim), base.p, f"k={k} degree {deg} has dimension {dim}: ")
+        read.append(deg)
+    return read
 
 
 def freeness_by_degree(params: HeightParams, k: int, degrees) -> dict[int, bool]:
     """Is the symmetric power of the height module free over F_p[C_p], at
     each of the given degrees?  Decided by the rank of zeta - 1 alone, dense
-    or sparse, from one walk up the symmetric powers; a rank over budget is
-    refused before the walk."""
-    wanted = set(degrees)
-    if not wanted:
+    or sparse, from one walk up the symmetric powers.  The degrees come
+    ascending and may be a lazy iterable: a rank over budget is refused
+    before the walk and before any later degree is read."""
+    degrees = iter(degrees)
+    first = next(degrees, None)
+    if first is None:
         return {}
-    if min(wanted) < 0:
-        raise InvalidInput("degrees must be nonnegative")
     base = u_k_module(params, k)
-    _check_rank_budgets(base, k, sorted(wanted))
+    wanted = set(_check_rank_budgets(base, k, itertools.chain([first], degrees)))
     walk = _symmetric_walk(base, max(wanted))
     return {deg: _free_by_rank(mod) for deg, mod, _ in walk if deg in wanted}
 
@@ -446,8 +467,9 @@ def _window_vanishes(p: int, window: list) -> bool:
     """The explicit test of one window of consecutive degrees, given as the
     (deg, module, embed) triples of _symmetric_walk: Tate data with
     subquotient bases at each degree, the maps induced by multiplication
-    between them, and their composite, which must be zero."""
-    if not all(mod.is_dense() for _, mod, _ in window):
+    between them, and their composite, which must be zero.  A degree that
+    the walk did not build comes with module None."""
+    if not all(mod is not None and mod.is_dense() for _, mod, _ in window):
         raise ResourceGuard(
             f"window {window[0][0]}..{window[-1][0]} has no vanishing degree and exceeds the dense limit"
         )
@@ -510,14 +532,17 @@ def nilpotence_report(params: HeightParams, k: int, max_deg: int) -> NilpotenceR
     zero on Tate cohomology of symmetric powers, in all start degrees m with
     m + k + 1 <= max_deg.
 
-    One walk up the symmetric powers.  A dense degree's Tate dimension comes
-    from two ranks; above DENSE_LIMIT only freeness is computed, a rank over
-    budget is refused before the walk, and a degree that is not free
-    reports unknown dimensions.  A composite vanishes when
-    its window contains a vanishing degree, which the freeness pattern (d is
-    free when k+1 <= d mod p <= p-1) guarantees for valid inputs.  A window
-    of k+2 non-vanishing degrees goes to the explicit test _window_vanishes,
-    so the current run of non-vanishing degrees is kept, at most k+2 long.
+    One walk up the symmetric powers, to the last degree that needs a rank:
+    a dense one, or one whose dimension p divides.  A dense degree's Tate
+    dimension comes from two ranks; above DENSE_LIMIT only freeness is
+    computed, a rank over budget is refused before the walk, and a degree
+    that is not free reports unknown dimensions.  The degrees after the
+    last ranked one are not built: none of them is free, and their
+    dimensions are binomials.  A composite vanishes when its window
+    contains a vanishing degree, which the freeness pattern (d is free when
+    k+1 <= d mod p <= p-1) guarantees for valid inputs.  A window of k+2
+    non-vanishing degrees goes to the explicit test _window_vanishes, so
+    the current run of non-vanishing degrees is kept, at most k+2 long.
     """
     p, n = params.p, params.n
     if k == 0:
@@ -530,18 +555,28 @@ def nilpotence_report(params: HeightParams, k: int, max_deg: int) -> NilpotenceR
 
     base = u_k_module(params, k)
     _check_rank_budgets(base, k, range(max_deg + 1))
+    last = max_deg
+    while (dim := symmetric_dimension(base.dim, last)) > DENSE_LIMIT and dim % p:
+        last -= 1
+    walk = _symmetric_walk(base, max_deg)
     summaries: list[DegreeSummary] = []
     run: list = []
     holds = True
-    for deg, mod, embed in _symmetric_walk(base, max_deg):
-        if mod.is_dense():
-            dim = _tate_dim_by_rank(mod)
-            summaries.append(DegreeSummary(deg, mod.dim, dim, dim, dim == 0))
+    for deg in range(max_deg + 1):
+        mod = embed = None
+        if deg > last:
+            summary = DegreeSummary(deg, symmetric_dimension(base.dim, deg), None, None, False)
         else:
-            free = _free_by_rank(mod)
-            summaries.append(DegreeSummary(deg, mod.dim, 0 if free else None, 0 if free else None, free))
+            _, mod, embed = next(walk)
+            if mod.is_dense():
+                dim = _tate_dim_by_rank(mod)
+                summary = DegreeSummary(deg, mod.dim, dim, dim, dim == 0)
+            else:
+                free = _free_by_rank(mod)
+                summary = DegreeSummary(deg, mod.dim, 0 if free else None, 0 if free else None, free)
+        summaries.append(summary)
         # a vanishing degree makes every composite through it zero
-        run = [] if summaries[-1].free else (run + [(deg, mod, embed)])[-(k + 2):]
+        run = [] if summary.free else (run + [(deg, mod, embed)])[-(k + 2):]
         if len(run) == k + 2 and not _window_vanishes(p, run):
             holds = False
     return NilpotenceReport(

@@ -21,9 +21,11 @@ A rank is the number of independent_columns.  With a side at least
 _BLOCKED_MIN, for arrays or Triplets (index arrays of the nonzero entries,
 kept by symmetric powers), these are the columns with distinct first nonzero
 rows and the pivot columns of their Schur complement, which alone goes
-through the kernel; the whole matrix is never formed.  check_rank_budget
-refuses a rank whose float array would exceed RANK_BYTES before anything is
-allocated.
+through the kernel; the whole matrix is never formed.  Triplets are read
+directly: their lead rows come from the entries, and they are relabelled
+into pivot order and sorted once, so each block of rows is scattered from a
+contiguous slice.  check_rank_budget refuses a rank whose float array would
+exceed RANK_BYTES before anything is allocated.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import ResourceGuard
 DENSE_LIMIT = 2000
 # the float array of the largest matrix ranked: a float32 square matrix of
 # dimension 11585.  The rank never forms it; at dimension 8568 the rank of z
-# peaks at about 144 MiB of live data, half its float array
+# peaks at about 124 MiB of live data, under half its float array
 RANK_BYTES = 2**29
 
 _F32_EXACT = 2**24
@@ -67,10 +69,21 @@ class Triplets:
 
     def coalesced(self, p: int) -> Triplets:
         """The matrix over F_p with one entry per position, in row-major
-        order, every value in [1, p)."""
-        keys, where = np.unique(self.rows * self.shape[1] + self.cols, return_inverse=True)
-        vals = np.bincount(where, weights=self.vals % p).astype(np.int64) % p
-        return Triplets(self.shape, *np.divmod(keys[vals != 0], self.shape[1]), vals[vals != 0])
+        order, every value in [1, p): self when it is so already.  The sort
+        is stable and merges sorted runs, so entries that come as a few
+        row-major runs cost little; the sums at one position must stay
+        within int64."""
+        keys = self.rows * self.shape[1] + self.cols
+        if (keys[1:] > keys[:-1]).all() and ((0 < self.vals) & (self.vals < p)).all():
+            return self
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        new = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        vals = np.add.reduceat(self.vals[order], starts) % p
+        at = order[starts[vals != 0]]
+        return Triplets(self.shape, self.rows[at], self.cols[at], vals[vals != 0])
 
 
 def as_field_matrix(a, p: int) -> np.ndarray:
@@ -285,16 +298,39 @@ def _solve_unit_upper(m: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _mul(_unit_lower_inverse(m.T, p).T, b, p).astype(np.int64)
 
 
-def _structural_columns(rows_of, lead: np.ndarray, shape: tuple[int, int], p: int, ft) -> np.ndarray:
+def _permuted_blocks(a, row_order: np.ndarray, col_order: np.ndarray, edges: list[int], ft):
+    """Yield rows row_order[lo:hi] of a, for consecutive edges lo and hi,
+    with their columns in col_order, as new arrays of type ft.  An array is
+    gathered block by block; coalesced Triplets are relabelled into this
+    order and sorted by row once, so each block is scattered from a
+    contiguous slice."""
+    if not isinstance(a, Triplets):
+        for lo, hi in zip(edges, edges[1:]):
+            yield a[row_order[lo:hi]].astype(ft, copy=False)[:, col_order]
+        return
+    # the inverse permutations, in int32 to halve the relabelled copy
+    row_at, col_at = np.argsort(row_order).astype(np.int32), np.argsort(col_order).astype(np.int32)
+    rows = row_at[a.rows]
+    order = np.argsort(rows, kind="stable")
+    rows, cols, vals = rows[order], col_at[a.cols[order]], a.vals[order].astype(ft)
+    bounds = np.searchsorted(rows, edges)
+    for lo, hi, i, j in zip(edges, edges[1:], bounds, bounds[1:]):
+        blk = np.zeros((hi - lo, a.shape[1]), dtype=ft)
+        blk[rows[i:j] - lo, cols[i:j]] = vals[i:j]
+        yield blk
+
+
+def _structural_columns(a, lead: np.ndarray, p: int, ft) -> np.ndarray:
     """Rank-many independent columns of M over F_p from structural pivots,
-    as in Faugere-Lachartre (PASCO 2010) and SpaSM (PASCO 2017).  Column c
-    of M has its first nonzero entry in row lead[c] (rows if none);
-    rows_of(idx) returns rows idx of M in type ft.  One column per distinct
-    lead row gives s pivots on which M is a lower triangular P with nonzero
-    diagonal, so M, permuted to [[P, B], [C, D]], has rank s + rank(D - C X)
-    with X = P^-1 B, solved by blocks of _ROW_BLOCK rows of P scaled to a
-    unit diagonal; the s columns and the pivots of D - C X are returned."""
-    rows, cols = shape
+    as in Faugere-Lachartre (PASCO 2010) and SpaSM (PASCO 2017).  M is an
+    array with entries in [0, p) or coalesced Triplets, and its column c
+    has its first nonzero entry in row lead[c] (rows if none).  One column
+    per distinct lead row gives s pivots on which M is a lower triangular P
+    with nonzero diagonal, so M, permuted to [[P, B], [C, D]], has rank
+    s + rank(D - C X) with X = P^-1 B, solved by blocks of _ROW_BLOCK rows
+    of P scaled to a unit diagonal; the s columns and the pivots of D - C X
+    are returned."""
+    rows, cols = a.shape
     piv_rows, piv_cols = np.unique(lead, return_index=True)
     s = int(np.searchsorted(piv_rows, rows))  # the lead row of zero columns sorts last
     row_order = np.concatenate([piv_rows[:s], np.delete(np.arange(rows), piv_rows[:s])])
@@ -302,8 +338,8 @@ def _structural_columns(rows_of, lead: np.ndarray, shape: tuple[int, int], p: in
     x = np.empty((s, cols - s), dtype=ft)
     schur = np.empty((rows - s, cols - s), dtype=ft)
     edges = [*range(0, s, _ROW_BLOCK), *range(s, rows, _ROW_BLOCK), rows]
-    for lo, hi in zip(edges, edges[1:]):
-        blk = rows_of(row_order[lo:hi])[:, col_order]
+    blocks = _permuted_blocks(a, row_order, col_order, edges, ft)
+    for lo, hi, blk in zip(edges, edges[1:], blocks):
         if hi <= s:
             diag = blk[np.arange(hi - lo), np.arange(lo, hi)].tolist()
             blk *= np.array([pow(int(v), -1, p) for v in diag], dtype=ft)[:, None]
@@ -320,9 +356,18 @@ def _structural_columns(rows_of, lead: np.ndarray, shape: tuple[int, int], p: in
 
 
 def independent_columns(a, p: int) -> np.ndarray:
-    """Indices of rank-many independent columns of a over F_p: the pivots of
-    _forward_naive when both sides are below _BLOCKED_MIN, else structural.
-    A float a must hold integers in [0, p) and is read in place."""
+    """Indices of rank-many independent columns over F_p of an array or of
+    Triplets: the pivots of _forward_naive when both sides are below
+    _BLOCKED_MIN, else structural.  A float array must hold integers in
+    [0, p) and is read in place; Triplets are coalesced first."""
+    if isinstance(a, Triplets):
+        a = a.coalesced(p)
+        if max(a.shape) >= _BLOCKED_MIN and min(a.shape):
+            (rows, cols), ft = a.shape, _float_type(min(a.shape), p)
+            lead = np.full(cols, rows)
+            np.minimum.at(lead, a.cols, a.rows)
+            return _structural_columns(a, lead, p, ft)
+        a = a.scatter(np.int64)
     a = np.asarray(a)
     small = max(a.shape) < _BLOCKED_MIN or not a.size
     if a.dtype.kind != "f" or small:
@@ -331,7 +376,7 @@ def independent_columns(a, p: int) -> np.ndarray:
         return np.array(_forward_naive(a, p)[1], dtype=np.int64)
     ft, nonzero = _float_type(min(a.shape), p), a != 0
     lead = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), a.shape[0])
-    return _structural_columns(lambda idx: a[idx].astype(ft, copy=False), lead, a.shape, p, ft)
+    return _structural_columns(a, lead, p, ft)
 
 
 def rank_mod(a, p: int) -> int:
@@ -397,22 +442,9 @@ def check_rank_budget(shape: tuple[int, int], p: int, context: str = ""):
 
 
 def sparse_rank_mod(a: Triplets, p: int) -> int:
-    """rank_mod of a matrix given as triplets, without forming it when a
-    side reaches _BLOCKED_MIN; refused before anything is allocated over
-    RANK_BYTES."""
-    ft = check_rank_budget(a.shape, p)
-    a = a.coalesced(p)
-    if max(a.shape) < _BLOCKED_MIN:
-        return rank_mod(a.scatter(np.int64), p)
-    (rows, cols), r, c, vals = a.shape, a.rows, a.cols, a.vals
-    lead = np.full(cols, rows)
-    np.minimum.at(lead, c, r)
-    bounds = np.searchsorted(r, np.arange(rows + 1))
-
-    def rows_of(idx):
-        out = np.zeros((idx.size, cols), dtype=ft)
-        at = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in idx])
-        out[np.repeat(np.arange(idx.size), bounds[idx + 1] - bounds[idx]), c[at]] = vals[at]
-        return out
-
-    return len(_structural_columns(rows_of, lead, a.shape, p, ft))
+    """rank_mod of a matrix given as triplets, any of them repeated or zero;
+    refused by check_rank_budget before anything is allocated.  From a side
+    of _BLOCKED_MIN on, the structural rank reads the triplets and never
+    forms the matrix."""
+    check_rank_budget(a.shape, p)
+    return rank_mod(a, p)

@@ -11,10 +11,14 @@ src/tatedual holds, and these oracles recompute the same facts another way.
 - the verify_* checks test properties that hold on every recorded sequence;
 - freeness_check decides freeness at one degree from a fresh symmetric
   power, against the one walk of cp_rep.freeness_by_degree;
-- direct_sum builds the planted-block modules of the Jordan and Tate tests.
+- direct_sum builds the planted-block modules of the Jordan and Tate tests;
+- monomials enumerates exponent tuples of one degree in descending lex
+  order, against the arithmetic ranking of cp_rep._SymmetricChain.
 """
 
 from __future__ import annotations
+
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -270,3 +274,16 @@ def freeness_check(params: HeightParams, k: int, deg: int) -> bool:
     """Is the degree-deg symmetric power of the height module free over
     F_p[C_p]?  Decided by the rank of zeta - 1 alone, dense or sparse."""
     return cp_rep._free_by_rank(cp_rep.symmetric_power(cp_rep.u_k_module(params, k), deg))
+
+
+def monomials(nvars: int, deg: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of total degree deg, in descending lex order, so that
+    degree one reproduces the original basis order."""
+    out = []
+    for combo in combinations_with_replacement(range(nvars), deg):
+        expo = [0] * nvars
+        for v in combo:
+            expo[v] += 1
+        out.append(tuple(expo))
+    out.sort(reverse=True)
+    return out

@@ -105,6 +105,9 @@ def test_verify_nilpotence_small(capsys):
     [
         (("--prime", "3"), "nilpotence_p3.json"),
         (("--prime", "5", "--k", "2"), "nilpotence_p5_k2.json"),
+        # degree 13 (dimension 2380) is ranked above DENSE_LIMIT and free;
+        # degree 14 (dimension 3060) is reported from its dimension alone
+        (("--prime", "7", "--k", "2"), "nilpotence_p7_k2.json"),
         # ranks above DENSE_LIMIT at every k = 1 degree from 9 to 13
         pytest.param(("--prime", "7"), "nilpotence_p7.json", marks=pytest.mark.slow),
     ],
@@ -138,6 +141,26 @@ def test_max_degree_one_is_honoured(capsys):
         "PASS freeness p=3 k=0 degrees_checked=1 max_degree=1\n"
         "PASS freeness p=3 k=1 degrees_checked=0 max_degree=1\n"
     )
+
+
+@pytest.mark.parametrize(
+    "k,code,out,err",
+    [
+        (3, 2, "", "error: k=3 degree 11589 has dimension 11590: a rank of a 11590 x 11590 matrix "
+                   "mod 5 needs 537312400 bytes, over the 536870912 byte budget\n"),
+        (4, 0, "PASS freeness p=5 k=4 degrees_checked=0 max_degree=1000000000000\n", ""),
+    ],
+    ids=["k3-refused", "k4-no-degrees"],
+)
+def test_freeness_huge_max_degree_answers_at_once(k, code, out, err):
+    # the wanted degrees are read lazily: k = 3 is refused at its first rank
+    # over budget, and k = 4 wants no degree at all.  A fresh interpreter,
+    # so that a run that lists every degree is killed at the time limit
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = ["verify", "freeness", "--prime", "5", "--k", str(k), "--max-degree", str(10**12)]
+    proc = subprocess.run([sys.executable, "-m", "tatedual.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def test_sympow_json(capsys):

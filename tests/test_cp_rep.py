@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from tatedual.errors import InvalidInput, ResourceGuard
 from tatedual.mod_arith import height_params
 
 from conftest import random_cp_module
-from oracles import direct_sum, freeness_check
+from oracles import direct_sum, freeness_check, monomials
 
 
 def _action(m):
@@ -110,7 +111,7 @@ class TestSymmetricPower:
         base = cp_rep.u_k_module(params5, 1)
         sq = cp_rep.symmetric_power(base, 2)
         g = base.gen_action
-        monos = cp_rep._monomials(base.dim, 2)
+        monos = monomials(base.dim, 2)
         index = {mm: c for c, mm in enumerate(monos)}
         for a in range(base.dim):
             for b in range(a, base.dim):
@@ -140,6 +141,19 @@ class TestSymmetricPower:
         monkeypatch.setattr(cp_rep, "DIM_CAP", 10)
         with pytest.raises(ResourceGuard):
             cp_rep.symmetric_power(cp_rep.u_k_module(params5, 0), 3)
+
+    @pytest.mark.parametrize("nvars", range(1, 7))
+    def test_monomial_ranking_matches_enumeration(self, nvars):
+        # the chain's exponent rows and the arithmetic ranking against the
+        # descending-lex enumeration, at every degree up to 12
+        chain = cp_rep._SymmetricChain(cp_rep.jordan_block_module(7, nvars))
+        for deg in range(13):
+            if deg:
+                chain.step()
+            expected = monomials(nvars, deg)
+            assert [tuple(e) for e in chain.monos.tolist()] == expected, deg
+            positions = cp_rep._lex_positions(np.array(expected, dtype=np.int64).reshape(-1, nvars), deg)
+            assert positions.tolist() == list(range(len(expected))), deg
 
     @pytest.mark.parametrize("p,k,max_deg", [(5, 1, 20), (7, 2, 14)])
     def test_walk_keeps_coalesced_triplets(self, p, k, max_deg):
@@ -374,7 +388,7 @@ class TestOrbitProduct:
     @staticmethod
     def _fixed(base, p, poly):
         sym = cp_rep.symmetric_power(base, p)
-        index = {m: c for c, m in enumerate(cp_rep._monomials(base.dim, p))}
+        index = {m: c for c, m in enumerate(monomials(base.dim, p))}
         vec = np.zeros(sym.dim, dtype=np.int64)
         for expo, c in poly.items():
             vec[index[expo]] = c
@@ -471,6 +485,47 @@ class TestNilpotence:
         report = cp_rep.nilpotence_report(params5, 2, 15)
         assert all(d.dim <= cp_rep.DENSE_LIMIT for d in report.degrees)
         assert built == [d.dim for d in report.degrees]
+
+    def test_walk_stops_at_last_ranked_degree(self, monkeypatch):
+        # p = 7, k = 2: degree 13 (dimension 2380 = 7 * 340) is the last one
+        # that needs a rank; degree 14 (dimension 3060, not a multiple of 7
+        # and above DENSE_LIMIT) is reported from its dimension, unbuilt
+        stepped = []
+        step = cp_rep._SymmetricChain.step
+
+        def counted(chain):
+            stepped.append(chain.deg + 1)
+            step(chain)
+
+        monkeypatch.setattr(cp_rep._SymmetricChain, "step", counted)
+        report = cp_rep.nilpotence_report(height_params(7), 2, 14)
+        assert stepped == list(range(1, 14))
+        assert report.degrees[-1] == cp_rep.DegreeSummary(14, 3060, None, None, False)
+        assert report.holds
+
+    def test_report_fits_in_memory(self):
+        # p = 7, k = 2 peaked at 40.5 MiB while it built degree 14 (dimension
+        # 3060), which no rank reads; without that step it peaks near 31 MiB
+        tracemalloc.start()
+        try:
+            assert cp_rep.nilpotence_report(height_params(7), 2, 14).holds
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 * 2**20
+
+    @pytest.mark.parametrize("p,k,max_deg,limit,window", [(3, 1, 4, 4, "2..4"), (5, 2, 15, 10, "1..4")])
+    def test_window_past_dense_limit_refused(self, p, k, max_deg, limit, window, monkeypatch):
+        # every degree forced non-free: the first window that reaches past
+        # the dense limit is refused.  At p = 3 its last degree (dimension 5,
+        # not a multiple of 3) comes after the last ranked one and is never
+        # built; at p = 5 it (dimension 15) is built and ranked
+        monkeypatch.setattr(cp_rep, "DENSE_LIMIT", limit)
+        monkeypatch.setattr(cp_rep, "_tate_dim_by_rank", lambda m: 1)
+        monkeypatch.setattr(cp_rep, "_free_by_rank", lambda m: False)
+        with pytest.raises(ResourceGuard) as refused:
+            cp_rep.nilpotence_report(height_params(p), k, max_deg)
+        assert str(refused.value) == f"window {window} has no vanishing degree and exceeds the dense limit"
 
     def test_report_json_shape(self, params3):
         report = cp_rep.nilpotence_report(params3, 1, 6)

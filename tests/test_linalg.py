@@ -147,6 +147,8 @@ def test_matmul_mod_refuses_inexact_float64():
 def test_degenerate_shapes(shape):
     a = np.zeros(shape, dtype=np.int64)
     assert linalg.rank_mod(a, 5) == 0
+    none = np.zeros(0, dtype=np.int64)
+    assert linalg.sparse_rank_mod(linalg.Triplets(shape, none, none, none), 5) == 0
     k, _ = linalg.kernel_and_image(a, 5)
     assert k.shape == (shape[1], shape[1])
 
@@ -245,6 +247,29 @@ def test_sparse_rank_matches_dense(p):
         np.add.at(dense, (rows, cols), vals)
         triplets = linalg.Triplets((m, n), rows, cols, vals)
         assert linalg.sparse_rank_mod(triplets, p) == linalg.rank_mod(dense, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_coalesced_sums_repeated_positions(p):
+    # against a dict of sums over F_p: repeated positions in any order and
+    # in row-major order, values up to 3p or all in [1, p), sums that vanish
+    # mod p, and no entries at all; coalescing again changes nothing
+    rng = np.random.default_rng(200 + p)
+    for nnz in [0, 1, 5, 40, 400, 4000]:
+        m, n = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        rows = rng.integers(0, m, size=nnz)
+        cols = rng.integers(0, n, size=nnz)
+        row_major = np.lexsort((cols, rows))
+        for vals in (rng.integers(0, 3 * p + 1, size=nnz), rng.integers(1, p, size=nnz)):
+            sums: dict = {}
+            for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+                sums[r, c] = (sums.get((r, c), 0) + v) % p
+            want = sorted((r, c, v) for (r, c), v in sums.items() if v)
+            for order in (np.arange(nnz), row_major):
+                t = linalg.Triplets((m, n), rows[order], cols[order], vals[order]).coalesced(p)
+                assert t.shape == (m, n)
+                for u in (t, t.coalesced(p)):
+                    assert list(zip(u.rows.tolist(), u.cols.tolist(), u.vals.tolist())) == want
 
 
 def test_sparse_rank_budget_refuses_before_allocating(monkeypatch):
