@@ -11,21 +11,21 @@ Symmetric powers keep their monomials as exponent rows, placed by an
 arithmetic ranking of the descending-lex order, and their action as
 coalesced linalg.Triplets at every degree, so each degree costs a few numpy
 passes over its entries.  z is read off the action's triplets without a
-second sort, and every rank of z is taken from those triplets; z is made a
-dense matrix only up to DENSE_LIMIT, for jordan_decompose and for the
-skinny products of the Tate rank.  sympow takes its Tate dimension from the
-Jordan profile: each block smaller than p contributes one class to each
-Tate group, and a block of size p none.  The verification suites walk the
-symmetric powers of a height module once, degree by degree, up to the last
-degree that needs a rank, and work from ranks: a module is free iff
-rank(z) = dim - dim/p, and both Tate groups have dimension
-dim - rank(z) - rank(N), where N is never formed: rank(N) is the rank of
-its dim - rank(z) rows outside a set of independent columns of z, made by
-skinny products with z.  Multiplication by the invariant bottom variable
-vanishes on Tate cohomology in every window of consecutive degrees that
-contains a degree with vanishing cohomology; only a window without one would
-be tested with explicit subquotient bases and induced-map matrices, the one
-place they are built.
+second sort, and every rank of z is taken from those triplets.  Up to
+DENSE_LIMIT, z is also made a dense matrix once, for the skinny rows
+z^i[R, :], i < p, where R is the dim - rank(z) indices outside a set of
+independent columns of z; the ranks of every power of z, and so the Jordan
+profile and rank(N), come from stacks of these rows, and no power of z is
+formed.  sympow takes its Tate dimension from the Jordan profile: each
+block smaller than p contributes one class to each Tate group, and a block
+of size p none.  The verification suites walk the symmetric powers of a
+height module once, degree by degree, up to the last degree that needs a
+rank, and work from ranks: a module is free iff rank(z) = dim - dim/p, and
+both Tate groups have dimension dim - rank(z) - rank(N).  Multiplication
+by the invariant bottom variable vanishes on Tate cohomology in every
+window of consecutive degrees that contains a degree with vanishing
+cohomology; only a window without one would be tested with explicit
+subquotient bases and induced-map matrices, the one place they are built.
 
 Everything is computed over F_p.  Coefficient extensions to F_{p^n} only
 rescale multiplicities, so dimension counts, freeness and vanishing
@@ -59,8 +59,8 @@ class CpModule:
     linalg.Triplets for symmetric powers.  Its columns follow the basis
     order of the constructor: z_n, ..., z_k for u_k_module, and the
     descending-lex monomials of _SymmetricChain.monos for symmetric powers.
-    The order of the action is not checked here; jordan_decompose raises on
-    an action whose order is not p.
+    The order of the action is not checked here; the z^p = 0 certificate
+    of _skinny_powers, behind every rank of a power of z, raises on it.
     """
 
     p: int
@@ -270,39 +270,55 @@ def _z_triplets(m: CpModule) -> linalg.Triplets:
     return linalg.Triplets(g.shape, *map(np.concatenate, zip((g.rows, g.cols, g.vals), added))).coalesced(p)
 
 
-def _nilpotent_part(m: CpModule):
-    """z: an int64 array for a dense module, _z_triplets beyond DENSE_LIMIT."""
-    z = _z_triplets(m)
-    return z.scatter(np.int64) if m.is_dense() else z
+def _skinny_powers(m: CpModule):
+    """The independent columns J of z = zeta - 1, from its triplets, and an
+    iterator over the rows Y_i = z^i[R, :], i = 1, ..., p - 1, R the other
+    indices, one per Jordan block.  z is scattered once, in the float type
+    of the rank kernel; each Y_i is one skinny product.  The iterator raises
+    InvalidInput after Y_(p-1) unless z^p = 0.
+
+    z[:, J] has full rank, so the unit rows e_R complement row(z): every
+    row vector is a + b z with a in span(e_R), and row(z^j) = row(Y_j) +
+    row(z^(j+1)).  So Y_(p-1) z = 0 gives row(z^p) = row(z^(p+1)) = ...,
+    which is 0 for a strictly lower triangular z; any other z is checked
+    by z^p = 0 in full."""
+    p = m.p
+    triplets = _z_triplets(m)
+    z = triplets.scatter(linalg.check_rank_budget((m.dim, m.dim), p))
+    indep = linalg.independent_columns(triplets, p)
+
+    def rows():
+        y = np.delete(z, indep, axis=0)
+        for _ in range(p - 2):
+            yield y
+            y = linalg.matmul_mod(y, z, p)
+        yield y
+        if linalg.matmul_mod(y, z, p).any() or (
+            not (triplets.rows > triplets.cols).all() and linalg.matrix_power_mod(z, p, p).any()
+        ):
+            raise InvalidInput("action of wrong order: (zeta - 1)^p is nonzero")
+
+    return indep, rows()
 
 
 def jordan_decompose(m: CpModule) -> JordanProfile:
     """Block sizes from the rank sequence of powers of zeta - 1.
 
     The number of blocks of size at least j is rank((zeta-1)^(j-1)) minus
-    rank((zeta-1)^j).  Raises if the action does not have order p, which is
-    detected by (zeta-1)^p being nonzero.
+    rank((zeta-1)^j).  rank z is the count of its independent columns, and
+    rank z^j, 2 <= j < p, that of the skinny rows Y_j, ..., Y_(p-1) of
+    _skinny_powers stacked, so no power is formed.  Raises InvalidInput if
+    the action does not have order p, that is if (zeta-1)^p is nonzero.
     """
     p = m.p
     if not m.is_dense():
         raise ResourceGuard("jordan_decompose needs a dense module; use freeness_by_degree for large ones")
-    z = _nilpotent_part(m)
-    ranks = [m.dim]
-    power = z
-    for _ in range(1, p + 1):
-        r = linalg.rank_mod(power, p)
-        ranks.append(r)
-        if r == 0:
-            break
-        power = linalg.matmul_mod(power, z, p)
-    if ranks[-1] != 0:
-        raise InvalidInput("action of wrong order: (zeta - 1)^p is nonzero")
-    ranks += [0] * (p + 2 - len(ranks))
+    indep, rows = _skinny_powers(m)
+    ys = list(rows)
+    ranks = [m.dim, len(indep), *(linalg.rank_mod(np.vstack(ys[j - 1 :]), p) for j in range(2, p)), 0, 0]
     # blocks of size exactly s: (at least s) - (at least s + 1)
     counts = {s: ranks[s - 1] - 2 * ranks[s] + ranks[s + 1] for s in range(p, 0, -1)}
-    profile = JordanProfile(blocks=tuple(s for s, c in counts.items() for _ in range(c)))
-    assert profile.total == m.dim
-    return profile
+    return JordanProfile(blocks=tuple(s for s, c in counts.items() for _ in range(c)))
 
 
 def _norm_matrix(m: CpModule) -> tuple[np.ndarray, np.ndarray]:
@@ -312,7 +328,7 @@ def _norm_matrix(m: CpModule) -> tuple[np.ndarray, np.ndarray]:
 
     z and N are polynomials in the generator, so they commute, and one
     vanishing product certifies im(N) <= ker(z) and im(z) <= ker(N)."""
-    z = _nilpotent_part(m)
+    z = _z_triplets(m).scatter(np.int64)
     norm = linalg.matrix_power_mod(z, m.p - 1, m.p)
     assert not linalg.matmul_mod(z, norm, m.p).any()
     return z, norm
@@ -361,29 +377,12 @@ def _tate_data(m: CpModule) -> _CohomologyData:
 def _tate_dim_by_rank(m: CpModule) -> int:
     """The common dimension of both Tate groups of a dense module, from two
     ranks: im(N) lies in ker(z), so ker(z)/im(N) has dimension
-    (dim - rank z) - rank N.  The independent columns of z come from its
-    triplets; z is scattered once, in the float type of the rank kernel,
-    for the skinny products, and N is never formed.
-
-    Let J be rank-z independent columns of z and R the other indices, one
-    per Jordan block.  The unit rows e_R complement the row space of z, so
-    every row vector is a + b z with a in span(e_R).  Then e z^p = b z^(p+1)
-    once z^p[R, :] = 0, so row(z^p) = row(z^(p+1)) = ... = 0 for nilpotent
-    z; and e N = a N, so rank N = rank N[R, :].  N[R, :] = z[R] z^(p-2) is
-    p - 2 skinny products; one more certifies z^p[R, :] = 0, and a strictly
-    lower triangular z is nilpotent; any other z is checked by z^p = 0 in
-    full.  Either way z N = z^p = 0, so im(N) <= ker(z)."""
-    p = m.p
-    triplets = _z_triplets(m)
-    z = triplets.scatter(linalg.check_rank_budget((m.dim, m.dim), p))
-    indep = linalg.independent_columns(triplets, p)
-    y = np.delete(z, indep, axis=0)
-    for _ in range(p - 2):
-        y = linalg.matmul_mod(y, z, p)
-    assert not linalg.matmul_mod(y, z, p).any()
-    if not (triplets.rows > triplets.cols).all():
-        assert not linalg.matrix_power_mod(z, p, p).any()
-    return m.dim - len(indep) - linalg.rank_mod(y, p)
+    (dim - rank z) - rank N.  rank z is the count of independent columns
+    of z, and rank N that of the skinny rows Y_(p-1) = N[R, :] of
+    _skinny_powers, since row(N) = row(Y_(p-1)) + row(z^p) and z^p = 0;
+    only the current Y_i is kept, and N is never formed."""
+    indep, rows = _skinny_powers(m)
+    return m.dim - len(indep) - linalg.rank_mod(deque(rows, maxlen=1).pop(), m.p)
 
 
 def _free_by_rank(m: CpModule) -> bool:

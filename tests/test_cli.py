@@ -183,10 +183,13 @@ def test_sympow_json(capsys):
     [
         (("--prime", "5", "--k", "1", "--degree", "6"), "sympow_p5_k1_d6.json"),
         (("--prime", "7", "--k", "4", "--degree", "9"), "sympow_p7_k4_d9.json"),
+        (("--prime", "5", "--k", "1", "--degree", "20"), "sympow_p5_k1_d20.json"),
     ],
 )
 def test_sympow_golden(capsys, argv, golden):
-    # Tate dimensions 1 and 2: blocks smaller than p, one and two of them
+    # Tate dimensions 1, 2 and 1: blocks smaller than p, one, two and one of
+    # them; degree 20 (dimension 1771) is the largest power sympow decomposes
+    # at its default suites
     code, out, err = run_cli(capsys, "sympow", *argv)
     assert code == 0
     assert err == ""

@@ -69,6 +69,23 @@ class TestJordan:
         with pytest.raises(InvalidInput):
             cp_rep.jordan_decompose(bad)
 
+    @pytest.mark.parametrize("p,k,deg", [(5, 1, 10), (7, 2, 6)])
+    def test_no_dense_power_formed(self, p, k, deg, monkeypatch):
+        # every product is a skinny Y_i times z, one row per Jordan block:
+        # p - 2 of them for the rows and one for the z^p = 0 certificate
+        m = cp_rep.symmetric_power(cp_rep.u_k_module(height_params(p), k), deg)
+        assert m.dim >= 192
+        left_rows = []
+        matmul = linalg.matmul_mod
+
+        def recorded(a, b, p_):
+            left_rows.append(a.shape[0])
+            return matmul(a, b, p_)
+
+        monkeypatch.setattr(linalg, "matmul_mod", recorded)
+        blocks = cp_rep.jordan_decompose(m).blocks
+        assert left_rows == [len(blocks)] * (p - 1) and len(blocks) < m.dim
+
     def test_random_modules_recover_planted_blocks(self):
         rng = np.random.default_rng(2024)
         for _ in range(25):
@@ -157,7 +174,8 @@ class TestSymmetricPower:
 
     @pytest.mark.parametrize("p,k,max_deg", [(5, 1, 20), (7, 2, 14)])
     def test_walk_keeps_coalesced_triplets(self, p, k, max_deg):
-        # one representation at every degree; z is dense exactly up to DENSE_LIMIT
+        # one representation at every degree, coalesced for the action and for z;
+        # a module is dense exactly up to DENSE_LIMIT
         walk = cp_rep._symmetric_walk(cp_rep.u_k_module(height_params(p), k), max_deg)
         for deg, m, _ in walk:
             t = m.gen_action
@@ -166,10 +184,10 @@ class TestSymmetricPower:
             keys = t.rows * m.dim + t.cols
             assert np.unique(keys).size == keys.size
             assert ((0 < t.vals) & (t.vals < p)).all()
-            z = cp_rep._nilpotent_part(m)
-            dense = m.dim <= cp_rep.DENSE_LIMIT
-            assert m.is_dense() is dense
-            assert (isinstance(z, np.ndarray) and z.dtype == np.int64) is dense, deg
+            z = cp_rep._z_triplets(m)
+            keys = z.rows * m.dim + z.cols
+            assert (keys[1:] > keys[:-1]).all() and ((0 < z.vals) & (z.vals < p)).all(), deg
+            assert m.is_dense() is (m.dim <= cp_rep.DENSE_LIMIT)
 
     def test_sparse_path_matches_dense(self, params5, monkeypatch):
         dense = cp_rep.symmetric_power(cp_rep.u_k_module(params5, 1), 5)
@@ -249,7 +267,7 @@ class TestTate:
     def test_norm_matches_horner_on_symmetric_powers(self, p, k, deg):
         module = cp_rep.symmetric_power(cp_rep.u_k_module(height_params(p), k), deg)
         z, norm = cp_rep._norm_matrix(module)
-        assert np.array_equal(z, cp_rep._nilpotent_part(module))
+        assert np.array_equal(z, cp_rep._z_triplets(module).scatter(np.int64))
         assert np.array_equal(norm, self._horner_norm(module))
         assert not linalg.matmul_mod(z, norm, p).any()
 
@@ -303,7 +321,7 @@ class TestTateRankFormula:
             perm = np.random.default_rng(7 + dim * p).permutation(dim)
             action = action[np.ix_(perm, perm)]
             assert np.triu(action, 1).any()
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvalidInput):
             cp_rep._tate_dim_by_rank(cp_rep.CpModule(p=p, dim=dim, gen_action=action))
 
 

@@ -80,7 +80,7 @@ def test_forward_blocked_is_naive_on_s20_u1(s20_u1_p5, which):
     """zeta - 1 and the norm on S^20(U_1) at p = 5 (dim 1771), the largest
     dense eliminations of the nilpotence suite."""
     m = s20_u1_p5
-    a = cp_rep._nilpotent_part(m) if which == "z" else cp_rep._norm_matrix(m)[1]
+    a = cp_rep._z_triplets(m).scatter(np.int64) if which == "z" else cp_rep._norm_matrix(m)[1]
     e1, p1 = linalg._forward_naive(a.copy(), 5)
     e2, p2 = linalg._forward_blocked(a.copy(), 5)
     assert len(p1) == {"z": 1416, "N": 354}[which]
@@ -277,7 +277,7 @@ def test_sparse_rank_budget_refuses_before_allocating(monkeypatch):
     # 4 * 2380^2 bytes, one more than the patched budget
     mod = cp_rep.symmetric_power(cp_rep.u_k_module(height_params(5), 0), 13)
     assert mod.dim == 2380 and not mod.is_dense()
-    z = cp_rep._nilpotent_part(mod)
+    z = cp_rep._z_triplets(mod)
     monkeypatch.setattr(linalg, "RANK_BYTES", 4 * 2380**2 - 1)
     tracemalloc.start()
     try:
@@ -358,7 +358,7 @@ def test_rank_of_z_fits_in_memory():
     # z on S^11(U_1) at p = 7 (dimension 4368): the whole float work array
     # alone would be 73 MiB, and eliminating it peaked at 164 MiB
     mod = cp_rep.symmetric_power(cp_rep.u_k_module(height_params(7), 1), 11)
-    z = cp_rep._nilpotent_part(mod)
+    z = cp_rep._z_triplets(mod)
     tracemalloc.start()
     try:
         rank = linalg.sparse_rank_mod(z, 7)

@@ -2,16 +2,19 @@
 
 For a Jordan block V_m with m <= p, S^(d+p)(V_m) is S^d(V_m) plus a free
 module (Almkvist and Fossum 1978; restated by Hughes and Kemper, Comm.
-Algebra 28, 2000).  A free summand of rank f adds (p-1)f to rank(z) and f
-to rank(N), so the ranks in degree d follow from those in degree d - p:
+Algebra 28, 2000).  A free summand of rank f is f Jordan blocks of size p
+and adds (p-j)f to rank(z^j): (p-1)f to rank(z) and f to rank(N).  So the
+ranks in degree d follow from those in degree d - p:
 
     rank z_d = rank z_(d-p) + (p-1)(dim_d - dim_(d-p))/p,
     rank N_d = rank N_(d-p) + (dim_d - dim_(d-p))/p,
 
-and freeness and the Tate dimension dim - rank z - rank N depend on d mod p
-only.  The ranks below degree p are computed here from scratch: the action
-by substituting into monomials with Python integers, ranks by a plain
-Gaussian elimination.  Nothing is shared with cp_rep or linalg, and the
+freeness and the Tate dimension dim - rank z - rank N depend on d mod p
+only, and the Jordan profile in degree d is the one in degree d mod p plus
+(dim_d - dim_(d mod p))/p blocks of size p.  The ranks of the powers of z
+below degree p are computed here from scratch: the action by substituting
+into monomials with Python integers, ranks by a plain Gaussian
+elimination.  Nothing is shared with cp_rep or linalg, and the
 predictions at every higher degree are compared with what the package
 reports.
 """
@@ -72,31 +75,50 @@ def _rank(a: np.ndarray, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _base_ranks(p: int, k: int) -> tuple:
-    """(dim, rank z, rank N) of S^r(U_k) for r < p, computed from scratch."""
+def _base_ranks(p: int, k: int, top: int) -> tuple:
+    """The ranks of z^0, z^1, ..., z^top on S^r(U_k) for each r < p,
+    computed from scratch; rank z^0 is the dimension, and rank z^p is 0."""
     m = p - k  # U_k has n - k + 1 = p - k variables
     out = []
     for r in range(p):
         z = (_sym_action(m, p, r) - np.eye(math.comb(r + m - 1, m - 1), dtype=np.int64)) % p
-        norm = np.eye(z.shape[0], dtype=np.int64)
-        for _ in range(p - 1):
-            norm = (norm.astype(np.float64) @ z.astype(np.float64) % p).astype(np.int64)
-        out.append((z.shape[0], _rank(z, p), _rank(norm, p)))
+        power = np.eye(z.shape[0], dtype=np.int64)
+        ranks = [z.shape[0]]
+        for _ in range(top):
+            power = (power.astype(np.float64) @ z.astype(np.float64) % p).astype(np.int64)
+            ranks.append(_rank(power, p))
+        assert top < p or ranks[p] == 0, (p, k, r)
+        out.append(ranks)
     return tuple(out)
 
 
-def predicted(p: int, k: int, d: int) -> tuple[int, int, int]:
-    """(dim, rank z, rank N) of S^d(U_k) by the periodicity from degree d mod p."""
-    dim0, rz, rn = _base_ranks(p, k)[d % p]
-    dim = math.comb(d + p - k - 1, p - k - 1)
-    free, rem = divmod(dim - dim0, p)
+def predicted_ranks(p: int, k: int, d: int, top: int) -> list[int]:
+    """The ranks of z^0, ..., z^top on S^d(U_k) by the periodicity from
+    degree d mod p: its free summand of rank f = (dim_d - dim_(d mod p))/p
+    is f blocks of size p, on which z^j has rank (p - j)f."""
+    base = _base_ranks(p, k, top)[d % p]
+    free, rem = divmod(math.comb(d + p - k - 1, p - k - 1) - base[0], p)
     assert rem == 0, (p, k, d)
-    return dim, rz + (p - 1) * free, rn + free
+    return [r + (p - j) * free for j, r in enumerate(base)]
+
+
+def predicted(p: int, k: int, d: int) -> tuple[int, int, int]:
+    """(dim, rank z, rank N) of S^d(U_k) by the periodicity."""
+    ranks = predicted_ranks(p, k, d, p)
+    return ranks[0], ranks[1], ranks[p - 1]
 
 
 def predicted_free(p: int, k: int, d: int) -> bool:
-    dim, rz, _ = predicted(p, k, d)
+    dim, rz = predicted_ranks(p, k, d, 1)
     return dim % p == 0 and rz == dim - dim // p
+
+
+def predicted_blocks(p: int, k: int, d: int) -> tuple[int, ...]:
+    """The Jordan block sizes of S^d(U_k), descending: those of degree d mod
+    p and f more of size p, since (rank z^(s-1) - rank z^s) - (rank z^s -
+    rank z^(s+1)) blocks have size s."""
+    ranks = predicted_ranks(p, k, d, p) + [0]
+    return tuple(s for s in range(p, 0, -1) for _ in range(ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]))
 
 
 # the nilpotence suites of acceptance criterion 5, at their default degree caps
@@ -115,6 +137,16 @@ def test_nilpotence_report_matches_prediction(p, k, max_deg):
         dim, rz, rn = predicted(p, k, d.deg)
         assert (d.dim, d.even_dim, d.odd_dim) == (dim, dim - rz - rn, dim - rz - rn), d
         assert d.free is predicted_free(p, k, d.deg), d
+
+
+@pytest.mark.parametrize("p,k,max_deg", [*NILPOTENCE_SUITES, (7, 2, 14)])
+def test_jordan_profile_matches_prediction(p, k, max_deg):
+    # every degree whose power is dense: up to 12 (dimension 1820) at p = 7
+    walk = cp_rep._symmetric_walk(cp_rep.u_k_module(height_params(p), k), max_deg)
+    dense = [(deg, mod) for deg, mod, _ in walk if mod.dim <= cp_rep.DENSE_LIMIT]
+    assert dense[-1][0] == (12 if p == 7 else max_deg)
+    for deg, mod in dense:
+        assert cp_rep.jordan_decompose(mod).blocks == predicted_blocks(p, k, deg), deg
 
 
 @pytest.mark.parametrize("p,k,max_deg", FREENESS_SUITES)
@@ -153,5 +185,5 @@ def test_p7_k1_rank_path_matches_golden(degree):
     row = next(row for row in golden["degrees"] if row["degree"] == degree)
     mod = cp_rep.symmetric_power(cp_rep.u_k_module(height_params(7), 1), degree)
     assert not mod.is_dense()
-    rank = linalg.sparse_rank_mod(cp_rep._nilpotent_part(mod), 7)
+    rank = linalg.sparse_rank_mod(cp_rep._z_triplets(mod), 7)
     assert (mod.dim, rank) == (row["dimension"], row["rank_z"])
