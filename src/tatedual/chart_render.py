@@ -6,6 +6,10 @@ exact.  Output formats: a fixed-layout ASCII grid (one character per
 lattice cell), a minimal SVG 1.1 subset (circles, lines, text), and a JSON
 document that round-trips byte-identically.
 
+Each chart reads one recorded run of the spectral sequence
+(tate_engine.run_to_einfty): the page on display, the two arrow stages of
+an overlay and each dot's fate all come from that record.
+
 Every byte of output is a function of the chart spec alone; there are no
 timestamps, float formatting surprises, or hash-ordered collections.
 """
@@ -61,29 +65,16 @@ class ChartSpec:
         return (self.x_min, self.x_max, self.s_min, self.s_max)
 
 
-def page_at_stage(group: str, params: HeightParams, r: int) -> eng.Page:
-    """The page holding at index r: the three stable stages are E_2 (up to
-    the first differential), the middle page, and the final page."""
-    if r < 2:
-        raise InvalidInput("page index must be at least 2")
-    page = eng.e2_page(group, params)
-    if r <= eng.first_diff_index(params):
-        return page
-    mid = eng.turn_page(page, eng.differential_map(page))
-    if r <= eng.second_diff_index(params):
-        return mid
-    return eng.turn_page(mid, eng.differential_map(mid))
-
-
-def build_document(spec: ChartSpec, fates: dict | None = None) -> dict:
+def build_document(spec: ChartSpec, overlay: bool = False) -> dict:
     """The format-independent chart content: dots and arrows in the window.
 
-    With fate certificates, each dot carries its fate and arrows of both
+    With the overlay, each dot carries its fate and arrows of both
     differential families are included; otherwise only the current page's
     differential family is drawn.
     """
     params = spec.params()
-    page = page_at_stage(spec.group, params, spec.page)
+    record = eng.run_to_einfty(spec.group, params)
+    page = record.page_at(spec.page)
     x0, x1, s0, s1 = spec.window()
 
     dots = []
@@ -98,22 +89,19 @@ def build_document(spec: ChartSpec, fates: dict | None = None) -> dict:
             "x": t - s,
             "label": cls.label(),
         }
-        if fates is not None:
-            dot["fate"] = fates.get(page.canonical(cls), "survives")
+        if overlay:
+            dot["fate"] = record.fates[page.canonical(cls)]
         dots.append(dot)
 
     arrows = []
-    stages: list[eng.Page] = []
-    if fates is not None:
-        stages = [page_at_stage(spec.group, params, 2)]
-        mid_r = eng.first_diff_index(params) + 1
-        stages.append(page_at_stage(spec.group, params, mid_r))
-    elif page.r <= eng.second_diff_index(params):
-        stages = [page]
+    if overlay:
+        stages = record.pages[:2]
+    else:
+        stages = () if page is record.einfty() else (page,)
     for stage_page in stages:
         r = eng.effective_diff_index(stage_page)
         for cls in stage_page.classes_in_window(x0, x1, s0, s1):
-            out = eng.differential(stage_page, cls, r)
+            out = eng.differential(stage_page, cls)
             if out is None:
                 continue
             tgt, coeff = out
@@ -132,7 +120,7 @@ def build_document(spec: ChartSpec, fates: dict | None = None) -> dict:
             "window": {"x": [spec.x_min, spec.x_max], "s": [spec.s_min, spec.s_max]},
             "format": spec.fmt,
             "colors": dict(COLORS),
-            "overlay": fates is not None,
+            "overlay": overlay,
         },
         "coeff_field_degree": page.coeff_field_degree,
         "dots": dots,
@@ -294,12 +282,7 @@ def render(spec: ChartSpec) -> str:
     return serialize(build_document(spec), spec.fmt)
 
 
-def diff_overlay(spec: ChartSpec, fates: dict | None) -> str:
-    """Chart with per-class fates: killed classes struck, survivors kept.
-
-    An empty certificate map degenerates to the plain render.
-    """
-    if not fates:
-        return render(spec)
-    return serialize(build_document(spec, fates=fates), spec.fmt)
+def diff_overlay(spec: ChartSpec) -> str:
+    """Chart with per-class fates: killed classes struck, survivors kept."""
+    return serialize(build_document(spec, overlay=True), spec.fmt)
 

@@ -72,11 +72,7 @@ def cmd_chart(args) -> int:
         s_max=s1,
         fmt=args.format,
     )
-    if args.overlay:
-        record = tate_engine.run_to_einfty(args.group, params)
-        text = chart_render.diff_overlay(spec, record.fates)
-    else:
-        text = chart_render.render(spec)
+    text = chart_render.diff_overlay(spec) if args.overlay else chart_render.render(spec)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -90,6 +86,10 @@ def cmd_chart(args) -> int:
 
 
 def _verify_congruence(args) -> int:
+    if args.max_prime > mod_arith.MAX_PRIME:
+        raise InvalidInput(
+            f"--max-prime {args.max_prime} exceeds the supported range ({mod_arith.MAX_PRIME})"
+        )
     failures = 0
     count = 0
     p = 3

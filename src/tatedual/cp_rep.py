@@ -414,11 +414,11 @@ def freeness_by_degree(params: HeightParams, k: int, degrees) -> dict[int, bool]
     or sparse, from one walk up the symmetric powers.  The degrees come
     ascending and may be a lazy iterable: a rank over budget is refused
     before the walk and before any later degree is read."""
+    base = u_k_module(params, k)
     degrees = iter(degrees)
     first = next(degrees, None)
     if first is None:
         return {}
-    base = u_k_module(params, k)
     wanted = set(_check_rank_budgets(base, k, itertools.chain([first], degrees)))
     walk = _symmetric_walk(base, max(wanted))
     return {deg: _free_by_rank(mod) for deg, mod, _ in walk if deg in wanted}

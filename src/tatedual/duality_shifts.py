@@ -13,7 +13,7 @@ reconciling silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import tate_engine as eng
 from .errors import InvalidInput, RouteDisagreement, VerificationFailure
@@ -154,15 +154,7 @@ def shift_report(group: str, params: HeightParams, route: str = "both") -> Shift
             first=via_dual,
             second=via_det,
         )
-    return ShiftReport(
-        group=group,
-        p=params.p,
-        route="both",
-        shift=via_dual.shift,
-        periodicity=via_dual.periodicity,
-        certificate=via_dual.certificate,
-        certificate_degree=via_dual.certificate_degree,
-    )
+    return replace(via_dual, route="both")
 
 
 def shifts_table(params: HeightParams, route: str = "both") -> dict[str, ShiftReport]:

@@ -12,6 +12,10 @@ does not depend on the unit choices); all other coefficients follow from
 linearity over the invariant elements.  Pages are stored as congruence
 conditions on (eps, i, j): a finite set of orbit representatives under the
 periodicity lattice, which the differentials respect.
+
+run_to_einfty is the one place where pages are turned and fates decided:
+charts, overlays, the cancellation check and the dual shift route all
+read the SequenceRecord of one run.
 """
 
 from __future__ import annotations
@@ -32,11 +36,6 @@ def _family(group: str) -> str:
     if group not in GROUPS:
         raise InvalidInput(f"unknown group {group!r}; expected one of {GROUPS}")
     return "Cp" if group == "Cp" else "F"
-
-
-def coefficient_field_degree(group: str, params: HeightParams) -> int:
-    """Survivors carry one copy of F_{p^n} for Cp and F, of F_p for G."""
-    return 1 if group == "G" else params.n
 
 
 @dataclass(frozen=True)
@@ -176,11 +175,15 @@ class Page:
     params: HeightParams
     r: int
     survivors: frozenset
-    coeff_field_degree: int
 
     @property
     def family(self) -> str:
         return _family(self.group)
+
+    @property
+    def coeff_field_degree(self) -> int:
+        """Survivors carry one copy of F_{p^n} for Cp and F, of F_p for G."""
+        return 1 if self.group == "G" else self.params.n
 
     def lattice(self) -> tuple[tuple[int, int, str], ...]:
         """Generators as (di, dj, label)."""
@@ -258,13 +261,7 @@ def pair_json(src: MonomialClass, tgt: MonomialClass, coeff: int, r: int, params
 def e2_page(group: str, params: HeightParams) -> Page:
     _family(group)  # validates the tag
     survivors = frozenset((eps, j) for eps in (0, 1) for j in range(params.p))
-    return Page(
-        group=group,
-        params=params,
-        r=2,
-        survivors=survivors,
-        coeff_field_degree=coefficient_field_degree(group, params),
-    )
+    return Page(group=group, params=params, r=2, survivors=survivors)
 
 
 def effective_diff_index(page: Page) -> int:
@@ -279,14 +276,10 @@ def effective_diff_index(page: Page) -> int:
     raise InvalidInput(f"no differentials on or after page r={page.r}")
 
 
-def differential(page: Page, cls: MonomialClass, r: int | None = None) -> tuple[MonomialClass, int] | None:
-    """The differential of a surviving class on the given page; None for
-    cycles.  r defaults to the page's next nonzero differential."""
-    expected = effective_diff_index(page)
-    if r is None:
-        r = expected
-    if r != expected:
-        raise InvalidInput(f"unsupported page index r={r} on a page at r={page.r}")
+def differential(page: Page, cls: MonomialClass) -> tuple[MonomialClass, int] | None:
+    """The page's next nonzero differential on a surviving class; None for
+    cycles."""
+    r = effective_diff_index(page)
     if not page.contains(cls):
         raise InvalidInput(f"class {cls.label()} is not a survivor on this page")
     if r == first_diff_index(page.params):
@@ -300,7 +293,6 @@ class DifferentialMap:
     pairing representative -> (target, coefficient)."""
 
     r: int
-    group: str
     pairs: tuple  # of (source MonomialClass, target MonomialClass, coeff)
 
     def source_keys(self, page: Page) -> set:
@@ -310,18 +302,14 @@ class DifferentialMap:
         return {page.canonical(tgt) for _, tgt, _ in self.pairs}
 
 
-def differential_map(page: Page, r: int | None = None) -> DifferentialMap:
-    expected = effective_diff_index(page)
-    if r is None:
-        r = expected
-    if r != expected:
-        raise InvalidInput(f"unsupported page index r={r} on a page at r={page.r}")
+def differential_map(page: Page) -> DifferentialMap:
+    """The page's next nonzero differential over its fundamental domain."""
     pairs = []
     for cls in page.fundamental_domain():
-        out = differential(page, cls, r)
+        out = differential(page, cls)
         if out is not None:
             pairs.append((cls, out[0], out[1]))
-    return DifferentialMap(r=r, group=page.group, pairs=tuple(pairs))
+    return DifferentialMap(r=effective_diff_index(page), pairs=tuple(pairs))
 
 
 def verify_bidegree_law(diff: DifferentialMap, params: HeightParams) -> None:
@@ -348,13 +336,7 @@ def turn_page(page: Page, diff: DifferentialMap) -> Page:
     killed = diff.source_keys(page) | diff.target_keys(page)
     if any(k not in page.survivors for k in killed):
         raise VerificationFailure("differential touches classes outside the page")
-    return Page(
-        group=page.group,
-        params=page.params,
-        r=diff.r + 1,
-        survivors=frozenset(page.survivors - killed),
-        coeff_field_degree=page.coeff_field_degree,
-    )
+    return Page(group=page.group, params=page.params, r=diff.r + 1, survivors=page.survivors - killed)
 
 
 # ---------------------------------------------------------------------------
@@ -380,31 +362,29 @@ class SequenceRecord:
     def einfty(self) -> Page:
         return self.pages[-1]
 
+    def page_at(self, r: int) -> Page:
+        """The page holding at index r: E_2 up to the first differential,
+        the middle page up to the second, the final page after it."""
+        if r < 2:
+            raise InvalidInput("page index must be at least 2")
+        return [page for page in self.pages if page.r <= r][-1]
+
 
 def run_to_einfty(group: str, params: HeightParams) -> SequenceRecord:
-    page2 = e2_page(group, params)
-    dmap1 = differential_map(page2)
-    page_mid = turn_page(page2, dmap1)
-    dmap2 = differential_map(page_mid)
-    page_end = turn_page(page_mid, dmap2)
+    """Turn the E_2 page by both differential families, recording each
+    page, each differential and, from its pairings, each class's fate."""
+    pages = [e2_page(group, params)]
+    diffs = []
+    for _ in range(2):
+        diffs.append(differential_map(pages[-1]))
+        pages.append(turn_page(pages[-1], diffs[-1]))
 
-    fates = {}
-    for cls in page2.fundamental_domain():
-        if d_first(cls, params) is not None:
-            fate = "source"
-        elif d_first_incoming(cls, params) is not None:
-            fate = "target"
-        elif d_second(cls, params) is not None:
-            fate = "source"
-        elif (inc2 := d_second_incoming(cls, params)) is not None and page_mid.contains(inc2[0]):
-            fate = "target"
-        else:
-            fate = "survives"
-        fates[page2.canonical(cls)] = fate
+    fates = dict.fromkeys(sorted(pages[0].survivors), "survives")
+    for page, dmap in zip(pages, diffs):
+        fates.update(dict.fromkeys(dmap.source_keys(page), "source"))
+        fates.update(dict.fromkeys(dmap.target_keys(page), "target"))
 
-    return SequenceRecord(
-        group=group, params=params, pages=(page2, page_mid, page_end), diffs=(dmap1, dmap2), fates=fates
-    )
+    return SequenceRecord(group=group, params=params, pages=tuple(pages), diffs=tuple(diffs), fates=fates)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ engine.  None of this is on a command's path: the commands run what
 src/tatedual holds, and these oracles recompute the same facts another way.
 
 - turn_page_rank_route turns a page from per-class kernel and image ranks,
-  against tate_engine.turn_page;
+  against tate_engine.turn_page, and fates_rank_route decides each class's
+  fate from the same ranks, against the fates of tate_engine.run_to_einfty;
 - is_boundary and dual_pairs read the dual sequence from the boundary side,
   against the cycles and differentials of tate_engine.DualSequence;
 - SequenceView truncates a recorded sequence to the fixed-point or orbit
@@ -59,34 +60,46 @@ def d_first_coefficient_leibniz(cls: MonomialClass, params: HeightParams) -> int
     return (cls.j % p) % p
 
 
-def turn_page_rank_route(page: Page, diff: DifferentialMap) -> Page:
-    """Independent page turner: per-class kernel/image ranks.
+def _ranks(page: Page, r: int, cls: MonomialClass) -> tuple[int, int]:
+    """Ranks of the outgoing and incoming d_r at a class of the page.
 
-    Every bidegree of these pages holds at most one class, so homology at a
-    class is a rank computation on the incoming and outgoing 1x1 (or empty)
-    matrices.  Used to cross-check turn_page.
-    """
+    Every bidegree of these pages holds at most one class, so both are
+    1x1 (or empty) matrices."""
     params = page.params
     r1 = first_diff_index(params)
-    outgoing = d_first if diff.r == r1 else d_second
-    incoming = d_first_incoming if diff.r == r1 else d_second_incoming
-    alive = []
-    for cls in page.fundamental_domain():
-        out = outgoing(cls, params)
-        out_rank = 1 if out is not None and out[1] % params.p else 0
-        inc = incoming(cls, params)
-        in_rank = 0
-        if inc is not None and inc[1] % params.p and page.contains(inc[0]):
-            in_rank = 1
-        if out_rank == 0 and in_rank == 0:
-            alive.append(page.canonical(cls))
-    return Page(
-        group=page.group,
-        params=page.params,
-        r=diff.r + 1,
-        survivors=frozenset(alive),
-        coeff_field_degree=page.coeff_field_degree,
-    )
+    outgoing = d_first if r == r1 else d_second
+    incoming = d_first_incoming if r == r1 else d_second_incoming
+    out = outgoing(cls, params)
+    out_rank = 1 if out is not None and out[1] % params.p else 0
+    inc = incoming(cls, params)
+    in_rank = 1 if inc is not None and inc[1] % params.p and page.contains(inc[0]) else 0
+    return out_rank, in_rank
+
+
+def turn_page_rank_route(page: Page, diff: DifferentialMap) -> Page:
+    """Independent page turner: homology at a class from its per-class
+    kernel and image ranks.  Used to cross-check turn_page."""
+    alive = [page.canonical(cls) for cls in page.fundamental_domain() if _ranks(page, diff.r, cls) == (0, 0)]
+    return Page(group=page.group, params=page.params, r=diff.r + 1, survivors=frozenset(alive))
+
+
+def fates_rank_route(record: SequenceRecord) -> dict:
+    """Each fundamental-domain class's fate from the same per-class ranks,
+    stage by stage from the E_2 page: "source" where its outgoing rank is
+    one, "target" where its incoming rank is, "survives" where neither ever
+    is.  Reads neither the recorded differentials nor the recorded fates.
+    Used to cross-check run_to_einfty."""
+    page = record.pages[0]
+    params = page.params
+    fates = dict.fromkeys(sorted(page.survivors), "survives")
+    for r in (first_diff_index(params), second_diff_index(params)):
+        for cls in page.fundamental_domain():
+            out_rank, in_rank = _ranks(page, r, cls)
+            if out_rank or in_rank:
+                fates[page.canonical(cls)] = "source" if out_rank else "target"
+        alive = frozenset(key for key in page.survivors if fates[key] == "survives")
+        page = Page(group=page.group, params=params, r=r + 1, survivors=alive)
+    return fates
 
 
 def is_boundary(seq: DualSequence, dual: DualClass, r: int) -> bool:

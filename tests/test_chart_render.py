@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from tatedual import chart_render as cr
+from tatedual import cli
 from tatedual import tate_engine as eng
 from tatedual.errors import InvalidInput, ResourceGuard
 from tatedual.mod_arith import height_params
@@ -38,14 +39,21 @@ class TestDeterminism:
 
 
 class TestGoldens:
-    def test_cp_p5_matches_golden(self):
-        expected = (GOLDEN / "chart_cp_p5_e2.txt").read_text()
-        assert cr.render(spec_cp()) == expected
-
-    def test_f_p5_matches_golden(self):
-        spec = cr.ChartSpec(group="F", p=5, page=2, x_min=-170, x_max=170, s_min=-9, s_max=9)
-        expected = (GOLDEN / "chart_f_p5_e2.txt").read_text()
-        assert cr.render(spec) == expected
+    @pytest.mark.parametrize(
+        "argv,golden",
+        [
+            (("--group", "Cp", "--prime", "5", "--window", "-20", "20", "-10", "10"), "chart_cp_p5_e2.txt"),
+            (("--group", "F", "--prime", "5", "--window", "-170", "170", "-9", "9"), "chart_f_p5_e2.txt"),
+            # the middle page, with the second family's blue arrows
+            (("--group", "Cp", "--prime", "5", "--page", "10"), "chart_cp_p5_page10.txt"),
+            # a fate on every dot, arrows of both families
+            (("--group", "G", "--prime", "3", "--overlay", "--format", "json"), "chart_g_p3_overlay.json"),
+        ],
+        ids=["cp_p5_e2", "f_p5_e2", "cp_p5_page10", "g_p3_overlay_json"],
+    )
+    def test_chart_matches_golden(self, capsys, argv, golden):
+        assert cli.main(["chart", *argv]) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
     def test_cp_dot_positions_follow_page_structure(self):
         # dot at (x, s) iff x + s + 2*(s mod 2) = 0 mod 2p: the vertical
@@ -77,7 +85,7 @@ class TestInvariants:
     def test_dot_count_matches_translate_enumeration(self):
         spec = spec_cp()
         pa = height_params(5)
-        page = cr.page_at_stage("Cp", pa, 2)
+        page = eng.run_to_einfty("Cp", pa).page_at(2)
         doc = cr.build_document(spec)
         per_class = 0
         for cls in page.fundamental_domain():
@@ -133,10 +141,9 @@ class TestWindows:
 
 
 class TestOverlay:
-    def test_all_struck_after_full_run(self, params3):
-        rec = eng.run_to_einfty("Cp", params3)
+    def test_all_struck_after_full_run(self):
         spec = cr.ChartSpec(group="Cp", p=3, page=2, x_min=-12, x_max=12, s_min=-6, s_max=6)
-        out = cr.diff_overlay(spec, rec.fates)
+        out = cr.diff_overlay(spec)
         grid_rows = [line for line in out.split("\n") if "|" in line]
         assert any("x" in row for row in grid_rows)
         assert all("O" not in row for row in grid_rows)
@@ -150,10 +157,24 @@ class TestOverlay:
         degs = [2 * 5 * pa.n * pa.n * j for j in survivors]
         assert degs == [-800, 0, 800]
 
-    def test_empty_fates_degenerates_to_plain_render(self):
-        spec = spec_cp()
-        assert cr.diff_overlay(spec, {}) == cr.render(spec)
-        assert cr.diff_overlay(spec, None) == cr.render(spec)
+    @pytest.mark.parametrize("draw", [cr.render, cr.diff_overlay], ids=["render", "overlay"])
+    def test_one_run_per_chart(self, monkeypatch, draw):
+        # a chart reads one recorded run: both pages are turned inside it
+        calls = {"run": 0, "turn": 0}
+        run, turn = eng.run_to_einfty, eng.turn_page
+
+        def counted_run(*args):
+            calls["run"] += 1
+            return run(*args)
+
+        def counted_turn(*args):
+            calls["turn"] += 1
+            return turn(*args)
+
+        monkeypatch.setattr(eng, "run_to_einfty", counted_run)
+        monkeypatch.setattr(eng, "turn_page", counted_turn)
+        draw(spec_cp(page=10))
+        assert calls == {"run": 1, "turn": 2}
 
 
 class TestSvg:
@@ -169,12 +190,11 @@ class TestSvg:
         # axes plus one line per arrow
         assert len(lines) == len(doc["arrows"]) + 2
 
-    def test_svg_overlay_strikes(self, params3):
-        rec = eng.run_to_einfty("Cp", params3)
+    def test_svg_overlay_strikes(self):
         spec = cr.ChartSpec(
             group="Cp", p=3, page=2, x_min=-6, x_max=6, s_min=-3, s_max=3, fmt="svg"
         )
-        text = cr.diff_overlay(spec, rec.fates)
+        text = cr.diff_overlay(spec)
         root = ET.fromstring(text)
         ns = "{http://www.w3.org/2000/svg}"
         hollow = [c for c in root.findall(f"{ns}circle") if c.get("fill") == "none"]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tatedual import cli
+from tatedual import cli, mod_arith
 
 EXPECTED_SHIFTS_P3 = """\
 group   p  route   shift  periodicity  certificate         degree
@@ -88,6 +88,22 @@ def test_verify_congruence(capsys):
     assert lines[-1] == "congruence: 25/25 primes verified (p <= 101)"
 
 
+def test_congruence_max_prime_above_range_refused_before_output(capsys):
+    code, out, err = run_cli(capsys, "verify", "congruence", "--max-prime", "1100")
+    assert code == 2
+    assert out == ""
+    assert f"exceeds the supported range ({mod_arith.MAX_PRIME})" in err
+
+
+def test_congruence_max_prime_at_range_runs_every_prime(capsys):
+    code, out, _ = run_cli(capsys, "verify", "congruence", "--max-prime", str(mod_arith.MAX_PRIME))
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert len(lines) == 168
+    assert lines[-2] == "PASS congruence p=997 invariant_exponent=-495012 modulus=992016"
+    assert lines[-1] == "congruence: 167/167 primes verified (p <= 1000)"
+
+
 def test_verify_cancellation(capsys):
     code, out, _ = run_cli(capsys, "verify", "cancellation", "--prime", "3")
     assert code == 0
@@ -132,6 +148,19 @@ def test_max_degree_below_one_refused(capsys, suite, value):
     assert code == 2
     assert out == ""
     assert "--max-degree must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "k,code,out,err",
+    [
+        (5, 2, "", "error: k must lie in [0, 4], got 5\n"),
+        (4, 0, "PASS freeness p=5 k=4 degrees_checked=0 max_degree=25\n", ""),
+    ],
+    ids=["k5-refused", "k4-no-degrees"],
+)
+def test_freeness_k_checked_without_degrees(capsys, k, code, out, err):
+    # no degree has k+1 <= d mod p <= p-1 once k >= p - 1; k is still checked
+    assert run_cli(capsys, "verify", "freeness", "--prime", "5", "--k", str(k)) == (code, out, err)
 
 
 def test_max_degree_one_is_honoured(capsys):

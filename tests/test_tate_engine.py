@@ -58,17 +58,17 @@ class TestBidegrees:
 class TestDifferentials:
     def test_seed_on_delta_p3(self, params3):
         page = eng.e2_page("Cp", params3)
-        out = eng.differential(page, cls_cp(0, 0, 1), r=5)
+        out = eng.differential(page, cls_cp(0, 0, 1))
         assert out == (cls_cp(1, 2, 2), 1)
 
     def test_delta_cubed_is_cycle(self, params3):
         page = eng.e2_page("Cp", params3)
-        assert eng.differential(page, cls_cp(0, 0, 3), r=5) is None
+        assert eng.differential(page, cls_cp(0, 0, 3)) is None
 
     def test_second_differential_on_a(self, params3):
         page = eng.e2_page("Cp", params3)
         mid = eng.turn_page(page, eng.differential_map(page))
-        out = eng.differential(mid, cls_cp(1, 0, 0), r=9)
+        out = eng.differential(mid, cls_cp(1, 0, 0))
         assert out == (cls_cp(0, 5, 1), 1)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -100,9 +100,6 @@ class TestDifferentials:
             eng.differential(mid, cls_cp(0, 0, 1))
 
     def test_unsupported_page_index(self, params3):
-        page = eng.e2_page("Cp", params3)
-        with pytest.raises(InvalidInput):
-            eng.differential(page, cls_cp(0, 0, 1), r=9)
         rec = eng.run_to_einfty("Cp", params3)
         with pytest.raises(InvalidInput):
             eng.differential(rec.einfty(), cls_cp(0, 0, 0))
@@ -171,6 +168,19 @@ class TestRunToEinfty:
                 assert rec.fates[page2.canonical(src)] == "source"
                 assert rec.fates[page2.canonical(tgt)] == "target"
 
+    @pytest.mark.parametrize("group,p", ALL_CASES)
+    def test_fates_match_rank_route(self, group, p):
+        rec = eng.run_to_einfty(group, height_params(p))
+        assert list(rec.fates.items()) == list(oracles.fates_rank_route(rec).items())
+
+    def test_page_at_stages(self, params3):
+        # d_5 and d_9 at p = 3: E_2 through E_5, the middle page through
+        # E_9, the final page from E_10 on
+        rec = eng.run_to_einfty("Cp", params3)
+        assert [rec.page_at(r).r for r in (2, 5, 6, 9, 10, 40)] == [2, 2, 6, 6, 10, 10]
+        with pytest.raises(InvalidInput):
+            rec.page_at(1)
+
     def test_fate_description(self, params3):
         # at p = 3 classes die at both differentials, d_5 and d_9
         rec = eng.run_to_einfty("Cp", params3)
@@ -192,9 +202,7 @@ class TestPropertySuites:
     def test_bidegree_law_catches_corruption(self, params3):
         page = eng.e2_page("Cp", params3)
         d1 = eng.differential_map(page)
-        bad = eng.DifferentialMap(
-            r=d1.r, group=d1.group, pairs=((cls_cp(0, 0, 1), cls_cp(1, 0, 2), 1),)
-        )
+        bad = eng.DifferentialMap(r=d1.r, pairs=((cls_cp(0, 0, 1), cls_cp(1, 0, 2), 1),))
         with pytest.raises(VerificationFailure):
             eng.verify_bidegree_law(bad, params3)
 
