@@ -86,6 +86,8 @@ def cmd_chart(args) -> int:
 
 
 def _verify_congruence(args) -> int:
+    if args.max_prime < 3:
+        raise InvalidInput(f"--max-prime must be at least 3, got {args.max_prime}")
     if args.max_prime > mod_arith.MAX_PRIME:
         raise InvalidInput(
             f"--max-prime {args.max_prime} exceeds the supported range ({mod_arith.MAX_PRIME})"
@@ -128,9 +130,11 @@ def _verify_nilpotence(args) -> int:
     ks = [args.k] if args.k is not None else list(range(1, params.n))
     failures = 0
     reports = []
+    # only the JSON reports print Tate dimensions; the verdict needs freeness alone
+    report_of = cp_rep.nilpotence_tate_report if args.json else cp_rep.nilpotence_report
     for k in ks:
         max_deg = cp_rep.default_degree_cap(params, k) if args.max_degree is None else args.max_degree
-        report = cp_rep.nilpotence_report(params, k, max_deg)
+        report = report_of(params, k, max_deg)
         reports.append(report)
         if args.json:
             continue

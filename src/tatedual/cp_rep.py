@@ -20,12 +20,15 @@ formed.  sympow takes its Tate dimension from the Jordan profile: each
 block smaller than p contributes one class to each Tate group, and a block
 of size p none.  The verification suites walk the symmetric powers of a
 height module once, degree by degree, up to the last degree that needs a
-rank, and work from ranks: a module is free iff rank(z) = dim - dim/p, and
-both Tate groups have dimension dim - rank(z) - rank(N).  Multiplication
-by the invariant bottom variable vanishes on Tate cohomology in every
-window of consecutive degrees that contains a degree with vanishing
-cohomology; only a window without one would be tested with explicit
-subquotient bases and induced-map matrices, the one place they are built.
+rank.  Their verdicts read one rank per degree whose dimension p divides:
+a module is free iff rank(z) = dim - dim/p, and a free module has no Tate
+cohomology.  Only the report with Tate dimensions adds, at each dense
+degree that is not free, rank(N), for both Tate groups have dimension
+dim - rank(z) - rank(N).  Multiplication by the invariant bottom variable
+vanishes on Tate cohomology in every window of consecutive degrees that
+contains a free degree; only a window without one would be tested with
+explicit subquotient bases and induced-map matrices, the one place they
+are built.
 
 Everything is computed over F_p.  Coefficient extensions to F_{p^n} only
 rescale multiplicities, so dimension counts, freeness and vanishing
@@ -387,7 +390,14 @@ def _tate_dim_by_rank(m: CpModule) -> int:
 
 def _free_by_rank(m: CpModule) -> bool:
     """Freeness from the rank of zeta - 1 alone: all Jordan blocks have the
-    maximal size p iff the block count dim - rank equals dim / p."""
+    maximal size p iff the block count dim - rank equals dim / p.
+
+    Counting blocks decides freeness only when no block is larger than p,
+    that is when z^p = 0, and this rank does not certify it.  It holds for
+    every symmetric power of a module of order p, since Sym^d(zeta)^p =
+    Sym^d(zeta^p) = 1, and these are the only modules the suites rank
+    here; jordan_decompose and _tate_dim_by_rank, which rank higher powers
+    of z, keep the certificate of _skinny_powers."""
     if m.dim % m.p != 0:
         return False
     return linalg.sparse_rank_mod(_z_triplets(m), m.p) == m.dim - m.dim // m.p
@@ -531,17 +541,32 @@ def nilpotence_report(params: HeightParams, k: int, max_deg: int) -> NilpotenceR
     zero on Tate cohomology of symmetric powers, in all start degrees m with
     m + k + 1 <= max_deg.
 
-    One walk up the symmetric powers, to the last degree that needs a rank:
-    a dense one, or one whose dimension p divides.  A dense degree's Tate
-    dimension comes from two ranks; above DENSE_LIMIT only freeness is
-    computed, a rank over budget is refused before the walk, and a degree
-    that is not free reports unknown dimensions.  The degrees after the
-    last ranked one are not built: none of them is free, and their
-    dimensions are binomials.  A composite vanishes when its window
-    contains a vanishing degree, which the freeness pattern (d is free when
-    k+1 <= d mod p <= p-1) guarantees for valid inputs.  A window of k+2
-    non-vanishing degrees goes to the explicit test _window_vanishes, so
-    the current run of non-vanishing degrees is kept, at most k+2 long.
+    Each degree is decided by _free_by_rank alone, dense or sparse: one
+    rank of z where p divides the dimension, none elsewhere.  A free degree
+    reports Tate dimensions 0 and every other degree unknown ones (None);
+    nilpotence_tate_report fills in the dense ones.  A composite vanishes
+    when its window contains a free degree, which the freeness pattern (d
+    is free when k+1 <= d mod p <= p-1) guarantees for valid inputs.
+    """
+    return _nilpotence_walk(params, k, max_deg, tate_dims=False)
+
+
+def nilpotence_tate_report(params: HeightParams, k: int, max_deg: int) -> NilpotenceReport:
+    """nilpotence_report with the Tate dimension of every dense degree: a
+    degree that is not free adds rank(N) to its rank of z."""
+    return _nilpotence_walk(params, k, max_deg, tate_dims=True)
+
+
+def _nilpotence_walk(params: HeightParams, k: int, max_deg: int, tate_dims: bool) -> NilpotenceReport:
+    """One walk up the symmetric powers, to the last degree that needs a
+    rank: a dense one, or one whose dimension p divides.  Every built degree
+    is ranked by _free_by_rank; with tate_dims, a dense degree that is not
+    free also gets its Tate dimension from _tate_dim_by_rank.  A rank over
+    budget is refused before the walk.  The degrees after the last ranked
+    one are not built: none of them is free, and their dimensions are
+    binomials.  A window of k+2 degrees that are not free goes to the
+    explicit test _window_vanishes, so the current run of such degrees is
+    kept, at most k+2 long.
     """
     p, n = params.p, params.n
     if k == 0:
@@ -567,12 +592,11 @@ def nilpotence_report(params: HeightParams, k: int, max_deg: int) -> NilpotenceR
             summary = DegreeSummary(deg, symmetric_dimension(base.dim, deg), None, None, False)
         else:
             _, mod, embed = next(walk)
-            if mod.is_dense():
-                dim = _tate_dim_by_rank(mod)
-                summary = DegreeSummary(deg, mod.dim, dim, dim, dim == 0)
-            else:
-                free = _free_by_rank(mod)
-                summary = DegreeSummary(deg, mod.dim, 0 if free else None, 0 if free else None, free)
+            free = _free_by_rank(mod)
+            tate = 0 if free else None
+            if tate_dims and not free and mod.is_dense():
+                tate = _tate_dim_by_rank(mod)
+            summary = DegreeSummary(deg, mod.dim, tate, tate, free)
         summaries.append(summary)
         # a vanishing degree makes every composite through it zero
         run = [] if summary.free else (run + [(deg, mod, embed)])[-(k + 2):]

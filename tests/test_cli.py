@@ -95,6 +95,15 @@ def test_congruence_max_prime_above_range_refused_before_output(capsys):
     assert f"exceeds the supported range ({mod_arith.MAX_PRIME})" in err
 
 
+@pytest.mark.parametrize("max_prime", ["2", "-7"])
+def test_congruence_max_prime_below_three_refused_before_output(capsys, max_prime):
+    # no odd prime lies below 3: a suite that checks nothing must not pass
+    code, out, err = run_cli(capsys, "verify", "congruence", "--max-prime", max_prime)
+    assert code == 2
+    assert out == ""
+    assert f"--max-prime must be at least 3, got {max_prime}" in err
+
+
 def test_congruence_max_prime_at_range_runs_every_prime(capsys):
     code, out, _ = run_cli(capsys, "verify", "congruence", "--max-prime", str(mod_arith.MAX_PRIME))
     assert code == 0
@@ -124,6 +133,8 @@ def test_verify_nilpotence_small(capsys):
         # degree 13 (dimension 2380) is ranked above DENSE_LIMIT and free;
         # degree 14 (dimension 3060) is reported from its dimension alone
         (("--prime", "7", "--k", "2"), "nilpotence_p7_k2.json"),
+        # the largest dense Tate data: dimensions up to 1771
+        (("--prime", "5", "--k", "1"), "nilpotence_p5_k1.json"),
         # ranks above DENSE_LIMIT at every k = 1 degree from 9 to 13
         pytest.param(("--prime", "7"), "nilpotence_p7.json", marks=pytest.mark.slow),
     ],

@@ -491,18 +491,45 @@ class TestNilpotence:
         with pytest.raises(InvalidInput):
             cp_rep.nilpotence_report(params5, 2, 2)
 
-    def test_z_built_once_per_dense_degree(self, params5, monkeypatch):
-        built = []
-        real = cp_rep._z_triplets
+    def _dims_seen(self, monkeypatch, name):
+        """The dimension of each module passed to cp_rep.<name>, in order."""
+        seen = []
+        real = getattr(cp_rep, name)
 
         def counted(m):
-            built.append(m.dim)
+            seen.append(m.dim)
             return real(m)
 
-        monkeypatch.setattr(cp_rep, "_z_triplets", counted)
+        monkeypatch.setattr(cp_rep, name, counted)
+        return seen
+
+    def test_verdict_builds_z_where_p_divides_dim(self, params5, monkeypatch):
+        built = self._dims_seen(monkeypatch, "_z_triplets")
         report = cp_rep.nilpotence_report(params5, 2, 15)
         assert all(d.dim <= cp_rep.DENSE_LIMIT for d in report.degrees)
+        assert built == [d.dim for d in report.degrees if d.dim % 5 == 0]
+
+    def test_z_built_once_per_dense_degree(self, params5, monkeypatch):
+        built = self._dims_seen(monkeypatch, "_z_triplets")
+        report = cp_rep.nilpotence_tate_report(params5, 2, 15)
+        assert all(d.dim <= cp_rep.DENSE_LIMIT for d in report.degrees)
         assert built == [d.dim for d in report.degrees]
+
+    def test_verdict_takes_no_powers_of_z(self, params5, monkeypatch):
+        # one rank of z per degree whose dimension 5 divides, and nothing else
+        def refused(*args):
+            raise AssertionError("the verdict took a power of z")
+
+        monkeypatch.setattr(cp_rep, "_skinny_powers", refused)
+        monkeypatch.setattr(linalg, "matmul_mod", refused)
+        assert cp_rep.nilpotence_report(params5, 1, 20).holds
+
+    def test_tate_report_skips_free_degrees(self, params5, monkeypatch):
+        # at a free dense degree the rank of z is the whole answer
+        skinny = self._dims_seen(monkeypatch, "_skinny_powers")
+        report = cp_rep.nilpotence_tate_report(params5, 1, 20)
+        assert any(d.free for d in report.degrees)
+        assert skinny == [d.dim for d in report.degrees if not d.free]
 
     def test_walk_stops_at_last_ranked_degree(self, monkeypatch):
         # p = 7, k = 2: degree 13 (dimension 2380 = 7 * 340) is the last one
@@ -565,7 +592,7 @@ class TestNilpotenceFallback:
             tested.append(window[0][0])
             return explicit(p_, window)
 
-        monkeypatch.setattr(cp_rep, "_tate_dim_by_rank", lambda m: 1)
+        monkeypatch.setattr(cp_rep, "_free_by_rank", lambda m: False)
         monkeypatch.setattr(cp_rep, "_window_vanishes", counted)
         report = cp_rep.nilpotence_report(height_params(p), k, max_deg)
         assert report.holds

@@ -40,18 +40,32 @@ def test_layer_calls_resolve():
         assert _positional(target) >= _positional(attrs) - 1, (module_name, attr)
 
 
+ROOT = LAUNCHER.parent.parent
+
+
+def _launch(spans_path, *argv):
+    return subprocess.run(
+        [sys.executable, str(LAUNCHER), str(spans_path), "--", *argv],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        timeout=120,
+    )
+
+
 def test_spans_land_for_function_local_imports(tmp_path):
     # cli imports cp_rep inside the commands that use it; the patched module
     # attributes must still see every call
     spans_path = tmp_path / "spans.json"
-    root = LAUNCHER.parent.parent
-    proc = subprocess.run(
-        [sys.executable, str(LAUNCHER), str(spans_path), "--", "verify", "nilpotence", "--prime", "3"],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True,
-        timeout=120,
-    )
+    proc = _launch(spans_path, "verify", "nilpotence", "--prime", "3")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (root / "bench" / "expected" / "nilpotence-p3.out").read_bytes()
+    assert proc.stdout == (ROOT / "bench" / "expected" / "nilpotence-p3.out").read_bytes()
     names = {span["name"] for span in json.loads(spans_path.read_text())}
     assert {"cp_rep.nilpotence", "linalg.naive"} <= names
+
+
+def test_nilpotence_json_runs_under_the_launcher(tmp_path):
+    # the Tate-dimension report is a second entry beside the wrapped
+    # nilpotence_report; its output must not change under the wrappers
+    proc = _launch(tmp_path / "spans.json", "verify", "nilpotence", "--prime", "3", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (ROOT / "tests" / "golden" / "nilpotence_p3.json").read_bytes()

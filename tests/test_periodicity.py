@@ -131,12 +131,32 @@ FREENESS_SUITES = [(3, 0, 27), (3, 1, 27), (5, 0, 12), (5, 1, 20), (5, 2, 25), (
 
 @pytest.mark.parametrize("p,k,max_deg", NILPOTENCE_SUITES)
 def test_nilpotence_report_matches_prediction(p, k, max_deg):
-    report = cp_rep.nilpotence_report(height_params(p), k, max_deg)
+    report = cp_rep.nilpotence_tate_report(height_params(p), k, max_deg)
     assert [d.deg for d in report.degrees] == list(range(max_deg + 1))
     for d in report.degrees:
         dim, rz, rn = predicted(p, k, d.deg)
         assert (d.dim, d.even_dim, d.odd_dim) == (dim, dim - rz - rn, dim - rz - rn), d
         assert d.free is predicted_free(p, k, d.deg), d
+    # the verdict alone: Tate dimension 0 where free, unknown elsewhere
+    verdict = cp_rep.nilpotence_report(height_params(p), k, max_deg)
+    expected = [(d.deg, d.dim, *[0 if d.free else None] * 2, d.free) for d in report.degrees]
+    assert [(d.deg, d.dim, d.even_dim, d.odd_dim, d.free) for d in verdict.degrees] == expected
+    assert (verdict.holds, verdict.windows) == (report.holds, report.windows)
+
+
+def test_free_flags_catch_an_off_by_one_rank(monkeypatch):
+    # mutation check: the verdict's free flags rest on the rank of z, so a
+    # block count off by one must show against the prediction.  (Testing
+    # only whether p divides the dimension agrees with freeness at every
+    # degree of U_k, so no output could catch that mutant.)
+    def off_by_one(m):
+        rank = linalg.sparse_rank_mod(cp_rep._z_triplets(m), m.p)
+        return m.dim % m.p == 0 and rank == m.dim - m.dim // m.p - 1
+
+    monkeypatch.setattr(cp_rep, "_free_by_rank", off_by_one)
+    p, k, max_deg = 5, 1, 20
+    report = cp_rep.nilpotence_report(height_params(p), k, max_deg)
+    assert [d.free for d in report.degrees] != [predicted_free(p, k, d) for d in range(max_deg + 1)]
 
 
 @pytest.mark.parametrize("p,k,max_deg", [*NILPOTENCE_SUITES, (7, 2, 14)])
