@@ -128,27 +128,21 @@ def _verify_nilpotence(args) -> int:
     from . import cp_rep
     params = _params(args.prime)
     ks = [args.k] if args.k is not None else list(range(1, params.n))
-    failures = 0
-    reports = []
     # only the JSON reports print Tate dimensions; the verdict needs freeness alone
     report_of = cp_rep.nilpotence_tate_report if args.json else cp_rep.nilpotence_report
+    # every report is built before any line is printed, so that a k refused
+    # late leaves stdout empty
+    reports = []
     for k in ks:
         max_deg = cp_rep.default_degree_cap(params, k) if args.max_degree is None else args.max_degree
-        report = report_of(params, k, max_deg)
-        reports.append(report)
-        if args.json:
-            continue
-        status = "PASS" if report.holds else "FAIL"
-        print(
-            f"{status} nilpotence p={params.p} k={k} max_degree={max_deg} "
-            f"windows={report.windows}"
-        )
-        if not report.holds:
-            failures += 1
+        reports.append(report_of(params, k, max_deg))
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
-        failures = sum(1 for r in reports if not r.holds)
-    return 1 if failures else 0
+    else:
+        for r in reports:
+            status = "PASS" if r.holds else "FAIL"
+            print(f"{status} nilpotence p={params.p} k={r.k} max_degree={r.max_deg} windows={r.windows}")
+    return 1 if any(not r.holds for r in reports) else 0
 
 
 def _verify_freeness(args) -> int:

@@ -26,9 +26,10 @@ cohomology.  Only the report with Tate dimensions adds, at each dense
 degree that is not free, rank(N), for both Tate groups have dimension
 dim - rank(z) - rank(N).  Multiplication by the invariant bottom variable
 vanishes on Tate cohomology in every window of consecutive degrees that
-contains a free degree; only a window without one would be tested with
-explicit subquotient bases and induced-map matrices, the one place they
-are built.
+contains a free degree; only a window without one would be tested
+explicitly, by the composite multiplication from its first degree to its
+last and two rank comparisons against kernel and image bases of z and N
+at those two degrees, the one place such bases are built.
 
 Everything is computed over F_p.  Coefficient extensions to F_{p^n} only
 rescale multiplicities, so dimension counts, freeness and vanishing
@@ -98,22 +99,15 @@ class JordanProfile:
         return {"blocks": list(self.blocks), "total": self.total}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TateDims:
-    """Tate cohomology of a C_p-module in even and odd degrees.
-
-    even = ker(zeta - 1)/im(N) and odd = ker(N)/im(zeta - 1); degree 2
-    periodicity means these two subquotients are the whole story.  The
-    basis arrays hold coset representatives as columns; the modulus arrays
-    hold bases of the subspaces they are taken modulo.
+    """Dimensions of the Tate cohomology of a C_p-module in even and odd
+    degrees: even = ker(zeta - 1)/im(N) and odd = ker(N)/im(zeta - 1);
+    degree 2 periodicity means these two subquotients are the whole story.
     """
 
     even_dim: int
     odd_dim: int
-    even_basis: np.ndarray
-    odd_basis: np.ndarray
-    even_modulus: np.ndarray
-    odd_modulus: np.ndarray
 
 
 def u_k_module(params: HeightParams, k: int) -> CpModule:
@@ -326,7 +320,7 @@ def jordan_decompose(m: CpModule) -> JordanProfile:
 
 def _norm_matrix(m: CpModule) -> tuple[np.ndarray, np.ndarray]:
     """z = zeta - 1 and N = 1 + zeta + ... + zeta^(p-1) of a dense module, as
-    int64 arrays for subquotient bases, N computed as z^(p-1): the two
+    int64 arrays for kernel and image bases, N computed as z^(p-1): the two
     polynomials agree in F_p[x].
 
     z and N are polynomials in the generator, so they commute, and one
@@ -339,42 +333,31 @@ def _norm_matrix(m: CpModule) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class _CohomologyData:
-    """Tate subquotients together with the matrices that cut them out."""
+    """Tate dimensions together with kernel and image bases, as columns, of
+    z and N."""
 
     tate: TateDims
-    z: np.ndarray
-    norm: np.ndarray
+    ker_z: np.ndarray
+    im_z: np.ndarray
+    ker_n: np.ndarray
+    im_n: np.ndarray
 
 
 def _tate_data(m: CpModule) -> _CohomologyData:
-    """Even and odd Tate cohomology with explicit subquotient bases, for the
-    window test; asserts that the two parities have equal dimension."""
+    """Even and odd Tate cohomology of a dense module for the window test:
+    the kernel and image bases of z and N, and the dimensions
+    dim ker(z) - dim im(N) and dim ker(N) - dim im(z), which must agree."""
     if not m.is_dense():
         raise ResourceGuard(
-            f"Tate subquotient bases need a dense module (dim <= {DENSE_LIMIT}); "
+            f"Tate kernel and image bases need a dense module (dim <= {DENSE_LIMIT}); "
             "larger modules support rank-based freeness checks only"
         )
-    p = m.p
     z, norm = _norm_matrix(m)
-    ker_z, im_z = linalg.kernel_and_image(z, p)
-    ker_n, im_n = linalg.kernel_and_image(norm, p)
-
-    even_reps = linalg.complete_subspace(im_n, ker_z, p)
-    odd_reps = linalg.complete_subspace(im_z, ker_n, p)
-    even_dim = even_reps.shape[1]
-    odd_dim = odd_reps.shape[1]
-    assert even_dim == ker_z.shape[1] - im_n.shape[1]
-    assert odd_dim == ker_n.shape[1] - im_z.shape[1]
-    assert even_dim == odd_dim
-    tate = TateDims(
-        even_dim=even_dim,
-        odd_dim=odd_dim,
-        even_basis=even_reps,
-        odd_basis=odd_reps,
-        even_modulus=im_n,
-        odd_modulus=im_z,
-    )
-    return _CohomologyData(tate=tate, z=z, norm=norm)
+    ker_z, im_z = linalg.kernel_and_image(z, m.p)
+    ker_n, im_n = linalg.kernel_and_image(norm, m.p)
+    tate = TateDims(even_dim=ker_z.shape[1] - im_n.shape[1], odd_dim=ker_n.shape[1] - im_z.shape[1])
+    assert tate.even_dim == tate.odd_dim
+    return _CohomologyData(tate=tate, ker_z=ker_z, im_z=im_z, ker_n=ker_n, im_n=im_n)
 
 
 def _tate_dim_by_rank(m: CpModule) -> int:
@@ -438,15 +421,6 @@ def freeness_by_degree(params: HeightParams, k: int, degrees) -> dict[int, bool]
 # multiplication by the invariant variable on Tate cohomology
 
 
-@dataclass(frozen=True, eq=False)
-class MultiplicationMaps:
-    """The maps induced on Tate cohomology by multiplying with the invariant
-    variable, from one symmetric degree to the next."""
-
-    even: np.ndarray
-    odd: np.ndarray
-
-
 def _induced_step(
     p: int,
     embed: np.ndarray,
@@ -454,42 +428,46 @@ def _induced_step(
     src: _CohomologyData,
     tgt: _CohomologyData,
     deg: int,
-) -> MultiplicationMaps:
-    # deg, the source degree, labels the span of bench/launcher.py only
-    def one_parity(src_dim, tgt_dim, src_basis, tgt_basis, tgt_modulus, check_mat):
+) -> bool:
+    """Whether an index scatter embed, from a module of degree deg into one
+    of dimension tgt_dim_total that commutes with zeta, induces zero on Tate
+    cohomology: whether it sends ker(z) into im(N) and ker(N) into im(z).
+    Each is one rank of [image | moved] against the width of the image
+    basis.  Since the map commutes with z and N, it sends im(N) into im(N)
+    and ker(z) into ker(z), and likewise im(z) and ker(N), so a Tate group
+    of dimension 0 at either end needs no rank."""
+
+    # deg labels the span of bench/launcher.py only
+    def lands(src_dim, tgt_dim, kernel, image):
         if src_dim == 0 or tgt_dim == 0:
-            return np.zeros((tgt_dim, src_dim), dtype=np.int64)
-        moved = np.zeros((tgt_dim_total, src_basis.shape[1]), dtype=np.int64)
-        moved[embed] = src_basis
-        assert not linalg.matmul_mod(check_mat, moved, p).any(), "induced map leaves the subspace"
-        span = np.hstack([tgt_basis, tgt_modulus])
-        coords = linalg.coordinates_in_span(span, moved, p)
-        return coords[:tgt_dim]
+            return True
+        moved = np.zeros((tgt_dim_total, kernel.shape[1]), dtype=np.int64)
+        moved[embed] = kernel
+        return linalg.rank_mod(np.hstack([image, moved]), p) == image.shape[1]
 
     s, t = src.tate, tgt.tate
-    even = one_parity(s.even_dim, t.even_dim, s.even_basis, t.even_basis, t.even_modulus, tgt.z)
-    odd = one_parity(s.odd_dim, t.odd_dim, s.odd_basis, t.odd_basis, t.odd_modulus, tgt.norm)
-    return MultiplicationMaps(even=even, odd=odd)
+    return lands(s.even_dim, t.even_dim, src.ker_z, tgt.im_n) and lands(
+        s.odd_dim, t.odd_dim, src.ker_n, tgt.im_z
+    )
 
 
 def _window_vanishes(p: int, window: list) -> bool:
     """The explicit test of one window of consecutive degrees, given as the
-    (deg, module, embed) triples of _symmetric_walk: Tate data with
-    subquotient bases at each degree, the maps induced by multiplication
-    between them, and their composite, which must be zero.  A degree that
-    the walk did not build comes with module None."""
+    (deg, module, embed) triples of _symmetric_walk: the embeds after the
+    first compose into one index scatter, the multiplication from the first
+    degree to the last, whose map on Tate cohomology is the composite of
+    the maps of each step and must be zero.  Only the two end degrees get
+    Tate data.  A degree that the walk did not build comes with module
+    None."""
     if not all(mod is not None and mod.is_dense() for _, mod, _ in window):
         raise ResourceGuard(
             f"window {window[0][0]}..{window[-1][0]} has no vanishing degree and exceeds the dense limit"
         )
-    data = [_tate_data(mod) for _, mod, _ in window]
-    even = np.eye(data[0].tate.even_dim, dtype=np.int64)
-    odd = np.eye(data[0].tate.odd_dim, dtype=np.int64)
-    for (deg, mod, embed), src, tgt in zip(window[1:], data, data[1:]):
-        step = _induced_step(p, embed, mod.dim, src, tgt, deg - 1)
-        even = linalg.matmul_mod(step.even, even, p)
-        odd = linalg.matmul_mod(step.odd, odd, p)
-    return not (even.any() or odd.any())
+    (first, src_mod, _), (_, tgt_mod, _) = window[0], window[-1]
+    composite = np.arange(src_mod.dim)
+    for _, _, embed in window[1:]:
+        composite = embed[composite]
+    return _induced_step(p, composite, tgt_mod.dim, _tate_data(src_mod), _tate_data(tgt_mod), first)
 
 
 # ---------------------------------------------------------------------------

@@ -399,33 +399,6 @@ def kernel_and_image(a, p: int) -> tuple[np.ndarray, np.ndarray]:
     return basis, np.asarray(a, dtype=np.int64)[:, pivots] % p
 
 
-def coordinates_in_span(basis: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
-    """Express the columns of vecs in the independent columns of basis.
-
-    Raises ValueError if some column is not in the span.
-    """
-    k = np.shape(basis)[1]
-    ech, pivots = forward_eliminate(np.hstack([basis, vecs]), p)
-    if any(c >= k for c in pivots):
-        raise ValueError("vector outside span")
-    if pivots != list(range(k)):
-        raise ValueError("basis columns are not independent")
-    return _solve_unit_upper(ech[:k, :k], ech[:k, k:], p)
-
-
-def complete_subspace(sub: np.ndarray, space: np.ndarray, p: int) -> np.ndarray:
-    """Columns of space completing the columns of sub to a basis of space.
-
-    sub must be contained in the column span of space.
-    """
-    _, pivots = forward_eliminate(np.hstack([sub, space]), p)
-    k = np.shape(sub)[1]
-    if len([c for c in pivots if c < k]) != k:
-        raise ValueError("sub columns are not independent")
-    extra = [c - k for c in pivots if c >= k]
-    return np.asarray(space, dtype=np.int64)[:, extra] % p
-
-
 def check_rank_budget(shape: tuple[int, int], p: int, context: str = ""):
     """The float type of the rank kernel for a matrix of this shape; raises
     ResourceGuard, prefixed by context, when a float array of that shape

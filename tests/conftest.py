@@ -6,7 +6,7 @@ import pytest
 from tatedual import cp_rep, linalg
 from tatedual.mod_arith import height_params
 
-from oracles import direct_sum
+from oracles import coordinates_in_span, direct_sum
 
 
 @pytest.fixture(scope="session")
@@ -34,7 +34,7 @@ def random_invertible(rng: np.random.Generator, dim: int, p: int) -> np.ndarray:
 def inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Inverse of an invertible square matrix: coordinates of the identity
     in its columns (raises ValueError when a is singular)."""
-    return linalg.coordinates_in_span(a, np.eye(a.shape[0], dtype=np.int64), p)
+    return coordinates_in_span(a, np.eye(a.shape[0], dtype=np.int64), p)
 
 
 def random_cp_module(rng: np.random.Generator, p: int, max_dim: int = 40) -> cp_rep.CpModule:

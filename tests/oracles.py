@@ -12,7 +12,8 @@ src/tatedual holds, and these oracles recompute the same facts another way.
 - the verify_* checks test properties that hold on every recorded sequence;
 - freeness_check decides freeness at one degree from a fresh symmetric
   power, against the one walk of cp_rep.freeness_by_degree;
-- direct_sum builds the planted-block modules of the Jordan and Tate tests;
+- direct_sum builds the planted-block modules of the Jordan and Tate tests,
+  and coordinates_in_span inverts the change of basis of the random ones;
 - monomials enumerates exponent tuples of one degree in descending lex
   order, against the arithmetic ranking of cp_rep._SymmetricChain.
 """
@@ -23,7 +24,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from tatedual import cp_rep
+from tatedual import cp_rep, linalg
 from tatedual.cp_rep import CpModule
 from tatedual.errors import InvalidInput, VerificationFailure
 from tatedual.mod_arith import HeightParams
@@ -281,6 +282,20 @@ def direct_sum(modules: list[CpModule]) -> CpModule:
         mat[off : off + m.dim, off : off + m.dim] = m.gen_action
         off += m.dim
     return CpModule(p=p, dim=dim, gen_action=mat)
+
+
+def coordinates_in_span(basis: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
+    """Express the columns of vecs in the independent columns of basis.
+
+    Raises ValueError if some column is not in the span.
+    """
+    k = np.shape(basis)[1]
+    ech, pivots = linalg.forward_eliminate(np.hstack([basis, vecs]), p)
+    if any(c >= k for c in pivots):
+        raise ValueError("vector outside span")
+    if pivots != list(range(k)):
+        raise ValueError("basis columns are not independent")
+    return linalg._solve_unit_upper(ech[:k, :k], ech[:k, k:], p)
 
 
 def freeness_check(params: HeightParams, k: int, deg: int) -> bool:

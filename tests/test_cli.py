@@ -145,6 +145,15 @@ def test_verify_nilpotence_json_golden(capsys, argv, golden):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+@pytest.mark.parametrize("max_degree", ["2", "3"])
+def test_nilpotence_late_refusal_prints_nothing(capsys, max_degree):
+    # k = 1 passes and a later k is refused for max_deg < k + 1: the refusal
+    # must come before any PASS line
+    code, out, err = run_cli(capsys, "verify", "nilpotence", "--prime", "5", "--max-degree", max_degree)
+    assert (code, out) == (2, "")
+    assert err == "error: max_deg must be at least k + 1\n"
+
+
 def test_verify_freeness_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "freeness", "--prime", "3", "--max-degree", "8")
     assert code == 0

@@ -10,6 +10,7 @@ from tatedual.errors import ResourceGuard
 from tatedual.mod_arith import height_params
 
 from conftest import inverse_mod
+from oracles import coordinates_in_span
 
 
 def _random_with_rank(rng, m, n, r, p):
@@ -176,7 +177,7 @@ def test_coordinates_in_span_roundtrip():
         basis = rng.integers(0, p, size=(30, 8), dtype=np.int64)
     coeffs = rng.integers(0, p, size=(8, 4), dtype=np.int64)
     vecs = linalg.matmul_mod(basis, coeffs, p)
-    got = linalg.coordinates_in_span(basis, vecs, p)
+    got = coordinates_in_span(basis, vecs, p)
     assert np.array_equal(got, coeffs % p)
 
 
@@ -185,25 +186,11 @@ def test_coordinates_outside_span_raises():
     basis = np.array([[1], [0], [0]], dtype=np.int64)
     vec = np.array([[0], [1], [0]], dtype=np.int64)
     with pytest.raises(ValueError):
-        linalg.coordinates_in_span(basis, vec, p)
-
-
-def test_complete_subspace():
-    p = 5
-    rng = np.random.default_rng(17)
-    space = rng.integers(0, p, size=(20, 9), dtype=np.int64)
-    while linalg.rank_mod(space, p) < 9:
-        space = rng.integers(0, p, size=(20, 9), dtype=np.int64)
-    sub = linalg.matmul_mod(space, rng.integers(0, p, size=(9, 4), dtype=np.int64), p)
-    while linalg.rank_mod(sub, p) < 4:
-        sub = linalg.matmul_mod(space, rng.integers(0, p, size=(9, 4), dtype=np.int64), p)
-    extra = linalg.complete_subspace(sub, space, p)
-    assert extra.shape[1] == 5
-    assert linalg.rank_mod(np.hstack([sub, extra]), p) == 9
+        coordinates_in_span(basis, vec, p)
 
 
 def test_inverse_mod():
-    # the random-module oracle inverts its change of basis through coordinates_in_span
+    # the random-module oracle inverts its change of basis through oracles.coordinates_in_span
     rng = np.random.default_rng(5)
     p = 11
     a = rng.integers(0, p, size=(25, 25), dtype=np.int64)
