@@ -18,18 +18,19 @@ independent columns of z; the ranks of every power of z, and so the Jordan
 profile and rank(N), come from stacks of these rows, and no power of z is
 formed.  sympow takes its Tate dimension from the Jordan profile: each
 block smaller than p contributes one class to each Tate group, and a block
-of size p none.  The verification suites walk the symmetric powers of a
-height module once, degree by degree, up to the last degree that needs a
-rank.  Their verdicts read one rank per degree whose dimension p divides:
-a module is free iff rank(z) = dim - dim/p, and a free module has no Tate
-cohomology.  Only the report with Tate dimensions adds, at each dense
-degree that is not free, rank(N), for both Tate groups have dimension
-dim - rank(z) - rank(N).  Multiplication by the invariant bottom variable
-vanishes on Tate cohomology in every window of consecutive degrees that
-contains a free degree; only a window without one would be tested
-explicitly, by the composite multiplication from its first degree to its
-last and two rank comparisons against kernel and image bases of z and N
-at those two degrees, the one place such bases are built.
+of size p none.  The verification suites decide freeness level by level,
+from U_n down to U_k: a degree is free by extension when the degree below
+it and the same degree one level up are, and otherwise takes one rank of
+z, free iff rank(z) = dim - dim/p; on U_j only the degrees d = j + 1 mod p
+take one.  A free module has no Tate cohomology.  Only the report with
+Tate dimensions adds, at each dense degree that is not free, rank(N), for
+both Tate groups have dimension dim - rank(z) - rank(N).  Multiplication
+by the invariant bottom variable vanishes on Tate cohomology in every
+window of consecutive degrees that contains a free degree; only a window
+without one would be tested explicitly, by the composite multiplication
+from its first degree to its last and two rank comparisons against kernel
+and image bases of z and N at those two degrees, the one place such bases
+are built.
 
 Everything is computed over F_p.  Coefficient extensions to F_{p^n} only
 rescale multiplicities, so dimension counts, freeness and vanishing
@@ -375,6 +376,8 @@ def _free_by_rank(m: CpModule) -> bool:
     """Freeness from the rank of zeta - 1 alone: all Jordan blocks have the
     maximal size p iff the block count dim - rank equals dim / p.
 
+    With no block larger than p there are at least dim / p blocks, so
+    rank z <= dim - dim / p, with equality iff the module is free.
     Counting blocks decides freeness only when no block is larger than p,
     that is when z^p = 0, and this rank does not certify it.  It holds for
     every symmetric power of a module of order p, since Sym^d(zeta)^p =
@@ -401,20 +404,48 @@ def _check_rank_budgets(base: CpModule, k: int, degrees) -> list[int]:
     return read
 
 
+def _free_flags(params: HeightParams, k: int, max_deg: int) -> list[bool]:
+    """Whether Sym^d(U_k) is free, d = 0, ..., max_deg, decided level by
+    level from U_n, whose powers (dimension 1) are not free, to U_k.  A
+    degree whose dimension p divides is free if the degree below it and the
+    same degree of U_(k+1) are: the invariant last variable x gives the
+    exact sequence 0 -> A = x Sym^(d-1)(U_k) -> Sym^d(U_k) -> Q =
+    Sym^d(U_(k+1)) -> 0, and on the monomials split by whether x divides
+    them z is block triangular, so rank z >= rank z_A + rank z_Q (Marsaglia
+    and Styan, 1974) = (dim A - dim A/p) + (dim Q - dim Q/p) = dim - dim/p,
+    which the bound of _free_by_rank makes an equality.  Any other such
+    degree takes one rank of z, on a walk of its level made at its first
+    rank and advanced only that far."""
+    p, n = params.p, params.n
+    top = _symmetric_walk(u_k_module(params, k), max_deg)
+    next(top)  # degree 0: DIM_CAP is checked for U_k, the largest, before any rank
+    flags = [False] * (max_deg + 1)
+    for j in range(n - 1, k - 1, -1):
+        upper, flags, walk = flags, [False], top if j == k else None
+        for deg in range(1, max_deg + 1):
+            if symmetric_dimension(n - j + 1, deg) % p:
+                flags.append(False)
+            elif flags[-1] and upper[deg]:
+                flags.append(True)  # free by extension
+            else:
+                walk = walk or _symmetric_walk(u_k_module(params, j), max_deg)
+                flags.append(_free_by_rank(next(m for d, m, _ in walk if d == deg)))
+    return flags
+
+
 def freeness_by_degree(params: HeightParams, k: int, degrees) -> dict[int, bool]:
     """Is the symmetric power of the height module free over F_p[C_p], at
-    each of the given degrees?  Decided by the rank of zeta - 1 alone, dense
-    or sparse, from one walk up the symmetric powers.  The degrees come
+    each of the given degrees?  Read off _free_flags.  The degrees come
     ascending and may be a lazy iterable: a rank over budget is refused
-    before the walk and before any later degree is read."""
+    before any power is built and before any later degree is read."""
     base = u_k_module(params, k)
     degrees = iter(degrees)
     first = next(degrees, None)
     if first is None:
         return {}
-    wanted = set(_check_rank_budgets(base, k, itertools.chain([first], degrees)))
-    walk = _symmetric_walk(base, max(wanted))
-    return {deg: _free_by_rank(mod) for deg, mod, _ in walk if deg in wanted}
+    wanted = sorted(set(_check_rank_budgets(base, k, itertools.chain([first], degrees))))
+    flags = _free_flags(params, k, wanted[-1])
+    return {deg: flags[deg] for deg in wanted}
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +488,8 @@ def _window_vanishes(p: int, window: list) -> bool:
     first compose into one index scatter, the multiplication from the first
     degree to the last, whose map on Tate cohomology is the composite of
     the maps of each step and must be zero.  Only the two end degrees get
-    Tate data.  A degree that the walk did not build comes with module
-    None."""
-    if not all(mod is not None and mod.is_dense() for _, mod, _ in window):
+    Tate data."""
+    if not all(mod.is_dense() for _, mod, _ in window):
         raise ResourceGuard(
             f"window {window[0][0]}..{window[-1][0]} has no vanishing degree and exceeds the dense limit"
         )
@@ -519,12 +549,13 @@ def nilpotence_report(params: HeightParams, k: int, max_deg: int) -> NilpotenceR
     zero on Tate cohomology of symmetric powers, in all start degrees m with
     m + k + 1 <= max_deg.
 
-    Each degree is decided by _free_by_rank alone, dense or sparse: one
-    rank of z where p divides the dimension, none elsewhere.  A free degree
-    reports Tate dimensions 0 and every other degree unknown ones (None);
-    nilpotence_tate_report fills in the dense ones.  A composite vanishes
-    when its window contains a free degree, which the freeness pattern (d
-    is free when k+1 <= d mod p <= p-1) guarantees for valid inputs.
+    Each degree is decided by _free_flags: one rank of z, dense or sparse,
+    on each U_j, k <= j < n, at the degrees d = j + 1 mod p, none elsewhere.
+    A free degree reports Tate dimensions 0 and every other degree unknown
+    ones (None); nilpotence_tate_report fills in the dense ones.  A
+    composite vanishes when its window contains a free degree, which the
+    freeness pattern (d is free when k+1 <= d mod p <= p-1) guarantees for
+    valid inputs.
     """
     return _nilpotence_walk(params, k, max_deg, tate_dims=False)
 
@@ -536,15 +567,12 @@ def nilpotence_tate_report(params: HeightParams, k: int, max_deg: int) -> Nilpot
 
 
 def _nilpotence_walk(params: HeightParams, k: int, max_deg: int, tate_dims: bool) -> NilpotenceReport:
-    """One walk up the symmetric powers, to the last degree that needs a
-    rank: a dense one, or one whose dimension p divides.  Every built degree
-    is ranked by _free_by_rank; with tate_dims, a dense degree that is not
-    free also gets its Tate dimension from _tate_dim_by_rank.  A rank over
-    budget is refused before the walk.  The degrees after the last ranked
-    one are not built: none of them is free, and their dimensions are
-    binomials.  A window of k+2 degrees that are not free goes to the
-    explicit test _window_vanishes, so the current run of such degrees is
-    kept, at most k+2 long.
+    """The flags of _free_flags, and dimensions from binomials.  With
+    tate_dims, a dense degree that is not free gets its Tate dimension from
+    _tate_dim_by_rank, on a walk up U_k that goes no further than the last
+    such degree.  A rank over budget is refused before any power is built.
+    A window of k+2 degrees that are not free goes to the explicit test
+    _window_vanishes, on a walk of its own that keeps only those degrees.
     """
     p, n = params.p, params.n
     if k == 0:
@@ -557,28 +585,20 @@ def _nilpotence_walk(params: HeightParams, k: int, max_deg: int, tate_dims: bool
 
     base = u_k_module(params, k)
     _check_rank_budgets(base, k, range(max_deg + 1))
-    last = max_deg
-    while (dim := symmetric_dimension(base.dim, last)) > DENSE_LIMIT and dim % p:
-        last -= 1
+    flags = _free_flags(params, k, max_deg)
     walk = _symmetric_walk(base, max_deg)
     summaries: list[DegreeSummary] = []
-    run: list = []
+    run = 0
     holds = True
-    for deg in range(max_deg + 1):
-        mod = embed = None
-        if deg > last:
-            summary = DegreeSummary(deg, symmetric_dimension(base.dim, deg), None, None, False)
-        else:
-            _, mod, embed = next(walk)
-            free = _free_by_rank(mod)
-            tate = 0 if free else None
-            if tate_dims and not free and mod.is_dense():
-                tate = _tate_dim_by_rank(mod)
-            summary = DegreeSummary(deg, mod.dim, tate, tate, free)
-        summaries.append(summary)
+    for deg, free in enumerate(flags):
+        dim = symmetric_dimension(base.dim, deg)
+        tate = 0 if free else None
+        if tate_dims and not free and dim <= DENSE_LIMIT:
+            tate = _tate_dim_by_rank(next(mod for d, mod, _ in walk if d == deg))
+        summaries.append(DegreeSummary(deg, dim, tate, tate, free))
         # a vanishing degree makes every composite through it zero
-        run = [] if summary.free else (run + [(deg, mod, embed)])[-(k + 2):]
-        if len(run) == k + 2 and not _window_vanishes(p, run):
+        run = 0 if free else run + 1
+        if run >= k + 2 and not _window_vanishes(p, list(deque(_symmetric_walk(base, deg), maxlen=k + 2))):
             holds = False
     return NilpotenceReport(
         p=p, k=k, max_deg=max_deg, degrees=tuple(summaries), windows=max_deg - k, holds=holds

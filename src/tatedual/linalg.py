@@ -62,9 +62,14 @@ class Triplets:
 
     def scatter(self, dtype) -> np.ndarray:
         """The matrix as an array of dtype, summing repeated positions; the
-        sums are not reduced mod p."""
+        sums are not reduced mod p.  Distinct positions in row-major order,
+        as coalesced triplets have, are assigned without np.add.at."""
         out = np.zeros(self.shape, dtype=dtype)
-        np.add.at(out, (self.rows, self.cols), self.vals.astype(dtype))
+        keys = self.rows * self.shape[1] + self.cols
+        if (keys[1:] > keys[:-1]).all():
+            out[self.rows, self.cols] = self.vals
+        else:
+            np.add.at(out, (self.rows, self.cols), self.vals.astype(dtype))
         return out
 
     def coalesced(self, p: int) -> Triplets:

@@ -135,14 +135,22 @@ def test_verify_nilpotence_small(capsys):
         (("--prime", "7", "--k", "2"), "nilpotence_p7_k2.json"),
         # the largest dense Tate data: dimensions up to 1771
         (("--prime", "5", "--k", "1"), "nilpotence_p5_k1.json"),
-        # ranks above DENSE_LIMIT at every k = 1 degree from 9 to 13
-        pytest.param(("--prime", "7"), "nilpotence_p7.json", marks=pytest.mark.slow),
+        # every k at p = 7; the k = 1 powers above DENSE_LIMIT, degrees 9 to
+        # 14, are free by extension or not a multiple of 7 in dimension
+        (("--prime", "7"), "nilpotence_p7.json"),
     ],
 )
 def test_verify_nilpotence_json_golden(capsys, argv, golden):
     code, out, _ = run_cli(capsys, "verify", "nilpotence", *argv, "--json")
     assert code == 0
     assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+def test_verify_nilpotence_p7_golden(capsys):
+    # the plain verdict at every k = 1, ..., 5 of p = 7, the README command
+    code, out, _ = run_cli(capsys, "verify", "nilpotence", "--prime", "7")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "nilpotence_p7.txt").read_bytes()
 
 
 @pytest.mark.parametrize("max_degree", ["2", "3"])

@@ -468,6 +468,103 @@ class TestMultiplication:
             assert cp_rep._window_vanishes(3, walk[d : d + 3]), d
 
 
+def _ranked_pairs(p, k, max_deg):
+    """The (level, degree) pairs that _free_flags ranks, bottom-up: on each
+    U_j, k <= j < n, the degrees d = j + 1 mod p, the first of each period
+    whose dimension p divides."""
+    return [(j, d) for j in range(p - 2, k - 1, -1) for d in range(1, max_deg + 1) if d % p == j + 1]
+
+
+def _levels_seen(monkeypatch, name, params):
+    """The (level j, degree) of each symmetric power Sym^d(U_j) passed to
+    cp_rep.<name>, in order.  Each module is tagged when its chain makes it,
+    and kept, so that its id stays its own."""
+    made = {}
+    current = cp_rep._SymmetricChain.current_module
+
+    def tagged(chain):
+        mod = current(chain)
+        made[id(mod)] = (mod, (params.n + 1 - chain.nvars, chain.deg))
+        return mod
+
+    seen = []
+    real = getattr(cp_rep, name)
+
+    def spied(m, *args):
+        seen.append(made[id(m)][1])
+        return real(m, *args)
+
+    monkeypatch.setattr(cp_rep._SymmetricChain, "current_module", tagged)
+    monkeypatch.setattr(cp_rep, name, spied)
+    return seen
+
+
+class TestFreeFlags:
+    @pytest.mark.parametrize(
+        "p,k,max_deg,report",
+        [(3, 1, 27, "verdict"), (5, 1, 20, "verdict"), (5, 2, 25, "tate"), (7, 2, 14, "verdict"),
+         (7, 1, 14, "tate"), (5, 0, 20, "freeness"), (7, 0, 10, "freeness"), (7, 3, 13, "freeness")],
+    )
+    def test_ranks_only_where_the_degree_below_is_not_free(self, p, k, max_deg, report, monkeypatch):
+        params = height_params(p)
+        ranked = _levels_seen(monkeypatch, "_free_by_rank", params)
+        if report == "freeness":
+            cp_rep.freeness_by_degree(params, k, range(max_deg + 1))
+        else:
+            run = cp_rep.nilpotence_report if report == "verdict" else cp_rep.nilpotence_tate_report
+            assert run(params, k, max_deg).holds
+        assert ranked == _ranked_pairs(p, k, max_deg)
+        if (p, k) == (7, 2):
+            # against 13 ranks of U_2 alone, up to dimension 2380
+            dims = [cp_rep.symmetric_dimension(params.n + 1 - j, d) for j, d in ranked]
+            assert (len(ranked), max(dims)) == (8, 1001)
+
+    @pytest.mark.parametrize("p,k", [(p, k) for p in (3, 5, 7) for k in range(p - 1)])
+    def test_last_variable_makes_z_block_triangular(self, p, k):
+        """The hypothesis of _free_flags's certificate, in the engine's own
+        basis: at every degree d of the nilpotence and freeness suites whose
+        power of U_k is dense, the z of the walk maps the span A of the
+        monomials that the last variable divides into itself, equals there
+        the z of degree d - 1 carried by last_var_embed, and on the other
+        monomials, modulo A, equals the z of Sym^d(U_(k+1)) once their last
+        exponent (0) is dropped.
+
+        No output can guard this.  By Lucas's theorem p divides
+        dim Sym^d(U_k) = C(d + p-1-k, p-1-k) exactly when d mod p >= k + 1,
+        which is when the degree is free, so a rule that answers "free"
+        wherever p divides the dimension prints the same bytes."""
+        def entries(rows, cols, vals):
+            return sorted(zip(rows.tolist(), cols.tolist(), vals.tolist()))
+
+        params = height_params(p)
+        chain = cp_rep._SymmetricChain(cp_rep.u_k_module(params, k))
+        upper = cp_rep._SymmetricChain(cp_rep.u_k_module(params, k + 1))
+        prev = cp_rep._z_triplets(chain.current_module())
+        for deg in range(1, cp_rep.default_degree_cap(params, k) + 1):
+            if cp_rep.symmetric_dimension(chain.nvars, deg) > cp_rep.DENSE_LIMIT:
+                break
+            chain.step()
+            upper.step()
+            z = cp_rep._z_triplets(chain.current_module())
+            embed = chain.last_var_embed
+            in_a = np.zeros(z.shape[0], dtype=bool)
+            in_a[embed] = True
+            assert np.array_equal(in_a, chain.monos[:, -1] > 0), deg
+            on_a = in_a[z.cols]
+            assert in_a[z.rows[on_a]].all(), deg
+            assert entries(z.rows[on_a], z.cols[on_a], z.vals[on_a]) == entries(
+                embed[prev.rows], embed[prev.cols], prev.vals
+            ), deg
+            index = {tuple(m): i for i, m in enumerate(upper.monos.tolist())}
+            quotient = np.array([index.get(tuple(m[:-1]), -1) if m[-1] == 0 else -1 for m in chain.monos.tolist()])
+            rest = ~on_a & ~in_a[z.rows]
+            q = cp_rep._z_triplets(upper.current_module())
+            assert entries(quotient[z.rows[rest]], quotient[z.cols[rest]], z.vals[rest]) == entries(
+                q.rows, q.cols, q.vals
+            ), deg
+            prev = z
+
+
 class TestNilpotence:
     def test_trivial_k0(self, params5):
         report = cp_rep.nilpotence_report(params5, 0, 10)
@@ -496,19 +593,25 @@ class TestNilpotence:
         return seen
 
     def test_verdict_builds_z_where_p_divides_dim(self, params5, monkeypatch):
-        built = self._dims_seen(monkeypatch, "_z_triplets")
+        # only at the ranked degrees, levels bottom-up: U_3 at degrees 4, 9
+        # and 14, then U_2 at 3, 8 and 13; U_2 at 4, 9 and 14, whose
+        # dimensions 5 also divides, are free by extension
+        built = _levels_seen(monkeypatch, "_z_triplets", params5)
         report = cp_rep.nilpotence_report(params5, 2, 15)
         assert all(d.dim <= cp_rep.DENSE_LIMIT for d in report.degrees)
-        assert built == [d.dim for d in report.degrees if d.dim % 5 == 0]
+        assert built == _ranked_pairs(5, 2, 15)
 
     def test_z_built_once_per_dense_degree(self, params5, monkeypatch):
-        built = self._dims_seen(monkeypatch, "_z_triplets")
+        # the ranked degrees, which are free, and the degrees of U_2 that
+        # are not free, for their Tate dimensions
+        built = _levels_seen(monkeypatch, "_z_triplets", params5)
         report = cp_rep.nilpotence_tate_report(params5, 2, 15)
         assert all(d.dim <= cp_rep.DENSE_LIMIT for d in report.degrees)
-        assert built == [d.dim for d in report.degrees]
+        assert len(built) == len(set(built))
+        assert set(built) == set(_ranked_pairs(5, 2, 15)) | {(2, d.deg) for d in report.degrees if not d.free}
 
     def test_verdict_takes_no_powers_of_z(self, params5, monkeypatch):
-        # one rank of z per degree whose dimension 5 divides, and nothing else
+        # one rank of z at each degree that _free_flags ranks, and nothing else
         def refused(*args):
             raise AssertionError("the verdict took a power of z")
 
@@ -524,19 +627,22 @@ class TestNilpotence:
         assert skinny == [d.dim for d in report.degrees if not d.free]
 
     def test_walk_stops_at_last_ranked_degree(self, monkeypatch):
-        # p = 7, k = 2: degree 13 (dimension 2380 = 7 * 340) is the last one
-        # that needs a rank; degree 14 (dimension 3060, not a multiple of 7
-        # and above DENSE_LIMIT) is reported from its dimension, unbuilt
-        stepped = []
+        # p = 7, k = 2: each level U_j steps only to its last ranked degree,
+        # d = j + 1 + 7: U_2 to degree 10 (dimension 1001), not to 13
+        # (dimension 2380), which U_3 at 13 and U_2 at 12 prove free; degree
+        # 14 (dimension 3060, not a multiple of 7) is reported from its
+        # dimension, unbuilt
+        stepped: dict = {}
         step = cp_rep._SymmetricChain.step
 
         def counted(chain):
-            stepped.append(chain.deg + 1)
+            stepped.setdefault(7 - chain.nvars, []).append(chain.deg + 1)
             step(chain)
 
         monkeypatch.setattr(cp_rep._SymmetricChain, "step", counted)
         report = cp_rep.nilpotence_report(height_params(7), 2, 14)
-        assert stepped == list(range(1, 14))
+        assert stepped == {j: list(range(1, j + 9)) for j in (5, 4, 3, 2)}
+        assert list(stepped) == [5, 4, 3, 2]
         assert report.degrees[-1] == cp_rep.DegreeSummary(14, 3060, None, None, False)
         assert report.holds
 
@@ -554,9 +660,8 @@ class TestNilpotence:
     @pytest.mark.parametrize("p,k,max_deg,limit,window", [(3, 1, 4, 4, "2..4"), (5, 2, 15, 10, "1..4")])
     def test_window_past_dense_limit_refused(self, p, k, max_deg, limit, window, monkeypatch):
         # every degree forced non-free: the first window that reaches past
-        # the dense limit is refused.  At p = 3 its last degree (dimension 5,
-        # not a multiple of 3) comes after the last ranked one and is never
-        # built; at p = 5 it (dimension 15) is built and ranked
+        # the dense limit is refused.  Its last degree has dimension 5 at
+        # p = 3, which 3 does not divide, and 15 at p = 5, which is ranked
         monkeypatch.setattr(cp_rep, "DENSE_LIMIT", limit)
         monkeypatch.setattr(cp_rep, "_tate_dim_by_rank", lambda m: 1)
         monkeypatch.setattr(cp_rep, "_free_by_rank", lambda m: False)

@@ -259,6 +259,25 @@ def test_coalesced_sums_repeated_positions(p):
                     assert list(zip(u.rows.tolist(), u.cols.tolist(), u.vals.tolist())) == want
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_scatter_sums_like_a_dense_loop(dtype):
+    # positions in random order, repeated from nnz = 60 on, take np.add.at,
+    # and distinct ones in row-major order a plain assignment; both must
+    # equal the entries summed one by one, unreduced
+    rng = np.random.default_rng(300)
+    for nnz in [0, 1, 7, 60, 600]:
+        shape = (int(rng.integers(1, 30)), int(rng.integers(1, 30)))
+        rows, cols = rng.integers(0, shape[0], size=nnz), rng.integers(0, shape[1], size=nnz)
+        keys = np.unique(rows * shape[1] + cols)
+        for r, c in ((rows, cols), (keys // shape[1], keys % shape[1])):
+            vals = rng.integers(1, 9, size=r.size)
+            want = np.zeros(shape, dtype=np.int64)
+            for i, j, v in zip(r.tolist(), c.tolist(), vals.tolist()):
+                want[i, j] += v
+            got = linalg.Triplets(shape, r, c, vals).scatter(dtype)
+            assert got.dtype == dtype and np.array_equal(got, want)
+
+
 def test_sparse_rank_budget_refuses_before_allocating(monkeypatch):
     # S^13(U_0) at p = 5 has dimension 2380; its float32 work array needs
     # 4 * 2380^2 bytes, one more than the patched budget

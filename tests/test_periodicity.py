@@ -145,10 +145,14 @@ def test_nilpotence_report_matches_prediction(p, k, max_deg):
 
 
 def test_free_flags_catch_an_off_by_one_rank(monkeypatch):
-    # mutation check: the verdict's free flags rest on the rank of z, so a
-    # block count off by one must show against the prediction.  (Testing
-    # only whether p divides the dimension agrees with freeness at every
-    # degree of U_k, so no output could catch that mutant.)
+    # mutation check: the verdict's free flags rest on the ranks of z at the
+    # degrees that the last-variable extensions leave open, so a block
+    # count off by one must show against the prediction.  (By Lucas's
+    # theorem p divides C(d + p-1-k, p-1-k) exactly when d mod p >= k + 1,
+    # so testing only whether p divides the dimension, or answering free
+    # wherever it does, agrees with freeness at every degree of U_k, and no
+    # output could catch that mutant; TestFreeFlags in test_cp_rep checks
+    # the certificate's hypothesis instead.)
     def off_by_one(m):
         rank = linalg.sparse_rank_mod(cp_rep._z_triplets(m), m.p)
         return m.dim % m.p == 0 and rank == m.dim - m.dim // m.p - 1
