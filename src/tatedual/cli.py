@@ -153,16 +153,14 @@ def _verify_freeness(args) -> int:
     failures = 0
     for k in ks:
         max_deg = cp_rep.default_degree_cap(params, k) if args.max_degree is None else args.max_degree
-        # the degrees d <= max_deg with k+1 <= d mod p <= p-1, ascending and
-        # lazy, period by period: a huge max_deg is refused at its first rank
-        # over budget, or has no such degree when k+1 > p-1
-        periods = range(0, max_deg + 1, p) if k + 1 < p else range(0)
-        degrees = (d for q in periods for d in range(q + k + 1, min(q + p, max_deg + 1)))
-        free = cp_rep.freeness_by_degree(params, k, degrees)
-        bad = [d for d, ok in free.items() if not ok]
+        # the degrees d <= max_deg with d mod p > k, free by the pattern: U_n
+        # has none, and free_flags refuses a huge max_deg on any other level
+        flags = cp_rep.free_flags(params, k, max_deg if k < params.n else 0)
+        degrees = [d for d in range(len(flags)) if d % p > k]
+        bad = [d for d in degrees if not flags[d]]
         status = "PASS" if not bad else "FAIL"
         print(
-            f"{status} freeness p={p} k={k} degrees_checked={len(free)} "
+            f"{status} freeness p={p} k={k} degrees_checked={len(degrees)} "
             f"max_degree={max_deg}" + (f" failing={bad}" if bad else "")
         )
         failures += len(bad)

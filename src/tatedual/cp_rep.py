@@ -22,9 +22,10 @@ of size p none.  The verification suites decide freeness level by level,
 from U_n down to U_k: a degree is free by extension when the degree below
 it and the same degree one level up are, and otherwise takes one rank of
 z, free iff rank(z) = dim - dim/p; on U_j only the degrees d = j + 1 mod p
-take one.  A free module has no Tate cohomology.  Only the report with
-Tate dimensions adds, at each dense degree that is not free, rank(N), for
-both Tate groups have dimension dim - rank(z) - rank(N).  Multiplication
+take one.  free_flags alone decides this, and budgets exactly those ranks
+before any walk.  A free module has no Tate cohomology.  Only the report
+with Tate dimensions adds, at each dense degree that is not free, rank(N),
+for both Tate groups have dimension dim - rank(z) - rank(N).  Multiplication
 by the invariant bottom variable vanishes on Tate cohomology in every
 window of consecutive degrees that contains a free degree; only a window
 without one would be tested explicitly, by the composite multiplication
@@ -39,7 +40,6 @@ statements are unaffected.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -141,15 +141,22 @@ def symmetric_dimension(nvars: int, deg: int) -> int:
 
 
 def _lex_positions(expo: np.ndarray, deg: int) -> np.ndarray:
-    """Positions of the exponent rows of total degree deg among all of them
-    in descending lex order: e comes after sum_{i < v-1} C(D_i - e_i + v-i-2,
-    v-i-1) monomials, where D_i = deg - sum_{j < i} e_j and the binomial
-    counts those that agree with e before i and exceed it at i."""
-    v = expo.shape[1]
+    """Positions of the exponent rows of total degree deg, along the last
+    axis, among all of them in descending lex order: e comes after
+    sum_{i < v-1} C(D_i - e_i + v-i-2, v-i-1) monomials, where D_i = deg -
+    sum_{j < i} e_j and the binomial counts those that agree with e before
+    i and exceed it at i.  One table serves every row: C(a, b), a < deg + v,
+    b < v, by Pascal's rule in int64, clipped at the dimension; an entry
+    read is below it, and so exact, and no sum overflows."""
+    v = expo.shape[-1]
     i = np.arange(v - 1)
-    table = np.array([[math.comb(a, b) for b in range(v)] for a in range(deg + v)], dtype=np.int64)
-    top = deg + v - i - 2 - np.cumsum(expo[:, :-1], axis=1)
-    return table[top, v - i - 1].sum(axis=1)
+    dim = symmetric_dimension(v, deg)
+    table = np.zeros((deg + v, v), dtype=np.int64)
+    table[:, 0] = 1
+    for a in range(1, deg + v):
+        np.minimum(table[a - 1, 1:] + table[a - 1, :-1], dim, out=table[a, 1:])
+    top = deg + v - i - 2 - np.cumsum(expo[..., :-1], axis=-1)
+    return table[top, v - i - 1].sum(axis=-1)
 
 
 class _SymmetricChain:
@@ -190,13 +197,12 @@ class _SymmetricChain:
         p, v = self.p, self.nvars
         prev_monos, prev = self.monos, self.matrix
         deg = self.deg + 1
-        units = np.eye(v, dtype=np.int64)
 
         # embeds[t][c]: the position of x_t times monomial c of the previous degree
-        embeds = np.stack([_lex_positions(prev_monos + unit, deg) for unit in units])
+        products = prev_monos + np.eye(v, dtype=np.int64)[:, None]
+        embeds = _lex_positions(products, deg)
         monos = np.empty((symmetric_dimension(v, deg), v), dtype=np.int64)
-        for t in range(v):
-            monos[embeds[t]] = prev_monos + units[t]
+        monos[embeds] = products
         # first[c]: the first variable of positive exponent in monomial c
         positive = prev_monos > 0
         first = np.where(positive.any(axis=1), positive.argmax(axis=1), v)
@@ -214,7 +220,7 @@ class _SymmetricChain:
                     parts.append((embeds[t][rows], cols, val * vals))
         dim = len(monos)
         stacked = linalg.Triplets((dim, dim), *map(np.concatenate, zip(*parts)))
-        del parts, rows, cols, vals  # freed before the coalescing, the step's peak
+        del parts, rows, cols, vals, products  # freed before the coalescing, the step's peak
         self.matrix = stacked.coalesced(p)
 
         self.deg = deg
@@ -310,7 +316,7 @@ def jordan_decompose(m: CpModule) -> JordanProfile:
     """
     p = m.p
     if not m.is_dense():
-        raise ResourceGuard("jordan_decompose needs a dense module; use freeness_by_degree for large ones")
+        raise ResourceGuard("jordan_decompose needs a dense module; use free_flags for large ones")
     indep, rows = _skinny_powers(m)
     ys = list(rows)
     ranks = [m.dim, len(indep), *(linalg.rank_mod(np.vstack(ys[j - 1 :]), p) for j in range(2, p)), 0, 0]
@@ -389,22 +395,7 @@ def _free_by_rank(m: CpModule) -> bool:
     return linalg.sparse_rank_mod(_z_triplets(m), m.p) == m.dim - m.dim // m.p
 
 
-def _check_rank_budgets(base: CpModule, k: int, degrees) -> list[int]:
-    """Refuse a walk before its first step if a rank it will take above
-    DENSE_LIMIT, at a degree whose dimension p divides, is over the budget
-    of linalg.sparse_rank_mod.  Degrees are given ascending, as any
-    iterable, and read only up to the first refusal, which names the lowest
-    such degree; returns the degrees read, as a list."""
-    read = []
-    for deg in degrees:
-        dim = symmetric_dimension(base.dim, deg)
-        if dim > DENSE_LIMIT and dim % base.p == 0:
-            linalg.check_rank_budget((dim, dim), base.p, f"k={k} degree {deg} has dimension {dim}: ")
-        read.append(deg)
-    return read
-
-
-def _free_flags(params: HeightParams, k: int, max_deg: int) -> list[bool]:
+def free_flags(params: HeightParams, k: int, max_deg: int) -> list[bool]:
     """Whether Sym^d(U_k) is free, d = 0, ..., max_deg, decided level by
     level from U_n, whose powers (dimension 1) are not free, to U_k.  A
     degree whose dimension p divides is free if the degree below it and the
@@ -415,9 +406,21 @@ def _free_flags(params: HeightParams, k: int, max_deg: int) -> list[bool]:
     and Styan, 1974) = (dim A - dim A/p) + (dim Q - dim Q/p) = dim - dim/p,
     which the bound of _free_by_rank makes an equality.  Any other such
     degree takes one rank of z, on a walk of its level made at its first
-    rank and advanced only that far."""
+    rank and advanced only that far.
+
+    The budget assumes the pattern the verdict proves (d is free on U_j iff
+    j+1 <= d mod p <= p-1): it checks the ranks at d = j + 1 mod p on each
+    U_j, k <= j < n, in ascending d and before any walk or DIM_CAP, so a
+    refusal names the lowest degree and its level.  A rank that ever says
+    "not free" would lead to ranks not budgeted here, each still refused by
+    sparse_rank_mod's own check before it allocates."""
     p, n = params.p, params.n
     top = _symmetric_walk(u_k_module(params, k), max_deg)
+    for deg in range(1, max_deg + 1):
+        j = deg % p - 1
+        if j >= k:
+            dim = symmetric_dimension(n - j + 1, deg)
+            linalg.check_rank_budget((dim, dim), p, f"k={j} degree {deg} has dimension {dim}: ")
     next(top)  # degree 0: DIM_CAP is checked for U_k, the largest, before any rank
     flags = [False] * (max_deg + 1)
     for j in range(n - 1, k - 1, -1):
@@ -431,21 +434,6 @@ def _free_flags(params: HeightParams, k: int, max_deg: int) -> list[bool]:
                 walk = walk or _symmetric_walk(u_k_module(params, j), max_deg)
                 flags.append(_free_by_rank(next(m for d, m, _ in walk if d == deg)))
     return flags
-
-
-def freeness_by_degree(params: HeightParams, k: int, degrees) -> dict[int, bool]:
-    """Is the symmetric power of the height module free over F_p[C_p], at
-    each of the given degrees?  Read off _free_flags.  The degrees come
-    ascending and may be a lazy iterable: a rank over budget is refused
-    before any power is built and before any later degree is read."""
-    base = u_k_module(params, k)
-    degrees = iter(degrees)
-    first = next(degrees, None)
-    if first is None:
-        return {}
-    wanted = sorted(set(_check_rank_budgets(base, k, itertools.chain([first], degrees))))
-    flags = _free_flags(params, k, wanted[-1])
-    return {deg: flags[deg] for deg in wanted}
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +537,7 @@ def nilpotence_report(params: HeightParams, k: int, max_deg: int) -> NilpotenceR
     zero on Tate cohomology of symmetric powers, in all start degrees m with
     m + k + 1 <= max_deg.
 
-    Each degree is decided by _free_flags: one rank of z, dense or sparse,
+    Each degree is decided by free_flags: one rank of z, dense or sparse,
     on each U_j, k <= j < n, at the degrees d = j + 1 mod p, none elsewhere.
     A free degree reports Tate dimensions 0 and every other degree unknown
     ones (None); nilpotence_tate_report fills in the dense ones.  A
@@ -567,7 +555,7 @@ def nilpotence_tate_report(params: HeightParams, k: int, max_deg: int) -> Nilpot
 
 
 def _nilpotence_walk(params: HeightParams, k: int, max_deg: int, tate_dims: bool) -> NilpotenceReport:
-    """The flags of _free_flags, and dimensions from binomials.  With
+    """The flags of free_flags, and dimensions from binomials.  With
     tate_dims, a dense degree that is not free gets its Tate dimension from
     _tate_dim_by_rank, on a walk up U_k that goes no further than the last
     such degree.  A rank over budget is refused before any power is built.
@@ -583,9 +571,8 @@ def _nilpotence_walk(params: HeightParams, k: int, max_deg: int, tate_dims: bool
     if max_deg < k + 1:
         raise InvalidInput("max_deg must be at least k + 1")
 
+    flags = free_flags(params, k, max_deg)
     base = u_k_module(params, k)
-    _check_rank_budgets(base, k, range(max_deg + 1))
-    flags = _free_flags(params, k, max_deg)
     walk = _symmetric_walk(base, max_deg)
     summaries: list[DegreeSummary] = []
     run = 0

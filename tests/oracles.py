@@ -11,7 +11,7 @@ src/tatedual holds, and these oracles recompute the same facts another way.
   half plane and reads the zero-line survivors off it;
 - the verify_* checks test properties that hold on every recorded sequence;
 - freeness_check decides freeness at one degree from a fresh symmetric
-  power, against the one walk of cp_rep.freeness_by_degree;
+  power, against the flags of cp_rep.free_flags;
 - direct_sum builds the planted-block modules of the Jordan and Tate tests,
   and coordinates_in_span inverts the change of basis of the random ones;
 - monomials enumerates exponent tuples of one degree in descending lex

@@ -287,22 +287,40 @@ def test_sympow_above_dense_limit_refused_before_walking(capsys, monkeypatch):
 
 
 def test_freeness_over_rank_budget_exits_2(capsys, monkeypatch):
-    # degree 13 of U_0 at p = 5 has dimension 2380, a multiple of 5, so its
-    # freeness needs a rank above DENSE_LIMIT; its float32 work array of
-    # 4 * 2380^2 bytes is one byte over the patched budget; the command
-    # must refuse before building any symmetric power
+    # degree 16 of U_0 at p = 5 has dimension 4845 and takes a rank of z, as
+    # 16 = 0 + 1 mod 5; its float32 work array of 4 * 4845^2 bytes is one
+    # byte over the patched budget; the command must refuse before building
+    # any symmetric power
     from tatedual import cp_rep, linalg
 
     def no_steps(self):
         raise AssertionError("freeness stepped the chain")
 
     monkeypatch.setattr(cp_rep._SymmetricChain, "step", no_steps)
-    monkeypatch.setattr(linalg, "RANK_BYTES", 4 * 2380**2 - 1)
-    code, out, err = run_cli(capsys, "verify", "freeness", "--prime", "5", "--k", "0", "--max-degree", "13")
+    monkeypatch.setattr(linalg, "RANK_BYTES", 4 * 4845**2 - 1)
+    code, out, err = run_cli(capsys, "verify", "freeness", "--prime", "5", "--k", "0", "--max-degree", "16")
     assert code == 2
     assert out == ""
-    assert "2380 x 2380" in err and "byte budget" in err
-    assert "k=0" in err and "degree 13" in err
+    assert "4845 x 4845" in err and "byte budget" in err
+    assert "k=0" in err and "degree 16" in err
+
+
+def test_verify_freeness_golden(capsys):
+    # every k at p = 7, the README command: each level ranks only its
+    # degrees d = k + 1 mod 7, the largest at dimension 3003 (k = 0,
+    # degree 8); U_0 at degrees 11 to 13, dimensions 12376 to 27132, is free
+    # by extension
+    code, out, err = run_cli(capsys, "verify", "freeness", "--prime", "7")
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "freeness_p7.txt").read_bytes()
+
+
+@pytest.mark.parametrize("p", ["101", "997"])
+def test_freeness_many_variables(capsys, p):
+    # U_0 has p variables, past the int64 range of the binomials C(a, b),
+    # a < p + 1, b < p, from p = 67 on; degree 1 is one Jordan block of size p
+    code, out, err = run_cli(capsys, "verify", "freeness", "--prime", p, "--k", "0", "--max-degree", "1")
+    assert (code, out, err) == (0, f"PASS freeness p={p} k=0 degrees_checked=1 max_degree=1\n", "")
 
 
 def test_chart_stdout_and_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -171,6 +172,13 @@ class TestSymmetricPower:
             assert [tuple(e) for e in chain.monos.tolist()] == expected, deg
             positions = cp_rep._lex_positions(np.array(expected, dtype=np.int64).reshape(-1, nvars), deg)
             assert positions.tolist() == list(range(len(expected))), deg
+
+    def test_monomial_ranking_past_int64_binomials(self):
+        # C(a, b) for a < deg + v, b < v overflows int64 once v >= 67; the
+        # clipped table still places every monomial of 101 variables
+        expected = monomials(101, 2)
+        positions = cp_rep._lex_positions(np.array(expected, dtype=np.int64), 2)
+        assert positions.tolist() == list(range(len(expected)))
 
     @pytest.mark.parametrize("p,k,max_deg", [(5, 1, 20), (7, 2, 14)])
     def test_walk_keeps_coalesced_triplets(self, p, k, max_deg):
@@ -368,12 +376,13 @@ class TestFreeness:
         pa = height_params(p)
         degrees = range(0, cp_rep.default_degree_cap(pa, k) + 1)
         expected = {d: freeness_check(pa, k, d) for d in degrees}
-        assert cp_rep.freeness_by_degree(pa, k, degrees) == expected
+        flags = cp_rep.free_flags(pa, k, degrees[-1])
+        assert {d: flags[d] for d in degrees} == expected
 
     def test_one_pass_edge_cases(self, params3):
-        assert cp_rep.freeness_by_degree(params3, 1, []) == {}
+        assert cp_rep.free_flags(params3, 1, 0) == [False]
         with pytest.raises(InvalidInput):
-            cp_rep.freeness_by_degree(params3, 1, [-1, 2])
+            cp_rep.free_flags(params3, 1, -1)
 
 
 class TestOrbitProduct:
@@ -469,7 +478,7 @@ class TestMultiplication:
 
 
 def _ranked_pairs(p, k, max_deg):
-    """The (level, degree) pairs that _free_flags ranks, bottom-up: on each
+    """The (level, degree) pairs that free_flags ranks, bottom-up: on each
     U_j, k <= j < n, the degrees d = j + 1 mod p, the first of each period
     whose dimension p divides."""
     return [(j, d) for j in range(p - 2, k - 1, -1) for d in range(1, max_deg + 1) if d % p == j + 1]
@@ -499,6 +508,24 @@ def _levels_seen(monkeypatch, name, params):
     return seen
 
 
+def _budgeted(monkeypatch):
+    """The (level j, degree) that each budget check of free_flags names, in
+    order: the calls of linalg.check_rank_budget with a context, whose
+    shape must be the dimension of Sym^d(U_j) it names."""
+    seen = []
+    real = linalg.check_rank_budget
+
+    def spied(shape, p, context=""):
+        if context:
+            j, d, dim = map(int, re.fullmatch(r"k=(\d+) degree (\d+) has dimension (\d+): ", context).groups())
+            assert shape == (dim, dim) and dim == cp_rep.symmetric_dimension(p - j, d), context
+            seen.append((j, d))
+        return real(shape, p, context)
+
+    monkeypatch.setattr(linalg, "check_rank_budget", spied)
+    return seen
+
+
 class TestFreeFlags:
     @pytest.mark.parametrize(
         "p,k,max_deg,report",
@@ -508,12 +535,15 @@ class TestFreeFlags:
     def test_ranks_only_where_the_degree_below_is_not_free(self, p, k, max_deg, report, monkeypatch):
         params = height_params(p)
         ranked = _levels_seen(monkeypatch, "_free_by_rank", params)
+        budgeted = _budgeted(monkeypatch)
         if report == "freeness":
-            cp_rep.freeness_by_degree(params, k, range(max_deg + 1))
+            cp_rep.free_flags(params, k, max_deg)
         else:
             run = cp_rep.nilpotence_report if report == "verdict" else cp_rep.nilpotence_tate_report
             assert run(params, k, max_deg).holds
         assert ranked == _ranked_pairs(p, k, max_deg)
+        # the budget covers exactly the ranks, by ascending degree
+        assert budgeted == sorted(_ranked_pairs(p, k, max_deg), key=lambda pair: pair[1])
         if (p, k) == (7, 2):
             # against 13 ranks of U_2 alone, up to dimension 2380
             dims = [cp_rep.symmetric_dimension(params.n + 1 - j, d) for j, d in ranked]
@@ -521,7 +551,7 @@ class TestFreeFlags:
 
     @pytest.mark.parametrize("p,k", [(p, k) for p in (3, 5, 7) for k in range(p - 1)])
     def test_last_variable_makes_z_block_triangular(self, p, k):
-        """The hypothesis of _free_flags's certificate, in the engine's own
+        """The hypothesis of free_flags's certificate, in the engine's own
         basis: at every degree d of the nilpotence and freeness suites whose
         power of U_k is dense, the z of the walk maps the span A of the
         monomials that the last variable divides into itself, equals there
@@ -611,7 +641,7 @@ class TestNilpotence:
         assert set(built) == set(_ranked_pairs(5, 2, 15)) | {(2, d.deg) for d in report.degrees if not d.free}
 
     def test_verdict_takes_no_powers_of_z(self, params5, monkeypatch):
-        # one rank of z at each degree that _free_flags ranks, and nothing else
+        # one rank of z at each degree that free_flags ranks, and nothing else
         def refused(*args):
             raise AssertionError("the verdict took a power of z")
 

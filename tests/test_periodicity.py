@@ -177,7 +177,7 @@ def test_jordan_profile_matches_prediction(p, k, max_deg):
 def test_freeness_by_degree_matches_prediction(p, k, max_deg):
     degrees = range(max_deg + 1)
     expected = {d: predicted_free(p, k, d) for d in degrees}
-    assert cp_rep.freeness_by_degree(height_params(p), k, degrees) == expected
+    assert dict(enumerate(cp_rep.free_flags(height_params(p), k, max_deg))) == expected
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -187,6 +187,17 @@ def test_freeness_pattern(p):
     for k in range(p - 1):
         for d in range(3 * p):
             assert predicted_free(p, k, d) is (k + 1 <= d % p <= p - 1), (k, d)
+
+
+def test_freeness_p7_golden_matches_prediction():
+    # `verify freeness --prime 7` checks, at each k, the degrees d <= 14
+    # with d mod 7 > k: its count must be that of the degrees the
+    # periodicity predicts free, and every one of them must pass
+    lines = (GOLDEN / "freeness_p7.txt").read_text().splitlines()
+    assert len(lines) == 6
+    for k, line in enumerate(lines):
+        free = [d for d in range(15) if predicted_free(7, k, d)]
+        assert line == f"PASS freeness p=7 k={k} degrees_checked={len(free)} max_degree=14", line
 
 
 def test_p7_k1_rank_golden():
