@@ -124,18 +124,20 @@ def _verify_cancellation(args) -> int:
     return 1 if failures else 0
 
 
+def _degree_caps(args, params, ks) -> dict[int, int]:
+    from . import cp_rep
+    return {k: cp_rep.default_degree_cap(params, k) if args.max_degree is None else args.max_degree
+            for k in ks}
+
+
 def _verify_nilpotence(args) -> int:
     from . import cp_rep
     params = _params(args.prime)
     ks = [args.k] if args.k is not None else list(range(1, params.n))
-    # only the JSON reports print Tate dimensions; the verdict needs freeness alone
-    report_of = cp_rep.nilpotence_tate_report if args.json else cp_rep.nilpotence_report
-    # every report is built before any line is printed, so that a k refused
-    # late leaves stdout empty
-    reports = []
-    for k in ks:
-        max_deg = cp_rep.default_degree_cap(params, k) if args.max_degree is None else args.max_degree
-        reports.append(report_of(params, k, max_deg))
+    # only the JSON reports print Tate dimensions; the verdict needs freeness
+    # alone.  Every report is built, from one freeness pass for all k, before
+    # any line is printed, so that a k refused late leaves stdout empty
+    reports = cp_rep.nilpotence_reports(params, _degree_caps(args, params, ks), args.json)
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
     else:
@@ -150,14 +152,14 @@ def _verify_freeness(args) -> int:
     params = _params(args.prime)
     p = params.p
     ks = [args.k] if args.k is not None else list(range(0, params.n))
+    caps = _degree_caps(args, params, ks)
+    # the degrees d <= max_deg with d mod p > k, free by the pattern: U_n
+    # has none, and free_flags_by_k refuses a huge max_deg on any other level
+    flags = cp_rep.free_flags_by_k(params, {k: d if k < params.n else 0 for k, d in caps.items()})
     failures = 0
-    for k in ks:
-        max_deg = cp_rep.default_degree_cap(params, k) if args.max_degree is None else args.max_degree
-        # the degrees d <= max_deg with d mod p > k, free by the pattern: U_n
-        # has none, and free_flags refuses a huge max_deg on any other level
-        flags = cp_rep.free_flags(params, k, max_deg if k < params.n else 0)
-        degrees = [d for d in range(len(flags)) if d % p > k]
-        bad = [d for d in degrees if not flags[d]]
+    for k, max_deg in caps.items():
+        degrees = [d for d in range(len(flags[k])) if d % p > k]
+        bad = [d for d in degrees if not flags[k][d]]
         status = "PASS" if not bad else "FAIL"
         print(
             f"{status} freeness p={p} k={k} degrees_checked={len(degrees)} "

@@ -22,16 +22,17 @@ of size p none.  The verification suites decide freeness level by level,
 from U_n down to U_k: a degree is free by extension when the degree below
 it and the same degree one level up are, and otherwise takes one rank of
 z, free iff rank(z) = dim - dim/p; on U_j only the degrees d = j + 1 mod p
-take one.  free_flags alone decides this, and budgets exactly those ranks
-before any walk.  A free module has no Tate cohomology.  Only the report
-with Tate dimensions adds, at each dense degree that is not free, rank(N),
-for both Tate groups have dimension dim - rank(z) - rank(N).  Multiplication
-by the invariant bottom variable vanishes on Tate cohomology in every
-window of consecutive degrees that contains a free degree; only a window
-without one would be tested explicitly, by the composite multiplication
-from its first degree to its last and two rank comparisons against kernel
-and image bases of z and N at those two degrees, the one place such bases
-are built.
+take one.  free_flags_by_k alone decides this, for every k of a command in
+one pass that ranks each (level, degree) at most once, and budgets exactly
+those ranks before any walk.  A free module has no Tate cohomology.  Only
+the report with Tate dimensions adds, at each dense degree that is not
+free, rank(N), for both Tate groups have dimension dim - rank(z) - rank(N).
+Multiplication by the invariant bottom variable vanishes on Tate
+cohomology in every window of consecutive degrees that contains a free
+degree; only a window without one would be tested explicitly, by the
+composite multiplication from its first degree to its last and two rank
+comparisons against kernel and image bases of z and N at those two
+degrees, the one place such bases are built.
 
 Everything is computed over F_p.  Coefficient extensions to F_{p^n} only
 rescale multiplicities, so dimension counts, freeness and vanishing
@@ -396,44 +397,67 @@ def _free_by_rank(m: CpModule) -> bool:
 
 
 def free_flags(params: HeightParams, k: int, max_deg: int) -> list[bool]:
-    """Whether Sym^d(U_k) is free, d = 0, ..., max_deg, decided level by
-    level from U_n, whose powers (dimension 1) are not free, to U_k.  A
-    degree whose dimension p divides is free if the degree below it and the
-    same degree of U_(k+1) are: the invariant last variable x gives the
-    exact sequence 0 -> A = x Sym^(d-1)(U_k) -> Sym^d(U_k) -> Q =
-    Sym^d(U_(k+1)) -> 0, and on the monomials split by whether x divides
+    """Whether Sym^d(U_k) is free, d = 0, ..., max_deg: free_flags_by_k for
+    k alone."""
+    return free_flags_by_k(params, {k: max_deg})[k]
+
+
+def free_flags_by_k(params: HeightParams, caps: dict[int, int]) -> dict[int, list[bool]]:
+    """Whether Sym^d(U_k) is free, d = 0, ..., caps[k], for every k of caps,
+    from one pass down the levels U_n, whose powers (dimension 1) are not
+    free, ..., U_k for the lowest k.  Each level U_j is decided up to the
+    largest caps[k] over k <= j, each (level, degree) at most once, and each
+    k gets its own level cut at its own cap; nothing outlives the call.
+
+    A degree whose dimension p divides is free if the degree below it and
+    the same degree of U_(j+1) are: the invariant last variable x gives the
+    exact sequence 0 -> A = x Sym^(d-1)(U_j) -> Sym^d(U_j) -> Q =
+    Sym^d(U_(j+1)) -> 0, and on the monomials split by whether x divides
     them z is block triangular, so rank z >= rank z_A + rank z_Q (Marsaglia
     and Styan, 1974) = (dim A - dim A/p) + (dim Q - dim Q/p) = dim - dim/p,
     which the bound of _free_by_rank makes an equality.  Any other such
-    degree takes one rank of z, on a walk of its level made at its first
-    rank and advanced only that far.
+    degree takes one rank of z, on a walk of its level advanced only that
+    far.
 
     The budget assumes the pattern the verdict proves (d is free on U_j iff
     j+1 <= d mod p <= p-1): it checks the ranks at d = j + 1 mod p on each
-    U_j, k <= j < n, in ascending d and before any walk or DIM_CAP, so a
-    refusal names the lowest degree and its level.  A rank that ever says
-    "not free" would lead to ranks not budgeted here, each still refused by
-    sparse_rank_mod's own check before it allocates."""
+    level, the union over every k, in ascending d and before any walk or
+    DIM_CAP, so a refusal names the lowest degree and its level.  A pair of
+    degree at most the cap of the lowest k is one of that k's, so a k
+    decided alone would be refused at the same pair first.  DIM_CAP is then
+    checked for each U_k, lowest k first, before any rank.  A rank that ever
+    says "not free" would lead to ranks not budgeted here, each still
+    refused by sparse_rank_mod's own check before it allocates."""
+    if not caps:
+        return {}
     p, n = params.p, params.n
-    top = _symmetric_walk(u_k_module(params, k), max_deg)
-    for deg in range(1, max_deg + 1):
+    low = min(caps)
+    # reach[j]: the last degree of U_j that some k <= j reads
+    reach, last = {}, -1
+    for j in range(low, n + 1):
+        last = max(last, caps.get(j, -1))
+        reach[j] = last
+    walks = {k: _symmetric_walk(u_k_module(params, k), reach[k]) for k in sorted(caps)}
+    for deg in range(1, reach[n] + 1):
         j = deg % p - 1
-        if j >= k:
+        if j >= low and deg <= reach[j]:
             dim = symmetric_dimension(n - j + 1, deg)
             linalg.check_rank_budget((dim, dim), p, f"k={j} degree {deg} has dimension {dim}: ")
-    next(top)  # degree 0: DIM_CAP is checked for U_k, the largest, before any rank
-    flags = [False] * (max_deg + 1)
-    for j in range(n - 1, k - 1, -1):
-        upper, flags, walk = flags, [False], top if j == k else None
-        for deg in range(1, max_deg + 1):
+    for walk in walks.values():
+        next(walk)  # degree 0: DIM_CAP, before any rank
+    levels = {n: [False] * (reach[n] + 1)}
+    for j in range(n - 1, low - 1, -1):
+        upper, flags, walk = levels[j + 1], [False], walks.pop(j, None)
+        for deg in range(1, reach[j] + 1):
             if symmetric_dimension(n - j + 1, deg) % p:
                 flags.append(False)
             elif flags[-1] and upper[deg]:
                 flags.append(True)  # free by extension
             else:
-                walk = walk or _symmetric_walk(u_k_module(params, j), max_deg)
+                walk = walk or _symmetric_walk(u_k_module(params, j), reach[j])
                 flags.append(_free_by_rank(next(m for d, m, _ in walk if d == deg)))
-    return flags
+        levels[j] = flags
+    return {k: levels[k][: caps[k] + 1] for k in caps}
 
 
 # ---------------------------------------------------------------------------
@@ -532,37 +556,61 @@ class NilpotenceReport:
         }
 
 
-def nilpotence_report(params: HeightParams, k: int, max_deg: int) -> NilpotenceReport:
+def nilpotence_reports(
+    params: HeightParams, caps: dict[int, int], tate_dims: bool
+) -> list[NilpotenceReport]:
+    """One report for each k of caps, in order, up to caps[k]: from
+    nilpotence_tate_report with tate_dims, else from nilpotence_report.
+    One pass of free_flags_by_k decides freeness for every k with a verdict
+    to find (1 <= k < n and caps[k] > k), and each such report is given its
+    flags in place of its last degree: bench/launcher.py's span of
+    nilpotence_report reads exactly its three arguments.  Every other k is
+    answered or refused by the report itself; in ascending ks they come
+    last, so the pass refuses nothing that a k before them would not."""
+    n = params.n
+    flags = free_flags_by_k(params, {k: d for k, d in caps.items() if 1 <= k < n and d > k})
+    report_of = nilpotence_tate_report if tate_dims else nilpotence_report
+    return [report_of(params, k, flags.get(k, d)) for k, d in caps.items()]
+
+
+def nilpotence_report(params: HeightParams, k: int, max_deg: int | list[bool]) -> NilpotenceReport:
     """Check that the (k+1)-fold multiplication by the invariant variable is
     zero on Tate cohomology of symmetric powers, in all start degrees m with
     m + k + 1 <= max_deg.
 
     Each degree is decided by free_flags: one rank of z, dense or sparse,
-    on each U_j, k <= j < n, at the degrees d = j + 1 mod p, none elsewhere.
-    A free degree reports Tate dimensions 0 and every other degree unknown
-    ones (None); nilpotence_tate_report fills in the dense ones.  A
-    composite vanishes when its window contains a free degree, which the
-    freeness pattern (d is free when k+1 <= d mod p <= p-1) guarantees for
-    valid inputs.
+    on each U_j, k <= j < n, at the degrees d = j + 1 mod p, none elsewhere;
+    max_deg may instead be the flags that free_flags_by_k has decided for k,
+    one per degree up to the last.  A free degree reports Tate dimensions 0
+    and every other degree unknown ones (None); nilpotence_tate_report
+    fills in the dense ones.  A composite vanishes when its window contains
+    a free degree, which the freeness pattern (d is free when k+1 <= d mod p
+    <= p-1) guarantees for valid inputs.
     """
     return _nilpotence_walk(params, k, max_deg, tate_dims=False)
 
 
-def nilpotence_tate_report(params: HeightParams, k: int, max_deg: int) -> NilpotenceReport:
+def nilpotence_tate_report(params: HeightParams, k: int, max_deg: int | list[bool]) -> NilpotenceReport:
     """nilpotence_report with the Tate dimension of every dense degree: a
     degree that is not free adds rank(N) to its rank of z."""
     return _nilpotence_walk(params, k, max_deg, tate_dims=True)
 
 
-def _nilpotence_walk(params: HeightParams, k: int, max_deg: int, tate_dims: bool) -> NilpotenceReport:
-    """The flags of free_flags, and dimensions from binomials.  With
-    tate_dims, a dense degree that is not free gets its Tate dimension from
-    _tate_dim_by_rank, on a walk up U_k that goes no further than the last
-    such degree.  A rank over budget is refused before any power is built.
-    A window of k+2 degrees that are not free goes to the explicit test
-    _window_vanishes, on a walk of its own that keeps only those degrees.
+def _nilpotence_walk(
+    params: HeightParams, k: int, max_deg: int | list[bool], tate_dims: bool
+) -> NilpotenceReport:
+    """The flags of free_flags, unless given, and dimensions from binomials.
+    With tate_dims, a dense degree that is not free gets its Tate dimension
+    from _tate_dim_by_rank, on a walk up U_k that goes no further than the
+    last such degree.  A rank over budget is refused before any power is
+    built.  A window of k+2 degrees that are not free goes to the explicit
+    test _window_vanishes, on a walk of its own that keeps only those
+    degrees.
     """
     p, n = params.p, params.n
+    flags = max_deg if isinstance(max_deg, list) else None
+    if flags is not None:
+        max_deg = len(flags) - 1
     if k == 0:
         # p-torsion annihilates everything in positive degrees outright
         return NilpotenceReport(p=p, k=0, max_deg=max_deg, degrees=(), windows=0, holds=True, trivial=True)
@@ -571,7 +619,8 @@ def _nilpotence_walk(params: HeightParams, k: int, max_deg: int, tate_dims: bool
     if max_deg < k + 1:
         raise InvalidInput("max_deg must be at least k + 1")
 
-    flags = free_flags(params, k, max_deg)
+    if flags is None:
+        flags = free_flags(params, k, max_deg)
     base = u_k_module(params, k)
     walk = _symmetric_walk(base, max_deg)
     summaries: list[DegreeSummary] = []

@@ -17,11 +17,12 @@ with a nonzero multiplier.  The kernel works on one float copy of the
 matrix and returns exactly the echelon form and pivots of the row loop
 kept for small matrices.
 
-A rank is the number of independent_columns.  With a side at least
-_BLOCKED_MIN, for arrays or Triplets (index arrays of the nonzero entries,
-kept by symmetric powers), these are the columns with distinct first nonzero
-rows and the pivot columns of their Schur complement, which alone goes
-through the kernel; the whole matrix is never formed.  Triplets are read
+A rank is the number of independent_columns.  For Triplets (index arrays
+of the nonzero entries, kept by symmetric powers) of any shape, and for
+arrays with a side at least _BLOCKED_MIN, these are the columns with
+distinct first nonzero rows and the pivot columns of their Schur
+complement, which alone goes through the kernel; the whole matrix is never
+formed.  Triplets are read
 directly: their lead rows come from the entries, and they are relabelled
 into pivot order and sorted once, so each block of rows is scattered from a
 contiguous slice.  check_rank_budget refuses a rank whose float array would
@@ -333,8 +334,9 @@ def _structural_columns(a, lead: np.ndarray, p: int, ft) -> np.ndarray:
     per distinct lead row gives s pivots on which M is a lower triangular P
     with nonzero diagonal, so M, permuted to [[P, B], [C, D]], has rank
     s + rank(D - C X) with X = P^-1 B, solved by blocks of _ROW_BLOCK rows
-    of P scaled to a unit diagonal; the s columns and the pivots of D - C X
-    are returned."""
+    of P: each block's rows solve for X on their unscaled entries, and only
+    the diagonal block and the right side are scaled to a unit diagonal.
+    The s columns and the pivots of D - C X are returned."""
     rows, cols = a.shape
     piv_rows, piv_cols = np.unique(lead, return_index=True)
     s = int(np.searchsorted(piv_rows, rows))  # the lead row of zero columns sorts last
@@ -345,15 +347,16 @@ def _structural_columns(a, lead: np.ndarray, p: int, ft) -> np.ndarray:
     edges = [*range(0, s, _ROW_BLOCK), *range(s, rows, _ROW_BLOCK), rows]
     blocks = _permuted_blocks(a, row_order, col_order, edges, ft)
     for lo, hi, blk in zip(edges, edges[1:], blocks):
-        if hi <= s:
-            diag = blk[np.arange(hi - lo), np.arange(lo, hi)].tolist()
-            blk *= np.array([pow(int(v), -1, p) for v in diag], dtype=ft)[:, None]
-            _reduce(blk, p)
         done = min(lo, s)
         rest = blk[:, s:] - _mul(blk[:, :done], x[:done], p)
         np.add(rest, p, out=rest, where=rest < 0)
         if hi <= s:
-            x[lo:hi] = _mul(_unit_lower_inverse(blk[:, lo:hi], p), rest, p)
+            # scale the diagonal block and the right side, all of the
+            # block's rows that the solve reads, to a unit diagonal
+            diag = blk[np.arange(hi - lo), np.arange(lo, hi)].tolist()
+            inv = np.array([pow(int(v), -1, p) for v in diag], dtype=ft)[:, None]
+            unit = _reduce(blk[:, lo:hi] * inv, p)
+            x[lo:hi] = _mul(_unit_lower_inverse(unit, p), _reduce(rest * inv, p), p)
         else:
             schur[lo - s : hi - s] = rest
     schur_pivots = _eliminate(schur, p, 0, 0, cols - s, False)[0]
@@ -362,17 +365,16 @@ def _structural_columns(a, lead: np.ndarray, p: int, ft) -> np.ndarray:
 
 def independent_columns(a, p: int) -> np.ndarray:
     """Indices of rank-many independent columns over F_p of an array or of
-    Triplets: the pivots of _forward_naive when both sides are below
+    Triplets.  Triplets, coalesced first, are always structural; an array
+    takes the pivots of _forward_naive when both sides are below
     _BLOCKED_MIN, else structural.  A float array must hold integers in
-    [0, p) and is read in place; Triplets are coalesced first."""
+    [0, p) and is read in place."""
     if isinstance(a, Triplets):
         a = a.coalesced(p)
-        if max(a.shape) >= _BLOCKED_MIN and min(a.shape):
-            (rows, cols), ft = a.shape, _float_type(min(a.shape), p)
-            lead = np.full(cols, rows)
-            np.minimum.at(lead, a.cols, a.rows)
-            return _structural_columns(a, lead, p, ft)
-        a = a.scatter(np.int64)
+        (rows, cols), ft = a.shape, _float_type(min(a.shape), p)
+        lead = np.full(cols, rows)
+        np.minimum.at(lead, a.cols, a.rows)
+        return _structural_columns(a, lead, p, ft)
     a = np.asarray(a)
     small = max(a.shape) < _BLOCKED_MIN or not a.size
     if a.dtype.kind != "f" or small:
@@ -421,8 +423,7 @@ def check_rank_budget(shape: tuple[int, int], p: int, context: str = ""):
 
 def sparse_rank_mod(a: Triplets, p: int) -> int:
     """rank_mod of a matrix given as triplets, any of them repeated or zero;
-    refused by check_rank_budget before anything is allocated.  From a side
-    of _BLOCKED_MIN on, the structural rank reads the triplets and never
-    forms the matrix."""
+    refused by check_rank_budget before anything is allocated.  The
+    structural rank reads the triplets and never forms the matrix."""
     check_rank_budget(a.shape, p)
     return rank_mod(a, p)

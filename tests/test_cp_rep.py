@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tatedual import cp_rep, linalg
+from tatedual import cli, cp_rep, linalg
 from tatedual.errors import InvalidInput, ResourceGuard
 from tatedual.mod_arith import height_params
 
@@ -593,6 +593,100 @@ class TestFreeFlags:
                 q.rows, q.cols, q.vals
             ), deg
             prev = z
+
+
+def _suite_caps(params, suite, max_degree):
+    """The caps of an all-k `verify <suite>`: k = 1, ..., n-1 for nilpotence
+    and 0, ..., n-1 for freeness, each at its default or at max_degree."""
+    ks = range(1 if suite == "nilpotence" else 0, params.n)
+    return {k: cp_rep.default_degree_cap(params, k) if max_degree is None else max_degree for k in ks}
+
+
+def _union_pairs(p, caps):
+    """The (level, degree) pairs that one pass for every k of caps ranks,
+    levels top-down: on each U_j, j >= min k, the degrees d = j + 1 mod p up
+    to the largest cap of a k <= j."""
+    return [(j, d) for j in range(p - 2, min(caps) - 1, -1)
+            for d in range(1, max(c for k, c in caps.items() if k <= j) + 1) if d % p == j + 1]
+
+
+class TestOnePass:
+    """free_flags_by_k decides every k of a command in one pass."""
+
+    @pytest.mark.parametrize("max_degree", [None, 9])
+    @pytest.mark.parametrize("suite", ["nilpotence", "freeness"])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_shared_flags_are_per_k_flags(self, p, suite, max_degree):
+        # each k decided alone, or refused at the same first pair: the
+        # freeness suite at p = 5 is refused at k = 0, degree 21
+        params = height_params(p)
+        caps = _suite_caps(params, suite, max_degree)
+        try:
+            alone = {k: cp_rep.free_flags(params, k, d) for k, d in caps.items()}
+        except ResourceGuard as refused:
+            assert (p, suite, max_degree) == (5, "freeness", None)
+            with pytest.raises(ResourceGuard, match=re.escape(str(refused))):
+                cp_rep.free_flags_by_k(params, caps)
+        else:
+            assert cp_rep.free_flags_by_k(params, caps) == alone
+            # the pattern that test_periodicity derives from the Jordan profiles
+            assert all(alone[k] == [k + 1 <= d % p for d in range(c + 1)] for k, c in caps.items())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("nilpotence", "--prime", "3"), ("nilpotence", "--prime", "5"),
+         ("nilpotence", "--prime", "5", "--json"), ("nilpotence", "--prime", "7"),
+         ("nilpotence", "--prime", "5", "--max-degree", "9"), ("freeness", "--prime", "3"),
+         ("freeness", "--prime", "7"), ("freeness", "--prime", "5", "--max-degree", "9")],
+    )
+    def test_one_pass_ranks_each_level_degree_once(self, argv, monkeypatch, capsys):
+        params = height_params(int(argv[2]))
+        caps = _suite_caps(params, argv[0], int(argv[-1]) if "--max-degree" in argv else None)
+        ranked = _levels_seen(monkeypatch, "_free_by_rank", params)
+        budgeted = _budgeted(monkeypatch)
+        steps = []
+        step = cp_rep._SymmetricChain.step
+
+        def counted(chain):
+            steps.append((chain.nvars, chain.deg + 1))
+            step(chain)
+
+        monkeypatch.setattr(cp_rep._SymmetricChain, "step", counted)
+        assert cli.main(["verify", *argv]) == 0
+        capsys.readouterr()
+        assert ranked == _union_pairs(params.p, caps)
+        # the budget covers the union of the ranked pairs, by ascending degree
+        assert budgeted == sorted(ranked, key=lambda pair: pair[1])
+        if argv == ("nilpotence", "--prime", "5"):
+            # against 27 ranks and 125 steps when each k is decided alone: U_3
+            # and U_2 to degree 25, U_1 to 20, each walked to its last rank
+            assert len(ranked) == 14 and len(steps) <= 64
+            assert len(set(steps)) == len(steps)
+
+    @pytest.mark.parametrize(
+        "suite,p,err",
+        [("nilpotence", 3, "k=1 degree 11585 has dimension 11586: a rank of a 11586 x 11586 matrix mod 3 "
+                           "needs 536941584 bytes"),
+         ("nilpotence", 5, "k=1 degree 42 has dimension 14190: a rank of a 14190 x 14190 matrix mod 5 "
+                           "needs 805424400 bytes"),
+         ("nilpotence", 7, "k=1 degree 16 has dimension 20349: a rank of a 20349 x 20349 matrix mod 7 "
+                           "needs 1656327204 bytes"),
+         ("freeness", 3, "k=0 degree 151 has dimension 11628: a rank of a 11628 x 11628 matrix mod 3 "
+                         "needs 540841536 bytes"),
+         ("freeness", 5, "k=0 degree 21 has dimension 12650: a rank of a 12650 x 12650 matrix mod 5 "
+                         "needs 640090000 bytes"),
+         ("freeness", 7, "k=0 degree 15 has dimension 54264: a rank of a 54264 x 54264 matrix mod 7 "
+                         "needs 11778326784 bytes")],
+    )
+    def test_one_pass_refuses_huge_max_degree_before_any_step(self, suite, p, err, monkeypatch, capsys):
+        # the lowest k's first pair over budget, as when each k was decided
+        # alone; refused by ResourceGuard, with no power built and stdout empty
+        def no_steps(self):
+            raise AssertionError("the pass stepped a chain before its budget")
+
+        monkeypatch.setattr(cp_rep._SymmetricChain, "step", no_steps)
+        assert cli.main(["verify", suite, "--prime", str(p), "--max-degree", str(10**12)]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}, over the 536870912 byte budget\n")
 
 
 class TestNilpotence:

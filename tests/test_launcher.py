@@ -60,7 +60,7 @@ def test_spans_land_for_function_local_imports(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (ROOT / "bench" / "expected" / "nilpotence-p3.out").read_bytes()
     names = {span["name"] for span in json.loads(spans_path.read_text())}
-    assert {"cp_rep.nilpotence", "linalg.naive"} <= names
+    assert {"cp_rep.nilpotence", "linalg.sparse_rank"} <= names
 
 
 def test_nilpotence_json_runs_under_the_launcher(tmp_path):

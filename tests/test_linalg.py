@@ -360,6 +360,32 @@ def test_rank_matches_naive(p, shape, monkeypatch):
             assert linalg.sparse_rank_mod(triplets, p) == want
 
 
+# shapes with both sides below _BLOCKED_MIN (192), where an array takes the
+# row loop of _forward_naive: single rows and columns, square, wide and tall
+SMALL_SHAPES = [(1, 1), (1, 9), (9, 1), (1, 191), (191, 1), (2, 3), (3, 2), (17, 17), (30, 95), (95, 30),
+                (191, 64), (191, 191)]
+
+
+@pytest.mark.parametrize("shape", SMALL_SHAPES)
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_small_triplets_rank_structurally(p, shape, monkeypatch):
+    # coalesced Triplets of any shape take the structural route: its rank
+    # must be that of the row loop on the scattered array, and its columns
+    # independent; the row loop itself is never entered
+    rng = np.random.default_rng(p * 1000 + shape[0] * 7 + shape[1])
+    sparse = rng.integers(0, p, size=shape) * (rng.random(shape) < 0.1)
+    for a in [*_rank_cases(rng, *shape, p), sparse]:
+        nz = np.nonzero(a)
+        triplets = linalg.Triplets(a.shape, *nz, a[nz])
+        assert triplets.coalesced(p) is triplets
+        want = _naive_rank(triplets.scatter(np.int64), p)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_forward_naive", None)
+            cols = linalg.independent_columns(triplets, p)
+        assert len(cols) == want
+        assert linalg.rank_mod(a[:, cols], p) == len(cols)
+
+
 def test_rank_of_z_fits_in_memory():
     # z on S^11(U_1) at p = 7 (dimension 4368): the whole float work array
     # alone would be 73 MiB, and eliminating it peaked at 164 MiB
