@@ -8,8 +8,9 @@ Exit codes: 0 success (all checks verified), 1 a mathematical verification
 failed, 2 invalid input or an environment problem.  Identical invocations
 print byte-identical standard output.
 
-Only `verify nilpotence`, `verify freeness` and `sympow` import cp_rep, and
-with it numpy; the other commands start without it.
+The verify suites import verdicts, which needs no numpy.  cp_rep, and with
+it numpy, is imported by `sympow`, by `verify nilpotence --json` and for a
+degree that the weight certificate of verdicts leaves open.
 """
 
 from __future__ import annotations
@@ -125,19 +126,19 @@ def _verify_cancellation(args) -> int:
 
 
 def _degree_caps(args, params, ks) -> dict[int, int]:
-    from . import cp_rep
-    return {k: cp_rep.default_degree_cap(params, k) if args.max_degree is None else args.max_degree
+    from . import verdicts
+    return {k: verdicts.default_degree_cap(params, k) if args.max_degree is None else args.max_degree
             for k in ks}
 
 
 def _verify_nilpotence(args) -> int:
-    from . import cp_rep
+    from . import verdicts
     params = _params(args.prime)
     ks = [args.k] if args.k is not None else list(range(1, params.n))
     # only the JSON reports print Tate dimensions; the verdict needs freeness
     # alone.  Every report is built, from one freeness pass for all k, before
     # any line is printed, so that a k refused late leaves stdout empty
-    reports = cp_rep.nilpotence_reports(params, _degree_caps(args, params, ks), args.json)
+    reports = verdicts.nilpotence_reports(params, _degree_caps(args, params, ks), args.json)
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
     else:
@@ -148,14 +149,14 @@ def _verify_nilpotence(args) -> int:
 
 
 def _verify_freeness(args) -> int:
-    from . import cp_rep
+    from . import verdicts
     params = _params(args.prime)
     p = params.p
     ks = [args.k] if args.k is not None else list(range(0, params.n))
     caps = _degree_caps(args, params, ks)
     # the degrees d <= max_deg with d mod p > k, free by the pattern: U_n
     # has none, and free_flags_by_k refuses a huge max_deg on any other level
-    flags = cp_rep.free_flags_by_k(params, {k: d if k < params.n else 0 for k, d in caps.items()})
+    flags = verdicts.free_flags_by_k(params, {k: d if k < params.n else 0 for k, d in caps.items()})
     failures = 0
     for k, max_deg in caps.items():
         degrees = [d for d in range(len(flags[k])) if d % p > k]

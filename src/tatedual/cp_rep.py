@@ -18,21 +18,12 @@ independent columns of z; the ranks of every power of z, and so the Jordan
 profile and rank(N), come from stacks of these rows, and no power of z is
 formed.  sympow takes its Tate dimension from the Jordan profile: each
 block smaller than p contributes one class to each Tate group, and a block
-of size p none.  The verification suites decide freeness level by level,
-from U_n down to U_k: a degree is free by extension when the degree below
-it and the same degree one level up are, and otherwise takes one rank of
-z, free iff rank(z) = dim - dim/p; on U_j only the degrees d = j + 1 mod p
-take one.  free_flags_by_k alone decides this, for every k of a command in
-one pass that ranks each (level, degree) at most once, and budgets exactly
-those ranks before any walk.  A free module has no Tate cohomology.  Only
-the report with Tate dimensions adds, at each dense degree that is not
-free, rank(N), for both Tate groups have dimension dim - rank(z) - rank(N).
-Multiplication by the invariant bottom variable vanishes on Tate
-cohomology in every window of consecutive degrees that contains a free
-degree; only a window without one would be tested explicitly, by the
-composite multiplication from its first degree to its last and two rank
-comparisons against kernel and image bases of z and N at those two
-degrees, the one place such bases are built.
+of size p none.  The suites decide freeness in verdicts, without this
+module, except for a degree that its weight certificate leaves open
+(_free_by_rank).  The report with Tate dimensions adds, at each dense
+degree that is not free, dim - rank(z) - rank(N).  A window of degrees
+without a free one, which no valid input has, would be tested explicitly
+against kernel and image bases of z and N, the one place they are built.
 
 Everything is computed over F_p.  Coefficient extensions to F_{p^n} only
 rescale multiplicities, so dimension counts, freeness and vanishing
@@ -41,9 +32,8 @@ statements are unaffected.
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,9 +41,7 @@ from . import linalg
 from .errors import InvalidInput, ResourceGuard
 from .linalg import DENSE_LIMIT
 from .mod_arith import HeightParams
-
-# the largest symmetric power a walk builds
-DIM_CAP = 50_000
+from .verdicts import NilpotenceReport, check_dim_cap, level_vars, nilpotence_report, symmetric_dimension
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +103,7 @@ class TateDims:
 def u_k_module(params: HeightParams, k: int) -> CpModule:
     """The height module on z_n, ..., z_k: zeta shifts each z_i by z_{i-1}
     and fixes z_k.  A single Jordan block of size n - k + 1."""
-    n = params.n
-    if not 0 <= k <= n:
-        raise InvalidInput(f"k must lie in [0, {n}], got {k}")
-    return jordan_block_module(params.p, n - k + 1)
+    return jordan_block_module(params.p, level_vars(params, k))
 
 
 def jordan_block_module(p: int, size: int) -> CpModule:
@@ -133,12 +118,6 @@ def jordan_block_module(p: int, size: int) -> CpModule:
 
 # ---------------------------------------------------------------------------
 # monomial bookkeeping for symmetric powers
-
-
-def symmetric_dimension(nvars: int, deg: int) -> int:
-    if deg < 0:
-        raise InvalidInput(f"degree must be nonnegative, got {deg}")
-    return math.comb(deg + nvars - 1, nvars - 1)
 
 
 def _lex_positions(expo: np.ndarray, deg: int) -> np.ndarray:
@@ -236,9 +215,7 @@ def _symmetric_walk(base: CpModule, max_deg: int):
 
     The dimension cap is checked once, for max_deg, before any step.
     """
-    final_dim = symmetric_dimension(base.dim, max_deg)
-    if final_dim > DIM_CAP:
-        raise ResourceGuard(f"symmetric power dimension {final_dim} exceeds cap {DIM_CAP}")
+    check_dim_cap(base.dim, max_deg)
     chain = _SymmetricChain(base)
     yield 0, chain.current_module(), None
     for _ in range(max_deg):
@@ -380,84 +357,13 @@ def _tate_dim_by_rank(m: CpModule) -> int:
 
 
 def _free_by_rank(m: CpModule) -> bool:
-    """Freeness from the rank of zeta - 1 alone: all Jordan blocks have the
-    maximal size p iff the block count dim - rank equals dim / p.
-
-    With no block larger than p there are at least dim / p blocks, so
-    rank z <= dim - dim / p, with equality iff the module is free.
-    Counting blocks decides freeness only when no block is larger than p,
-    that is when z^p = 0, and this rank does not certify it.  It holds for
-    every symmetric power of a module of order p, since Sym^d(zeta)^p =
-    Sym^d(zeta^p) = 1, and these are the only modules the suites rank
-    here; jordan_decompose and _tate_dim_by_rank, which rank higher powers
-    of z, keep the certificate of _skinny_powers."""
+    """Freeness from the rank of zeta - 1 alone: free iff rank z = dim -
+    dim/p, which holds when no Jordan block is larger than p (see verdicts).
+    This rank does not certify z^p = 0; every symmetric power of a module
+    of order p has it, and these are the only modules ranked here."""
     if m.dim % m.p != 0:
         return False
     return linalg.sparse_rank_mod(_z_triplets(m), m.p) == m.dim - m.dim // m.p
-
-
-def free_flags(params: HeightParams, k: int, max_deg: int) -> list[bool]:
-    """Whether Sym^d(U_k) is free, d = 0, ..., max_deg: free_flags_by_k for
-    k alone."""
-    return free_flags_by_k(params, {k: max_deg})[k]
-
-
-def free_flags_by_k(params: HeightParams, caps: dict[int, int]) -> dict[int, list[bool]]:
-    """Whether Sym^d(U_k) is free, d = 0, ..., caps[k], for every k of caps,
-    from one pass down the levels U_n, whose powers (dimension 1) are not
-    free, ..., U_k for the lowest k.  Each level U_j is decided up to the
-    largest caps[k] over k <= j, each (level, degree) at most once, and each
-    k gets its own level cut at its own cap; nothing outlives the call.
-
-    A degree whose dimension p divides is free if the degree below it and
-    the same degree of U_(j+1) are: the invariant last variable x gives the
-    exact sequence 0 -> A = x Sym^(d-1)(U_j) -> Sym^d(U_j) -> Q =
-    Sym^d(U_(j+1)) -> 0, and on the monomials split by whether x divides
-    them z is block triangular, so rank z >= rank z_A + rank z_Q (Marsaglia
-    and Styan, 1974) = (dim A - dim A/p) + (dim Q - dim Q/p) = dim - dim/p,
-    which the bound of _free_by_rank makes an equality.  Any other such
-    degree takes one rank of z, on a walk of its level advanced only that
-    far.
-
-    The budget assumes the pattern the verdict proves (d is free on U_j iff
-    j+1 <= d mod p <= p-1): it checks the ranks at d = j + 1 mod p on each
-    level, the union over every k, in ascending d and before any walk or
-    DIM_CAP, so a refusal names the lowest degree and its level.  A pair of
-    degree at most the cap of the lowest k is one of that k's, so a k
-    decided alone would be refused at the same pair first.  DIM_CAP is then
-    checked for each U_k, lowest k first, before any rank.  A rank that ever
-    says "not free" would lead to ranks not budgeted here, each still
-    refused by sparse_rank_mod's own check before it allocates."""
-    if not caps:
-        return {}
-    p, n = params.p, params.n
-    low = min(caps)
-    # reach[j]: the last degree of U_j that some k <= j reads
-    reach, last = {}, -1
-    for j in range(low, n + 1):
-        last = max(last, caps.get(j, -1))
-        reach[j] = last
-    walks = {k: _symmetric_walk(u_k_module(params, k), reach[k]) for k in sorted(caps)}
-    for deg in range(1, reach[n] + 1):
-        j = deg % p - 1
-        if j >= low and deg <= reach[j]:
-            dim = symmetric_dimension(n - j + 1, deg)
-            linalg.check_rank_budget((dim, dim), p, f"k={j} degree {deg} has dimension {dim}: ")
-    for walk in walks.values():
-        next(walk)  # degree 0: DIM_CAP, before any rank
-    levels = {n: [False] * (reach[n] + 1)}
-    for j in range(n - 1, low - 1, -1):
-        upper, flags, walk = levels[j + 1], [False], walks.pop(j, None)
-        for deg in range(1, reach[j] + 1):
-            if symmetric_dimension(n - j + 1, deg) % p:
-                flags.append(False)
-            elif flags[-1] and upper[deg]:
-                flags.append(True)  # free by extension
-            else:
-                walk = walk or _symmetric_walk(u_k_module(params, j), reach[j])
-                flags.append(_free_by_rank(next(m for d, m, _ in walk if d == deg)))
-        levels[j] = flags
-    return {k: levels[k][: caps[k] + 1] for k in caps}
 
 
 # ---------------------------------------------------------------------------
@@ -516,140 +422,16 @@ def _window_vanishes(p: int, window: list) -> bool:
 # the nilpotence suite
 
 
-@dataclass(frozen=True)
-class DegreeSummary:
-    deg: int
-    dim: int
-    even_dim: int | None
-    odd_dim: int | None
-    free: bool | None
-
-
-@dataclass(frozen=True)
-class NilpotenceReport:
-    p: int
-    k: int
-    max_deg: int
-    degrees: tuple[DegreeSummary, ...]
-    windows: int
-    holds: bool
-    trivial: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "max_degree": self.max_deg,
-            "holds": self.holds,
-            "trivial": self.trivial,
-            "windows_checked": self.windows,
-            "degrees": [
-                {
-                    "degree": d.deg,
-                    "dimension": d.dim,
-                    "even_dim": d.even_dim,
-                    "odd_dim": d.odd_dim,
-                    "free": d.free,
-                }
-                for d in self.degrees
-            ],
-        }
-
-
-def nilpotence_reports(
-    params: HeightParams, caps: dict[int, int], tate_dims: bool
-) -> list[NilpotenceReport]:
-    """One report for each k of caps, in order, up to caps[k]: from
-    nilpotence_tate_report with tate_dims, else from nilpotence_report.
-    One pass of free_flags_by_k decides freeness for every k with a verdict
-    to find (1 <= k < n and caps[k] > k), and each such report is given its
-    flags in place of its last degree: bench/launcher.py's span of
-    nilpotence_report reads exactly its three arguments.  Every other k is
-    answered or refused by the report itself; in ascending ks they come
-    last, so the pass refuses nothing that a k before them would not."""
-    n = params.n
-    flags = free_flags_by_k(params, {k: d for k, d in caps.items() if 1 <= k < n and d > k})
-    report_of = nilpotence_tate_report if tate_dims else nilpotence_report
-    return [report_of(params, k, flags.get(k, d)) for k, d in caps.items()]
-
-
-def nilpotence_report(params: HeightParams, k: int, max_deg: int | list[bool]) -> NilpotenceReport:
-    """Check that the (k+1)-fold multiplication by the invariant variable is
-    zero on Tate cohomology of symmetric powers, in all start degrees m with
-    m + k + 1 <= max_deg.
-
-    Each degree is decided by free_flags: one rank of z, dense or sparse,
-    on each U_j, k <= j < n, at the degrees d = j + 1 mod p, none elsewhere;
-    max_deg may instead be the flags that free_flags_by_k has decided for k,
-    one per degree up to the last.  A free degree reports Tate dimensions 0
-    and every other degree unknown ones (None); nilpotence_tate_report
-    fills in the dense ones.  A composite vanishes when its window contains
-    a free degree, which the freeness pattern (d is free when k+1 <= d mod p
-    <= p-1) guarantees for valid inputs.
-    """
-    return _nilpotence_walk(params, k, max_deg, tate_dims=False)
-
-
 def nilpotence_tate_report(params: HeightParams, k: int, max_deg: int | list[bool]) -> NilpotenceReport:
-    """nilpotence_report with the Tate dimension of every dense degree: a
-    degree that is not free adds rank(N) to its rank of z."""
-    return _nilpotence_walk(params, k, max_deg, tate_dims=True)
-
-
-def _nilpotence_walk(
-    params: HeightParams, k: int, max_deg: int | list[bool], tate_dims: bool
-) -> NilpotenceReport:
-    """The flags of free_flags, unless given, and dimensions from binomials.
-    With tate_dims, a dense degree that is not free gets its Tate dimension
-    from _tate_dim_by_rank, on a walk up U_k that goes no further than the
-    last such degree.  A rank over budget is refused before any power is
-    built.  A window of k+2 degrees that are not free goes to the explicit
-    test _window_vanishes, on a walk of its own that keeps only those
-    degrees.
-    """
-    p, n = params.p, params.n
-    flags = max_deg if isinstance(max_deg, list) else None
-    if flags is not None:
-        max_deg = len(flags) - 1
-    if k == 0:
-        # p-torsion annihilates everything in positive degrees outright
-        return NilpotenceReport(p=p, k=0, max_deg=max_deg, degrees=(), windows=0, holds=True, trivial=True)
-    if not 1 <= k <= n - 1:
-        raise InvalidInput(f"k must lie in [0, {n - 1}]")
-    if max_deg < k + 1:
-        raise InvalidInput("max_deg must be at least k + 1")
-
-    if flags is None:
-        flags = free_flags(params, k, max_deg)
-    base = u_k_module(params, k)
-    walk = _symmetric_walk(base, max_deg)
-    summaries: list[DegreeSummary] = []
-    run = 0
-    holds = True
-    for deg, free in enumerate(flags):
-        dim = symmetric_dimension(base.dim, deg)
-        tate = 0 if free else None
-        if tate_dims and not free and dim <= DENSE_LIMIT:
-            tate = _tate_dim_by_rank(next(mod for d, mod, _ in walk if d == deg))
-        summaries.append(DegreeSummary(deg, dim, tate, tate, free))
-        # a vanishing degree makes every composite through it zero
-        run = 0 if free else run + 1
-        if run >= k + 2 and not _window_vanishes(p, list(deque(_symmetric_walk(base, deg), maxlen=k + 2))):
-            holds = False
-    return NilpotenceReport(
-        p=p, k=k, max_deg=max_deg, degrees=tuple(summaries), windows=max_deg - k, holds=holds
-    )
-
-
-def default_degree_cap(params: HeightParams, k: int) -> int:
-    """Default degree bound for the verification suites.
-
-    Chosen to cover at least one full period of p in every residue class
-    while keeping the dense-rank path fast; the one large family at p = 5
-    (k = 1, dimensions up to 1771) gets the tighter bound."""
-    p = params.p
-    if p == 3:
-        return 3 * p * p
-    if p == 5:
-        return 20 if k == 1 else p * p
-    return 2 * p
+    """nilpotence_report with the Tate dimension of every dense degree that
+    is not free, from _tate_dim_by_rank on one walk up U_k that stops at the
+    last such degree."""
+    report = nilpotence_report(params, k, max_deg)
+    todo = [d.deg for d in report.degrees if not d.free and d.dim <= DENSE_LIMIT]
+    if not todo:
+        return report
+    walk = _symmetric_walk(u_k_module(params, k), todo[-1])
+    tate = {deg: _tate_dim_by_rank(mod) for deg, mod, _ in walk if deg in todo}
+    degrees = tuple(replace(d, even_dim=tate[d.deg], odd_dim=tate[d.deg]) if d.deg in tate else d
+                    for d in report.degrees)
+    return replace(report, degrees=degrees)

@@ -11,11 +11,13 @@ src/tatedual holds, and these oracles recompute the same facts another way.
   half plane and reads the zero-line survivors off it;
 - the verify_* checks test properties that hold on every recorded sequence;
 - freeness_check decides freeness at one degree from a fresh symmetric
-  power, against the flags of cp_rep.free_flags;
+  power, against the flags of verdicts.free_flags;
 - direct_sum builds the planted-block modules of the Jordan and Tate tests,
   and coordinates_in_span inverts the change of basis of the random ones;
 - monomials enumerates exponent tuples of one degree in descending lex
-  order, against the arithmetic ranking of cp_rep._SymmetricChain.
+  order, against the arithmetic ranking of cp_rep._SymmetricChain;
+- rank_row_loop ranks a list of rows over F_p with Python integers, one
+  pivot row at a time, against the dict elimination of verdicts.
 """
 
 from __future__ import annotations
@@ -315,3 +317,20 @@ def monomials(nvars: int, deg: int) -> list[tuple[int, ...]]:
         out.append(tuple(expo))
     out.sort(reverse=True)
     return out
+
+
+def rank_row_loop(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p of a matrix given as a list of rows: each column in
+    turn takes the first remaining row with a nonzero entry there as pivot
+    and clears that column from every other remaining row."""
+    rest = [[v % p for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rest[0]) if rest else 0):
+        pivot = next((row for row in rest if row[c]), None)
+        if pivot is None:
+            continue
+        rest.remove(pivot)
+        inv = pow(pivot[c], -1, p)
+        rest = [[(v - row[c] * inv * w) % p for v, w in zip(row, pivot)] for row in rest]
+        rank += 1
+    return rank

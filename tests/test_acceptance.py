@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tatedual import chart_render as cr
-from tatedual import cp_rep
+from tatedual import cp_rep, verdicts
 from tatedual import duality_shifts as ds
 from tatedual import mod_arith
 from tatedual import tate_engine as eng
@@ -113,7 +113,7 @@ def test_criterion_5_nilpotence_and_freeness_suite():
             pa = height_params(p)
             assert set(caps) == set(range(1, pa.n))
             for k, max_deg in caps.items():
-                assert cp_rep.nilpotence_report(pa, k, max_deg).holds is True
+                assert verdicts.nilpotence_report(pa, k, max_deg).holds is True
                 degrees = [d for d in range(1, max_deg + 1) if k + 1 <= d % p <= p - 1]
                 for deg in degrees:
                     assert oracles.freeness_check(pa, k, deg) is True, (p, k, deg)

@@ -203,15 +203,15 @@ def test_max_degree_one_is_honoured(capsys):
 @pytest.mark.parametrize(
     "k,code,out,err",
     [
-        (3, 2, "", "error: k=3 degree 11589 has dimension 11590: a rank of a 11590 x 11590 matrix "
-                   "mod 5 needs 537312400 bytes, over the 536870912 byte budget\n"),
+        (3, 2, "", "error: k=3 degree 1000000000000: symmetric power dimension 1000000000001 "
+                   "exceeds cap 50000\n"),
         (4, 0, "PASS freeness p=5 k=4 degrees_checked=0 max_degree=1000000000000\n", ""),
     ],
     ids=["k3-refused", "k4-no-degrees"],
 )
 def test_freeness_huge_max_degree_answers_at_once(k, code, out, err):
-    # the wanted degrees are read lazily: k = 3 is refused at its first rank
-    # over budget, and k = 4 wants no degree at all.  A fresh interpreter,
+    # the wanted degrees are read lazily: k = 3 is refused by DIM_CAP before
+    # any row is built, and k = 4 wants no degree at all.  A fresh interpreter,
     # so that a run that lists every degree is killed at the time limit
     env = dict(os.environ, PYTHONPATH=str(SRC))
     argv = ["verify", "freeness", "--prime", "5", "--k", str(k), "--max-degree", str(10**12)]
@@ -263,9 +263,9 @@ def test_sympow_negative_degree_exits_2(capsys, argv):
 
 
 def test_sympow_resource_guard(capsys, monkeypatch):
-    from tatedual import cp_rep
+    from tatedual import verdicts
 
-    monkeypatch.setattr(cp_rep, "DIM_CAP", 5)
+    monkeypatch.setattr(verdicts, "DIM_CAP", 5)
     code, out, err = run_cli(capsys, "sympow", "--prime", "5", "--k", "0", "--degree", "3")
     assert code == 2
     assert "cap" in err
@@ -287,16 +287,19 @@ def test_sympow_above_dense_limit_refused_before_walking(capsys, monkeypatch):
 
 
 def test_freeness_over_rank_budget_exits_2(capsys, monkeypatch):
-    # degree 16 of U_0 at p = 5 has dimension 4845 and takes a rank of z, as
-    # 16 = 0 + 1 mod 5; its float32 work array of 4 * 4845^2 bytes is one
-    # byte over the patched budget; the command must refuse before building
-    # any symmetric power
-    from tatedual import cp_rep, linalg
+    # degree 16 of U_0 at p = 5 has dimension 4845 and, with its weight
+    # certificate forced short, falls back to a rank of z, as 16 = 0 + 1
+    # mod 5; its float32 work array of 4 * 4845^2 bytes is one byte over the
+    # patched budget; the command must refuse before building any
+    # symmetric power
+    from tatedual import cp_rep, linalg, verdicts
 
     def no_steps(self):
         raise AssertionError("freeness stepped the chain")
 
+    real = verdicts.weight_rank
     monkeypatch.setattr(cp_rep._SymmetricChain, "step", no_steps)
+    monkeypatch.setattr(verdicts, "weight_rank", lambda p, nvars, deg: -1 if deg == 16 else real(p, nvars, deg))
     monkeypatch.setattr(linalg, "RANK_BYTES", 4 * 4845**2 - 1)
     code, out, err = run_cli(capsys, "verify", "freeness", "--prime", "5", "--k", "0", "--max-degree", "16")
     assert code == 2
@@ -313,6 +316,14 @@ def test_verify_freeness_golden(capsys):
     code, out, err = run_cli(capsys, "verify", "freeness", "--prime", "7")
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / "freeness_p7.txt").read_bytes()
+
+
+def test_verify_freeness_p5_golden(capsys):
+    # every k at p = 5, the README command: U_0 at degree 21 (dimension
+    # 12650) is decided by the rank of D, where a rank of z was over budget
+    code, out, err = run_cli(capsys, "verify", "freeness", "--prime", "5")
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "freeness_p5.txt").read_bytes()
 
 
 @pytest.mark.parametrize("p", ["101", "997"])
@@ -444,11 +455,35 @@ def test_closed_form_commands_load_no_numpy(argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [("verify", "nilpotence", "--prime", "3"), ("sympow", "--prime", "5", "--k", "1", "--degree", "6")],
+    [("verify", "nilpotence", "--prime", "3", "--json"), ("sympow", "--prime", "5", "--k", "1", "--degree", "6")],
     ids=_command_id,
 )
 def test_dense_commands_load_numpy_without_scipy(argv):
     assert _modules_after(_main(argv)) == ["numpy"]
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [(("verify", "nilpotence", "--prime", "5"), "nilpotence-p5.out"),
+     (("verify", "nilpotence", "--prime", "7", "--k", "2"), "nilpotence-p7-k2.out"),
+     (("verify", "freeness", "--prime", "5", "--k", "1"), "freeness-p5-k1.out")],
+    ids=["nilp-p5", "nilp-p7-k2", "free-p5-k1"],
+)
+def test_verdicts_load_no_numpy(argv, expected):
+    # the verdicts of the benchmark workloads come from exponent rows alone:
+    # a fresh interpreter prints the recorded bytes and never loads numpy
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from tatedual import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = cli.main({list(argv)!r})\n"
+        "print(json.dumps([code, out.getvalue(), 'numpy' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, (BENCH_EXPECTED / expected).read_text(), False]
 
 
 def test_step_past_dense_limit_loads_numpy_without_scipy():

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tatedual import cli, cp_rep, linalg
+from tatedual import cli, cp_rep, linalg, verdicts
 from tatedual.errors import InvalidInput, ResourceGuard
 from tatedual.mod_arith import height_params
 
@@ -156,7 +156,7 @@ class TestSymmetricPower:
             cp_rep.symmetric_power(cp_rep.u_k_module(params5, 0), 400)
 
     def test_env_cap_override(self, params5, monkeypatch):
-        monkeypatch.setattr(cp_rep, "DIM_CAP", 10)
+        monkeypatch.setattr(verdicts, "DIM_CAP", 10)
         with pytest.raises(ResourceGuard):
             cp_rep.symmetric_power(cp_rep.u_k_module(params5, 0), 3)
 
@@ -374,15 +374,15 @@ class TestFreeness:
     @pytest.mark.parametrize("p,k", [(3, 0), (3, 1), (3, 2), (5, 2), (5, 3)])
     def test_one_pass_matches_per_degree(self, p, k):
         pa = height_params(p)
-        degrees = range(0, cp_rep.default_degree_cap(pa, k) + 1)
+        degrees = range(0, verdicts.default_degree_cap(pa, k) + 1)
         expected = {d: freeness_check(pa, k, d) for d in degrees}
-        flags = cp_rep.free_flags(pa, k, degrees[-1])
+        flags = verdicts.free_flags(pa, k, degrees[-1])
         assert {d: flags[d] for d in degrees} == expected
 
     def test_one_pass_edge_cases(self, params3):
-        assert cp_rep.free_flags(params3, 1, 0) == [False]
+        assert verdicts.free_flags(params3, 1, 0) == [False]
         with pytest.raises(InvalidInput):
-            cp_rep.free_flags(params3, 1, -1)
+            verdicts.free_flags(params3, 1, -1)
 
 
 class TestOrbitProduct:
@@ -508,9 +508,15 @@ def _levels_seen(monkeypatch, name, params):
     return seen
 
 
+def _weight_short(monkeypatch):
+    """Force the weight certificate of verdicts.free_flags_by_k short, so
+    that every degree it would prove free goes to the fallback rank of z."""
+    monkeypatch.setattr(verdicts, "weight_rank", lambda p, nvars, deg: -1)
+
+
 def _budgeted(monkeypatch):
-    """The (level j, degree) that each budget check of free_flags names, in
-    order: the calls of linalg.check_rank_budget with a context, whose
+    """The (level j, degree) that each budget check of a fallback rank names,
+    in order: the calls of linalg.check_rank_budget with a context, whose
     shape must be the dimension of Sym^d(U_j) it names."""
     seen = []
     real = linalg.check_rank_budget
@@ -534,16 +540,17 @@ class TestFreeFlags:
     )
     def test_ranks_only_where_the_degree_below_is_not_free(self, p, k, max_deg, report, monkeypatch):
         params = height_params(p)
+        _weight_short(monkeypatch)
         ranked = _levels_seen(monkeypatch, "_free_by_rank", params)
         budgeted = _budgeted(monkeypatch)
         if report == "freeness":
-            cp_rep.free_flags(params, k, max_deg)
+            verdicts.free_flags(params, k, max_deg)
         else:
-            run = cp_rep.nilpotence_report if report == "verdict" else cp_rep.nilpotence_tate_report
+            run = verdicts.nilpotence_report if report == "verdict" else cp_rep.nilpotence_tate_report
             assert run(params, k, max_deg).holds
         assert ranked == _ranked_pairs(p, k, max_deg)
-        # the budget covers exactly the ranks, by ascending degree
-        assert budgeted == sorted(_ranked_pairs(p, k, max_deg), key=lambda pair: pair[1])
+        # the budget covers exactly the fallback ranks, each before its walk
+        assert budgeted == _ranked_pairs(p, k, max_deg)
         if (p, k) == (7, 2):
             # against 13 ranks of U_2 alone, up to dimension 2380
             dims = [cp_rep.symmetric_dimension(params.n + 1 - j, d) for j, d in ranked]
@@ -570,7 +577,7 @@ class TestFreeFlags:
         chain = cp_rep._SymmetricChain(cp_rep.u_k_module(params, k))
         upper = cp_rep._SymmetricChain(cp_rep.u_k_module(params, k + 1))
         prev = cp_rep._z_triplets(chain.current_module())
-        for deg in range(1, cp_rep.default_degree_cap(params, k) + 1):
+        for deg in range(1, verdicts.default_degree_cap(params, k) + 1):
             if cp_rep.symmetric_dimension(chain.nvars, deg) > cp_rep.DENSE_LIMIT:
                 break
             chain.step()
@@ -599,7 +606,7 @@ def _suite_caps(params, suite, max_degree):
     """The caps of an all-k `verify <suite>`: k = 1, ..., n-1 for nilpotence
     and 0, ..., n-1 for freeness, each at its default or at max_degree."""
     ks = range(1 if suite == "nilpotence" else 0, params.n)
-    return {k: cp_rep.default_degree_cap(params, k) if max_degree is None else max_degree for k in ks}
+    return {k: verdicts.default_degree_cap(params, k) if max_degree is None else max_degree for k in ks}
 
 
 def _union_pairs(p, caps):
@@ -617,20 +624,14 @@ class TestOnePass:
     @pytest.mark.parametrize("suite", ["nilpotence", "freeness"])
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_shared_flags_are_per_k_flags(self, p, suite, max_degree):
-        # each k decided alone, or refused at the same first pair: the
-        # freeness suite at p = 5 is refused at k = 0, degree 21
+        # each k decided alone; none is refused, the freeness suite at p = 5
+        # (k = 0, degree 21, dimension 12650) included
         params = height_params(p)
         caps = _suite_caps(params, suite, max_degree)
-        try:
-            alone = {k: cp_rep.free_flags(params, k, d) for k, d in caps.items()}
-        except ResourceGuard as refused:
-            assert (p, suite, max_degree) == (5, "freeness", None)
-            with pytest.raises(ResourceGuard, match=re.escape(str(refused))):
-                cp_rep.free_flags_by_k(params, caps)
-        else:
-            assert cp_rep.free_flags_by_k(params, caps) == alone
-            # the pattern that test_periodicity derives from the Jordan profiles
-            assert all(alone[k] == [k + 1 <= d % p for d in range(c + 1)] for k, c in caps.items())
+        alone = {k: verdicts.free_flags(params, k, d) for k, d in caps.items()}
+        assert verdicts.free_flags_by_k(params, caps) == alone
+        # the pattern that test_periodicity derives from the Jordan profiles
+        assert all(alone[k] == [k + 1 <= d % p for d in range(c + 1)] for k, c in caps.items())
 
     @pytest.mark.parametrize(
         "argv",
@@ -642,6 +643,7 @@ class TestOnePass:
     def test_one_pass_ranks_each_level_degree_once(self, argv, monkeypatch, capsys):
         params = height_params(int(argv[2]))
         caps = _suite_caps(params, argv[0], int(argv[-1]) if "--max-degree" in argv else None)
+        _weight_short(monkeypatch)
         ranked = _levels_seen(monkeypatch, "_free_by_rank", params)
         budgeted = _budgeted(monkeypatch)
         steps = []
@@ -655,8 +657,8 @@ class TestOnePass:
         assert cli.main(["verify", *argv]) == 0
         capsys.readouterr()
         assert ranked == _union_pairs(params.p, caps)
-        # the budget covers the union of the ranked pairs, by ascending degree
-        assert budgeted == sorted(ranked, key=lambda pair: pair[1])
+        # the budget covers the union of the ranked pairs, each before its walk
+        assert budgeted == ranked
         if argv == ("nilpotence", "--prime", "5"):
             # against 27 ranks and 125 steps when each k is decided alone: U_3
             # and U_2 to degree 25, U_1 to 20, each walked to its last rank
@@ -665,44 +667,39 @@ class TestOnePass:
 
     @pytest.mark.parametrize(
         "suite,p,err",
-        [("nilpotence", 3, "k=1 degree 11585 has dimension 11586: a rank of a 11586 x 11586 matrix mod 3 "
-                           "needs 536941584 bytes"),
-         ("nilpotence", 5, "k=1 degree 42 has dimension 14190: a rank of a 14190 x 14190 matrix mod 5 "
-                           "needs 805424400 bytes"),
-         ("nilpotence", 7, "k=1 degree 16 has dimension 20349: a rank of a 20349 x 20349 matrix mod 7 "
-                           "needs 1656327204 bytes"),
-         ("freeness", 3, "k=0 degree 151 has dimension 11628: a rank of a 11628 x 11628 matrix mod 3 "
-                         "needs 540841536 bytes"),
-         ("freeness", 5, "k=0 degree 21 has dimension 12650: a rank of a 12650 x 12650 matrix mod 5 "
-                         "needs 640090000 bytes"),
-         ("freeness", 7, "k=0 degree 15 has dimension 54264: a rank of a 54264 x 54264 matrix mod 7 "
-                         "needs 11778326784 bytes")],
+        [(suite, p, f"k={k} degree {10**12}: symmetric power dimension {math.comb(10**12 + p - 1 - k, p - 1 - k)} "
+                    "exceeds cap 50000")
+         for suite, k in (("nilpotence", 1), ("freeness", 0)) for p in (3, 5, 7)],
     )
     def test_one_pass_refuses_huge_max_degree_before_any_step(self, suite, p, err, monkeypatch, capsys):
-        # the lowest k's first pair over budget, as when each k was decided
-        # alone; refused by ResourceGuard, with no power built and stdout empty
+        # the lowest k, refused by DIM_CAP before any row is built or any
+        # power stepped, with stdout empty
         def no_steps(self):
             raise AssertionError("the pass stepped a chain before its budget")
 
+        def no_rows(*args):
+            raise AssertionError("the pass ranked D before its budget")
+
         monkeypatch.setattr(cp_rep._SymmetricChain, "step", no_steps)
+        monkeypatch.setattr(verdicts, "weight_rank", no_rows)
         assert cli.main(["verify", suite, "--prime", str(p), "--max-degree", str(10**12)]) == 2
-        assert capsys.readouterr() == ("", f"error: {err}, over the 536870912 byte budget\n")
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 class TestNilpotence:
     def test_trivial_k0(self, params5):
-        report = cp_rep.nilpotence_report(params5, 0, 10)
+        report = verdicts.nilpotence_report(params5, 0, 10)
         assert report.holds and report.trivial
 
     @pytest.mark.parametrize("p,k,max_deg", [(3, 1, 30), (5, 3, 20), (5, 2, 15)])
     def test_examples(self, p, k, max_deg):
-        assert cp_rep.nilpotence_report(height_params(p), k, max_deg).holds is True
+        assert verdicts.nilpotence_report(height_params(p), k, max_deg).holds is True
 
     def test_bad_inputs(self, params5):
         with pytest.raises(InvalidInput):
-            cp_rep.nilpotence_report(params5, 4, 10)
+            verdicts.nilpotence_report(params5, 4, 10)
         with pytest.raises(InvalidInput):
-            cp_rep.nilpotence_report(params5, 2, 2)
+            verdicts.nilpotence_report(params5, 2, 2)
 
     def _dims_seen(self, monkeypatch, name):
         """The dimension of each module passed to cp_rep.<name>, in order."""
@@ -720,14 +717,16 @@ class TestNilpotence:
         # only at the ranked degrees, levels bottom-up: U_3 at degrees 4, 9
         # and 14, then U_2 at 3, 8 and 13; U_2 at 4, 9 and 14, whose
         # dimensions 5 also divides, are free by extension
+        _weight_short(monkeypatch)
         built = _levels_seen(monkeypatch, "_z_triplets", params5)
-        report = cp_rep.nilpotence_report(params5, 2, 15)
+        report = verdicts.nilpotence_report(params5, 2, 15)
         assert all(d.dim <= cp_rep.DENSE_LIMIT for d in report.degrees)
         assert built == _ranked_pairs(5, 2, 15)
 
     def test_z_built_once_per_dense_degree(self, params5, monkeypatch):
         # the ranked degrees, which are free, and the degrees of U_2 that
         # are not free, for their Tate dimensions
+        _weight_short(monkeypatch)
         built = _levels_seen(monkeypatch, "_z_triplets", params5)
         report = cp_rep.nilpotence_tate_report(params5, 2, 15)
         assert all(d.dim <= cp_rep.DENSE_LIMIT for d in report.degrees)
@@ -741,7 +740,7 @@ class TestNilpotence:
 
         monkeypatch.setattr(cp_rep, "_skinny_powers", refused)
         monkeypatch.setattr(linalg, "matmul_mod", refused)
-        assert cp_rep.nilpotence_report(params5, 1, 20).holds
+        assert verdicts.nilpotence_report(params5, 1, 20).holds
 
     def test_tate_report_skips_free_degrees(self, params5, monkeypatch):
         # at a free dense degree the rank of z is the whole answer
@@ -764,10 +763,11 @@ class TestNilpotence:
             step(chain)
 
         monkeypatch.setattr(cp_rep._SymmetricChain, "step", counted)
-        report = cp_rep.nilpotence_report(height_params(7), 2, 14)
+        _weight_short(monkeypatch)
+        report = verdicts.nilpotence_report(height_params(7), 2, 14)
         assert stepped == {j: list(range(1, j + 9)) for j in (5, 4, 3, 2)}
         assert list(stepped) == [5, 4, 3, 2]
-        assert report.degrees[-1] == cp_rep.DegreeSummary(14, 3060, None, None, False)
+        assert report.degrees[-1] == verdicts.DegreeSummary(14, 3060, None, None, False)
         assert report.holds
 
     def test_report_fits_in_memory(self):
@@ -775,7 +775,7 @@ class TestNilpotence:
         # 3060), which no rank reads; without that step it peaks near 31 MiB
         tracemalloc.start()
         try:
-            assert cp_rep.nilpotence_report(height_params(7), 2, 14).holds
+            assert verdicts.nilpotence_report(height_params(7), 2, 14).holds
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -789,12 +789,13 @@ class TestNilpotence:
         monkeypatch.setattr(cp_rep, "DENSE_LIMIT", limit)
         monkeypatch.setattr(cp_rep, "_tate_dim_by_rank", lambda m: 1)
         monkeypatch.setattr(cp_rep, "_free_by_rank", lambda m: False)
+        _weight_short(monkeypatch)
         with pytest.raises(ResourceGuard) as refused:
-            cp_rep.nilpotence_report(height_params(p), k, max_deg)
+            verdicts.nilpotence_report(height_params(p), k, max_deg)
         assert str(refused.value) == f"window {window} has no vanishing degree and exceeds the dense limit"
 
     def test_report_json_shape(self, params3):
-        report = cp_rep.nilpotence_report(params3, 1, 6)
+        report = verdicts.nilpotence_report(params3, 1, 6)
         blob = report.to_json()
         assert blob["holds"] is True
         assert blob["windows_checked"] == report.windows
@@ -815,7 +816,8 @@ class TestNilpotenceFallback:
 
         monkeypatch.setattr(cp_rep, "_free_by_rank", lambda m: False)
         monkeypatch.setattr(cp_rep, "_window_vanishes", counted)
-        report = cp_rep.nilpotence_report(height_params(p), k, max_deg)
+        _weight_short(monkeypatch)
+        report = verdicts.nilpotence_report(height_params(p), k, max_deg)
         assert report.holds
         assert tested == list(range(max_deg - k)) and report.windows == max_deg - k
 
@@ -832,7 +834,7 @@ class TestNilpotenceFallback:
 
 
 def test_default_degree_caps():
-    assert cp_rep.default_degree_cap(height_params(3), 1) == 27
-    assert cp_rep.default_degree_cap(height_params(5), 1) == 20
-    assert cp_rep.default_degree_cap(height_params(5), 2) == 25
-    assert cp_rep.default_degree_cap(height_params(7), 1) == 14
+    assert verdicts.default_degree_cap(height_params(3), 1) == 27
+    assert verdicts.default_degree_cap(height_params(5), 1) == 20
+    assert verdicts.default_degree_cap(height_params(5), 2) == 25
+    assert verdicts.default_degree_cap(height_params(7), 1) == 14

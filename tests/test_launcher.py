@@ -53,14 +53,16 @@ def _launch(spans_path, *argv):
 
 
 def test_spans_land_for_function_local_imports(tmp_path):
-    # cli imports cp_rep inside the commands that use it; the patched module
-    # attributes must still see every call
+    # cli imports verdicts, and verdicts cp_rep, inside the commands that use
+    # them; the patched module attributes must still see every call.  The
+    # plain verdict no longer reaches cp_rep; --json does, for its Tate
+    # dimensions
     spans_path = tmp_path / "spans.json"
-    proc = _launch(spans_path, "verify", "nilpotence", "--prime", "3")
+    proc = _launch(spans_path, "verify", "nilpotence", "--prime", "3", "--json")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (ROOT / "bench" / "expected" / "nilpotence-p3.out").read_bytes()
+    assert proc.stdout == (ROOT / "tests" / "golden" / "nilpotence_p3.json").read_bytes()
     names = {span["name"] for span in json.loads(spans_path.read_text())}
-    assert {"cp_rep.nilpotence", "linalg.sparse_rank"} <= names
+    assert {"cp_rep.nilpotence", "cp_rep.chain_step", "linalg.matmul"} <= names
 
 
 def test_nilpotence_json_runs_under_the_launcher(tmp_path):

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tatedual import cp_rep, linalg
+from tatedual import cp_rep, linalg, verdicts
 from tatedual.mod_arith import height_params
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -138,16 +138,19 @@ def test_nilpotence_report_matches_prediction(p, k, max_deg):
         assert (d.dim, d.even_dim, d.odd_dim) == (dim, dim - rz - rn, dim - rz - rn), d
         assert d.free is predicted_free(p, k, d.deg), d
     # the verdict alone: Tate dimension 0 where free, unknown elsewhere
-    verdict = cp_rep.nilpotence_report(height_params(p), k, max_deg)
+    verdict = verdicts.nilpotence_report(height_params(p), k, max_deg)
     expected = [(d.deg, d.dim, *[0 if d.free else None] * 2, d.free) for d in report.degrees]
     assert [(d.deg, d.dim, d.even_dim, d.odd_dim, d.free) for d in verdict.degrees] == expected
     assert (verdict.holds, verdict.windows) == (report.holds, report.windows)
 
 
 def test_free_flags_catch_an_off_by_one_rank(monkeypatch):
-    # mutation check: the verdict's free flags rest on the ranks of z at the
-    # degrees that the last-variable extensions leave open, so a block
-    # count off by one must show against the prediction.  (By Lucas's
+    # mutation check: the verdict's free flags rest on the ranks of D, or
+    # of z where D falls short, at the degrees that the last-variable
+    # extensions leave open, so a block count off by one in both must show
+    # against the prediction.  (Off by one in D alone sends every such
+    # degree to the rank of z, which answers right; the no-fallback test of
+    # test_verdicts catches that mutant.)  (By Lucas's
     # theorem p divides C(d + p-1-k, p-1-k) exactly when d mod p >= k + 1,
     # so testing only whether p divides the dimension, or answering free
     # wherever it does, agrees with freeness at every degree of U_k, and no
@@ -157,9 +160,11 @@ def test_free_flags_catch_an_off_by_one_rank(monkeypatch):
         rank = linalg.sparse_rank_mod(cp_rep._z_triplets(m), m.p)
         return m.dim % m.p == 0 and rank == m.dim - m.dim // m.p - 1
 
+    real = verdicts.weight_rank
+    monkeypatch.setattr(verdicts, "weight_rank", lambda p, nvars, deg: real(p, nvars, deg) + 1)
     monkeypatch.setattr(cp_rep, "_free_by_rank", off_by_one)
     p, k, max_deg = 5, 1, 20
-    report = cp_rep.nilpotence_report(height_params(p), k, max_deg)
+    report = verdicts.nilpotence_report(height_params(p), k, max_deg)
     assert [d.free for d in report.degrees] != [predicted_free(p, k, d) for d in range(max_deg + 1)]
 
 
@@ -177,7 +182,7 @@ def test_jordan_profile_matches_prediction(p, k, max_deg):
 def test_freeness_by_degree_matches_prediction(p, k, max_deg):
     degrees = range(max_deg + 1)
     expected = {d: predicted_free(p, k, d) for d in degrees}
-    assert dict(enumerate(cp_rep.free_flags(height_params(p), k, max_deg))) == expected
+    assert dict(enumerate(verdicts.free_flags(height_params(p), k, max_deg))) == expected
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -187,6 +192,17 @@ def test_freeness_pattern(p):
     for k in range(p - 1):
         for d in range(3 * p):
             assert predicted_free(p, k, d) is (k + 1 <= d % p <= p - 1), (k, d)
+
+
+def test_freeness_p5_golden_matches_prediction():
+    # `verify freeness --prime 5` checks, at each k, the degrees d up to its
+    # default cap (20 at k = 1, 25 otherwise) with d mod 5 > k
+    lines = (GOLDEN / "freeness_p5.txt").read_text().splitlines()
+    assert len(lines) == 4
+    for k, line in enumerate(lines):
+        cap = verdicts.default_degree_cap(height_params(5), k)
+        free = [d for d in range(cap + 1) if predicted_free(5, k, d)]
+        assert line == f"PASS freeness p=5 k={k} degrees_checked={len(free)} max_degree={cap}", line
 
 
 def test_freeness_p7_golden_matches_prediction():

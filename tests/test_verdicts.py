@@ -1,0 +1,175 @@
+"""The weight certificate of verdicts.free_flags_by_k against the engine:
+its D is the weight-one part of the z that cp_rep builds, its rank bounds
+rank z from below and reaches dim - dim/p wherever the suites rank, and the
+default suites never fall back to a rank of z."""
+
+from __future__ import annotations
+
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tatedual import cli, cp_rep, linalg, verdicts
+from tatedual.mod_arith import height_params
+
+from oracles import monomials, rank_row_loop
+
+BENCH_EXPECTED = Path(__file__).parent.parent / "bench" / "expected"
+
+
+def _dense_ranked_pairs(p):
+    """(level j, degree d) of every rank that the default nilpotence and
+    freeness suites at p take, whose power is dense: d = j + 1 mod p up to
+    the largest default cap of a k <= j, k from 0."""
+    params = height_params(p)
+    pairs = []
+    for j in range(p - 1):
+        reach = max(verdicts.default_degree_cap(params, k) for k in range(j + 1))
+        for d in range(j + 1, reach + 1, p):
+            if verdicts.symmetric_dimension(p - j, d) <= cp_rep.DENSE_LIMIT:
+                pairs.append((j, d))
+    return pairs
+
+
+def _entries(columns, nvars, deg):
+    """The entries (row, col, value) of D given as verdicts' columns: a row
+    code is read back as its exponents, base deg + 1, and placed by
+    cp_rep._lex_positions; column c is the c-th monomial."""
+    base = deg + 1
+    flat = [(code, c, v) for c, column in enumerate(columns) for code, v in column.items()]
+    expo = np.array([[code // base ** (nvars - 1 - t) % base for t in range(nvars)] for code, _, _ in flat],
+                    dtype=np.int64).reshape(-1, nvars)
+    rows = cp_rep._lex_positions(expo, deg).tolist()
+    return sorted((r, c, v) for r, (_, c, v) in zip(rows, flat))
+
+
+def _weight_one_part(mod, monos):
+    """The entries of z whose row has weight one more than their column;
+    asserts that z raises every weight."""
+    z = cp_rep._z_triplets(mod)
+    weight = monos @ np.arange(monos.shape[1])
+    assert (weight[z.rows] > weight[z.cols]).all()
+    one = weight[z.rows] == weight[z.cols] + 1
+    return sorted(zip(z.rows[one].tolist(), z.cols[one].tolist(), z.vals[one].tolist()))
+
+
+def _mutant_columns(p, nvars, deg):
+    """D built with e_(t-1) in place of e_(t+1), in the code of verdicts."""
+    base = deg + 1
+    scale = [base ** (nvars - 1 - t) for t in range(nvars)]
+    return [{sum(e * s for e, s in zip(a, scale)) - scale[t] + scale[t - 1]: a[t] % p
+             for t in range(1, nvars) if a[t] % p} for a in monomials(nvars, deg)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_d_is_the_weight_one_part_of_z(p):
+    params = height_params(p)
+    pairs = _dense_ranked_pairs(p)
+    assert pairs
+    for j in sorted({j for j, _ in pairs}):
+        degrees = [d for i, d in pairs if i == j]
+        chain = cp_rep._SymmetricChain(cp_rep.u_k_module(params, j))
+        nvars = chain.nvars
+        while chain.deg < degrees[-1]:
+            chain.step()
+            deg = chain.deg
+            if deg not in degrees:
+                continue
+            mod = chain.current_module()
+            dim = mod.dim
+            # the columns follow the engine's monomial order
+            rows = [tuple(a) for a in verdicts._exponent_rows(nvars, deg)]
+            assert rows == monomials(nvars, deg) == [tuple(m) for m in chain.monos.tolist()], (j, deg)
+            part = _weight_one_part(mod, chain.monos)
+            assert _entries(verdicts._weight_columns(p, nvars, deg), nvars, deg) == part, (j, deg)
+            # mutation check: a D that moves the other way is caught
+            assert _entries(_mutant_columns(p, nvars, deg), nvars, deg) != part, (j, deg)
+            rank_d = verdicts.weight_rank(p, nvars, deg)
+            assert rank_d <= linalg.sparse_rank_mod(cp_rep._z_triplets(mod), p), (j, deg)
+            assert rank_d == dim - dim // p, (j, deg)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_dict_elimination_matches_row_loop(p):
+    rng = random.Random(p)
+    for trial in range(60):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        if trial % 2:
+            # rank-deficient: a product through an inner dimension below both sides
+            inner = rng.randint(0, min(rows, cols) - 1) if min(rows, cols) > 1 else 0
+            left = [[rng.randrange(p) for _ in range(inner)] for _ in range(rows)]
+            right = [[rng.randrange(p) for _ in range(cols)] for _ in range(inner)]
+            matrix = [[sum(left[i][t] * right[t][c] for t in range(inner)) % p for c in range(cols)]
+                      for i in range(rows)]
+        else:
+            matrix = [[rng.randrange(p) if rng.random() < 0.4 else 0 for _ in range(cols)] for _ in range(rows)]
+        columns = [{r: matrix[r][c] for r in range(rows) if matrix[r][c]} for c in range(cols)]
+        assert verdicts._rank_mod(columns, p) == rank_row_loop(matrix, p), (trial, matrix)
+
+
+def _fallbacks(monkeypatch):
+    """The dimension of each module that verdicts hands to cp_rep._free_by_rank."""
+    seen = []
+    real = cp_rep._free_by_rank
+
+    def spied(m):
+        seen.append(m.dim)
+        return real(m)
+
+    monkeypatch.setattr(cp_rep, "_free_by_rank", spied)
+    return seen
+
+
+SUITES = [(suite, p) for suite in ("nilpotence", "freeness") for p in ("3", "5", "7")]
+
+
+@pytest.mark.parametrize("suite,p", SUITES)
+def test_default_suites_take_no_fallback(suite, p, monkeypatch, capsys):
+    fallbacks = _fallbacks(monkeypatch)
+    assert cli.main(["verify", suite, "--prime", p]) == 0
+    capsys.readouterr()
+    assert fallbacks == []
+
+
+def test_a_comparison_one_short_shows_only_as_fallbacks(monkeypatch, capsys):
+    # mutation check: comparing rank D with dim - dim/p - 1 proves no degree
+    # free, so every ranked degree falls back to a rank of z, which answers
+    # right; the output is unchanged and only the fallback spy sees it
+    real = verdicts.weight_rank
+    monkeypatch.setattr(verdicts, "weight_rank", lambda p, nvars, deg: real(p, nvars, deg) + 1)
+    fallbacks = _fallbacks(monkeypatch)
+    assert cli.main(["verify", "nilpotence", "--prime", "5"]) == 0
+    assert capsys.readouterr().out == (BENCH_EXPECTED / "nilpotence-p5.out").read_text()
+    assert len(fallbacks) == 14
+
+
+def _steps(monkeypatch):
+    """The (variables, degree) of each chain step."""
+    steps = []
+    step = cp_rep._SymmetricChain.step
+
+    def counted(chain):
+        steps.append((chain.nvars, chain.deg + 1))
+        step(chain)
+
+    monkeypatch.setattr(cp_rep._SymmetricChain, "step", counted)
+    return steps
+
+
+def test_plain_verdict_takes_no_chain_step(monkeypatch, capsys):
+    steps = _steps(monkeypatch)
+    assert cli.main(["verify", "nilpotence", "--prime", "5"]) == 0
+    capsys.readouterr()
+    assert steps == []
+
+
+def test_json_walks_each_level_once(monkeypatch, capsys):
+    # U_k is walked only for its Tate dimensions, to its last dense degree
+    # that is not free: 20 + 22 + 24 steps for k = 1, 2, 3 (134 when the
+    # freeness pass walked every level first)
+    steps = _steps(monkeypatch)
+    assert cli.main(["verify", "nilpotence", "--prime", "5", "--json"]) == 0
+    capsys.readouterr()
+    assert len(steps) <= 70 and len(set(steps)) == len(steps)
