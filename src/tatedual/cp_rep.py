@@ -39,9 +39,11 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, ResourceGuard
-from .linalg import DENSE_LIMIT
 from .mod_arith import HeightParams
 from .verdicts import NilpotenceReport, check_dim_cap, level_vars, nilpotence_report, symmetric_dimension
+
+# the largest dimension at which z is made a dense matrix
+DENSE_LIMIT = 2000
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,24 +7,24 @@ the float type's integer range: float32 when it is below 2^24, float64
 when it is below 2^53.  Beyond that `_mul` raises OverflowError; the bound
 is checked on every call.
 
-Matrices with both sides at least _BLOCKED_MIN are eliminated by a
-column-recursive, rank-profile-revealing LU in the style of FFLAS-FFPACK
-(Dumas, Giorgi and Pernet, ACM TOMS 2008): each split eliminates its left
-half, inverts that half's unit lower factor by the 2x2 block formula, and
-updates the pivot rows and the trailing rows with one product each.
-Panels of _BASE columns are reduced column by column, touching only rows
-with a nonzero multiplier.  The kernel works on one float copy of the
-matrix and returns exactly the echelon form and pivots of the row loop
-kept for small matrices.
+Matrices are eliminated by a column-recursive, rank-profile-revealing LU
+in the style of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 2008):
+each split eliminates its left half, inverts that half's unit lower factor
+by the 2x2 block formula, and updates the pivot rows and the trailing rows
+with one product each.  Panels of _BASE columns are reduced column by
+column, touching only rows with a nonzero multiplier.  The kernel works on
+one float copy of the matrix and returns exactly the echelon form and
+pivots of the row loop _forward_naive.  _BLOCKED_MIN picks only
+forward_eliminate's route: the row loop while a side is below it, the
+kernel from there on.
 
-A rank is the number of independent_columns.  For Triplets (index arrays
-of the nonzero entries, kept by symmetric powers) of any shape, and for
-arrays with a side at least _BLOCKED_MIN, these are the columns with
-distinct first nonzero rows and the pivot columns of their Schur
-complement, which alone goes through the kernel; the whole matrix is never
-formed.  Triplets are read
-directly: their lead rows come from the entries, and they are relabelled
-into pivot order and sorted once, so each block of rows is scattered from a
+A rank is the number of independent_columns.  For arrays and for Triplets
+(index arrays of the nonzero entries, kept by symmetric powers) of every
+shape, these are the columns with distinct first nonzero rows and the
+pivot columns of their Schur complement, which alone goes through the
+kernel; the whole matrix is never formed.  Triplets are read directly:
+their lead rows come from the entries, and they are relabelled into pivot
+order and sorted once, so each block of rows is scattered from a
 contiguous slice.  check_rank_budget refuses a rank whose float array would
 exceed RANK_BYTES before anything is allocated.
 """
@@ -37,7 +37,6 @@ import numpy as np
 
 from .errors import ResourceGuard
 
-DENSE_LIMIT = 2000
 # the float array of the largest matrix ranked: a float32 square matrix of
 # dimension 11585.  The rank never forms it; at dimension 8568 the rank of z
 # peaks at about 124 MiB of live data, under half its float array
@@ -365,10 +364,8 @@ def _structural_columns(a, lead: np.ndarray, p: int, ft) -> np.ndarray:
 
 def independent_columns(a, p: int) -> np.ndarray:
     """Indices of rank-many independent columns over F_p of an array or of
-    Triplets.  Triplets, coalesced first, are always structural; an array
-    takes the pivots of _forward_naive when both sides are below
-    _BLOCKED_MIN, else structural.  A float array must hold integers in
-    [0, p) and is read in place."""
+    Triplets (coalesced first), from structural pivots at every shape.  A
+    float array must hold integers in [0, p) and is read in place."""
     if isinstance(a, Triplets):
         a = a.coalesced(p)
         (rows, cols), ft = a.shape, _float_type(min(a.shape), p)
@@ -376,14 +373,12 @@ def independent_columns(a, p: int) -> np.ndarray:
         np.minimum.at(lead, a.cols, a.rows)
         return _structural_columns(a, lead, p, ft)
     a = np.asarray(a)
-    small = max(a.shape) < _BLOCKED_MIN or not a.size
-    if a.dtype.kind != "f" or small:
+    if a.dtype.kind != "f":
         a = as_field_matrix(a, p)
-    if small:
-        return np.array(_forward_naive(a, p)[1], dtype=np.int64)
-    ft, nonzero = _float_type(min(a.shape), p), a != 0
-    lead = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), a.shape[0])
-    return _structural_columns(a, lead, p, ft)
+    # a row of ones under the matrix gives a zero column the lead row rows,
+    # and an empty matrix no columns
+    lead = np.vstack([a != 0, np.ones((1, a.shape[1]), dtype=bool)]).argmax(axis=0)
+    return _structural_columns(a, lead, p, _float_type(min(a.shape), p))
 
 
 def rank_mod(a, p: int) -> int:

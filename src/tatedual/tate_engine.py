@@ -15,7 +15,7 @@ periodicity lattice, which the differentials respect.
 
 run_to_einfty is the one place where pages are turned and fates decided:
 charts, overlays, the cancellation check and the dual shift route all
-read the SequenceRecord of one run.
+read the SequenceRecord of one run, the dual sequence its recorded pairs.
 """
 
 from __future__ import annotations
@@ -125,36 +125,6 @@ def d_second(cls: MonomialClass, params: HeightParams) -> tuple[MonomialClass, i
     else:
         target = MonomialClass(0, cls.i + n * n + 1, cls.j - n, cls.family)
     return target, 1
-
-
-def d_first_incoming(cls: MonomialClass, params: HeightParams) -> tuple[MonomialClass, int] | None:
-    """The unique class whose first differential could hit cls, with the
-    coefficient; None when the coefficient vanishes or eps rules it out."""
-    p, n = params.p, params.n
-    if cls.eps == 0:
-        return None
-    if cls.family == "Cp":
-        source = MonomialClass(0, cls.i - n, cls.j - 1, cls.family)
-    else:
-        source = MonomialClass(0, cls.i - n, cls.j + 1, cls.family)
-    out = d_first(source, params)
-    if out is None:
-        return None
-    assert out[0] == cls
-    return source, out[1]
-
-
-def d_second_incoming(cls: MonomialClass, params: HeightParams) -> tuple[MonomialClass, int] | None:
-    n = params.n
-    if cls.eps == 1:
-        return None
-    if cls.family == "Cp":
-        source = MonomialClass(1, cls.i - n * n - 1, cls.j - n + 1, cls.family)
-    else:
-        source = MonomialClass(1, cls.i - n * n - 1, cls.j + n, cls.family)
-    out = d_second(source, params)
-    assert out is not None and out[0] == cls
-    return source, out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +372,15 @@ class DualClass:
 class DualSequence:
     """The dual spectral sequence: classes are duals of the original ones,
     placed by the plane transform (s, t) -> (n - 1 - s, 2n - t), and each
-    differential x -> c y turns into D(y) -> c D(x)."""
+    differential x -> c y turns into D(y) -> c D(x).  The recorded pairs are
+    indexed once by the lattice orbit of their target."""
 
     def __init__(self, record: SequenceRecord):
         self.record = record
         self.params = record.params
         self.group = record.group
+        key = record.pages[0].canonical
+        self._by_target = {d.r: {key(tgt): (src, tgt, c) for src, tgt, c in d.pairs} for d in record.diffs}
 
     def bidegree(self, dual: DualClass) -> tuple[int, int]:
         n = self.params.n
@@ -424,19 +397,17 @@ class DualSequence:
         ]
 
     def differential(self, dual: DualClass, r: int) -> tuple[DualClass, int] | None:
-        """The dual differential: present iff the base class is an r-target."""
-        params = self.params
-        if r == first_diff_index(params):
-            inc = d_first_incoming(dual.base, params)
-        elif r == second_diff_index(params):
-            inc = d_second_incoming(dual.base, params)
-            if inc is not None and not self.record.pages[1].contains(inc[0]):
-                inc = None
-        else:
+        """The dual differential: present iff the base class is an r-target.
+        The recorded pair of its orbit moves onto it by the translation
+        between the two targets, which the differentials and their
+        coefficients respect."""
+        if r not in self._by_target:
             raise InvalidInput(f"unsupported page index r={r}")
-        if inc is None:
+        pair = self._by_target[r].get(self.record.pages[0].canonical(dual.base))
+        if pair is None:
             return None
-        return DualClass(inc[0]), inc[1]
+        src, tgt, coeff = pair
+        return DualClass(src.translate(dual.base.i - tgt.i, dual.base.j - tgt.j)), coeff
 
     def is_cycle(self, dual: DualClass, r: int) -> bool:
         return self.differential(dual, r) is None

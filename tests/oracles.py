@@ -2,9 +2,13 @@
 engine.  None of this is on a command's path: the commands run what
 src/tatedual holds, and these oracles recompute the same facts another way.
 
-- turn_page_rank_route turns a page from per-class kernel and image ranks,
-  against tate_engine.turn_page, and fates_rank_route decides each class's
-  fate from the same ranks, against the fates of tate_engine.run_to_einfty;
+- d_first_incoming and d_second_incoming invert the closed-form
+  differentials, against the dual differentials that
+  tate_engine.DualSequence reads off the recorded pairs;
+- turn_page_rank_route turns a page from per-class kernel and image ranks
+  of the closed forms and their inverses, against tate_engine.turn_page,
+  and fates_rank_route decides each class's fate from the same ranks,
+  against the fates of tate_engine.run_to_einfty;
 - is_boundary and dual_pairs read the dual sequence from the boundary side,
   against the cycles and differentials of tate_engine.DualSequence;
 - SequenceView truncates a recorded sequence to the fixed-point or orbit
@@ -40,15 +44,45 @@ from tatedual.tate_engine import (
     _family,
     bidegree,
     d_first,
-    d_first_incoming,
     d_second,
-    d_second_incoming,
     first_diff_index,
     second_diff_index,
 )
 
 # ---------------------------------------------------------------------------
 # page turning and the dual sequence
+
+
+def d_first_incoming(cls: MonomialClass, params: HeightParams) -> tuple[MonomialClass, int] | None:
+    """The unique class whose first differential could hit cls, with the
+    coefficient; None when the coefficient vanishes or eps rules it out."""
+    p, n = params.p, params.n
+    if cls.eps == 0:
+        return None
+    if cls.family == "Cp":
+        source = MonomialClass(0, cls.i - n, cls.j - 1, cls.family)
+    else:
+        source = MonomialClass(0, cls.i - n, cls.j + 1, cls.family)
+    out = d_first(source, params)
+    if out is None:
+        return None
+    assert out[0] == cls
+    return source, out[1]
+
+
+def d_second_incoming(cls: MonomialClass, params: HeightParams) -> tuple[MonomialClass, int] | None:
+    """The class whose second differential would hit cls, with the
+    coefficient, whether or not that class survives to the middle page."""
+    n = params.n
+    if cls.eps == 1:
+        return None
+    if cls.family == "Cp":
+        source = MonomialClass(1, cls.i - n * n - 1, cls.j - n + 1, cls.family)
+    else:
+        source = MonomialClass(1, cls.i - n * n - 1, cls.j + n, cls.family)
+    out = d_second(source, params)
+    assert out is not None and out[0] == cls
+    return source, out[1]
 
 
 def d_first_coefficient_leibniz(cls: MonomialClass, params: HeightParams) -> int:

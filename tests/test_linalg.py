@@ -345,11 +345,10 @@ def test_rank_matches_naive(p, shape, monkeypatch):
     # structural rank also with a row block that splits every shape into
     # several blocks and a short last one
     rng = np.random.default_rng(p * 1000 + shape[0])
-    blocks = (linalg._ROW_BLOCK, 48) if max(shape) >= linalg._BLOCKED_MIN else (linalg._ROW_BLOCK,)
     for a in _rank_cases(rng, *shape, p):
         want = _naive_rank(a, p)
         triplets = _repeated_triplets(rng, a, p)
-        for block in blocks:
+        for block in (linalg._ROW_BLOCK, 48):
             monkeypatch.setattr(linalg, "_ROW_BLOCK", block)
             cols = linalg.independent_columns(a, p)
             assert len(cols) == want and _naive_rank(a[:, cols], p) == want
@@ -360,8 +359,9 @@ def test_rank_matches_naive(p, shape, monkeypatch):
             assert linalg.sparse_rank_mod(triplets, p) == want
 
 
-# shapes with both sides below _BLOCKED_MIN (192), where an array takes the
-# row loop of _forward_naive: single rows and columns, square, wide and tall
+# shapes with both sides below _BLOCKED_MIN (192), where forward_eliminate
+# takes the row loop of _forward_naive: single rows and columns, square, wide
+# and tall
 SMALL_SHAPES = [(1, 1), (1, 9), (9, 1), (1, 191), (191, 1), (2, 3), (3, 2), (17, 17), (30, 95), (95, 30),
                 (191, 64), (191, 191)]
 
@@ -369,21 +369,23 @@ SMALL_SHAPES = [(1, 1), (1, 9), (9, 1), (1, 191), (191, 1), (2, 3), (3, 2), (17,
 @pytest.mark.parametrize("shape", SMALL_SHAPES)
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_small_triplets_rank_structurally(p, shape, monkeypatch):
-    # coalesced Triplets of any shape take the structural route: its rank
-    # must be that of the row loop on the scattered array, and its columns
-    # independent; the row loop itself is never entered
+    # coalesced Triplets, int64 arrays and float64 arrays of any shape take
+    # the structural route: their rank must be that of the row loop on the
+    # array, and their columns independent; the row loop itself is never
+    # entered
     rng = np.random.default_rng(p * 1000 + shape[0] * 7 + shape[1])
     sparse = rng.integers(0, p, size=shape) * (rng.random(shape) < 0.1)
     for a in [*_rank_cases(rng, *shape, p), sparse]:
         nz = np.nonzero(a)
         triplets = linalg.Triplets(a.shape, *nz, a[nz])
         assert triplets.coalesced(p) is triplets
-        want = _naive_rank(triplets.scatter(np.int64), p)
-        with monkeypatch.context() as m:
-            m.setattr(linalg, "_forward_naive", None)
-            cols = linalg.independent_columns(triplets, p)
-        assert len(cols) == want
-        assert linalg.rank_mod(a[:, cols], p) == len(cols)
+        want = _naive_rank(a, p)
+        for m in (triplets, a.astype(np.int64), a.astype(np.float64)):
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_forward_naive", None)
+                cols = linalg.independent_columns(m, p)
+            assert len(cols) == want
+            assert _naive_rank(a[:, cols], p) == len(cols)
 
 
 def test_rank_of_z_fits_in_memory():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from tatedual import duality_shifts as ds
@@ -224,13 +226,28 @@ class TestDualize:
             back = tuple((dtgt.base, dsrc.base, c) for dsrc, dtgt, c in oracles.dual_pairs(dual, stage))
             assert back == dmap.pairs
 
-    def test_dual_differential_reverses(self, params3):
-        rec = eng.run_to_einfty("Cp", params3)
-        dual = eng.DualSequence(rec)
-        src, tgt, coeff = rec.diffs[0].pairs[0]
-        got = dual.differential(eng.DualClass(tgt), rec.diffs[0].r)
-        assert got is not None
-        assert got[0].base == src and got[1] == coeff
+    def test_dual_differential_reverses(self):
+        # in every case, at every class two lattice periods either side of
+        # the fundamental domain, the dual differential read off the
+        # recorded pairs is the inverse of the closed form; the second one
+        # only where its source survives to the middle page
+        for group, p in ALL_CASES:
+            params = height_params(p)
+            rec = eng.run_to_einfty(group, params)
+            dual = eng.DualSequence(rec)
+            r1, r2 = eng.first_diff_index(params), eng.second_diff_index(params)
+            answered = set()
+            for eps, i, j in itertools.product((0, 1), range(-2, 3), range(-2 * p, 3 * p)):
+                base = eng.MonomialClass(eps, i, j, rec.family)
+                for r, incoming in ((r1, oracles.d_first_incoming), (r2, oracles.d_second_incoming)):
+                    want = incoming(base, params)
+                    if r == r2 and want is not None and not rec.pages[1].contains(want[0]):
+                        want = None
+                    got = dual.differential(eng.DualClass(base), r)
+                    assert (None if got is None else (got[0].base, got[1])) == want, (group, p, base, r)
+                    if got is not None:
+                        answered.add(r)
+            assert answered == {r1, r2}, (group, p)
 
     def test_dual_spans_bidegree_law(self, params5):
         rec = eng.run_to_einfty("F", params5)
