@@ -7,8 +7,10 @@ lattice cell), a minimal SVG 1.1 subset (circles, lines, text), and a JSON
 document that round-trips byte-identically.
 
 Each chart reads one recorded run of the spectral sequence
-(tate_engine.run_to_einfty): the page on display, the two arrow stages of
-an overlay and each dot's fate all come from that record.
+(tate_engine.run_to_einfty): the page on display and each dot's fate come
+from that record, and so does every arrow, the recorded pair of its
+source's orbit moved onto the source by the lattice; no differential is
+evaluated here.
 
 Every byte of output is a function of the chart spec alone; there are no
 timestamps, float formatting surprises, or hash-ordered collections.
@@ -25,7 +27,7 @@ from .mod_arith import HeightParams, height_params
 
 FORMATS = ("ascii", "svg", "json")
 
-# arrow colour of each differential family
+# arrow colour of each differential family, first then second
 COLORS = {"first": "gray", "second": "blue"}
 
 # a window is refused above this many lattice cells, before any page is
@@ -94,23 +96,13 @@ def build_document(spec: ChartSpec, overlay: bool = False) -> dict:
         dots.append(dot)
 
     arrows = []
-    if overlay:
-        stages = record.pages[:2]
-    else:
-        stages = () if page is record.einfty() else (page,)
-    for stage_page in stages:
-        r = eng.effective_diff_index(stage_page)
+    for color, stage_page, dmap in zip(COLORS.values(), record.pages, record.diffs):
+        if not overlay and stage_page is not page:
+            continue
         for cls in stage_page.classes_in_window(x0, x1, s0, s1):
-            out = eng.differential(stage_page, cls)
-            if out is None:
-                continue
-            tgt, coeff = out
-            arrows.append(
-                {
-                    **eng.pair_json(cls, tgt, coeff, r, params),
-                    "color": COLORS["first" if r == eng.first_diff_index(params) else "second"],
-                }
-            )
+            out = record.partner(dmap.r, "source", cls)
+            if out is not None:
+                arrows.append({**eng.pair_json(cls, *out, dmap.r, params), "color": color})
 
     return {
         "spec": {

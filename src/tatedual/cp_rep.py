@@ -296,7 +296,7 @@ def jordan_decompose(m: CpModule) -> JordanProfile:
     """
     p = m.p
     if not m.is_dense():
-        raise ResourceGuard("jordan_decompose needs a dense module; use free_flags for large ones")
+        raise ResourceGuard("jordan_decompose needs a dense module; use verdicts.free_flags_by_k for large ones")
     indep, rows = _skinny_powers(m)
     ys = list(rows)
     ranks = [m.dim, len(indep), *(linalg.rank_mod(np.vstack(ys[j - 1 :]), p) for j in range(2, p)), 0, 0]
@@ -424,11 +424,11 @@ def _window_vanishes(p: int, window: list) -> bool:
 # the nilpotence suite
 
 
-def nilpotence_tate_report(params: HeightParams, k: int, max_deg: int | list[bool]) -> NilpotenceReport:
+def nilpotence_tate_report(params: HeightParams, k: int, flags: list[bool]) -> NilpotenceReport:
     """nilpotence_report with the Tate dimension of every dense degree that
     is not free, from _tate_dim_by_rank on one walk up U_k that stops at the
     last such degree."""
-    report = nilpotence_report(params, k, max_deg)
+    report = nilpotence_report(params, k, flags)
     todo = [d.deg for d in report.degrees if not d.free and d.dim <= DENSE_LIMIT]
     if not todo:
         return report

@@ -87,7 +87,7 @@ def shift_dual_route(group: str, params: HeightParams) -> ShiftReport:
     base = certificate.base
     if base.eps != 1 or base.i != n // 2 - 1:
         raise VerificationFailure("certificate is not the expected dual class")
-    if not record.pages[1].contains(base) or eng.d_second(base, params) is None:
+    if record.partner(eng.second_diff_index(params), "source", base) is None:
         raise VerificationFailure("certificate base does not support the second differential")
     return ShiftReport(
         group=group,

@@ -13,9 +13,12 @@ linearity over the invariant elements.  Pages are stored as congruence
 conditions on (eps, i, j): a finite set of orbit representatives under the
 periodicity lattice, which the differentials respect.
 
-run_to_einfty is the one place where pages are turned and fates decided:
-charts, overlays, the cancellation check and the dual shift route all
-read the SequenceRecord of one run, the dual sequence its recorded pairs.
+run_to_einfty is the one place where pages are turned and fates decided,
+and differential_map, which it calls once per family, the one place where
+d_first and d_second are evaluated.  Charts, overlays, the cancellation
+check and the dual shift route all read the SequenceRecord of one run:
+chart arrows and dual differentials are recorded pairs, moved by the
+lattice onto the class at hand.
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ from .errors import InvalidInput, VerificationFailure
 from .mod_arith import HeightParams
 
 GROUPS = ("Cp", "F", "G")
-
-FIRST = "first"  # r = 2n + 1
-SECOND = "second"  # r = 2n^2 + 1
 
 
 def _family(group: str) -> str:
@@ -171,9 +171,6 @@ class Page:
             return cls.eps, (cls.j - n * cls.i) % p
         return cls.eps, cls.j % p
 
-    def contains(self, cls: MonomialClass) -> bool:
-        return self.canonical(cls) in self.survivors
-
     def class_from_canonical(self, key: tuple[int, int]) -> MonomialClass:
         eps, jbar = key
         return MonomialClass(eps, 0, jbar, self.family)
@@ -246,17 +243,6 @@ def effective_diff_index(page: Page) -> int:
     raise InvalidInput(f"no differentials on or after page r={page.r}")
 
 
-def differential(page: Page, cls: MonomialClass) -> tuple[MonomialClass, int] | None:
-    """The page's next nonzero differential on a surviving class; None for
-    cycles."""
-    r = effective_diff_index(page)
-    if not page.contains(cls):
-        raise InvalidInput(f"class {cls.label()} is not a survivor on this page")
-    if r == first_diff_index(page.params):
-        return d_first(cls, page.params)
-    return d_second(cls, page.params)
-
-
 @dataclass(frozen=True)
 class DifferentialMap:
     """The r-th differential recorded over the fundamental domain: a partial
@@ -265,21 +251,17 @@ class DifferentialMap:
     r: int
     pairs: tuple  # of (source MonomialClass, target MonomialClass, coeff)
 
-    def source_keys(self, page: Page) -> set:
-        return {page.canonical(src) for src, _, _ in self.pairs}
-
-    def target_keys(self, page: Page) -> set:
-        return {page.canonical(tgt) for _, tgt, _ in self.pairs}
-
 
 def differential_map(page: Page) -> DifferentialMap:
     """The page's next nonzero differential over its fundamental domain."""
+    r = effective_diff_index(page)
+    d = d_first if r == first_diff_index(page.params) else d_second
     pairs = []
     for cls in page.fundamental_domain():
-        out = differential(page, cls)
+        out = d(cls, page.params)
         if out is not None:
-            pairs.append((cls, out[0], out[1]))
-    return DifferentialMap(r=effective_diff_index(page), pairs=tuple(pairs))
+            pairs.append((cls, *out))
+    return DifferentialMap(r=r, pairs=tuple(pairs))
 
 
 def verify_bidegree_law(diff: DifferentialMap, params: HeightParams) -> None:
@@ -303,7 +285,7 @@ def turn_page(page: Page, diff: DifferentialMap) -> Page:
     if diff.r != effective_diff_index(page):
         raise InvalidInput("differential page index does not match the page")
     verify_bidegree_law(diff, page.params)
-    killed = diff.source_keys(page) | diff.target_keys(page)
+    killed = {page.canonical(end) for pair in diff.pairs for end in pair[:2]}
     if any(k not in page.survivors for k in killed):
         raise VerificationFailure("differential touches classes outside the page")
     return Page(group=page.group, params=page.params, r=diff.r + 1, survivors=page.survivors - killed)
@@ -316,13 +298,18 @@ def turn_page(page: Page, diff: DifferentialMap) -> Page:
 @dataclass(frozen=True)
 class SequenceRecord:
     """A fully recorded Tate spectral sequence: the three stages, both
-    differentials, and one fate per fundamental-domain class, "source",
-    "target" or "survives"."""
+    differentials, the index of their pairs and one fate per
+    fundamental-domain class, "source", "target" or "survives".
+
+    The index holds each recorded pair twice, keyed (r, "source", orbit of
+    its source) and (r, "target", orbit of its target); no orbit is keyed
+    twice, since a class is killed at most once."""
 
     group: str
     params: HeightParams
     pages: tuple
     diffs: tuple
+    index: dict = field(compare=False)
     fates: dict = field(compare=False)
 
     @property
@@ -339,22 +326,38 @@ class SequenceRecord:
             raise InvalidInput("page index must be at least 2")
         return [page for page in self.pages if page.r <= r][-1]
 
+    def partner(self, r: int, role: str, cls: MonomialClass) -> tuple[MonomialClass, int] | None:
+        """The other end of the recorded r-pair whose role ("source" or
+        "target") lies in the orbit of cls, moved onto cls by the lattice
+        translation, which the differentials and their coefficients respect,
+        and its coefficient; None if the orbit of cls plays no such role."""
+        pair = self.index.get((r, role, self.pages[0].canonical(cls)))
+        if pair is None:
+            return None
+        src, tgt, coeff = pair
+        here, there = (src, tgt) if role == "source" else (tgt, src)
+        return there.translate(cls.i - here.i, cls.j - here.j), coeff
+
 
 def run_to_einfty(group: str, params: HeightParams) -> SequenceRecord:
     """Turn the E_2 page by both differential families, recording each
-    page, each differential and, from its pairings, each class's fate."""
+    page, each differential, the index of its pairs and, from that index,
+    each class's fate."""
     pages = [e2_page(group, params)]
     diffs = []
     for _ in range(2):
         diffs.append(differential_map(pages[-1]))
         pages.append(turn_page(pages[-1], diffs[-1]))
 
+    key, index = pages[0].canonical, {}
+    for dmap in diffs:
+        for pair in dmap.pairs:
+            index[dmap.r, "source", key(pair[0])] = index[dmap.r, "target", key(pair[1])] = pair
     fates = dict.fromkeys(sorted(pages[0].survivors), "survives")
-    for page, dmap in zip(pages, diffs):
-        fates.update(dict.fromkeys(dmap.source_keys(page), "source"))
-        fates.update(dict.fromkeys(dmap.target_keys(page), "target"))
+    fates.update((orbit, role) for _, role, orbit in index)
 
-    return SequenceRecord(group=group, params=params, pages=tuple(pages), diffs=tuple(diffs), fates=fates)
+    return SequenceRecord(group=group, params=params, pages=tuple(pages), diffs=tuple(diffs), index=index,
+                          fates=fates)
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +375,12 @@ class DualClass:
 class DualSequence:
     """The dual spectral sequence: classes are duals of the original ones,
     placed by the plane transform (s, t) -> (n - 1 - s, 2n - t), and each
-    differential x -> c y turns into D(y) -> c D(x).  The recorded pairs are
-    indexed once by the lattice orbit of their target."""
+    differential x -> c y turns into D(y) -> c D(x), read off the record's
+    index by the orbit of the target."""
 
     def __init__(self, record: SequenceRecord):
         self.record = record
         self.params = record.params
-        self.group = record.group
-        key = record.pages[0].canonical
-        self._by_target = {d.r: {key(tgt): (src, tgt, c) for src, tgt, c in d.pairs} for d in record.diffs}
 
     def bidegree(self, dual: DualClass) -> tuple[int, int]:
         n = self.params.n
@@ -397,17 +397,10 @@ class DualSequence:
         ]
 
     def differential(self, dual: DualClass, r: int) -> tuple[DualClass, int] | None:
-        """The dual differential: present iff the base class is an r-target.
-        The recorded pair of its orbit moves onto it by the translation
-        between the two targets, which the differentials and their
-        coefficients respect."""
-        if r not in self._by_target:
-            raise InvalidInput(f"unsupported page index r={r}")
-        pair = self._by_target[r].get(self.record.pages[0].canonical(dual.base))
-        if pair is None:
-            return None
-        src, tgt, coeff = pair
-        return DualClass(src.translate(dual.base.i - tgt.i, dual.base.j - tgt.j)), coeff
+        """The dual differential: present iff the base class is an r-target,
+        onto the dual of the recorded source moved onto it."""
+        out = self.record.partner(r, "target", dual.base)
+        return None if out is None else (DualClass(out[0]), out[1])
 
     def is_cycle(self, dual: DualClass, r: int) -> bool:
         return self.differential(dual, r) is None

@@ -111,11 +111,6 @@ def weight_rank(p: int, nvars: int, deg: int) -> int:
     return _rank_mod(_weight_columns(p, nvars, deg), p)
 
 
-def free_flags(params: HeightParams, k: int, max_deg: int) -> list[bool]:
-    """free_flags_by_k for k alone: whether Sym^d(U_k) is free, d <= max_deg."""
-    return free_flags_by_k(params, {k: max_deg})[k]
-
-
 def free_flags_by_k(params: HeightParams, caps: dict[int, int]) -> dict[int, list[bool]]:
     """Whether Sym^d(U_k) is free, d = 0, ..., caps[k], for every k of caps,
     from one pass down the levels U_n, whose powers are not free, ..., U_k
@@ -196,48 +191,47 @@ class NilpotenceReport:
 def nilpotence_reports(
     params: HeightParams, caps: dict[int, int], tate_dims: bool
 ) -> list[NilpotenceReport]:
-    """One report for each k of caps, in order, up to caps[k]: from
-    cp_rep.nilpotence_tate_report with tate_dims, else from
-    nilpotence_report.  One pass of free_flags_by_k decides every k with a
-    verdict to find (1 <= k < n, caps[k] > k), and each such report takes
-    its flags in place of its last degree (bench/launcher.py's span of
-    nilpotence_report reads exactly three arguments).  Every other k is
-    answered or refused by the report itself."""
-    n = params.n
+    """One report for each k of caps, in order, up to caps[k].  One pass of
+    free_flags_by_k first decides every k with a verdict to find (1 <= k <
+    n, caps[k] > k), whose report then comes from its flags, through
+    cp_rep.nilpotence_tate_report with tate_dims, else nilpotence_report.
+    k = 0 gets the trivial report; any other k outside [1, n - 1], or with
+    caps[k] < k + 1, is refused when its turn comes, after the pass."""
+    p, n = params.p, params.n
     flags = free_flags_by_k(params, {k: d for k, d in caps.items() if 1 <= k < n and d > k})
     report_of = nilpotence_report
     if tate_dims:
         from . import cp_rep
 
         report_of = cp_rep.nilpotence_tate_report
-    return [report_of(params, k, flags.get(k, d)) for k, d in caps.items()]
+    reports = []
+    for k, max_deg in caps.items():
+        if k == 0:
+            # p-torsion annihilates everything in positive degrees outright
+            reports.append(NilpotenceReport(p=p, k=0, max_deg=max_deg, degrees=(), windows=0, holds=True,
+                                            trivial=True))
+        elif not 1 <= k <= n - 1:
+            raise InvalidInput(f"k must lie in [0, {n - 1}]")
+        elif max_deg < k + 1:
+            raise InvalidInput("max_deg must be at least k + 1")
+        else:
+            reports.append(report_of(params, k, flags[k]))
+    return reports
 
 
-def nilpotence_report(params: HeightParams, k: int, max_deg: int | list[bool]) -> NilpotenceReport:
+def nilpotence_report(params: HeightParams, k: int, flags: list[bool]) -> NilpotenceReport:
     """Check that the (k+1)-fold multiplication by the invariant variable is
-    zero on Tate cohomology of symmetric powers, in all start degrees m with
-    m + k + 1 <= max_deg.
+    zero on Tate cohomology of symmetric powers of U_k, 1 <= k <= n - 1, in
+    all start degrees m with m + k + 1 <= max_deg, given the flags that
+    free_flags_by_k has decided for k, one per degree d <= max_deg.
 
-    max_deg may instead be the flags that free_flags_by_k has decided for
-    k, one per degree.  A free degree reports Tate dimensions 0 and any
-    other unknown ones (None).  A composite vanishes when its window holds
-    a free degree, as the freeness pattern (k+1 <= d mod p <= p-1)
-    guarantees for valid inputs; a window of k+2 degrees that are not free
-    goes to the explicit test cp_rep._window_vanishes.
+    A free degree reports Tate dimensions 0 and any other unknown ones
+    (None).  A composite vanishes when its window holds a free degree, as
+    the freeness pattern (k+1 <= d mod p <= p-1) guarantees for valid
+    inputs; a window of k+2 degrees that are not free goes to the explicit
+    test cp_rep._window_vanishes.
     """
-    p, n = params.p, params.n
-    flags = max_deg if isinstance(max_deg, list) else None
-    max_deg = max_deg if flags is None else len(flags) - 1
-    if k == 0:
-        # p-torsion annihilates everything in positive degrees outright
-        return NilpotenceReport(p=p, k=0, max_deg=max_deg, degrees=(), windows=0, holds=True, trivial=True)
-    if not 1 <= k <= n - 1:
-        raise InvalidInput(f"k must lie in [0, {n - 1}]")
-    if max_deg < k + 1:
-        raise InvalidInput("max_deg must be at least k + 1")
-
-    if flags is None:
-        flags = free_flags(params, k, max_deg)
+    p, n, max_deg = params.p, params.n, len(flags) - 1
     summaries, run, holds = [], 0, True
     for deg, free in enumerate(flags):
         tate = 0 if free else None

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tatedual import cp_rep, linalg
+from tatedual import cp_rep, linalg, verdicts
 from tatedual.mod_arith import height_params
 
 from oracles import coordinates_in_span, direct_sum
@@ -22,6 +22,11 @@ def params5():
 @pytest.fixture(scope="session")
 def params7():
     return height_params(7)
+
+
+def report_for_k(params, k: int, max_deg: int, tate_dims: bool = False) -> verdicts.NilpotenceReport:
+    """The nilpotence report of k alone up to max_deg, as the CLI builds it."""
+    return verdicts.nilpotence_reports(params, {k: max_deg}, tate_dims)[0]
 
 
 def random_invertible(rng: np.random.Generator, dim: int, p: int) -> np.ndarray:

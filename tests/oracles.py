@@ -15,7 +15,7 @@ src/tatedual holds, and these oracles recompute the same facts another way.
   half plane and reads the zero-line survivors off it;
 - the verify_* checks test properties that hold on every recorded sequence;
 - freeness_check decides freeness at one degree from a fresh symmetric
-  power, against the flags of verdicts.free_flags;
+  power, against the flags of verdicts.free_flags_by_k;
 - direct_sum builds the planted-block modules of the Jordan and Tate tests,
   and coordinates_in_span inverts the change of basis of the random ones;
 - monomials enumerates exponent tuples of one degree in descending lex
@@ -51,6 +51,11 @@ from tatedual.tate_engine import (
 
 # ---------------------------------------------------------------------------
 # page turning and the dual sequence
+
+
+def contains(page: Page, cls: MonomialClass) -> bool:
+    """Whether cls survives to the page."""
+    return page.canonical(cls) in page.survivors
 
 
 def d_first_incoming(cls: MonomialClass, params: HeightParams) -> tuple[MonomialClass, int] | None:
@@ -109,7 +114,7 @@ def _ranks(page: Page, r: int, cls: MonomialClass) -> tuple[int, int]:
     out = outgoing(cls, params)
     out_rank = 1 if out is not None and out[1] % params.p else 0
     inc = incoming(cls, params)
-    in_rank = 1 if inc is not None and inc[1] % params.p and page.contains(inc[0]) else 0
+    in_rank = 1 if inc is not None and inc[1] % params.p and contains(page, inc[0]) else 0
     return out_rank, in_rank
 
 
@@ -145,7 +150,7 @@ def is_boundary(seq: DualSequence, dual: DualClass, r: int) -> bool:
     if r == first_diff_index(params):
         return d_first(dual.base, params) is not None
     if r == second_diff_index(params):
-        return dual.base.eps == 1 and seq.record.pages[1].contains(dual.base)
+        return dual.base.eps == 1 and contains(seq.record.pages[1], dual.base)
     raise InvalidInput(f"unsupported page index r={r}")
 
 
@@ -198,14 +203,14 @@ class SequenceView:
             return "target"
         if (
             d_second(cls, params) is not None
-            and self.record.pages[1].contains(cls)
+            and contains(self.record.pages[1], cls)
             and self.contains_filtration(s + r2)
         ):
             return "source"
         inc2 = d_second_incoming(cls, params)
         if (
             inc2 is not None
-            and self.record.pages[1].contains(inc2[0])
+            and contains(self.record.pages[1], inc2[0])
             and self.contains_filtration(s - r2)
         ):
             return "target"
@@ -245,12 +250,10 @@ def hoss_view(obj) -> SequenceView:
 
 def verify_d_squared(record: SequenceRecord) -> None:
     """No class is a target and a source at the same page index."""
-    page2, page_mid = record.pages[0], record.pages[1]
-    d1, d2 = record.diffs
-    if d1.source_keys(page2) & d1.target_keys(page2):
-        raise VerificationFailure("d o d != 0 at the first differential")
-    if d2.source_keys(page_mid) & d2.target_keys(page_mid):
-        raise VerificationFailure("d o d != 0 at the second differential")
+    for name, page, dmap in zip(("first", "second"), record.pages, record.diffs):
+        sources = {page.canonical(src) for src, _, _ in dmap.pairs}
+        if sources & {page.canonical(tgt) for _, tgt, _ in dmap.pairs}:
+            raise VerificationFailure(f"d o d != 0 at the {name} differential")
 
 
 def verify_lattice_equivariance(record: SequenceRecord) -> None:

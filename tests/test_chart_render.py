@@ -8,6 +8,7 @@ import pytest
 
 from tatedual import chart_render as cr
 from tatedual import cli
+from tatedual import duality_shifts as ds
 from tatedual import tate_engine as eng
 from tatedual.errors import InvalidInput, ResourceGuard
 from tatedual.mod_arith import height_params
@@ -156,6 +157,28 @@ class TestOverlay:
         survivors = view.zero_line_einfty_exponents(-6, 7)
         degs = [2 * 5 * pa.n * pa.n * j for j in survivors]
         assert degs == [-800, 0, 800]
+
+    @pytest.mark.parametrize("group,p", [(g, p) for g in eng.GROUPS for p in (3, 5, 7)])
+    def test_overlay_arrows_are_the_closed_forms(self, group, p):
+        # the arrows are recorded pairs moved by the lattice; over two
+        # periods of the pure periodicity, and every s that an arrow of
+        # either family spans, they must be the closed forms at exactly the
+        # classes of each stage page where those do not vanish
+        params = height_params(p)
+        per, s_max = ds.periodicity(group, params), 2 * params.n ** 2 + 2
+        spec = cr.ChartSpec(group=group, p=p, page=2, x_min=-per, x_max=per, s_min=-s_max, s_max=s_max)
+        rec = eng.run_to_einfty(group, params)
+        r1, r2 = eng.first_diff_index(params), eng.second_diff_index(params)
+        want = []
+        for stage_page, closed, r, color in zip(rec.pages, (eng.d_first, eng.d_second), (r1, r2), ("gray", "blue")):
+            for cls in stage_page.classes_in_window(*spec.window()):
+                out = closed(cls, params)
+                if out is not None:
+                    want.append({**eng.pair_json(cls, *out, r, params), "color": color})
+        assert cr.build_document(spec, overlay=True)["arrows"] == want
+        assert {a["r"] for a in want} == {r1, r2}
+        # and some of them lie off the fundamental domain
+        assert any((a["source"]["i"], a["source"]["j"] // p) != (0, 0) for a in want)
 
     @pytest.mark.parametrize("draw", [cr.render, cr.diff_overlay], ids=["render", "overlay"])
     def test_one_run_per_chart(self, monkeypatch, draw):

@@ -11,7 +11,7 @@ from tatedual import cli, cp_rep, linalg, verdicts
 from tatedual.errors import InvalidInput, ResourceGuard
 from tatedual.mod_arith import height_params
 
-from conftest import random_cp_module
+from conftest import random_cp_module, report_for_k
 from oracles import direct_sum, freeness_check, monomials
 
 
@@ -376,13 +376,13 @@ class TestFreeness:
         pa = height_params(p)
         degrees = range(0, verdicts.default_degree_cap(pa, k) + 1)
         expected = {d: freeness_check(pa, k, d) for d in degrees}
-        flags = verdicts.free_flags(pa, k, degrees[-1])
+        flags = verdicts.free_flags_by_k(pa, {k: degrees[-1]})[k]
         assert {d: flags[d] for d in degrees} == expected
 
     def test_one_pass_edge_cases(self, params3):
-        assert verdicts.free_flags(params3, 1, 0) == [False]
+        assert verdicts.free_flags_by_k(params3, {1: 0})[1] == [False]
         with pytest.raises(InvalidInput):
-            verdicts.free_flags(params3, 1, -1)
+            verdicts.free_flags_by_k(params3, {1: -1})[1]
 
 
 class TestOrbitProduct:
@@ -478,7 +478,7 @@ class TestMultiplication:
 
 
 def _ranked_pairs(p, k, max_deg):
-    """The (level, degree) pairs that free_flags ranks, bottom-up: on each
+    """The (level, degree) pairs that free_flags_by_k ranks, bottom-up: on each
     U_j, k <= j < n, the degrees d = j + 1 mod p, the first of each period
     whose dimension p divides."""
     return [(j, d) for j in range(p - 2, k - 1, -1) for d in range(1, max_deg + 1) if d % p == j + 1]
@@ -544,10 +544,9 @@ class TestFreeFlags:
         ranked = _levels_seen(monkeypatch, "_free_by_rank", params)
         budgeted = _budgeted(monkeypatch)
         if report == "freeness":
-            verdicts.free_flags(params, k, max_deg)
+            verdicts.free_flags_by_k(params, {k: max_deg})[k]
         else:
-            run = verdicts.nilpotence_report if report == "verdict" else cp_rep.nilpotence_tate_report
-            assert run(params, k, max_deg).holds
+            assert report_for_k(params, k, max_deg, tate_dims=report == "tate").holds
         assert ranked == _ranked_pairs(p, k, max_deg)
         # the budget covers exactly the fallback ranks, each before its walk
         assert budgeted == _ranked_pairs(p, k, max_deg)
@@ -558,7 +557,7 @@ class TestFreeFlags:
 
     @pytest.mark.parametrize("p,k", [(p, k) for p in (3, 5, 7) for k in range(p - 1)])
     def test_last_variable_makes_z_block_triangular(self, p, k):
-        """The hypothesis of free_flags's certificate, in the engine's own
+        """The hypothesis of free_flags_by_k's certificate, in the engine's own
         basis: at every degree d of the nilpotence and freeness suites whose
         power of U_k is dense, the z of the walk maps the span A of the
         monomials that the last variable divides into itself, equals there
@@ -628,7 +627,7 @@ class TestOnePass:
         # (k = 0, degree 21, dimension 12650) included
         params = height_params(p)
         caps = _suite_caps(params, suite, max_degree)
-        alone = {k: verdicts.free_flags(params, k, d) for k, d in caps.items()}
+        alone = {k: verdicts.free_flags_by_k(params, {k: d})[k] for k, d in caps.items()}
         assert verdicts.free_flags_by_k(params, caps) == alone
         # the pattern that test_periodicity derives from the Jordan profiles
         assert all(alone[k] == [k + 1 <= d % p for d in range(c + 1)] for k, c in caps.items())
@@ -688,18 +687,18 @@ class TestOnePass:
 
 class TestNilpotence:
     def test_trivial_k0(self, params5):
-        report = verdicts.nilpotence_report(params5, 0, 10)
+        report = report_for_k(params5, 0, 10)
         assert report.holds and report.trivial
 
     @pytest.mark.parametrize("p,k,max_deg", [(3, 1, 30), (5, 3, 20), (5, 2, 15)])
     def test_examples(self, p, k, max_deg):
-        assert verdicts.nilpotence_report(height_params(p), k, max_deg).holds is True
+        assert report_for_k(height_params(p), k, max_deg).holds is True
 
     def test_bad_inputs(self, params5):
         with pytest.raises(InvalidInput):
-            verdicts.nilpotence_report(params5, 4, 10)
+            report_for_k(params5, 4, 10)
         with pytest.raises(InvalidInput):
-            verdicts.nilpotence_report(params5, 2, 2)
+            report_for_k(params5, 2, 2)
 
     def _dims_seen(self, monkeypatch, name):
         """The dimension of each module passed to cp_rep.<name>, in order."""
@@ -719,7 +718,7 @@ class TestNilpotence:
         # dimensions 5 also divides, are free by extension
         _weight_short(monkeypatch)
         built = _levels_seen(monkeypatch, "_z_triplets", params5)
-        report = verdicts.nilpotence_report(params5, 2, 15)
+        report = report_for_k(params5, 2, 15)
         assert all(d.dim <= cp_rep.DENSE_LIMIT for d in report.degrees)
         assert built == _ranked_pairs(5, 2, 15)
 
@@ -728,24 +727,24 @@ class TestNilpotence:
         # are not free, for their Tate dimensions
         _weight_short(monkeypatch)
         built = _levels_seen(monkeypatch, "_z_triplets", params5)
-        report = cp_rep.nilpotence_tate_report(params5, 2, 15)
+        report = report_for_k(params5, 2, 15, tate_dims=True)
         assert all(d.dim <= cp_rep.DENSE_LIMIT for d in report.degrees)
         assert len(built) == len(set(built))
         assert set(built) == set(_ranked_pairs(5, 2, 15)) | {(2, d.deg) for d in report.degrees if not d.free}
 
     def test_verdict_takes_no_powers_of_z(self, params5, monkeypatch):
-        # one rank of z at each degree that free_flags ranks, and nothing else
+        # one rank of z at each degree that free_flags_by_k ranks, and nothing else
         def refused(*args):
             raise AssertionError("the verdict took a power of z")
 
         monkeypatch.setattr(cp_rep, "_skinny_powers", refused)
         monkeypatch.setattr(linalg, "matmul_mod", refused)
-        assert verdicts.nilpotence_report(params5, 1, 20).holds
+        assert report_for_k(params5, 1, 20).holds
 
     def test_tate_report_skips_free_degrees(self, params5, monkeypatch):
         # at a free dense degree the rank of z is the whole answer
         skinny = self._dims_seen(monkeypatch, "_skinny_powers")
-        report = cp_rep.nilpotence_tate_report(params5, 1, 20)
+        report = report_for_k(params5, 1, 20, tate_dims=True)
         assert any(d.free for d in report.degrees)
         assert skinny == [d.dim for d in report.degrees if not d.free]
 
@@ -764,7 +763,7 @@ class TestNilpotence:
 
         monkeypatch.setattr(cp_rep._SymmetricChain, "step", counted)
         _weight_short(monkeypatch)
-        report = verdicts.nilpotence_report(height_params(7), 2, 14)
+        report = report_for_k(height_params(7), 2, 14)
         assert stepped == {j: list(range(1, j + 9)) for j in (5, 4, 3, 2)}
         assert list(stepped) == [5, 4, 3, 2]
         assert report.degrees[-1] == verdicts.DegreeSummary(14, 3060, None, None, False)
@@ -775,7 +774,7 @@ class TestNilpotence:
         # 3060), which no rank reads; without that step it peaks near 31 MiB
         tracemalloc.start()
         try:
-            assert verdicts.nilpotence_report(height_params(7), 2, 14).holds
+            assert report_for_k(height_params(7), 2, 14).holds
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -791,11 +790,11 @@ class TestNilpotence:
         monkeypatch.setattr(cp_rep, "_free_by_rank", lambda m: False)
         _weight_short(monkeypatch)
         with pytest.raises(ResourceGuard) as refused:
-            verdicts.nilpotence_report(height_params(p), k, max_deg)
+            report_for_k(height_params(p), k, max_deg)
         assert str(refused.value) == f"window {window} has no vanishing degree and exceeds the dense limit"
 
     def test_report_json_shape(self, params3):
-        report = verdicts.nilpotence_report(params3, 1, 6)
+        report = report_for_k(params3, 1, 6)
         blob = report.to_json()
         assert blob["holds"] is True
         assert blob["windows_checked"] == report.windows
@@ -817,7 +816,7 @@ class TestNilpotenceFallback:
         monkeypatch.setattr(cp_rep, "_free_by_rank", lambda m: False)
         monkeypatch.setattr(cp_rep, "_window_vanishes", counted)
         _weight_short(monkeypatch)
-        report = verdicts.nilpotence_report(height_params(p), k, max_deg)
+        report = report_for_k(height_params(p), k, max_deg)
         assert report.holds
         assert tested == list(range(max_deg - k)) and report.windows == max_deg - k
 

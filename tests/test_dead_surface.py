@@ -1,7 +1,8 @@
-"""Every top-level function, class and method in src/tatedual must have a
-caller in src/ other than its own definition: src/ holds what the commands
-run.  Code that only tests call is deleted, or, when the tests use it as an
-independent oracle, kept in tests/oracles.py."""
+"""Every top-level function, class, method and assigned name in
+src/tatedual, dunders excepted, must be read in src/ other than at its own
+definition: src/ holds what the commands run.  Code that only tests call is
+deleted, or, when the tests use it as an independent oracle, kept in
+tests/oracles.py."""
 
 from __future__ import annotations
 
@@ -11,12 +12,17 @@ from pathlib import Path
 SRC = Path(__file__).parent.parent / "src" / "tatedual"
 
 def _definitions():
-    """(file, name, node) for top-level functions and classes and their methods."""
+    """(file, name, node) for top-level functions, classes and assigned
+    names, and the methods of the classes."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 yield path, node.name, node
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                    yield path, name.id, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
@@ -27,9 +33,9 @@ def _references():
     """(file, name, line) for every name loaded or attribute read in src."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 yield path, node.id, node.lineno
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 yield path, node.attr, node.lineno
 
 

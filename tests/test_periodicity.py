@@ -33,6 +33,8 @@ import pytest
 from tatedual import cp_rep, linalg, verdicts
 from tatedual.mod_arith import height_params
 
+from conftest import report_for_k
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -131,14 +133,14 @@ FREENESS_SUITES = [(3, 0, 27), (3, 1, 27), (5, 0, 12), (5, 1, 20), (5, 2, 25), (
 
 @pytest.mark.parametrize("p,k,max_deg", NILPOTENCE_SUITES)
 def test_nilpotence_report_matches_prediction(p, k, max_deg):
-    report = cp_rep.nilpotence_tate_report(height_params(p), k, max_deg)
+    report = report_for_k(height_params(p), k, max_deg, tate_dims=True)
     assert [d.deg for d in report.degrees] == list(range(max_deg + 1))
     for d in report.degrees:
         dim, rz, rn = predicted(p, k, d.deg)
         assert (d.dim, d.even_dim, d.odd_dim) == (dim, dim - rz - rn, dim - rz - rn), d
         assert d.free is predicted_free(p, k, d.deg), d
     # the verdict alone: Tate dimension 0 where free, unknown elsewhere
-    verdict = verdicts.nilpotence_report(height_params(p), k, max_deg)
+    verdict = report_for_k(height_params(p), k, max_deg)
     expected = [(d.deg, d.dim, *[0 if d.free else None] * 2, d.free) for d in report.degrees]
     assert [(d.deg, d.dim, d.even_dim, d.odd_dim, d.free) for d in verdict.degrees] == expected
     assert (verdict.holds, verdict.windows) == (report.holds, report.windows)
@@ -164,7 +166,7 @@ def test_free_flags_catch_an_off_by_one_rank(monkeypatch):
     monkeypatch.setattr(verdicts, "weight_rank", lambda p, nvars, deg: real(p, nvars, deg) + 1)
     monkeypatch.setattr(cp_rep, "_free_by_rank", off_by_one)
     p, k, max_deg = 5, 1, 20
-    report = verdicts.nilpotence_report(height_params(p), k, max_deg)
+    report = report_for_k(height_params(p), k, max_deg)
     assert [d.free for d in report.degrees] != [predicted_free(p, k, d) for d in range(max_deg + 1)]
 
 
@@ -182,7 +184,7 @@ def test_jordan_profile_matches_prediction(p, k, max_deg):
 def test_freeness_by_degree_matches_prediction(p, k, max_deg):
     degrees = range(max_deg + 1)
     expected = {d: predicted_free(p, k, d) for d in degrees}
-    assert dict(enumerate(verdicts.free_flags(height_params(p), k, max_deg))) == expected
+    assert dict(enumerate(verdicts.free_flags_by_k(height_params(p), {k: max_deg})[k])) == expected
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

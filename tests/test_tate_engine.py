@@ -36,13 +36,13 @@ class TestBidegrees:
 
     def test_e2_page_examples(self, params5, params3):
         page = eng.e2_page("Cp", params5)
-        assert page.contains(cls_cp(1, 0, 0))
+        assert oracles.contains(page, cls_cp(1, 0, 0))
         assert eng.bidegree(cls_cp(1, 0, 0), params5) == (1, -2)
         pf = eng.e2_page("F", params5)
-        assert pf.contains(cls_f(1, 0, 0))
+        assert oracles.contains(pf, cls_f(1, 0, 0))
         assert eng.bidegree(cls_f(1, 0, 0), params5) == (1, 8)
         pg = eng.e2_page("G", params3)
-        assert pg.contains(cls_f(0, 0, 1))
+        assert oracles.contains(pg, cls_f(0, 0, 1))
         assert eng.bidegree(cls_f(0, 0, 1), params3) == (0, 24)
         assert pg.coeff_field_degree == 1
         assert pf.coeff_field_degree == 4
@@ -58,53 +58,53 @@ class TestBidegrees:
 
 
 class TestDifferentials:
+    """The closed forms on single classes, and the recorded pairs that
+    run_to_einfty moves onto them by the lattice."""
+
     def test_seed_on_delta_p3(self, params3):
-        page = eng.e2_page("Cp", params3)
-        out = eng.differential(page, cls_cp(0, 0, 1))
-        assert out == (cls_cp(1, 2, 2), 1)
+        assert eng.d_first(cls_cp(0, 0, 1), params3) == (cls_cp(1, 2, 2), 1)
+        rec = eng.run_to_einfty("Cp", params3)
+        assert rec.partner(5, "source", cls_cp(0, 0, 1)) == (cls_cp(1, 2, 2), 1)
+        # moved by b d^n: d(b delta^3) = (3 + 1) a b^3 delta^4
+        assert rec.partner(5, "source", cls_cp(0, 1, 3)) == (cls_cp(1, 3, 4), 1)
+        assert rec.partner(5, "target", cls_cp(1, 3, 4)) == (cls_cp(0, 1, 3), 1)
 
     def test_delta_cubed_is_cycle(self, params3):
-        page = eng.e2_page("Cp", params3)
-        assert eng.differential(page, cls_cp(0, 0, 3)) is None
+        assert eng.d_first(cls_cp(0, 0, 3), params3) is None
+        rec = eng.run_to_einfty("Cp", params3)
+        assert rec.partner(5, "source", cls_cp(0, 0, 3)) is None
 
     def test_second_differential_on_a(self, params3):
-        page = eng.e2_page("Cp", params3)
-        mid = eng.turn_page(page, eng.differential_map(page))
-        out = eng.differential(mid, cls_cp(1, 0, 0))
-        assert out == (cls_cp(0, 5, 1), 1)
+        assert eng.d_second(cls_cp(1, 0, 0), params3) == (cls_cp(0, 5, 1), 1)
+        rec = eng.run_to_einfty("Cp", params3)
+        assert rec.partner(9, "source", cls_cp(1, 0, 0)) == (cls_cp(0, 5, 1), 1)
+        # a is a first-differential cycle, so it has no pair at r = 5
+        assert rec.partner(5, "source", cls_cp(1, 0, 0)) is None
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_a_classes_are_first_cycles(self, p):
         pa = height_params(p)
-        page = eng.e2_page("Cp", pa)
+        rec = eng.run_to_einfty("Cp", pa)
+        r1 = eng.first_diff_index(pa)
         for i in range(-3, 4):
             for j in range(-3, 4):
-                assert eng.differential(page, cls_cp(1, i, j)) is None
+                assert eng.d_first(cls_cp(1, i, j), pa) is None
+                assert rec.partner(r1, "source", cls_cp(1, i, j)) is None
 
     def test_f_seed(self, params5):
-        page = eng.e2_page("F", params5)
-        out = eng.differential(page, cls_f(0, 0, 1))
         # d(Delta) = alpha beta^n Delta^0
-        assert out == (cls_f(1, 4, 0), 1)
+        assert eng.d_first(cls_f(0, 0, 1), params5) == (cls_f(1, 4, 0), 1)
+        rec = eng.run_to_einfty("F", params5)
+        assert rec.partner(9, "source", cls_f(0, 0, 1)) == (cls_f(1, 4, 0), 1)
+        # moved by beta and D^p, with the coefficient j mod p of its source
+        assert rec.partner(9, "source", cls_f(0, 2, 12)) == (cls_f(1, 6, 11), 2)
 
     def test_f_second_seed(self, params5):
-        page = eng.e2_page("F", params5)
-        mid = eng.turn_page(page, eng.differential_map(page))
         n = params5.n
-        out = eng.differential(mid, cls_f(1, 0, n))
         # d(alpha Delta^n) = beta^(n^2+1)
-        assert out == (cls_f(0, n * n + 1, 0), 1)
-
-    def test_non_survivor_rejected(self, params3):
-        page = eng.e2_page("Cp", params3)
-        mid = eng.turn_page(page, eng.differential_map(page))
-        with pytest.raises(InvalidInput):
-            eng.differential(mid, cls_cp(0, 0, 1))
-
-    def test_unsupported_page_index(self, params3):
-        rec = eng.run_to_einfty("Cp", params3)
-        with pytest.raises(InvalidInput):
-            eng.differential(rec.einfty(), cls_cp(0, 0, 0))
+        assert eng.d_second(cls_f(1, 0, n), params5) == (cls_f(0, n * n + 1, 0), 1)
+        rec = eng.run_to_einfty("F", params5)
+        assert rec.partner(2 * n * n + 1, "source", cls_f(1, 0, n)) == (cls_f(0, n * n + 1, 0), 1)
 
     def test_weight_preserved_by_second(self, params5):
         # source and target of the second differential have the same weight
@@ -124,7 +124,7 @@ class TestTurnPage:
             for i in range(-4, 5):
                 for j in range(-4, 5):
                     cls = cls_cp(eps, i, j)
-                    assert mid.contains(cls) == ((i + j) % 3 == 0)
+                    assert oracles.contains(mid, cls) == ((i + j) % 3 == 0)
 
     def test_empty_after_second(self, params3):
         rec = eng.run_to_einfty("Cp", params3)
@@ -241,7 +241,7 @@ class TestDualize:
                 base = eng.MonomialClass(eps, i, j, rec.family)
                 for r, incoming in ((r1, oracles.d_first_incoming), (r2, oracles.d_second_incoming)):
                     want = incoming(base, params)
-                    if r == r2 and want is not None and not rec.pages[1].contains(want[0]):
+                    if r == r2 and want is not None and not oracles.contains(rec.pages[1], want[0]):
                         want = None
                     got = dual.differential(eng.DualClass(base), r)
                     assert (None if got is None else (got[0].base, got[1])) == want, (group, p, base, r)
