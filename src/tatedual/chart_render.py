@@ -18,14 +18,11 @@ timestamps, float formatting surprises, or hash-ordered collections.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import tate_engine as eng
 from .errors import InvalidInput, ResourceGuard
-from .mod_arith import HeightParams, height_params
-
-FORMATS = ("ascii", "svg", "json")
+from .mod_arith import FORMATS, HeightParams, height_params
 
 # arrow colour of each differential family, first then second
 COLORS = {"first": "gray", "second": "blue"}
@@ -265,6 +262,8 @@ def serialize(doc: dict, fmt: str) -> str:
     if fmt == "svg":
         return "\n".join(_svg_lines(doc)) + "\n"
     if fmt == "json":
+        import json
+
         return json.dumps(doc, indent=1) + "\n"
     raise InvalidInput(f"unknown format {fmt!r}")
 

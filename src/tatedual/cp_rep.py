@@ -33,7 +33,7 @@ statements are unaffected.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -423,6 +423,25 @@ def _window_vanishes(p: int, window: list) -> bool:
 # ---------------------------------------------------------------------------
 # the nilpotence suite
 
+# the dense cells, dim^2 summed over degrees, that one nilpotence_reports may rank
+TATE_CELLS = 2**23
+
+
+def check_tate_budget(params: HeightParams, caps: dict[int, int]) -> None:
+    """Refuse the Tate dimensions of every k of caps, lowest first, where the
+    dense degrees that the verdict's pattern leaves not free, d <= caps[k]
+    with d mod p <= k, pass TATE_CELLS in total, naming that k and degree."""
+    cells = 0
+    for k in sorted(caps):
+        for d in range(caps[k] + 1):
+            dim = symmetric_dimension(level_vars(params, k), d)
+            if dim > DENSE_LIMIT:
+                break
+            cells += dim * dim if d % params.p <= k else 0
+            if cells > TATE_CELLS:
+                raise ResourceGuard(f"the Tate dimensions up to k={k} degree {d} would rank {cells} dense cells, "
+                                    f"over the {TATE_CELLS} budget")
+
 
 def nilpotence_tate_report(params: HeightParams, k: int, flags: list[bool]) -> NilpotenceReport:
     """nilpotence_report with the Tate dimension of every dense degree that
@@ -434,6 +453,6 @@ def nilpotence_tate_report(params: HeightParams, k: int, flags: list[bool]) -> N
         return report
     walk = _symmetric_walk(u_k_module(params, k), todo[-1])
     tate = {deg: _tate_dim_by_rank(mod) for deg, mod, _ in walk if deg in todo}
-    degrees = tuple(replace(d, even_dim=tate[d.deg], odd_dim=tate[d.deg]) if d.deg in tate else d
+    degrees = tuple(d._replace(even_dim=tate[d.deg], odd_dim=tate[d.deg]) if d.deg in tate else d
                     for d in report.degrees)
-    return replace(report, degrees=degrees)
+    return report._replace(degrees=degrees)

@@ -9,7 +9,7 @@ a congruence modulo n^2, which we solve and cross-check exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidInput
 
@@ -19,6 +19,9 @@ class InvalidPrime(InvalidInput):
 
 
 MAX_PRIME = 1000
+# the groups and chart formats, here for a parser that loads no engine
+GROUPS = ("Cp", "F", "G")
+FORMATS = ("ascii", "svg", "json")
 
 
 def is_odd_prime(p: int) -> bool:
@@ -33,28 +36,26 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HeightParams:
+class HeightParams(namedtuple("HeightParams", "p n q")):
     """The numeric setting: odd prime p, height n = p - 1, q = p^n.
 
     n is even and coprime to p, which is what makes the congruences below
     uniquely solvable.
     """
 
-    p: int
-    n: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_odd_prime(self.p):
-            raise InvalidPrime(f"p must be an odd prime, got {self.p}")
-        if self.p > MAX_PRIME:
-            raise InvalidPrime(f"p = {self.p} exceeds supported range ({MAX_PRIME})")
-        if self.n != self.p - 1:
-            raise ValueError(f"n must equal p - 1, got n={self.n} for p={self.p}")
-        if self.q != self.p**self.n:
+    def __new__(cls, p: int, n: int, q: int) -> HeightParams:
+        if not is_odd_prime(p):
+            raise InvalidPrime(f"p must be an odd prime, got {p}")
+        if p > MAX_PRIME:
+            raise InvalidPrime(f"p = {p} exceeds supported range ({MAX_PRIME})")
+        if n != p - 1:
+            raise ValueError(f"n must equal p - 1, got n={n} for p={p}")
+        if q != p**n:
             raise ValueError("q must equal p^n")
-        assert self.n % 2 == 0
+        assert n % 2 == 0
+        return super().__new__(cls, p, n, q)
 
 
 def height_params(p: int) -> HeightParams:

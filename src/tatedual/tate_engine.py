@@ -27,9 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidInput, VerificationFailure
-from .mod_arith import HeightParams
-
-GROUPS = ("Cp", "F", "G")
+from .mod_arith import GROUPS, HeightParams
 
 
 def _family(group: str) -> str:

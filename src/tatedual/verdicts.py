@@ -24,8 +24,7 @@ does a degree import cp_rep, for a rank of z (cp_rep._free_by_rank).
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .errors import InvalidInput, ResourceGuard
 from .mod_arith import HeightParams
@@ -162,24 +161,13 @@ def free_flags_by_k(params: HeightParams, caps: dict[int, int]) -> dict[int, lis
 # the nilpotence suite
 
 
-@dataclass(frozen=True)
-class DegreeSummary:
-    deg: int
-    dim: int
-    even_dim: int | None
-    odd_dim: int | None
-    free: bool | None
+# even_dim and odd_dim are None where unknown
+DegreeSummary = namedtuple("DegreeSummary", "deg dim even_dim odd_dim free")
 
 
-@dataclass(frozen=True)
-class NilpotenceReport:
-    p: int
-    k: int
-    max_deg: int
-    degrees: tuple[DegreeSummary, ...]
-    windows: int
-    holds: bool
-    trivial: bool = False
+class NilpotenceReport(namedtuple("NilpotenceReport", "p k max_deg degrees windows holds trivial",
+                                  defaults=(False,))):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         degrees = [{"degree": d.deg, "dimension": d.dim, "even_dim": d.even_dim, "odd_dim": d.odd_dim,
@@ -195,15 +183,18 @@ def nilpotence_reports(
     free_flags_by_k first decides every k with a verdict to find (1 <= k <
     n, caps[k] > k), whose report then comes from its flags, through
     cp_rep.nilpotence_tate_report with tate_dims, else nilpotence_report.
+    With tate_dims, cp_rep.check_tate_budget runs before the pass.
     k = 0 gets the trivial report; any other k outside [1, n - 1], or with
     caps[k] < k + 1, is refused when its turn comes, after the pass."""
     p, n = params.p, params.n
-    flags = free_flags_by_k(params, {k: d for k, d in caps.items() if 1 <= k < n and d > k})
+    decided = {k: d for k, d in caps.items() if 1 <= k < n and d > k}
     report_of = nilpotence_report
     if tate_dims:
         from . import cp_rep
 
+        cp_rep.check_tate_budget(params, decided)
         report_of = cp_rep.nilpotence_tate_report
+    flags = free_flags_by_k(params, decided)
     reports = []
     for k, max_deg in caps.items():
         if k == 0:

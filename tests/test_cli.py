@@ -146,6 +146,32 @@ def test_verify_nilpotence_json_golden(capsys, argv, golden):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+def test_nilpotence_json_over_tate_budget_refused_at_once(capsys):
+    # the Tate dimensions up to degree 1500 would rank about 7.5e8 dense
+    # cells; the refusal comes before the freeness pass, which alone takes
+    # seconds at that degree
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "nilpotence", "--prime", "3", "--json", "--max-degree", "1500")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert out == ""
+    assert "k=1 degree 334" in err and "budget" in err
+
+
+def test_tate_budget_boundary():
+    # at p = 3, U_1 has dimension d + 1, and the degrees d = 0, 1 mod 3 are
+    # not free: their squares first pass 2^23 at degree 334
+    from tatedual import cp_rep
+    from tatedual.errors import ResourceGuard
+
+    params = mod_arith.height_params(3)
+    cells = sum((d + 1) ** 2 for d in range(335) if d % 3 <= 1)
+    assert cells - 335**2 <= cp_rep.TATE_CELLS < cells
+    cp_rep.check_tate_budget(params, {1: 333})
+    with pytest.raises(ResourceGuard):
+        cp_rep.check_tate_budget(params, {1: 334})
+
+
 def test_verify_nilpotence_p7_golden(capsys):
     # the plain verdict at every k = 1, ..., 5 of p = 7, the README command
     code, out, _ = run_cli(capsys, "verify", "nilpotence", "--prime", "7")
@@ -414,20 +440,35 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
     assert "VERIFICATION FAILED" in out
 
 
-def _modules_after(code):
-    """Which of numpy, scipy and scipy.sparse a fresh interpreter on src/
-    has loaded after running code."""
+def _loaded_after(code, report):
+    """The value of the expression report in a fresh interpreter on src/
+    after running code, its standard output muted; report is evaluated
+    before the probe imports json to print it."""
     probe = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         + "".join(f"    {line}\n" for line in code.splitlines())
-        + "print(json.dumps([m for m in ('numpy', 'scipy', 'scipy.sparse') if m in sys.modules]))\n"
+        + f"seen = {report}\n"
+        "import json\n"
+        "print(json.dumps(seen))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def _modules_after(code):
+    """Which of numpy, scipy and scipy.sparse have been loaded after code."""
+    return _loaded_after(code, "[m for m in ('numpy', 'scipy', 'scipy.sparse') if m in sys.modules]")
+
+
+def _layers_after(code):
+    """The tatedual modules, without the package prefix, and which of
+    dataclasses and json have been loaded after code, sorted."""
+    return _loaded_after(code, "sorted(m.removeprefix('tatedual.') for m in sys.modules "
+                               "if m.startswith('tatedual') or m in ('dataclasses', 'json'))")
 
 
 def _main(argv):
@@ -484,6 +525,30 @@ def test_verdicts_load_no_numpy(argv, expected):
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, (BENCH_EXPECTED / expected).read_text(), False]
+
+
+_CLI_IMPORT = ["cli", "errors", "mod_arith", "tatedual"]
+
+
+@pytest.mark.parametrize(
+    "argv,extra",
+    [
+        ((), []),
+        (("verify", "congruence"), []),
+        (("verify", "nilpotence", "--prime", "5"), ["verdicts"]),
+        (("verify", "nilpotence", "--prime", "7", "--k", "2"), ["verdicts"]),
+        (("verify", "freeness", "--prime", "5", "--k", "1"), ["verdicts"]),
+        (("shifts", "--prime", "7"), ["dataclasses", "duality_shifts", "tate_engine"]),
+        (("verify", "cancellation", "--prime", "3"), ["dataclasses", "tate_engine"]),
+        (("chart", "--prime", "5", "--overlay"), ["chart_render", "dataclasses", "tate_engine"]),
+        (("verify", "nilpotence", "--prime", "3", "--json"), ["cp_rep", "dataclasses", "json", "linalg", "verdicts"]),
+    ],
+    ids=_command_id,
+)
+def test_commands_load_only_their_layers(argv, extra):
+    # importing the command line loads no layer, and each command adds the
+    # layers it runs; the verdicts load neither dataclasses nor json
+    assert _layers_after(_main(argv) if argv else "import tatedual.cli") == sorted(_CLI_IMPORT + extra)
 
 
 def test_step_past_dense_limit_loads_numpy_without_scipy():

@@ -34,6 +34,29 @@ def test_rejects_inconsistent_fields():
         HeightParams(p=5, n=4, q=125)
 
 
+def test_height_params_immutable_hashable_equal_by_value():
+    pa = height_params(5)
+    with pytest.raises(AttributeError):
+        pa.p = 7
+    assert pa == HeightParams(p=5, n=4, q=625) and pa != height_params(7)
+    assert hash(pa) == hash(height_params(5))
+    assert {pa: 1}[height_params(5)] == 1
+
+
+def test_report_records_keep_fields_and_equality():
+    from tatedual.verdicts import DegreeSummary, NilpotenceReport
+
+    d = DegreeSummary(3, 4, None, None, False)
+    assert (d.deg, d.dim, d.even_dim, d.odd_dim, d.free) == (3, 4, None, None, False)
+    assert d == DegreeSummary(deg=3, dim=4, even_dim=None, odd_dim=None, free=False)
+    assert d != DegreeSummary(3, 4, 0, 0, True)
+    r = NilpotenceReport(p=5, k=1, max_deg=3, degrees=(d,), windows=2, holds=True)
+    assert (r.p, r.k, r.max_deg, r.degrees, r.windows, r.holds, r.trivial) == (5, 1, 3, (d,), 2, True, False)
+    assert r == NilpotenceReport(5, 1, 3, (d,), 2, True, False) != r._replace(holds=False)
+    with pytest.raises(AttributeError):
+        r.holds = False
+
+
 @pytest.mark.parametrize("p,expected", [(3, 0), (5, 12), (7, 24)])
 def test_det_tau_exponent(p, expected):
     # independent route: plain integer arithmetic
