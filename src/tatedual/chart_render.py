@@ -18,7 +18,7 @@ timestamps, float formatting surprises, or hash-ordered collections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import tate_engine as eng
 from .errors import InvalidInput, ResourceGuard
@@ -32,30 +32,24 @@ COLORS = {"first": "gray", "second": "blue"}
 MAX_CHART_CELLS = 10**7
 
 
-@dataclass(frozen=True)
-class ChartSpec:
-    group: str
-    p: int
-    page: int
-    x_min: int
-    x_max: int
-    s_min: int
-    s_max: int
-    fmt: str = "ascii"
+class ChartSpec(namedtuple("ChartSpec", "group p page x_min x_max s_min s_max fmt")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.fmt not in FORMATS:
-            raise InvalidInput(f"unknown format {self.fmt!r}; expected one of {FORMATS}")
-        if self.group not in eng.GROUPS:
-            raise InvalidInput(f"unknown group {self.group!r}")
-        if self.page < 2:
+    def __new__(cls, group: str, p: int, page: int, x_min: int, x_max: int, s_min: int, s_max: int,
+                fmt: str = "ascii") -> ChartSpec:
+        if fmt not in FORMATS:
+            raise InvalidInput(f"unknown format {fmt!r}; expected one of {FORMATS}")
+        if group not in eng.GROUPS:
+            raise InvalidInput(f"unknown group {group!r}")
+        if page < 2:
             raise InvalidInput("page index must be at least 2")
-        cells = max(self.x_max - self.x_min + 1, 0) * max(self.s_max - self.s_min + 1, 0)
+        cells = max(x_max - x_min + 1, 0) * max(s_max - s_min + 1, 0)
         if cells > MAX_CHART_CELLS:
             raise ResourceGuard(
                 f"chart window has {cells} cells, above the budget of {MAX_CHART_CELLS}; "
                 "choose a smaller window"
             )
+        return super().__new__(cls, group, p, page, x_min, x_max, s_min, s_max, fmt)
 
     def params(self) -> HeightParams:
         return height_params(self.p)

@@ -13,11 +13,12 @@ module loads errors and mod_arith, which holds the parser's GROUPS and
 FORMATS; `verify congruence` adds nothing, `shifts` duality_shifts and
 tate_engine, `chart` chart_render and tate_engine, `verify cancellation`
 tate_engine, and the plain `verify nilpotence` and `verify freeness`
-verdicts alone (no numpy, dataclasses or json).  cp_rep, and with it numpy,
-is imported by `sympow`, by `verify nilpotence --json` and for a degree that
-the weight certificate of verdicts leaves open; json only where JSON is
-printed.  Cold, with no bytecode, this import takes about 12 ms on a 2-core
-machine, against 51 ms when it loaded every layer.
+verdicts alone (no numpy or json).  cp_rep, and with it numpy, is imported
+by `sympow`, by `verify nilpotence --json` and for a degree that the weight
+certificate of verdicts leaves open; json only where JSON is printed.  Every
+record of the package is a collections.namedtuple, so no command loads
+dataclasses.  Cold, with no bytecode, this import takes about 12 ms on a
+2-core machine, against 51 ms when it loaded every layer.
 """
 
 from __future__ import annotations
@@ -28,27 +29,17 @@ import sys
 from . import mod_arith
 from .errors import InvalidInput, ResourceGuard, VerificationFailure
 
-_SHIFT_ROW = "{group:<5} {p:>3}  {route:<5} {shift:>7} {periodicity:>12}  {certificate:<18} {degree:>7}"
+_SHIFT_ROW = "{group:<5} {p:>3}  {route:<5} {shift:>7} {periodicity:>12}  {certificate:<18} {certificate_degree:>7}"
 
 
 def cmd_shifts(args) -> int:
     from . import duality_shifts
     params = mod_arith.height_params(args.prime)
     table = duality_shifts.shifts_table(params, route=args.route)
-    print(_SHIFT_ROW.format(group="group", p="p", route="route", shift="shift",
-                            periodicity="periodicity", certificate="certificate", degree="degree"))
-    for group, report in table.items():
-        print(
-            _SHIFT_ROW.format(
-                group=group,
-                p=report.p,
-                route=report.route,
-                shift=report.shift,
-                periodicity=report.periodicity,
-                certificate=report.certificate,
-                degree=report.certificate_degree,
-            )
-        )
+    names = duality_shifts.ShiftReport._fields
+    print(_SHIFT_ROW.format_map(dict(zip(names, names), certificate_degree="degree")))
+    for report in table.values():
+        print(_SHIFT_ROW.format_map(report._asdict()))
     return 0
 
 

@@ -32,8 +32,7 @@ statements are unaffected.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 import numpy as np
 
@@ -46,8 +45,7 @@ from .verdicts import NilpotenceReport, check_dim_cap, level_vars, nilpotence_re
 DENSE_LIMIT = 2000
 
 
-@dataclass(frozen=True, eq=False)
-class CpModule:
+class CpModule(namedtuple("CpModule", "p dim gen_action")):
     """A finite-dimensional C_p-representation over F_p.
 
     gen_action is the matrix of the chosen generator: an int64 array for a
@@ -59,9 +57,7 @@ class CpModule:
     of _skinny_powers, behind every rank of a power of z, raises on it.
     """
 
-    p: int
-    dim: int
-    gen_action: object
+    __slots__ = ()
 
     def is_dense(self) -> bool:
         """Whether z is a dense matrix: always for an array action, up to
@@ -69,11 +65,10 @@ class CpModule:
         return isinstance(self.gen_action, np.ndarray) or self.dim <= DENSE_LIMIT
 
 
-@dataclass(frozen=True)
-class JordanProfile:
+class JordanProfile(namedtuple("JordanProfile", "blocks")):
     """Multiset of Jordan block sizes of the generator, stored descending."""
 
-    blocks: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def total(self) -> int:
@@ -91,15 +86,10 @@ class JordanProfile:
         return {"blocks": list(self.blocks), "total": self.total}
 
 
-@dataclass(frozen=True)
-class TateDims:
-    """Dimensions of the Tate cohomology of a C_p-module in even and odd
-    degrees: even = ker(zeta - 1)/im(N) and odd = ker(N)/im(zeta - 1);
-    degree 2 periodicity means these two subquotients are the whole story.
-    """
-
-    even_dim: int
-    odd_dim: int
+# Dimensions of the Tate cohomology of a C_p-module in even and odd
+# degrees: even = ker(zeta - 1)/im(N) and odd = ker(N)/im(zeta - 1);
+# degree 2 periodicity means these two subquotients are the whole story.
+TateDims = namedtuple("TateDims", "even_dim odd_dim")
 
 
 def u_k_module(params: HeightParams, k: int) -> CpModule:
@@ -318,16 +308,9 @@ def _norm_matrix(m: CpModule) -> tuple[np.ndarray, np.ndarray]:
     return z, norm
 
 
-@dataclass(frozen=True, eq=False)
-class _CohomologyData:
-    """Tate dimensions together with kernel and image bases, as columns, of
-    z and N."""
-
-    tate: TateDims
-    ker_z: np.ndarray
-    im_z: np.ndarray
-    ker_n: np.ndarray
-    im_n: np.ndarray
+# Tate dimensions together with kernel and image bases, as columns, of z
+# and N.
+_CohomologyData = namedtuple("_CohomologyData", "tate ker_z im_z ker_n im_n")
 
 
 def _tate_data(m: CpModule) -> _CohomologyData:

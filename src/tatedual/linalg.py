@@ -31,7 +31,7 @@ exceed RANK_BYTES before anything is allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -50,15 +50,11 @@ _BLOCKED_MIN = 192
 _ROW_BLOCK = 512
 
 
-@dataclass(frozen=True, eq=False)
-class Triplets:
+class Triplets(namedtuple("Triplets", "shape rows cols vals")):
     """A matrix over F_p of the given shape whose entry (rows[i], cols[i])
     is vals[i]; entries given twice at one position add up."""
 
-    shape: tuple[int, int]
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    __slots__ = ()
 
     def scatter(self, dtype) -> np.ndarray:
         """The matrix as an array of dtype, summing repeated positions; the

@@ -4,7 +4,7 @@ Pages for the three groups are exterior-times-Laurent monomial algebras
 F[a, b^{+-1}, d^{+-1}]/(a^2) with two differential families, at r = 2n+1
 and r = 2n^2+1.  A class is a^eps b^i d^j; for the semidirect-product
 groups F and G the three generators are usually written alpha, beta, Delta
-but carry the same index structure, so one dataclass serves both families
+but carry the same index structure, so one record serves both families
 and only the bidegrees and coefficient formulas differ.
 
 Seed differentials are normalized to coefficient one (the survivor pattern
@@ -24,7 +24,7 @@ lattice onto the class at hand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import InvalidInput, VerificationFailure
 from .mod_arith import GROUPS, HeightParams
@@ -36,21 +36,18 @@ def _family(group: str) -> str:
     return "Cp" if group == "Cp" else "F"
 
 
-@dataclass(frozen=True)
-class MonomialClass:
+class MonomialClass(namedtuple("MonomialClass", "eps i j family")):
     """A basis class a^eps b^i d^j (Cp family) or its alpha/beta/Delta
     analogue (F family, also used for G)."""
 
-    eps: int
-    i: int
-    j: int
-    family: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.eps not in (0, 1):
+    def __new__(cls, eps: int, i: int, j: int, family: str) -> MonomialClass:
+        if eps not in (0, 1):
             raise InvalidInput("eps must be 0 or 1")
-        if self.family not in ("Cp", "F"):
+        if family not in ("Cp", "F"):
             raise InvalidInput("family must be 'Cp' or 'F'")
+        return super().__new__(cls, eps, i, j, family)
 
     def label(self) -> str:
         power = "d" if self.family == "Cp" else "D"
@@ -129,8 +126,7 @@ def d_second(cls: MonomialClass, params: HeightParams) -> tuple[MonomialClass, i
 # pages
 
 
-@dataclass(frozen=True)
-class Page:
+class Page(namedtuple("Page", "group params r survivors")):
     """Survivors at stage r, stored as orbit representatives (eps, j mod p)
     under the periodicity lattice.
 
@@ -139,10 +135,7 @@ class Page:
     (j -> j+p); for F and G those of beta (i -> i+1) and of the p-th power
     of Delta (j -> j+p)."""
 
-    group: str
-    params: HeightParams
-    r: int
-    survivors: frozenset
+    __slots__ = ()
 
     @property
     def family(self) -> str:
@@ -153,12 +146,12 @@ class Page:
         """Survivors carry one copy of F_{p^n} for Cp and F, of F_p for G."""
         return 1 if self.group == "G" else self.params.n
 
-    def lattice(self) -> tuple[tuple[int, int, str], ...]:
-        """Generators as (di, dj, label)."""
+    def lattice(self) -> tuple[tuple[int, int], ...]:
+        """Generators as (di, dj)."""
         n, p = self.params.n, self.params.p
         if self.family == "Cp":
-            return ((1, n, f"b d^{n}"), (0, p, f"d^{p}"))
-        return ((1, 0, "b"), (0, p, f"D^{p}"))
+            return ((1, n), (0, p))
+        return ((1, 0), (0, p))
 
     def canonical(self, cls: MonomialClass) -> tuple[int, int]:
         """Orbit representative (eps, j mod p) of a class under the lattice."""
@@ -189,7 +182,7 @@ class Page:
         return out
 
     def _translates_in_window(self, cls, x_min, x_max, s_min, s_max):
-        (di1, dj1, _), (_, dj2, _) = self.lattice()
+        (di1, dj1), (_, dj2) = self.lattice()
         found = []
         # the i index is driven by the first generator alone
         for u in _range_for(lambda u: cls.eps + 2 * (cls.i + di1 * u), s_min, s_max):
@@ -203,13 +196,10 @@ class Page:
 
 
 def _range_for(value_at, lo, hi):
-    """Integers u with lo <= value_at(u) <= hi, for an affine value_at."""
+    """Integers u with lo <= value_at(u) <= hi, for an affine value_at of
+    positive step."""
     v0 = value_at(0)
     step = value_at(1) - v0
-    if step == 0:
-        return range(0, 1) if lo <= v0 <= hi else range(0, 0)
-    if step < 0:
-        lo, hi, step, v0 = -hi, -lo, -step, -v0
     first = math.ceil((lo - v0) / step)
     last = math.floor((hi - v0) / step)
     return range(first, last + 1)
@@ -241,13 +231,10 @@ def effective_diff_index(page: Page) -> int:
     raise InvalidInput(f"no differentials on or after page r={page.r}")
 
 
-@dataclass(frozen=True)
-class DifferentialMap:
-    """The r-th differential recorded over the fundamental domain: a partial
-    pairing representative -> (target, coefficient)."""
-
-    r: int
-    pairs: tuple  # of (source MonomialClass, target MonomialClass, coeff)
+# The r-th differential recorded over the fundamental domain: a partial
+# pairing representative -> (target, coefficient), as a tuple of
+# (source MonomialClass, target MonomialClass, coeff).
+DifferentialMap = namedtuple("DifferentialMap", "r pairs")
 
 
 def differential_map(page: Page) -> DifferentialMap:
@@ -293,8 +280,7 @@ def turn_page(page: Page, diff: DifferentialMap) -> Page:
 # full runs and fate certificates
 
 
-@dataclass(frozen=True)
-class SequenceRecord:
+class SequenceRecord(namedtuple("SequenceRecord", "group params pages diffs index fates")):
     """A fully recorded Tate spectral sequence: the three stages, both
     differentials, the index of their pairs and one fate per
     fundamental-domain class, "source", "target" or "survives".
@@ -303,12 +289,7 @@ class SequenceRecord:
     its source) and (r, "target", orbit of its target); no orbit is keyed
     twice, since a class is killed at most once."""
 
-    group: str
-    params: HeightParams
-    pages: tuple
-    diffs: tuple
-    index: dict = field(compare=False)
-    fates: dict = field(compare=False)
+    __slots__ = ()
 
     @property
     def family(self) -> str:
@@ -362,9 +343,8 @@ def run_to_einfty(group: str, params: HeightParams) -> SequenceRecord:
 # Pontryagin dual
 
 
-@dataclass(frozen=True)
-class DualClass:
-    base: MonomialClass
+class DualClass(namedtuple("DualClass", "base")):
+    __slots__ = ()
 
     def label(self) -> str:
         return f"D({self.base.label()})"

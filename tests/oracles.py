@@ -263,7 +263,7 @@ def verify_lattice_equivariance(record: SequenceRecord) -> None:
         page = record.pages[stage]
         closed = d_first if dmap.r == first_diff_index(params) else d_second
         for src, tgt, coeff in dmap.pairs:
-            for di, dj, _ in page.lattice():
+            for di, dj in page.lattice():
                 moved = closed(src.translate(di, dj), params)
                 if moved is None or moved[0] != tgt.translate(di, dj) or moved[1] != coeff:
                     raise VerificationFailure(

@@ -538,16 +538,17 @@ _CLI_IMPORT = ["cli", "errors", "mod_arith", "tatedual"]
         (("verify", "nilpotence", "--prime", "5"), ["verdicts"]),
         (("verify", "nilpotence", "--prime", "7", "--k", "2"), ["verdicts"]),
         (("verify", "freeness", "--prime", "5", "--k", "1"), ["verdicts"]),
-        (("shifts", "--prime", "7"), ["dataclasses", "duality_shifts", "tate_engine"]),
-        (("verify", "cancellation", "--prime", "3"), ["dataclasses", "tate_engine"]),
-        (("chart", "--prime", "5", "--overlay"), ["chart_render", "dataclasses", "tate_engine"]),
-        (("verify", "nilpotence", "--prime", "3", "--json"), ["cp_rep", "dataclasses", "json", "linalg", "verdicts"]),
+        (("shifts", "--prime", "7"), ["duality_shifts", "tate_engine"]),
+        (("verify", "cancellation", "--prime", "3"), ["tate_engine"]),
+        (("chart", "--prime", "5", "--overlay"), ["chart_render", "tate_engine"]),
+        (("verify", "nilpotence", "--prime", "3", "--json"), ["cp_rep", "json", "linalg", "verdicts"]),
+        (("sympow", "--prime", "5", "--k", "1", "--degree", "6"), ["cp_rep", "json", "linalg", "verdicts"]),
     ],
     ids=_command_id,
 )
 def test_commands_load_only_their_layers(argv, extra):
     # importing the command line loads no layer, and each command adds the
-    # layers it runs; the verdicts load neither dataclasses nor json
+    # layers it runs; no command loads dataclasses, and the verdicts no json
     assert _layers_after(_main(argv) if argv else "import tatedual.cli") == sorted(_CLI_IMPORT + extra)
 
 

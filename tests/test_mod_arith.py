@@ -43,6 +43,40 @@ def test_height_params_immutable_hashable_equal_by_value():
     assert {pa: 1}[height_params(5)] == 1
 
 
+def test_engine_records_immutable_keep_fields_and_equality():
+    import numpy as np
+
+    from tatedual import chart_render, cp_rep, duality_shifts, linalg
+    from tatedual import tate_engine as eng
+
+    cls = eng.MonomialClass(1, 2, -1, "Cp")
+    assert (cls.eps, cls.i, cls.j, cls.family) == (1, 2, -1, "Cp")
+    assert cls == eng.MonomialClass(eps=1, i=2, j=-1, family="Cp") != cls.translate(0, 1)
+    spec = chart_render.ChartSpec("F", 5, 2, -3, 3, 0, 4)
+    assert spec.fmt == "ascii" and spec.window() == (-3, 3, 0, 4)
+    assert spec == chart_render.ChartSpec(group="F", p=5, page=2, x_min=-3, x_max=3, s_min=0, s_max=4, fmt="ascii")
+    report = duality_shifts.shift_report("F", height_params(5))
+    assert (report.group, report.p, report.route, report.shift) == ("F", 5, "both", 116)
+    assert report == duality_shifts.shift_report("F", height_params(5)) != report._replace(route="dual")
+    record = eng.run_to_einfty("Cp", height_params(3))
+    assert record.pages[0] == eng.e2_page("Cp", height_params(3)) != record.pages[1]
+    assert record.diffs[0] == eng.differential_map(record.pages[0])
+    assert eng.DualClass(cls) == eng.DualClass(eng.MonomialClass(1, 2, -1, "Cp"))
+    assert cp_rep.JordanProfile((3, 2)) == cp_rep.JordanProfile(blocks=(3, 2)) != cp_rep.JordanProfile((3, 1, 1))
+    assert cp_rep.TateDims(1, 1) == cp_rep.TateDims(even_dim=1, odd_dim=1)
+    module = cp_rep.jordan_block_module(5, 3)
+    data = cp_rep._tate_data(module)
+    triplets = cp_rep._z_triplets(module)
+    assert (module.p, module.dim, data.tate, triplets.shape) == (5, 3, (1, 1), (3, 3))
+    assert isinstance(triplets, linalg.Triplets) and isinstance(data.ker_z, np.ndarray)
+    for rec in (cls, spec, report, record, record.pages[0], record.diffs[0], eng.DualClass(cls),
+                cp_rep.JordanProfile((3,)), data.tate, module, data, triplets):
+        with pytest.raises(AttributeError):
+            rec.p = 7
+        with pytest.raises(AttributeError):
+            setattr(rec, rec._fields[0], None)
+
+
 def test_report_records_keep_fields_and_equality():
     from tatedual.verdicts import DegreeSummary, NilpotenceReport
 

@@ -17,7 +17,7 @@ def test_canonical_representative_is_lattice_invariant(p, eps, i, j, u, v):
     for group in ("Cp", "F"):
         page = eng.e2_page(group, pa)
         cls = eng.MonomialClass(eps, i, j, page.family)
-        (d1i, d1j, _), (d2i, d2j, _) = page.lattice()
+        (d1i, d1j), (d2i, d2j) = page.lattice()
         moved = cls.translate(d1i * u + d2i * v, d1j * u + d2j * v)
         assert page.canonical(moved) == page.canonical(cls)
 

@@ -56,6 +56,12 @@ class TestBidegrees:
         with pytest.raises(InvalidInput):
             eng.e2_page("Q8", params3)
 
+    @pytest.mark.parametrize("eps,family,message", [(2, "Cp", "eps must be 0 or 1"), (-1, "F", "eps must be 0 or 1"),
+                                                    (0, "G", "family must be 'Cp' or 'F'")])
+    def test_invalid_class(self, eps, family, message):
+        with pytest.raises(InvalidInput, match=message):
+            eng.MonomialClass(eps, 0, 0, family)
+
 
 class TestDifferentials:
     """The closed forms on single classes, and the recorded pairs that
