@@ -1,10 +1,10 @@
 """Deterministic chart rendering of spectral sequence pages.
 
-Charts live in (t - s, s) coordinates.  Dots are instantiated from the
-fundamental domain by lattice translation, so a chart window of any size is
-exact.  Output formats: a fixed-layout ASCII grid (one character per
-lattice cell), a minimal SVG 1.1 subset (circles, lines, text), and a JSON
-document that round-trips byte-identically.
+Charts live in (t - s, s) coordinates.  A chart walks its window once, row
+by row in s, each row a closed-form range of j (tate_engine.window_rows), so
+a cell holds at most one class.  Output formats: a fixed-layout ASCII grid
+(one character per lattice cell), a minimal SVG 1.1 subset (circles, lines,
+text), and a JSON document that round-trips byte-identically.
 
 Each chart reads one recorded run of the spectral sequence
 (tate_engine.run_to_einfty): the page on display and each dot's fate come
@@ -30,6 +30,8 @@ COLORS = {"first": "gray", "second": "blue"}
 # a window is refused above this many lattice cells, before any page is
 # built: the ASCII grid alone writes one character per cell
 MAX_CHART_CELLS = 10**7
+# and above this many classes on E_2, counted from its rows before the run
+MAX_CHART_CLASSES = 10**5
 
 
 class ChartSpec(namedtuple("ChartSpec", "group p page x_min x_max s_min s_max fmt")):
@@ -66,12 +68,20 @@ def build_document(spec: ChartSpec, overlay: bool = False) -> dict:
     differential family is drawn.
     """
     params = spec.params()
+    count = sum(len(js) for _, _, js in eng.window_rows(spec.group, params, *spec.window()))
+    if count > MAX_CHART_CLASSES:
+        raise ResourceGuard(f"chart window holds {count} classes, above the budget of "
+                            f"{MAX_CHART_CLASSES}; choose a smaller window")
     record = eng.run_to_einfty(spec.group, params)
     page = record.page_at(spec.page)
-    x0, x1, s0, s1 = spec.window()
+    # one walk for dots and arrows: partner finds no r-arrow off stage r's page
+    classes = record.pages[0].classes_in_window(*spec.window())
 
     dots = []
-    for cls in page.classes_in_window(x0, x1, s0, s1):
+    for cls in classes:
+        orbit = page.canonical(cls)
+        if orbit not in page.survivors:
+            continue
         s, t = eng.bidegree(cls, params)
         dot = {
             "eps": cls.eps,
@@ -83,14 +93,14 @@ def build_document(spec: ChartSpec, overlay: bool = False) -> dict:
             "label": cls.label(),
         }
         if overlay:
-            dot["fate"] = record.fates[page.canonical(cls)]
+            dot["fate"] = record.fates[orbit]
         dots.append(dot)
 
     arrows = []
     for color, stage_page, dmap in zip(COLORS.values(), record.pages, record.diffs):
         if not overlay and stage_page is not page:
             continue
-        for cls in stage_page.classes_in_window(x0, x1, s0, s1):
+        for cls in classes:
             out = record.partner(dmap.r, "source", cls)
             if out is not None:
                 arrows.append({**eng.pair_json(cls, *out, dmap.r, params), "color": color})
@@ -129,21 +139,18 @@ def _ascii_lines(doc: dict) -> list[str]:
     if overlay:
         lines.append("# overlay: O survives, x killed")
 
-    cells: dict[tuple[int, int], list[dict]] = {}
-    for dot in doc["dots"]:
-        cells.setdefault((dot["x"], dot["s"]), []).append(dot)
+    # (x, s) fixes eps, i and t, hence j: one class per cell at most
+    cells = {(dot["x"], dot["s"]): dot for dot in doc["dots"]}
 
     width = max(x1 - x0 + 1, 0)
     for s in range(s1, s0 - 1, -1):
         row = []
         for x in range(x0, x1 + 1):
-            here = cells.get((x, s))
-            if not here:
+            dot = cells.get((x, s))
+            if dot is None:
                 row.append(".")
-            elif len(here) > 1:
-                row.append(str(len(here)) if len(here) <= 9 else "*")
             elif overlay:
-                row.append("O" if here[0].get("fate") == "survives" else "x")
+                row.append("O" if dot.get("fate") == "survives" else "x")
             else:
                 row.append("o")
         lines.append("{:5d} |{}".format(s, "".join(row)))

@@ -36,8 +36,8 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
-class HeightParams(namedtuple("HeightParams", "p n q")):
-    """The numeric setting: odd prime p, height n = p - 1, q = p^n.
+class HeightParams(namedtuple("HeightParams", "p n")):
+    """The numeric setting: odd prime p and height n = p - 1.
 
     n is even and coprime to p, which is what makes the congruences below
     uniquely solvable.
@@ -45,17 +45,15 @@ class HeightParams(namedtuple("HeightParams", "p n q")):
 
     __slots__ = ()
 
-    def __new__(cls, p: int, n: int, q: int) -> HeightParams:
+    def __new__(cls, p: int, n: int) -> HeightParams:
         if not is_odd_prime(p):
             raise InvalidPrime(f"p must be an odd prime, got {p}")
         if p > MAX_PRIME:
             raise InvalidPrime(f"p = {p} exceeds supported range ({MAX_PRIME})")
         if n != p - 1:
             raise ValueError(f"n must equal p - 1, got n={n} for p={p}")
-        if q != p**n:
-            raise ValueError("q must equal p^n")
         assert n % 2 == 0
-        return super().__new__(cls, p, n, q)
+        return super().__new__(cls, p, n)
 
 
 def height_params(p: int) -> HeightParams:
@@ -64,7 +62,7 @@ def height_params(p: int) -> HeightParams:
         raise InvalidPrime(f"p must be an integer, got {p!r}")
     if not is_odd_prime(p):
         raise InvalidPrime(f"p must be an odd prime, got {p}")
-    return HeightParams(p=p, n=p - 1, q=p ** (p - 1))
+    return HeightParams(p=p, n=p - 1)
 
 
 def det_tau_exponent(params: HeightParams) -> int:

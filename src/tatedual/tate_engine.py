@@ -23,7 +23,6 @@ lattice onto the class at hand.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 from .errors import InvalidInput, VerificationFailure
@@ -162,47 +161,36 @@ class Page(namedtuple("Page", "group params r survivors")):
             return cls.eps, (cls.j - n * cls.i) % p
         return cls.eps, cls.j % p
 
-    def class_from_canonical(self, key: tuple[int, int]) -> MonomialClass:
-        eps, jbar = key
-        return MonomialClass(eps, 0, jbar, self.family)
-
     def fundamental_domain(self) -> list[MonomialClass]:
-        return [self.class_from_canonical(key) for key in sorted(self.survivors)]
+        return [MonomialClass(eps, 0, jbar, self.family) for eps, jbar in sorted(self.survivors)]
 
     def is_empty(self) -> bool:
         return not self.survivors
 
     def classes_in_window(self, x_min: int, x_max: int, s_min: int, s_max: int) -> list[MonomialClass]:
-        """All surviving classes with (t - s, s) inside the closed window,
-        instantiated from the fundamental domain by lattice translation."""
+        """All surviving classes with (t - s, s) in the closed window, in (s, t) order."""
         out = []
-        for cls in self.fundamental_domain():
-            out.extend(self._translates_in_window(cls, x_min, x_max, s_min, s_max))
-        out.sort(key=lambda c: (bidegree(c, self.params)[0], bidegree(c, self.params)[1], c.eps))
+        for eps, i, js in window_rows(self.group, self.params, x_min, x_max, s_min, s_max):
+            for j in js:
+                cls = MonomialClass(eps, i, j, self.family)
+                if self.canonical(cls) in self.survivors:
+                    out.append(cls)
         return out
 
-    def _translates_in_window(self, cls, x_min, x_max, s_min, s_max):
-        (di1, dj1), (_, dj2) = self.lattice()
-        found = []
-        # the i index is driven by the first generator alone
-        for u in _range_for(lambda u: cls.eps + 2 * (cls.i + di1 * u), s_min, s_max):
-            base = cls.translate(di1 * u, dj1 * u)
-            s = cls.eps + 2 * base.i
-            for v in _range_for(
-                lambda v: bidegree(base.translate(0, dj2 * v), self.params)[1] - s, x_min, x_max
-            ):
-                found.append(base.translate(0, dj2 * v))
-        return found
 
-
-def _range_for(value_at, lo, hi):
-    """Integers u with lo <= value_at(u) <= hi, for an affine value_at of
-    positive step."""
-    v0 = value_at(0)
-    step = value_at(1) - v0
-    first = math.ceil((lo - v0) / step)
-    last = math.floor((hi - v0) / step)
-    return range(first, last + 1)
+def window_rows(group: str, params: HeightParams, x_min: int, x_max: int, s_min: int, s_max: int):
+    """(eps, i, range of j) of the classes with (t - s, s) in the window, for
+    each s ascending: s = eps + 2i fixes eps and i, and t - s is affine in j
+    with step 2p (Cp) or 2pn^2 (F, G).  The ranges' total length is the
+    number of classes on E_2, known before any class is built."""
+    p, n = params.p, params.n
+    cp = _family(group) == "Cp"
+    step = 2 * p if cp else 2 * p * n * n
+    for s in range(s_min, s_max + 1):
+        eps, i = s % 2, s // 2
+        # t - s at j = 0: bidegree's formulas inlined, as a count may walk 10^7 rows
+        x0 = (-2 * eps if cp else 2 * n * eps + 2 * p * n * i) - s
+        yield eps, i, range(-((x0 - x_min) // step), (x_max - x0) // step + 1)
 
 
 def pair_json(src: MonomialClass, tgt: MonomialClass, coeff: int, r: int, params: HeightParams) -> dict:
@@ -249,27 +237,14 @@ def differential_map(page: Page) -> DifferentialMap:
     return DifferentialMap(r=r, pairs=tuple(pairs))
 
 
-def verify_bidegree_law(diff: DifferentialMap, params: HeightParams) -> None:
-    for src, tgt, _ in diff.pairs:
-        s0, t0 = bidegree(src, params)
-        s1, t1 = bidegree(tgt, params)
-        if (s1 - s0, t1 - t0) != (diff.r, diff.r - 1):
-            raise VerificationFailure(
-                f"bidegree law violated at d_{diff.r}: {src.label()} -> {tgt.label()} "
-                f"moves by {(s1 - s0, t1 - t0)}"
-            )
-
-
 def turn_page(page: Page, diff: DifferentialMap) -> Page:
     """Homology with respect to a recorded differential.
 
     The recorded pairings are injective monomial matchings, so passing to
-    homology removes matched sources and targets.  The bidegree law is
-    re-checked first; violations indicate engine inconsistency.
+    homology removes matched sources and targets.
     """
     if diff.r != effective_diff_index(page):
         raise InvalidInput("differential page index does not match the page")
-    verify_bidegree_law(diff, page.params)
     killed = {page.canonical(end) for pair in diff.pairs for end in pair[:2]}
     if any(k not in page.survivors for k in killed):
         raise VerificationFailure("differential touches classes outside the page")

@@ -248,6 +248,18 @@ def hoss_view(obj) -> SequenceView:
 # property checks the acceptance criteria run on every sequence
 
 
+def verify_bidegree_law(diff: DifferentialMap, params: HeightParams) -> None:
+    """Every recorded pair moves by (s, t) -> (s + r, t + r - 1)."""
+    for src, tgt, _ in diff.pairs:
+        s0, t0 = bidegree(src, params)
+        s1, t1 = bidegree(tgt, params)
+        if (s1 - s0, t1 - t0) != (diff.r, diff.r - 1):
+            raise VerificationFailure(
+                f"bidegree law violated at d_{diff.r}: {src.label()} -> {tgt.label()} "
+                f"moves by {(s1 - s0, t1 - t0)}"
+            )
+
+
 def verify_d_squared(record: SequenceRecord) -> None:
     """No class is a target and a source at the same page index."""
     for name, page, dmap in zip(("first", "second"), record.pages, record.diffs):

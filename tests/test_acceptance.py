@@ -146,8 +146,8 @@ def test_criterion_7_property_suites():
             pa = height_params(p)
             for group in eng.GROUPS:
                 record = eng.run_to_einfty(group, pa)
-                eng.verify_bidegree_law(record.diffs[0], pa)
-                eng.verify_bidegree_law(record.diffs[1], pa)
+                oracles.verify_bidegree_law(record.diffs[0], pa)
+                oracles.verify_bidegree_law(record.diffs[1], pa)
                 oracles.verify_d_squared(record)
                 oracles.verify_lattice_equivariance(record)
                 oracles.verify_coefficient_law(group, pa)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,9 +17,12 @@ from tatedual import tate_engine as eng
 from tatedual.errors import InvalidInput, ResourceGuard
 from tatedual.mod_arith import height_params
 
-from oracles import hfpss_view
+from oracles import contains, hfpss_view
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
+# exactly MAX_CHART_CLASSES classes: 1000 rows of 100 at p = 3
+AT_CAP = ("--prime", "3", "--window", "-300", "299", "-500", "499")
 
 
 def spec_cp(**kw):
@@ -83,15 +90,28 @@ class TestGoldens:
 
 
 class TestInvariants:
-    def test_dot_count_matches_translate_enumeration(self):
-        spec = spec_cp()
-        pa = height_params(5)
-        page = eng.run_to_einfty("Cp", pa).page_at(2)
-        doc = cr.build_document(spec)
-        per_class = 0
-        for cls in page.fundamental_domain():
-            per_class += len(page._translates_in_window(cls, -20, 20, -10, 10))
-        assert len(doc["dots"]) == per_class
+    def test_dot_count_matches_bidegree_filter(self, params5):
+        # brute force over a box of (eps, i, j) that covers the window, on
+        # each displayed page
+        rec = eng.run_to_einfty("Cp", params5)
+        box = [eng.MonomialClass(eps, i, j, "Cp") for eps in (0, 1) for i in range(-30, 31) for j in range(-30, 31)]
+        for shown in (2, 10, 40):
+            page = rec.page_at(shown)
+            brute = 0
+            for cls in box:
+                s, t = eng.bidegree(cls, params5)
+                brute += -20 <= t - s <= 20 and -10 <= s <= 10 and contains(page, cls)
+            assert len(cr.build_document(spec_cp(page=shown))["dots"]) == brute, shown
+
+    @pytest.mark.parametrize("group,p", [(g, p) for g in eng.GROUPS for p in (3, 5, 7)])
+    def test_one_class_per_cell(self, group, p):
+        # (x, s) fixes eps, i and t, hence j: the walk never puts two
+        # classes in one cell of the ASCII grid
+        params = height_params(p)
+        per, s_max = ds.periodicity(group, params), 2 * params.n ** 2 + 2
+        classes = eng.e2_page(group, params).classes_in_window(-per, per, -s_max, s_max)
+        cells = [(t - s, s) for s, t in (eng.bidegree(c, params) for c in classes)]
+        assert classes and len(set(cells)) == len(cells)
 
     def test_arrow_spans(self):
         # each arrow moves one column left and r rows up
@@ -118,6 +138,49 @@ class TestWindows:
         cr.ChartSpec(group="F", p=7, page=2, x_min=1, x_max=side, s_min=1, s_max=cr.MAX_CHART_CELLS // side)
         with pytest.raises(ResourceGuard):
             cr.ChartSpec(group="F", p=7, page=2, x_min=0, x_max=side, s_min=1, s_max=cr.MAX_CHART_CELLS // side)
+
+    def test_class_budget_at_cap_counted_from_rows(self, params3):
+        # the count is the total length of the window's j ranges: no class
+        # is built and nothing is rendered
+        x0, x1, s0, s1 = map(int, AT_CAP[3:])
+        assert sum(len(js) for _, _, js in eng.window_rows("Cp", params3, x0, x1, s0, s1)) == cr.MAX_CHART_CLASSES
+        assert sum(len(js) for _, _, js in eng.window_rows("Cp", params3, x0, x1, s0, s1 + 1)) > cr.MAX_CHART_CLASSES
+
+    def test_class_budget_refused_through_cli(self, capsys, monkeypatch):
+        # 1,666,666 classes: refused with exit 2 before the sequence runs
+        def no_run(*args):
+            raise AssertionError("the sequence ran before the class budget")
+
+        monkeypatch.setattr(eng, "run_to_einfty", no_run)
+        start = time.perf_counter()
+        code = cli.main(["chart", "--prime", "3", "--window", "-5000", "4999", "-500", "499", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "1666666 classes" in err and str(cr.MAX_CHART_CLASSES) in err
+
+    def test_default_windows_within_class_budget(self):
+        # every default window the cell budget accepts stays accepted; the
+        # largest is Cp at p = 23, with 89,329 classes
+        largest = 0
+        for group in eng.GROUPS:
+            for p in (3, 5, 7, 11, 13, 17, 19, 23):
+                params = height_params(p)
+                window = cli._default_window(group, params)
+                if (window[1] - window[0] + 1) * (window[3] - window[2] + 1) > cr.MAX_CHART_CELLS:
+                    break
+                largest = max(largest, sum(len(js) for _, _, js in eng.window_rows(group, params, *window)))
+        assert largest == 89329 <= cr.MAX_CHART_CLASSES
+
+    @pytest.mark.slow
+    def test_class_budget_at_cap_overlay_json_within_20s(self):
+        # the largest accepted window, overlaid, in a fresh interpreter
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        argv = ["chart", *AT_CAP, "--overlay", "--format", "json"]
+        proc = subprocess.run([sys.executable, "-m", "tatedual.cli", *argv], env=env, capture_output=True,
+                              timeout=20)
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert len(json.loads(proc.stdout)["dots"]) == cr.MAX_CHART_CLASSES
 
     def test_zero_area_window(self):
         spec = spec_cp(x_min=5, x_max=4, s_min=3, s_max=2)
@@ -198,6 +261,20 @@ class TestOverlay:
         monkeypatch.setattr(eng, "turn_page", counted_turn)
         draw(spec_cp(page=10))
         assert calls == {"run": 1, "turn": 2}
+
+    @pytest.mark.parametrize("draw", [cr.render, cr.diff_overlay], ids=["render", "overlay"])
+    def test_one_window_walk_per_chart(self, monkeypatch, draw):
+        # the dots and the arrows of both families read one walk of the window
+        walks = []
+        walk = eng.Page.classes_in_window
+
+        def counted(page, *window):
+            walks.append(page.r)
+            return walk(page, *window)
+
+        monkeypatch.setattr(eng.Page, "classes_in_window", counted)
+        draw(spec_cp(page=10))
+        assert walks == [2]
 
 
 class TestSvg:

@@ -2,7 +2,8 @@
 src/tatedual, dunders excepted, must be read in src/ other than at its own
 definition: src/ holds what the commands run.  Code that only tests call is
 deleted, or, when the tests use it as an independent oracle, kept in
-tests/oracles.py."""
+tests/oracles.py.  Likewise every field of a collections.namedtuple in src/
+must be read there as an attribute."""
 
 from __future__ import annotations
 
@@ -55,3 +56,29 @@ def dead_names() -> list[str]:
 def test_no_test_only_surface():
     assert dead_names() == []
 
+
+
+def dead_fields(src: Path = SRC) -> list[str]:
+    """The fields of each collections.namedtuple in src/ that src/ never
+    reads as an attribute."""
+    trees = [(path, ast.parse(path.read_text(), filename=str(path))) for path in sorted(src.glob("*.py"))]
+    read = {node.attr for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    dead = []
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "namedtuple":
+                fields = node.args[1].value.replace(",", " ").split()
+                dead += [f"{path.name}:{node.lineno} {field}" for field in fields if field not in read]
+    return dead
+
+
+def test_no_unread_record_field():
+    assert dead_fields() == []
+
+
+def test_unread_record_field_is_flagged(tmp_path):
+    (tmp_path / "m.py").write_text('from collections import namedtuple\n'
+                                   'Pair = namedtuple("Pair", "p q")\n'
+                                   'print(Pair(3, 9).p)\n')
+    assert dead_fields(tmp_path) == ["m.py:2 q"]

@@ -18,7 +18,7 @@ ODD_PRIMES_TO_101 = [p for p in range(3, 102) if is_odd_prime(p)]
 
 def test_height_params_fields():
     pa = height_params(5)
-    assert (pa.p, pa.n, pa.q) == (5, 4, 625)
+    assert (pa.p, pa.n) == (5, 4)
 
 
 @pytest.mark.parametrize("bad", [2, 4, 9, 1, 0, -3, 15])
@@ -29,16 +29,14 @@ def test_rejects_non_odd_primes(bad):
 
 def test_rejects_inconsistent_fields():
     with pytest.raises(ValueError):
-        HeightParams(p=5, n=3, q=625)
-    with pytest.raises(ValueError):
-        HeightParams(p=5, n=4, q=125)
+        HeightParams(p=5, n=3)
 
 
 def test_height_params_immutable_hashable_equal_by_value():
     pa = height_params(5)
     with pytest.raises(AttributeError):
         pa.p = 7
-    assert pa == HeightParams(p=5, n=4, q=625) and pa != height_params(7)
+    assert pa == HeightParams(p=5, n=4) and pa != height_params(7)
     assert hash(pa) == hash(height_params(5))
     assert {pa: 1}[height_params(5)] == 1
 

@@ -201,7 +201,7 @@ class TestPropertySuites:
     def test_all_invariants(self, group, p):
         rec = eng.run_to_einfty(group, height_params(p))
         for dmap in rec.diffs:
-            eng.verify_bidegree_law(dmap, rec.params)
+            oracles.verify_bidegree_law(dmap, rec.params)
         oracles.verify_d_squared(rec)
         oracles.verify_lattice_equivariance(rec)
         oracles.verify_coefficient_law(group, rec.params)
@@ -212,7 +212,7 @@ class TestPropertySuites:
         d1 = eng.differential_map(page)
         bad = eng.DifferentialMap(r=d1.r, pairs=((cls_cp(0, 0, 1), cls_cp(1, 0, 2), 1),))
         with pytest.raises(VerificationFailure):
-            eng.verify_bidegree_law(bad, params3)
+            oracles.verify_bidegree_law(bad, params3)
 
 
 class TestDualize:
@@ -343,19 +343,35 @@ class TestTwisted:
 
 
 class TestWindows:
-    def test_window_enumeration_matches_bidegree_filter(self, params5):
-        page = eng.e2_page("Cp", params5)
-        got = {
-            (c.eps, c.i, c.j) for c in page.classes_in_window(-20, 20, -10, 10)
-        }
-        brute = set()
+    @pytest.mark.parametrize("stage", [0, 1, 2], ids=["e2", "middle", "final"])
+    @pytest.mark.parametrize(
+        "group,window",
+        [
+            ("Cp", (-20, 20, -10, 10)),
+            ("Cp", (-33, -1, -11, -3)),  # negative odd bounds
+            ("Cp", (20, -20, -10, 10)),  # inverted
+            ("F", (-170, 170, -9, 9)),
+            ("F", (-333, -1, -11, -3)),
+            ("F", (-170, 170, 9, -9)),
+        ],
+        ids=["cp", "cp-negative-odd", "cp-inverted", "f", "f-negative-odd", "f-inverted"],
+    )
+    def test_window_enumeration_matches_bidegree_filter(self, params5, group, window, stage):
+        # the walk yields the brute bidegree filter of a covering box, on the
+        # page, in (s, t) order by construction
+        page = eng.run_to_einfty(group, params5).pages[stage]
+        x_min, x_max, s_min, s_max = window
+        brute = []
         for eps in (0, 1):
             for i in range(-30, 31):
                 for j in range(-30, 31):
-                    s, t = eng.bidegree(eng.MonomialClass(eps, i, j, "Cp"), params5)
-                    if -20 <= t - s <= 20 and -10 <= s <= 10:
-                        brute.add((eps, i, j))
-        assert got == brute
+                    cls = eng.MonomialClass(eps, i, j, page.family)
+                    s, t = eng.bidegree(cls, params5)
+                    if x_min <= t - s <= x_max and s_min <= s <= s_max and oracles.contains(page, cls):
+                        brute.append(cls)
+        brute.sort(key=lambda c: eng.bidegree(c, params5))
+        assert page.classes_in_window(*window) == brute
+        assert brute or window[0] > window[1] or window[2] > window[3] or stage == 2
 
     def test_mid_page_window(self, params3):
         page = eng.e2_page("Cp", params3)
