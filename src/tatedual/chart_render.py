@@ -30,7 +30,7 @@ COLORS = {"first": "gray", "second": "blue"}
 # a window is refused above this many lattice cells, before any page is
 # built: the ASCII grid alone writes one character per cell
 MAX_CHART_CELLS = 10**7
-# and above this many classes on E_2, counted from its rows before the run
+# and above this many classes on E_2, counted in closed form before the run
 MAX_CHART_CLASSES = 10**5
 
 
@@ -68,7 +68,7 @@ def build_document(spec: ChartSpec, overlay: bool = False) -> dict:
     differential family is drawn.
     """
     params = spec.params()
-    count = sum(len(js) for _, _, js in eng.window_rows(spec.group, params, *spec.window()))
+    count = eng.window_class_count(spec.group, params, *spec.window())
     if count > MAX_CHART_CLASSES:
         raise ResourceGuard(f"chart window holds {count} classes, above the budget of "
                             f"{MAX_CHART_CLASSES}; choose a smaller window")

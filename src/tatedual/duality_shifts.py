@@ -1,6 +1,7 @@
 """End-to-end computation of the duality suspension shifts.
 
-For each group the shift is read off the dual spectral sequence: find the
+For each group the shift is read off the dual spectral sequence, whose
+differential D(y) -> c D(x) is the recorded pair x -> c y reversed: find the
 zero-line cycles for the first differential, check they are spaced one
 periodicity apart, and subtract the monochromatic-layer offset n.  For the
 semidirect-product groups an independent arithmetic route goes through the
@@ -30,8 +31,7 @@ def periodicity(group: str, params: HeightParams) -> int:
     """Internal degree of the pure periodicity translation of the page
     lattice (the p-th power of delta, resp. of Delta)."""
     page = eng.e2_page(group, params)
-    _, (di, dj) = page.lattice()
-    assert di == 0
+    _, (_, dj) = page.lattice()
     probe = eng.MonomialClass(0, 0, 0, page.family)
     _, t0 = eng.bidegree(probe, params)
     _, t1 = eng.bidegree(probe.translate(0, dj), params)
@@ -39,26 +39,30 @@ def periodicity(group: str, params: HeightParams) -> int:
 
 
 def shift_dual_route(group: str, params: HeightParams) -> ShiftReport:
-    """Shift via the dual sequence.
+    """Shift via the dual sequence, read off the recorded run.
 
-    Zero-line classes of the dual are duals of classes in filtration n - 1;
-    the cycles among them (those not hit by the first differential) are
+    The cycles of the first differential on the dual zero line are
     enumerated over several periods, their spacing is checked, and the
     generator's internal degree t0 gives the shift t0 - n.
     """
     p, n = params.p, params.n
     record = eng.run_to_einfty(group, params)
-    dual = eng.DualSequence(record)
     per = periodicity(group, params)
     r1 = eng.first_diff_index(params)
 
-    window = range(-2 * p, 2 * p)
-    candidates = dual.zero_line_classes(window.start, window.stop)
-    cycles = [c for c in candidates if dual.is_cycle(c, r1)]
+    # D(x) sits at (n - 1 - s, 2n - t) for x at (s, t), so the dual zero line
+    # holds the duals of the classes at s = n - 1, eps = 1 and i = n/2 - 1;
+    # D(x) is a d_r1-cycle iff x is no d_r1-target, and distinct j give
+    # distinct internal degrees 2n - t
+    cycles = {}
+    for j in range(-2 * p, 2 * p):
+        x = eng.MonomialClass(1, n // 2 - 1, j, record.family)
+        if record.partner(r1, "target", x) is None:
+            cycles[2 * n - eng.bidegree(x, params)[1]] = x
     if not cycles:
         raise VerificationFailure("no zero-line cycle found in the dual sequence")
 
-    degrees = sorted(dual.bidegree(c)[1] for c in cycles)
+    degrees = sorted(cycles)
     shifts = {(t0 - n) % per for t0 in degrees}
     if len(shifts) != 1:
         raise VerificationFailure(f"ambiguous zero-line generator: shifts {sorted(shifts)}")
@@ -68,15 +72,11 @@ def shift_dual_route(group: str, params: HeightParams) -> ShiftReport:
     shift = shifts.pop()
 
     cert_degree = shift + n
-    certificate = None
-    for c in cycles:
-        if dual.bidegree(c)[1] == cert_degree:
-            certificate = c
-            break
+    certificate = cycles.get(cert_degree)
     if certificate is None:
         raise VerificationFailure("no certificate class in the enumeration window")
     # the generator is the dual of a class supporting the second differential
-    if record.partner(eng.second_diff_index(params), "source", certificate.base) is None:
+    if record.partner(eng.second_diff_index(params), "source", certificate) is None:
         raise VerificationFailure("certificate base does not support the second differential")
     return ShiftReport(
         group=group,
@@ -84,7 +84,7 @@ def shift_dual_route(group: str, params: HeightParams) -> ShiftReport:
         route="dual",
         shift=shift,
         periodicity=per,
-        certificate=certificate.label(),
+        certificate=f"D({certificate.label()})",
         certificate_degree=cert_degree,
     )
 

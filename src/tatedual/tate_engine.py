@@ -16,9 +16,10 @@ periodicity lattice, which the differentials respect.
 run_to_einfty is the one place where pages are turned and fates decided,
 and differential_map, which it calls once per family, the one place where
 d_first and d_second are evaluated.  Charts, overlays, the cancellation
-check and the dual shift route all read the SequenceRecord of one run:
-chart arrows and dual differentials are recorded pairs, moved by the
-lattice onto the class at hand.
+check and the dual shift route all read the SequenceRecord of one run
+through SequenceRecord.partner: a chart arrow, and the dual differential
+D(y) -> c D(x) of a recorded pair x -> c y, is that pair moved by the
+lattice onto the class at hand, so no dual class is ever built.
 """
 
 from __future__ import annotations
@@ -181,16 +182,44 @@ class Page(namedtuple("Page", "group params r survivors")):
 def window_rows(group: str, params: HeightParams, x_min: int, x_max: int, s_min: int, s_max: int):
     """(eps, i, range of j) of the classes with (t - s, s) in the window, for
     each s ascending: s = eps + 2i fixes eps and i, and t - s is affine in j
-    with step 2p (Cp) or 2pn^2 (F, G).  The ranges' total length is the
-    number of classes on E_2, known before any class is built."""
+    with step 2p (Cp) or 2pn^2 (F, G).  The ranges' total length is
+    window_class_count."""
     p, n = params.p, params.n
     cp = _family(group) == "Cp"
     step = 2 * p if cp else 2 * p * n * n
     for s in range(s_min, s_max + 1):
         eps, i = s % 2, s // 2
-        # t - s at j = 0: bidegree's formulas inlined, as a count may walk 10^7 rows
+        # t - s at j = 0: bidegree's formulas inlined, as a window may hold 10^7 rows
         x0 = (-2 * eps if cp else 2 * n * eps + 2 * p * n * i) - s
         yield eps, i, range(-((x0 - x_min) // step), (x_max - x0) // step + 1)
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum((a*i + b) // m for i in range(n)), m > 0, in O(log m) steps (AtCoder Library floor_sum)."""
+    total = 0
+    while n:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        n, b, m, a = divmod(a * n + b, m) + (a, m)
+    return total
+
+
+def window_class_count(group: str, params: HeightParams, x_min: int, x_max: int, s_min: int, s_max: int) -> int:
+    """window_rows' total length in closed form: the rows s = eps + 2i of one
+    eps have t - s = c + a*i at j = 0, so each holds (x_max - c - a*i) // step
+    + (c + a*i - x_min) // step + 1 classes, two floor sums per eps."""
+    if x_max < x_min:
+        return 0  # the only windows where that row count may go negative
+    p, n = params.p, params.n
+    cp = _family(group) == "Cp"
+    step, a = (2 * p, -2) if cp else (2 * p * n * n, 2 * p * n - 2)
+    total = 0
+    for eps in (0, 1):
+        lo = (s_min - eps + 1) // 2
+        rows = max((s_max - eps) // 2 - lo + 1, 0)
+        x0 = (-3 * eps if cp else (2 * n - 1) * eps) + a * lo
+        total += rows + _floor_sum(rows, step, -a, x_max - x0) + _floor_sum(rows, step, a, x0 - x_min)
+    return total
 
 
 def pair_json(src: MonomialClass, tgt: MonomialClass, coeff: int, r: int, params: HeightParams) -> dict:
@@ -313,47 +342,3 @@ def run_to_einfty(group: str, params: HeightParams) -> SequenceRecord:
     return SequenceRecord(group=group, params=params, pages=tuple(pages), diffs=tuple(diffs), index=index,
                           fates=fates)
 
-
-# ---------------------------------------------------------------------------
-# Pontryagin dual
-
-
-class DualClass(namedtuple("DualClass", "base")):
-    __slots__ = ()
-
-    def label(self) -> str:
-        return f"D({self.base.label()})"
-
-
-class DualSequence:
-    """The dual spectral sequence: classes are duals of the original ones,
-    placed by the plane transform (s, t) -> (n - 1 - s, 2n - t), and each
-    differential x -> c y turns into D(y) -> c D(x), read off the record's
-    index by the orbit of the target."""
-
-    def __init__(self, record: SequenceRecord):
-        self.record = record
-        self.params = record.params
-
-    def bidegree(self, dual: DualClass) -> tuple[int, int]:
-        n = self.params.n
-        s, t = bidegree(dual.base, self.params)
-        return n - 1 - s, 2 * n - t
-
-    def zero_line_classes(self, j_lo: int, j_hi: int) -> list[DualClass]:
-        """Dual classes of filtration zero: base classes at s = n - 1, which
-        forces eps = 1 and i = n/2 - 1."""
-        n = self.params.n
-        i0 = n // 2 - 1
-        return [
-            DualClass(MonomialClass(1, i0, j, self.record.family)) for j in range(j_lo, j_hi)
-        ]
-
-    def differential(self, dual: DualClass, r: int) -> tuple[DualClass, int] | None:
-        """The dual differential: present iff the base class is an r-target,
-        onto the dual of the recorded source moved onto it."""
-        out = self.record.partner(r, "target", dual.base)
-        return None if out is None else (DualClass(out[0]), out[1])
-
-    def is_cycle(self, dual: DualClass, r: int) -> bool:
-        return self.differential(dual, r) is None

@@ -4,13 +4,15 @@ src/tatedual holds, and these oracles recompute the same facts another way.
 
 - d_first_incoming and d_second_incoming invert the closed-form
   differentials, against the dual differentials that
-  tate_engine.DualSequence reads off the recorded pairs;
+  SequenceRecord.partner reads off the recorded pairs by target;
 - turn_page_rank_route turns a page from per-class kernel and image ranks
   of the closed forms and their inverses, against tate_engine.turn_page,
   and fates_rank_route decides each class's fate from the same ranks,
   against the fates of tate_engine.run_to_einfty;
 - is_boundary and dual_pairs read the dual sequence from the boundary side,
-  against the cycles and differentials of tate_engine.DualSequence;
+  against the dual cycles and differentials that the dual shift route reads
+  off SequenceRecord.partner: D(y) -> c D(x) for a recorded pair x -> c y,
+  with D(x) kept as its base class x;
 - SequenceView truncates a recorded sequence to the fixed-point or orbit
   half plane and reads the zero-line survivors off it;
 - the verify_* checks test properties that hold on every recorded sequence;
@@ -36,8 +38,6 @@ from tatedual.errors import InvalidInput, VerificationFailure
 from tatedual.mod_arith import HeightParams
 from tatedual.tate_engine import (
     DifferentialMap,
-    DualClass,
-    DualSequence,
     MonomialClass,
     Page,
     SequenceRecord,
@@ -144,22 +144,20 @@ def fates_rank_route(record: SequenceRecord) -> dict:
     return fates
 
 
-def is_boundary(seq: DualSequence, dual: DualClass, r: int) -> bool:
-    """D(z) is an r-boundary iff z supports an r-differential."""
-    params = seq.params
+def is_boundary(record: SequenceRecord, base: MonomialClass, r: int) -> bool:
+    """D(base) is an r-boundary iff base supports an r-differential."""
+    params = record.params
     if r == first_diff_index(params):
-        return d_first(dual.base, params) is not None
+        return d_first(base, params) is not None
     if r == second_diff_index(params):
-        return dual.base.eps == 1 and contains(seq.record.pages[1], dual.base)
+        return base.eps == 1 and contains(record.pages[1], base)
     raise InvalidInput(f"unsupported page index r={r}")
 
 
-def dual_pairs(seq: DualSequence, stage: int) -> list:
-    """The pairings of one stage reversed: D(target) -> c D(source)."""
-    out = []
-    for src, tgt, coeff in seq.record.diffs[stage].pairs:
-        out.append((DualClass(tgt), DualClass(src), coeff))
-    return out
+def dual_pairs(record: SequenceRecord, stage: int) -> list:
+    """The pairings of one stage reversed, D(target) -> c D(source), as
+    (target, source, c) in base classes."""
+    return [(tgt, src, coeff) for src, tgt, coeff in record.diffs[stage].pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +298,17 @@ def verify_coefficient_law(group: str, params: HeightParams, periods: int = 3) -
 
 def verify_duality_involution(record: SequenceRecord) -> None:
     """The dual sequence reverses each pairing exactly once, and its
-    differential on each reversed source is the original coefficient."""
-    dual = DualSequence(record)
+    differential on each reversed source, read off the record by target, is
+    the original coefficient."""
     for stage, dmap in enumerate(record.diffs):
-        reversed_pairs = dual_pairs(dual, stage)
+        reversed_pairs = dual_pairs(record, stage)
         if len(reversed_pairs) != len(dmap.pairs):
             raise VerificationFailure("dual pairing count mismatch")
         for (dsrc, dtgt, coeff), (src, tgt, c0) in zip(reversed_pairs, dmap.pairs):
-            if dsrc.base != tgt or dtgt.base != src or coeff != c0:
+            if dsrc != tgt or dtgt != src or coeff != c0:
                 raise VerificationFailure("dual pairing is not the exact reversal")
-            got = dual.differential(dsrc, dmap.r)
-            if got is None or got[0].base != src or got[1] != coeff:
+            got = record.partner(dmap.r, "target", dsrc)
+            if got is None or got[0] != src or got[1] != coeff:
                 raise VerificationFailure("dual differential disagrees with reversed pairing")
 
 

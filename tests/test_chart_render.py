@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -145,6 +146,25 @@ class TestWindows:
         x0, x1, s0, s1 = map(int, AT_CAP[3:])
         assert sum(len(js) for _, _, js in eng.window_rows("Cp", params3, x0, x1, s0, s1)) == cr.MAX_CHART_CLASSES
         assert sum(len(js) for _, _, js in eng.window_rows("Cp", params3, x0, x1, s0, s1 + 1)) > cr.MAX_CHART_CLASSES
+        assert eng.window_class_count("Cp", params3, x0, x1, s0, s1) == cr.MAX_CHART_CLASSES
+        assert eng.window_class_count("Cp", params3, x0, x1, s0, s1 + 1) > cr.MAX_CHART_CLASSES
+
+    @pytest.mark.parametrize("p", [3, 5, 11])
+    @pytest.mark.parametrize("group", eng.GROUPS)
+    def test_class_count_is_the_rows_total(self, group, p):
+        # the closed-form count against the walk of the rows: plain,
+        # negative with odd ends, inverted in x, in s and in both, tall,
+        # wide, and random windows of either sign
+        params = height_params(p)
+        windows = [(-20, 20, -10, 10), (-301, -7, -99, -3), (5, 4, 0, 10), (0, 10, 10, 0), (5, 4, 3, 2),
+                   (0, 0, -20001, 19999), (-3, 2, -5000, 5001), (-10**6, 10**6 + 1, -3, 3), (-10**5, 10**5, 1, 1)]
+        rng = random.Random(p)
+        for _ in range(200):
+            x0, s0 = rng.randint(-5000, 5000), rng.randint(-500, 500)
+            windows.append((x0, x0 + rng.randint(-30, 5000), s0, s0 + rng.randint(-3, 500)))
+        for window in windows:
+            want = sum(len(js) for _, _, js in eng.window_rows(group, params, *window))
+            assert eng.window_class_count(group, params, *window) == want, window
 
     def test_class_budget_refused_through_cli(self, capsys, monkeypatch):
         # 1,666,666 classes: refused with exit 2 before the sequence runs
@@ -158,6 +178,18 @@ class TestWindows:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert "1666666 classes" in err and str(cr.MAX_CHART_CLASSES) in err
+
+    def test_tall_window_class_budget_refused_within_1s(self):
+        # 10^7 rows of one column: the class count walks no row, so a fresh
+        # interpreter refuses at once
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        argv = ["chart", "--prime", "3", "--window", "0", "0", "-5000000", "4999999", "--format", "json"]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "tatedual.cli", *argv], env=env, capture_output=True,
+                              timeout=30)
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert b"1666667 classes" in proc.stderr
 
     def test_default_windows_within_class_budget(self):
         # every default window the cell budget accepts stays accepted; the

@@ -104,24 +104,25 @@ def test_certificate_is_dual_cycle(params5):
     # underlying class supports the long differential
     report = ds.shift_dual_route("Cp", params5)
     rec = eng.run_to_einfty("Cp", params5)
-    dual = eng.DualSequence(rec)
     n = params5.n
+    r1 = eng.first_diff_index(params5)
     base = eng.MonomialClass(1, n // 2 - 1, 1 - n // 2, "Cp")
-    cert = eng.DualClass(base)
-    assert report.certificate == cert.label()
-    assert dual.bidegree(cert) == (0, report.certificate_degree)
-    assert dual.is_cycle(cert, eng.first_diff_index(params5))
-    assert not is_boundary(dual, cert, eng.first_diff_index(params5))
+    assert report.certificate == f"D({base.label()})"
+    # D(base) sits at (n - 1 - s, 2n - t): on the zero line, at the certificate degree
+    assert eng.bidegree(base, params5) == (n - 1, 2 * n - report.certificate_degree)
+    assert rec.partner(r1, "target", base) is None
+    assert not is_boundary(rec, base, r1)
     assert eng.d_second(base, params5) is not None
 
 
 def test_zero_line_cycle_spacing(params5):
     # cycles on the dual zero line sit exactly one periodicity apart
     rec = eng.run_to_einfty("F", params5)
-    dual = eng.DualSequence(rec)
+    n = params5.n
     r1 = eng.first_diff_index(params5)
-    cycles = [c for c in dual.zero_line_classes(-15, 15) if dual.is_cycle(c, r1)]
-    degrees = sorted(dual.bidegree(c)[1] for c in cycles)
+    zero_line = [eng.MonomialClass(1, n // 2 - 1, j, "F") for j in range(-15, 15)]
+    cycles = [x for x in zero_line if rec.partner(r1, "target", x) is None]
+    degrees = sorted(2 * n - eng.bidegree(x, params5)[1] for x in cycles)
     per = ds.periodicity("F", params5)
     assert {b - a for a, b in zip(degrees, degrees[1:])} == {per}
 

@@ -216,20 +216,22 @@ class TestPropertySuites:
 
 
 class TestDualize:
+    # the dual sequence is read off the record: D(x) sits at (n - 1 - s,
+    # 2n - t) for x at (s, t), and its differentials are the recorded pairs
+    # reversed, SequenceRecord.partner by target
     def test_example_class(self, params5):
-        rec = eng.run_to_einfty("Cp", params5)
-        dual = eng.DualSequence(rec)
-        eps_class = eng.DualClass(cls_cp(1, 1, -1))
-        assert eng.bidegree(eps_class.base, params5) == (3, -12)
-        assert dual.bidegree(eps_class) == (0, 20)
+        # a b d^-1 lies under the dual zero line at internal degree 20
+        n = params5.n
+        s, t = eng.bidegree(cls_cp(1, 1, -1), params5)
+        assert (s, t) == (3, -12)
+        assert (n - 1 - s, 2 * n - t) == (0, 20)
 
     @pytest.mark.parametrize("group,p", ALL_CASES)
     def test_involution(self, group, p):
         # reversing the reversed pairings gives back the recorded ones
         rec = eng.run_to_einfty(group, height_params(p))
-        dual = eng.DualSequence(rec)
         for stage, dmap in enumerate(rec.diffs):
-            back = tuple((dtgt.base, dsrc.base, c) for dsrc, dtgt, c in oracles.dual_pairs(dual, stage))
+            back = tuple((dtgt, dsrc, c) for dsrc, dtgt, c in oracles.dual_pairs(rec, stage))
             assert back == dmap.pairs
 
     def test_dual_differential_reverses(self):
@@ -240,7 +242,6 @@ class TestDualize:
         for group, p in ALL_CASES:
             params = height_params(p)
             rec = eng.run_to_einfty(group, params)
-            dual = eng.DualSequence(rec)
             r1, r2 = eng.first_diff_index(params), eng.second_diff_index(params)
             answered = set()
             for eps, i, j in itertools.product((0, 1), range(-2, 3), range(-2 * p, 3 * p)):
@@ -249,28 +250,18 @@ class TestDualize:
                     want = incoming(base, params)
                     if r == r2 and want is not None and not oracles.contains(rec.pages[1], want[0]):
                         want = None
-                    got = dual.differential(eng.DualClass(base), r)
-                    assert (None if got is None else (got[0].base, got[1])) == want, (group, p, base, r)
+                    got = rec.partner(r, "target", base)
+                    assert got == want, (group, p, base, r)
                     if got is not None:
                         answered.add(r)
             assert answered == {r1, r2}, (group, p)
 
-    def test_dual_spans_bidegree_law(self, params5):
-        rec = eng.run_to_einfty("F", params5)
-        dual = eng.DualSequence(rec)
-        for stage, dmap in enumerate(rec.diffs):
-            for dsrc, dtgt, coeff in oracles.dual_pairs(dual, stage):
-                s0, t0 = dual.bidegree(dsrc)
-                s1, t1 = dual.bidegree(dtgt)
-                assert (s1 - s0, t1 - t0) == (dmap.r, dmap.r - 1)
-
     def test_boundary_detection(self, params3):
         rec = eng.run_to_einfty("Cp", params3)
-        dual = eng.DualSequence(rec)
         r1 = eng.first_diff_index(params3)
         # delta supports d_5, so D(delta) is a boundary; a is a first-cycle
-        assert oracles.is_boundary(dual, eng.DualClass(cls_cp(0, 0, 1)), r1)
-        assert not oracles.is_boundary(dual, eng.DualClass(cls_cp(1, 0, 0)), r1)
+        assert oracles.is_boundary(rec, cls_cp(0, 0, 1), r1)
+        assert not oracles.is_boundary(rec, cls_cp(1, 0, 0), r1)
 
 
 class TestViews:
@@ -372,6 +363,8 @@ class TestWindows:
         brute.sort(key=lambda c: eng.bidegree(c, params5))
         assert page.classes_in_window(*window) == brute
         assert brute or window[0] > window[1] or window[2] > window[3] or stage == 2
+        if stage == 0:
+            assert eng.window_class_count(group, params5, *window) == len(brute)
 
     def test_mid_page_window(self, params3):
         page = eng.e2_page("Cp", params3)
