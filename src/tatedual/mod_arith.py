@@ -52,7 +52,6 @@ class HeightParams(namedtuple("HeightParams", "p n")):
             raise InvalidPrime(f"p = {p} exceeds supported range ({MAX_PRIME})")
         if n != p - 1:
             raise ValueError(f"n must equal p - 1, got n={n} for p={p}")
-        assert n % 2 == 0
         return super().__new__(cls, p, n)
 
 
@@ -60,37 +59,20 @@ def height_params(p: int) -> HeightParams:
     """Build and validate the parameters for an odd prime p."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise InvalidPrime(f"p must be an integer, got {p!r}")
-    if not is_odd_prime(p):
-        raise InvalidPrime(f"p must be an odd prime, got {p}")
     return HeightParams(p=p, n=p - 1)
-
-
-def det_tau_exponent(params: HeightParams) -> int:
-    """The exponent of eta in the determinant action of tau, mod n^2.
-
-    tau twists a class x by eta^((p^n - 1)/n); since eta has order n^2 only
-    the residue of (p^n - 1)/n modulo n^2 matters.  Returned as the least
-    nonnegative representative.
-    """
-    p, n = params.p, params.n
-    e = (p**n - 1) // n
-    return e % (n * n)
 
 
 def invariant_delta_exponent(params: HeightParams) -> int:
     """The power k with delta^k invariant under the twisted tau action.
 
     k must solve -p*k + (p^n - 1)/n == 0 mod n^2.  The representative
-    returned is k = -(n/2)(n-2); it is asserted to satisfy the congruence
-    and, since gcd(p, n^2) = 1, to be the unique solution mod n^2.
+    returned is k = -(n/2)(n-2); since gcd(p, n^2) = 1 the solution is a
+    single residue mod n^2, and that k lies in it is exactly
+    congruence_check.  `shifts --route both` cross-checks k against the
+    dual route.
     """
     n = params.n
-    k = -(n // 2) * (n - 2)
-    m = n * n
-    assert (-params.p * k + det_tau_exponent(params)) % m == 0
-    # uniqueness: p is invertible mod n^2, so the solution is a single residue
-    assert k % m == (pow(params.p, -1, m) * det_tau_exponent(params)) % m
-    return k
+    return -(n // 2) * (n - 2)
 
 
 def congruence_check(params: HeightParams) -> bool:

@@ -17,8 +17,10 @@ the D_w on its diagonal, and rank [[A, 0], [C, B]] >= rank A + rank B
 >= sum_w rank D_w = rank D.  No Jordan block of a symmetric power of an
 order-p module is larger than p, so there are at least dim/p blocks and
 rank z <= dim - dim/p, with equality iff the module is free.  So rank D =
-dim - dim/p proves the degree free, exactly.  Only when rank D falls short
-does a degree import cp_rep, for a rank of z (cp_rep._free_by_rank).
+dim - dim/p proves the degree free, exactly.  D's columns stream into its
+rank one exponent row at a time, so only the pivots stay live.  Only when
+rank D falls short does a degree import cp_rep, for a rank of z
+(cp_rep._free_by_rank).
 """
 
 from __future__ import annotations
@@ -55,21 +57,6 @@ def level_vars(params: HeightParams, k: int) -> int:
     return params.n - k + 1
 
 
-def _exponent_rows(nvars: int, deg: int):
-    """The exponent rows of degree deg in nvars variables, in descending lex
-    order, as one list changed in place between rows."""
-    a = [deg] + [0] * (nvars - 1)
-    yield a
-    for _ in range(symmetric_dimension(nvars, deg) - 1):
-        # the next row: move one unit from the last positive entry before
-        # the end to its right neighbour, together with the whole tail
-        t = max(i for i in range(nvars - 1) if a[i])
-        tail, a[-1] = a[-1], 0
-        a[t] -= 1
-        a[t + 1] = tail + 1
-        yield a
-
-
 def _rank_mod(columns, p: int) -> int:
     """Rank over F_p of sparse columns, each a dict {row: value in [1, p)}:
     each column is reduced on its lowest row by the pivot column kept there,
@@ -91,18 +78,25 @@ def _rank_mod(columns, p: int) -> int:
     return len(pivots)
 
 
-def _weight_columns(p: int, nvars: int, deg: int) -> list[dict[int, int]]:
-    """The columns of D on Sym^deg of nvars variables, one per exponent row
-    in descending lex order.  A monomial's row is its exponents read as
-    digits in base deg + 1, first exponent highest, so x^(a - e_t + e_(t+1))
-    is row(x^a) + shift[t]."""
+def _weight_columns(p: int, nvars: int, deg: int):
+    """The columns of D on Sym^deg of nvars variables, one per exponent row a
+    in descending lex order, each yielded as soon as its row is reached.  A
+    monomial's row is its exponents read as digits in base deg + 1, first
+    exponent highest, so x^(a - e_t + e_(t+1)) is row(x^a) + shift[t]."""
     scale = [(deg + 1) ** (nvars - 1 - t) for t in range(nvars)]
     shift = [lo - hi for hi, lo in zip(scale, scale[1:])]
-    columns = []
-    for a in _exponent_rows(nvars, deg):
-        row = sum(e * s for e, s in zip(a, scale))
-        columns.append({row + s: e % p for s, e in zip(shift, a) if e % p})
-    return columns
+    a, row = [deg] + [0] * (nvars - 1), deg * scale[0]
+    yield {row + s: e % p for s, e in zip(shift, a) if e % p}
+    for _ in range(symmetric_dimension(nvars, deg) - 1):
+        # the next row: move one unit from the last positive entry before
+        # the end to its right neighbour, together with the whole tail; the
+        # tail leaves the last digit, of scale 1, for digit t + 1
+        t = max(i for i in range(nvars - 1) if a[i])
+        tail, a[-1] = a[-1], 0
+        a[t] -= 1
+        a[t + 1] = tail + 1
+        row += shift[t] + tail * (scale[t + 1] - 1)
+        yield {row + s: e % p for s, e in zip(shift, a) if e % p}
 
 
 def weight_rank(p: int, nvars: int, deg: int) -> int:

@@ -23,7 +23,9 @@ src/tatedual holds, and these oracles recompute the same facts another way.
 - monomials enumerates exponent tuples of one degree in descending lex
   order, against the arithmetic ranking of cp_rep._SymmetricChain;
 - rank_row_loop ranks a list of rows over F_p with Python integers, one
-  pivot row at a time, against the dict elimination of verdicts.
+  pivot row at a time, against the dict elimination of verdicts;
+- det_tau_exponent reduces the determinant twist of tau mod n^2, against
+  the invariant power of delta of mod_arith.invariant_delta_exponent.
 """
 
 from __future__ import annotations
@@ -381,3 +383,18 @@ def rank_row_loop(rows: list[list[int]], p: int) -> int:
         rest = [[(v - row[c] * inv * w) % p for v, w in zip(row, pivot)] for row in rest]
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# the determinant twist
+
+
+def det_tau_exponent(params: HeightParams) -> int:
+    """The exponent of eta in the determinant action of tau, mod n^2.
+
+    tau twists a class x by eta^((p^n - 1)/n); since eta has order n^2 only
+    the residue of (p^n - 1)/n modulo n^2 matters.  Returned as the least
+    nonnegative representative.
+    """
+    p, n = params.p, params.n
+    return (p**n - 1) // n % (n * n)

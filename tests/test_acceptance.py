@@ -132,7 +132,7 @@ def test_criterion_6_congruence_suite():
             pa = height_params(p)
             assert mod_arith.congruence_check(pa) is True
             k = mod_arith.invariant_delta_exponent(pa)
-            assert (-p * k + mod_arith.det_tau_exponent(pa)) % (pa.n ** 2) == 0
+            assert (-p * k + oracles.det_tau_exponent(pa)) % (pa.n ** 2) == 0
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"runtime {elapsed:.3f}s"
 

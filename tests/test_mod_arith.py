@@ -7,11 +7,12 @@ from tatedual.mod_arith import (
     HeightParams,
     InvalidPrime,
     congruence_check,
-    det_tau_exponent,
     height_params,
     invariant_delta_exponent,
     is_odd_prime,
 )
+
+from oracles import det_tau_exponent
 
 ODD_PRIMES_TO_101 = [p for p in range(3, 102) if is_odd_prime(p)]
 
