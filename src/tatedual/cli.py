@@ -13,12 +13,12 @@ module loads errors and mod_arith, which holds the parser's GROUPS and
 FORMATS; `verify congruence` adds nothing, `shifts` duality_shifts and
 tate_engine, `chart` chart_render and tate_engine, `verify cancellation`
 tate_engine, and the plain `verify nilpotence` and `verify freeness`
-verdicts alone (no numpy or json).  cp_rep, and with it numpy, is imported
-by `sympow`, by `verify nilpotence --json` and for a degree that the weight
-certificate of verdicts leaves open; json only where JSON is printed.  Every
-record of the package is a collections.namedtuple, so no command loads
-dataclasses.  Cold, with no bytecode, this import takes about 12 ms on a
-2-core machine, against 51 ms when it loaded every layer.
+verdicts alone (no numpy or json), as does `sympow`, with json.  cp_rep,
+and with it numpy, is imported by `verify nilpotence --json` and wherever
+the weight certificate of verdicts leaves a freeness or a Jordan profile
+open; json only where JSON is printed.  Every record of the package is a
+collections.namedtuple, so no command loads dataclasses.  Cold, with no
+bytecode, this import takes about 12 ms on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -181,24 +181,23 @@ def cmd_verify(args) -> int:
 
 def cmd_sympow(args) -> int:
     import json
-    from . import cp_rep
+    from . import verdicts
     params = mod_arith.height_params(args.prime)
-    base = cp_rep.u_k_module(params, args.k)
-    # the Jordan profile needs a dense action
-    dim = cp_rep.symmetric_dimension(base.dim, args.degree)
-    if dim > cp_rep.DENSE_LIMIT:
-        raise ResourceGuard(
-            f"sympow needs dimension <= {cp_rep.DENSE_LIMIT}, but degree {args.degree} has "
-            f"dimension {dim}; `tatedual verify freeness` checks larger powers from ranks"
-        )
-    module = cp_rep.symmetric_power(base, args.degree)
-    profile = cp_rep.jordan_decompose(module)
+    # the Jordan profile needs a dense action where the weight certificate is silent
+    dim = verdicts.symmetric_dimension(verdicts.level_vars(params, args.k), args.degree)
+    if dim > verdicts.DENSE_LIMIT:
+        raise ResourceGuard(f"sympow needs dimension <= {verdicts.DENSE_LIMIT}, but degree {args.degree} has "
+                            f"dimension {dim}; `tatedual verify freeness` checks larger powers from ranks")
+    profile = verdicts.jordan_profile(params, args.k, args.degree)
+    if profile is None:
+        from . import cp_rep
+        profile = cp_rep.jordan_decompose(cp_rep.symmetric_power(cp_rep.u_k_module(params, args.k), args.degree))
     tate = profile.tate_dim(params.p)
     out = {
         "p": params.p,
         "k": args.k,
         "degree": args.degree,
-        "dimension": module.dim,
+        "dimension": dim,
         "jordan": profile.to_json(),
         "tate": {"even_dim": tate, "odd_dim": tate},
         "free": profile.all_full(params.p),

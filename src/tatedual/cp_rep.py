@@ -16,11 +16,10 @@ DENSE_LIMIT, z is also made a dense matrix once, for the skinny rows
 z^i[R, :], i < p, where R is the dim - rank(z) indices outside a set of
 independent columns of z; the ranks of every power of z, and so the Jordan
 profile and rank(N), come from stacks of these rows, and no power of z is
-formed.  sympow takes its Tate dimension from the Jordan profile: each
-block smaller than p contributes one class to each Tate group, and a block
-of size p none.  The suites decide freeness in verdicts, without this
-module, except for a degree that its weight certificate leaves open
-(_free_by_rank).  The report with Tate dimensions adds, at each dense
+formed.  sympow decomposes here only the powers whose Jordan profile the
+weight certificate of verdicts leaves open (verdicts.jordan_profile), and
+the suites decide freeness there too, except for a degree that it leaves
+open (_free_by_rank).  The report with Tate dimensions adds, at each dense
 degree that is not free, dim - rank(z) - rank(N).  A window of degrees
 without a free one, which no valid input has, would be tested explicitly
 against kernel and image bases of z and N, the one place they are built.
@@ -39,10 +38,8 @@ import numpy as np
 from . import linalg
 from .errors import InvalidInput, ResourceGuard
 from .mod_arith import HeightParams
-from .verdicts import NilpotenceReport, check_dim_cap, level_vars, nilpotence_report, symmetric_dimension
-
-# the largest dimension at which z is made a dense matrix
-DENSE_LIMIT = 2000
+from .verdicts import (DENSE_LIMIT, JordanProfile, NilpotenceReport, check_dim_cap, level_vars, nilpotence_report,
+                       symmetric_dimension)
 
 
 class CpModule(namedtuple("CpModule", "p dim gen_action")):
@@ -63,27 +60,6 @@ class CpModule(namedtuple("CpModule", "p dim gen_action")):
         """Whether z is a dense matrix: always for an array action, up to
         DENSE_LIMIT for Triplets."""
         return isinstance(self.gen_action, np.ndarray) or self.dim <= DENSE_LIMIT
-
-
-class JordanProfile(namedtuple("JordanProfile", "blocks")):
-    """Multiset of Jordan block sizes of the generator, stored descending."""
-
-    __slots__ = ()
-
-    @property
-    def total(self) -> int:
-        return sum(self.blocks)
-
-    def all_full(self, p: int) -> bool:
-        return all(b == p for b in self.blocks)
-
-    def tate_dim(self, p: int) -> int:
-        """The common dimension of both Tate groups: a block of size p is
-        free, and every smaller block contributes one class to each."""
-        return sum(1 for b in self.blocks if b < p)
-
-    def to_json(self) -> dict:
-        return {"blocks": list(self.blocks), "total": self.total}
 
 
 # Dimensions of the Tate cohomology of a C_p-module in even and odd

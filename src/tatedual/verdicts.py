@@ -1,5 +1,6 @@
-"""Freeness verdicts and nilpotence reports for symmetric powers of the
-height modules U_k, from exponent rows alone; this module imports no numpy.
+"""Freeness verdicts, nilpotence reports and Jordan profiles for symmetric
+powers of the height modules U_k, from exponent rows alone; this module
+imports no numpy.
 
 U_j has the variables x_0, ..., x_(v-1), v = n - j + 1, in the order of
 cp_rep.u_k_module: zeta x_t = x_t + x_(t+1), and x_(v-1) is invariant.
@@ -20,7 +21,9 @@ rank z <= dim - dim/p, with equality iff the module is free.  So rank D =
 dim - dim/p proves the degree free, exactly.  D's columns stream into its
 rank one exponent row at a time, so only the pivots stay live.  Only when
 rank D falls short does a degree import cp_rep, for a rank of z
-(cp_rep._free_by_rank).
+(cp_rep._free_by_rank).  The same bounds give sympow its Jordan profile
+(jordan_profile) from the freeness flags and one rank of D wherever they
+force it, and cp_rep's dense decomposition only where they do not.
 """
 
 from __future__ import annotations
@@ -35,6 +38,30 @@ from .mod_arith import HeightParams
 DIM_CAP = 50_000
 # the monomials that the weight ranks of one freeness pass read, in total
 WEIGHT_ROWS = 1_000_000
+# the largest dimension at which cp_rep makes z a dense matrix, and so the
+# largest power whose profile sympow takes
+DENSE_LIMIT = 2000
+
+
+class JordanProfile(namedtuple("JordanProfile", "blocks")):
+    """Multiset of Jordan block sizes of the generator, stored descending."""
+
+    __slots__ = ()
+
+    @property
+    def total(self) -> int:
+        return sum(self.blocks)
+
+    def all_full(self, p: int) -> bool:
+        return all(b == p for b in self.blocks)
+
+    def tate_dim(self, p: int) -> int:
+        """The common dimension of both Tate groups: a block of size p is
+        free, and every smaller block contributes one class to each."""
+        return sum(1 for b in self.blocks if b < p)
+
+    def to_json(self) -> dict:
+        return {"blocks": list(self.blocks), "total": self.total}
 
 
 def symmetric_dimension(nvars: int, deg: int) -> int:
@@ -104,11 +131,12 @@ def weight_rank(p: int, nvars: int, deg: int) -> int:
     return _rank_mod(_weight_columns(p, nvars, deg), p)
 
 
-def free_flags_by_k(params: HeightParams, caps: dict[int, int]) -> dict[int, list[bool]]:
+def free_flags_by_k(params: HeightParams, caps: dict[int, int], first: int = 0) -> dict[int, list[bool]]:
     """Whether Sym^d(U_k) is free, d = 0, ..., caps[k], for every k of caps,
     from one pass down the levels U_n, whose powers are not free, ..., U_k
     for the lowest k.  Each level U_j is decided up to the largest caps[k]
-    over k <= j, each (level, degree) at most once.
+    over k <= j, each (level, degree) at most once.  A pass from first > 0
+    reads the degrees below it as not free, unexamined.
 
     A degree whose dimension p does not divide is not free.  One that p
     divides is free if the degree below it and the same degree of U_(j+1)
@@ -129,13 +157,14 @@ def free_flags_by_k(params: HeightParams, caps: dict[int, int]) -> dict[int, lis
         check_dim_cap(level_vars(params, k), caps[k], f"k={k} degree {caps[k]}: ")
     # reach[j]: the last degree of U_j that some k <= j reads
     reach = {j: max(c for k, c in caps.items() if k <= j) for j in range(low, n + 1)}
-    rows = sum(symmetric_dimension(n - j + 1, d) for j in range(low, n) for d in range(j + 1, reach[j] + 1, p))
+    rows = sum(symmetric_dimension(n - j + 1, d) for j in range(low, n) for d in range(j + 1, reach[j] + 1, p)
+               if d >= first)
     if rows > WEIGHT_ROWS:
         raise ResourceGuard(f"the freeness ranks from k={low} read {rows} monomials, over the {WEIGHT_ROWS} budget")
     levels = {n: [False] * (reach[n] + 1)}
     for j in range(n - 1, low - 1, -1):
-        upper, flags, walk, nvars = levels[j + 1], [False], None, n - j + 1
-        for deg in range(1, reach[j] + 1):
+        upper, flags, walk, nvars = levels[j + 1], [False] * max(first, 1), None, n - j + 1
+        for deg in range(max(first, 1), reach[j] + 1):
             dim = symmetric_dimension(nvars, deg)
             if dim % p:
                 flags.append(False)
@@ -149,6 +178,46 @@ def free_flags_by_k(params: HeightParams, caps: dict[int, int]) -> dict[int, lis
                 flags.append(cp_rep._free_by_rank(next(m for d, m, _ in walk if d == deg)))
         levels[j] = flags
     return {k: levels[k][: caps[k] + 1] for k in caps}
+
+
+def jordan_profile(params: HeightParams, k: int, deg: int) -> JordanProfile | None:
+    """The Jordan profile of Sym^deg(U_k) where freeness flags and one rank
+    of D decide it, else None; refuses above DIM_CAP first.
+
+    Split: for the invariant last variable x, 0 -> x Sym^(d-1)(U_j) ->
+    Sym^d(U_j) -> Sym^d(U_(j+1)) -> 0 is exact, and F_p[C_p] is
+    self-injective, so a free Sym^(d-1)(U_j) splits off as dim/p blocks of
+    size p, leaving Sym^d(U_(j+1)).  The walk climbs from U_k while that
+    holds.  A free Sym^d(U_(j+1)) would split off as well, but the freeness
+    pattern, Sym^d(U_k) free iff k + 1 <= d mod p <= p - 1, frees
+    Sym^(d-1)(U_j) with it, so the walk never needs that split.
+
+    Leaf: a free power is dim/p blocks of size p.  Otherwise, as no block is
+    larger than p, there are at least c = ceil(dim/p) blocks and rank z <=
+    dim - c, and rank z >= rank D, so rank D = dim - c proves exactly c
+    blocks.  Summing to dim = q p + r, they are forced to be q of size p and
+    one of size r when c = 1 or c p - dim = 1.  U_n, degree 0 and degree 1
+    are such leaves, with rank D = 0, 0 and v - 1.
+
+    The walk reads the flags of degrees deg - 1 and deg only.  By Lucas's
+    theorem p divides the dimension of Sym^d(U_j) iff d mod p >= j + 1, in
+    runs of fewer than p degrees, and the extensions that prove a degree
+    free stay within its run and the runs of the levels above, which lie
+    inside it.  So a pass from deg - p flags those two as one from 0."""
+    p, n = params.p, params.n
+    check_dim_cap(level_vars(params, k), deg)
+    flags = free_flags_by_k(params, {j: deg for j in range(k, n)}, first=deg - p)
+    j, full = k, 0
+    while j < n and deg and flags[j][deg - 1] and not flags[j][deg]:
+        full += symmetric_dimension(n - j + 1, deg - 1) // p
+        j += 1
+    nvars = n - j + 1
+    q, r = divmod(symmetric_dimension(nvars, deg), p)
+    # a free leaf, or c = q + 1 blocks, forced where c = 1 or c p - dim = p - r = 1
+    if (j < n and flags[j][deg]) or (r and (q == 0 or r == p - 1)
+                                     and weight_rank(p, nvars, deg) == q * p + r - (q + 1)):
+        return JordanProfile((p,) * (full + q) + ((r,) if r else ()))
+    return None
 
 
 # ---------------------------------------------------------------------------

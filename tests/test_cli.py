@@ -246,6 +246,21 @@ def test_freeness_huge_max_degree_answers_at_once(k, code, out, err):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
+@pytest.mark.parametrize("degree", [7, 10**8])
+def test_sympow_trivial_level_answers_at_once(degree):
+    # every power of U_4 at p = 5 has dimension 1, so no cap refuses it; its
+    # profile is one block of size 1 at every degree, read without building
+    # a power.  A fresh interpreter, so that a walk up to the degree is
+    # killed at the time limit
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = ["sympow", "--prime", "5", "--k", "4", "--degree", str(degree)]
+    proc = subprocess.run([sys.executable, "-m", "tatedual.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=2)
+    out = {"p": 5, "k": 4, "degree": degree, "dimension": 1, "jordan": {"blocks": [1], "total": 1},
+           "tate": {"even_dim": 1, "odd_dim": 1}, "free": False}
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, json.dumps(out, indent=2) + "\n", "")
+
+
 def test_sympow_json(capsys):
     code, out, _ = run_cli(capsys, "sympow", "--prime", "3", "--k", "1", "--degree", "2")
     assert code == 0
@@ -277,6 +292,29 @@ def test_sympow_golden(capsys, argv, golden):
     assert code == 0
     assert err == ""
     assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "p,k,degree,route",
+    [(5, 1, 6, "leaf"), (5, 1, 20, "split"), (7, 4, 9, "dense")],
+)
+def test_sympow_golden_routes(p, k, degree, route, monkeypatch):
+    # the three goldens take the three routes of sympow: the rank of D alone
+    # decides degree 6 (84 = 16 * 5 + 4, so 17 blocks are forced to be 16 of
+    # size 5 and one of 4); degree 20 (1771 = 354 * 5 + 1) needs the split
+    # off of free powers first; S^9(U_4) at p = 7 has blocks 5 and 1 beside
+    # its free part, which neither decides, and goes to jordan_decompose
+    from tatedual import verdicts
+
+    params = mod_arith.height_params(p)
+    profile = verdicts.jordan_profile(params, k, degree)
+    # no power is free: the walk cannot climb, and only the leaf is left
+    monkeypatch.setattr(verdicts, "free_flags_by_k",
+                        lambda params, caps, first=0: {j: [False] * (c + 1) for j, c in caps.items()})
+    leaf = verdicts.jordan_profile(params, k, degree)
+    assert {"leaf": profile is not None and leaf == profile,
+            "split": profile is not None and leaf is None,
+            "dense": profile is None}[route]
 
 
 @pytest.mark.parametrize("argv", [("--prime", "3", "--k", "2", "--degree", "-1"),
@@ -496,7 +534,7 @@ def test_closed_form_commands_load_no_numpy(argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [("verify", "nilpotence", "--prime", "3", "--json"), ("sympow", "--prime", "5", "--k", "1", "--degree", "6")],
+    [("verify", "nilpotence", "--prime", "3", "--json"), ("sympow", "--prime", "7", "--k", "4", "--degree", "9")],
     ids=_command_id,
 )
 def test_dense_commands_load_numpy_without_scipy(argv):
@@ -505,14 +543,17 @@ def test_dense_commands_load_numpy_without_scipy(argv):
 
 @pytest.mark.parametrize(
     "argv,expected",
-    [(("verify", "nilpotence", "--prime", "5"), "nilpotence-p5.out"),
-     (("verify", "nilpotence", "--prime", "7", "--k", "2"), "nilpotence-p7-k2.out"),
-     (("verify", "freeness", "--prime", "5", "--k", "1"), "freeness-p5-k1.out")],
-    ids=["nilp-p5", "nilp-p7-k2", "free-p5-k1"],
+    [(("verify", "nilpotence", "--prime", "5"), BENCH_EXPECTED / "nilpotence-p5.out"),
+     (("verify", "nilpotence", "--prime", "7", "--k", "2"), BENCH_EXPECTED / "nilpotence-p7-k2.out"),
+     (("verify", "freeness", "--prime", "5", "--k", "1"), BENCH_EXPECTED / "freeness-p5-k1.out"),
+     (("sympow", "--prime", "5", "--k", "1", "--degree", "6"), BENCH_EXPECTED / "sympow-p5-k1-d6.out"),
+     (("sympow", "--prime", "5", "--k", "1", "--degree", "20"), GOLDEN / "sympow_p5_k1_d20.json")],
+    ids=["nilp-p5", "nilp-p7-k2", "free-p5-k1", "sympow-d6", "sympow-d20"],
 )
 def test_verdicts_load_no_numpy(argv, expected):
-    # the verdicts of the benchmark workloads come from exponent rows alone:
-    # a fresh interpreter prints the recorded bytes and never loads numpy
+    # the verdicts of the benchmark workloads, and the Jordan profiles that
+    # the weight certificate decides, come from exponent rows alone: a
+    # fresh interpreter prints the recorded bytes and never loads numpy
     probe = (
         "import contextlib, io, json, sys\n"
         "from tatedual import cli\n"
@@ -524,7 +565,7 @@ def test_verdicts_load_no_numpy(argv, expected):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, (BENCH_EXPECTED / expected).read_text(), False]
+    assert json.loads(proc.stdout) == [0, expected.read_text(), False]
 
 
 _CLI_IMPORT = ["cli", "errors", "mod_arith", "tatedual"]
@@ -542,7 +583,7 @@ _CLI_IMPORT = ["cli", "errors", "mod_arith", "tatedual"]
         (("verify", "cancellation", "--prime", "3"), ["tate_engine"]),
         (("chart", "--prime", "5", "--overlay"), ["chart_render", "tate_engine"]),
         (("verify", "nilpotence", "--prime", "3", "--json"), ["cp_rep", "json", "linalg", "verdicts"]),
-        (("sympow", "--prime", "5", "--k", "1", "--degree", "6"), ["cp_rep", "json", "linalg", "verdicts"]),
+        (("sympow", "--prime", "5", "--k", "1", "--degree", "6"), ["json", "verdicts"]),
     ],
     ids=_command_id,
 )

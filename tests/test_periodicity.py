@@ -240,3 +240,46 @@ def test_p7_k1_rank_path_matches_golden(degree):
     assert not mod.is_dense()
     rank = linalg.sparse_rank_mod(cp_rep._z_triplets(mod), 7)
     assert (mod.dim, rank) == (row["dimension"], row["rank_z"])
+
+
+
+def _sympow_inputs(p, limit):
+    """(k, top) for every level U_k at p: the sympow inputs of dimension <=
+    limit are the degrees d <= top; at the trivial level U_n, whose every
+    power has dimension 1, top is 2p."""
+    return [(k, max(d for d in range(limit if k < p - 1 else 2 * p) if verdicts.symmetric_dimension(p - k, d) <= limit))
+            for k in range(p)]
+
+
+@pytest.mark.parametrize("p,certified", [(3, 330), (5, 225)])
+def test_certified_profile_matches_decomposition(p, certified):
+    # the profile that sympow reads off the freeness flags and the rank of
+    # D, wherever they decide it, against the dense decomposition along one
+    # walk per level and against the periodicity.  To dimension 300 it
+    # takes about 3 s on a 2-core machine; to 500, 10 s, most of it in
+    # jordan_decompose on the powers of the two-variable U_(p-2)
+    params, seen = height_params(p), 0
+    for k, top in _sympow_inputs(p, 300):
+        for deg, mod, _ in cp_rep._symmetric_walk(cp_rep.u_k_module(params, k), top):
+            profile = verdicts.jordan_profile(params, k, deg)
+            if profile is not None:
+                seen += 1
+                assert profile == cp_rep.jordan_decompose(mod), (k, deg)
+                assert profile.blocks == predicted_blocks(p, k, deg), (k, deg)
+    assert seen == certified
+
+
+# the walks up U_(p-2) to degree 1999 alone would take a minute per prime,
+# so this sweep checks against the periodicity only: about 30 s on a
+# 2-core machine; CI runs it with -m slow
+@pytest.mark.slow
+@pytest.mark.parametrize("p,certified", [(3, 2068), (5, 1284), (7, 944)])
+def test_certified_profile_matches_prediction_to_dense_limit(p, certified):
+    params, seen = height_params(p), 0
+    for k, top in _sympow_inputs(p, cp_rep.DENSE_LIMIT):
+        for deg in range(top + 1):
+            profile = verdicts.jordan_profile(params, k, deg)
+            if profile is not None:
+                seen += 1
+                assert profile.blocks == predicted_blocks(p, k, deg), (k, deg)
+    assert seen == certified
