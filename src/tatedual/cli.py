@@ -13,12 +13,12 @@ module loads errors and mod_arith, which holds the parser's GROUPS and
 FORMATS; `verify congruence` adds nothing, `shifts` duality_shifts and
 tate_engine, `chart` chart_render and tate_engine, `verify cancellation`
 tate_engine, and the plain `verify nilpotence` and `verify freeness`
-verdicts alone (no numpy or json), as does `sympow`, with json.  cp_rep,
-and with it numpy, is imported by `verify nilpotence --json` and wherever
-the weight certificate of verdicts leaves a freeness or a Jordan profile
-open; json only where JSON is printed.  Every record of the package is a
-collections.namedtuple, so no command loads dataclasses.  Cold, with no
-bytecode, this import takes about 12 ms on a 2-core machine.
+verdicts alone (no numpy or json), as do `sympow` and `verify nilpotence
+--json`, with json.  cp_rep, and with it numpy, is imported only where the
+weight certificate of verdicts leaves a freeness, or the Jordan profile of
+a base degree, open; json only where JSON is printed.  Every record of the
+package is a collections.namedtuple, so no command loads dataclasses.
+Cold, with no bytecode, this import takes about 12 ms on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -183,15 +183,12 @@ def cmd_sympow(args) -> int:
     import json
     from . import verdicts
     params = mod_arith.height_params(args.prime)
-    # the Jordan profile needs a dense action where the weight certificate is silent
+    # sympow answers up to the dense limit, though it builds at most the base degree
     dim = verdicts.symmetric_dimension(verdicts.level_vars(params, args.k), args.degree)
     if dim > verdicts.DENSE_LIMIT:
         raise ResourceGuard(f"sympow needs dimension <= {verdicts.DENSE_LIMIT}, but degree {args.degree} has "
                             f"dimension {dim}; `tatedual verify freeness` checks larger powers from ranks")
     profile = verdicts.jordan_profile(params, args.k, args.degree)
-    if profile is None:
-        from . import cp_rep
-        profile = cp_rep.jordan_decompose(cp_rep.symmetric_power(cp_rep.u_k_module(params, args.k), args.degree))
     tate = profile.tate_dim(params.p)
     out = {
         "p": params.p,

@@ -15,14 +15,14 @@ second sort, and every rank of z is taken from those triplets.  Up to
 DENSE_LIMIT, z is also made a dense matrix once, for the skinny rows
 z^i[R, :], i < p, where R is the dim - rank(z) indices outside a set of
 independent columns of z; the ranks of every power of z, and so the Jordan
-profile and rank(N), come from stacks of these rows, and no power of z is
-formed.  sympow decomposes here only the powers whose Jordan profile the
-weight certificate of verdicts leaves open (verdicts.jordan_profile), and
-the suites decide freeness there too, except for a degree that it leaves
-open (_free_by_rank).  The report with Tate dimensions adds, at each dense
-degree that is not free, dim - rank(z) - rank(N).  A window of degrees
-without a free one, which no valid input has, would be tested explicitly
-against kernel and image bases of z and N, the one place they are built.
+profile, come from stacks of these rows, and no power of z is formed.
+Only a base degree b < p whose Jordan profile the weight certificate of
+verdicts leaves open is decomposed here (verdicts.jordan_profile), for
+sympow and for the Tate dimensions of the nilpotence reports, and the
+suites decide freeness here too, except for a degree that it leaves open
+(_free_by_rank).  A window of degrees without a free one, which no valid
+input has, would be tested explicitly against kernel and image bases of z
+and N, the one place they are built.
 
 Everything is computed over F_p.  Coefficient extensions to F_{p^n} only
 rescale multiplicities, so dimension counts, freeness and vanishing
@@ -38,8 +38,9 @@ import numpy as np
 from . import linalg
 from .errors import InvalidInput, ResourceGuard
 from .mod_arith import HeightParams
-from .verdicts import (DENSE_LIMIT, JordanProfile, NilpotenceReport, check_dim_cap, level_vars, nilpotence_report,
-                       symmetric_dimension)
+from .verdicts import DENSE_LIMIT, JordanProfile, check_dim_cap, level_vars, symmetric_dimension
+# bench/launcher.py wraps cp_rep.nilpotence_report by name
+from .verdicts import nilpotence_report
 
 
 class CpModule(namedtuple("CpModule", "p dim gen_action")):
@@ -305,17 +306,6 @@ def _tate_data(m: CpModule) -> _CohomologyData:
     return _CohomologyData(tate=tate, ker_z=ker_z, im_z=im_z, ker_n=ker_n, im_n=im_n)
 
 
-def _tate_dim_by_rank(m: CpModule) -> int:
-    """The common dimension of both Tate groups of a dense module, from two
-    ranks: im(N) lies in ker(z), so ker(z)/im(N) has dimension
-    (dim - rank z) - rank N.  rank z is the count of independent columns
-    of z, and rank N that of the skinny rows Y_(p-1) = N[R, :] of
-    _skinny_powers, since row(N) = row(Y_(p-1)) + row(z^p) and z^p = 0;
-    only the current Y_i is kept, and N is never formed."""
-    indep, rows = _skinny_powers(m)
-    return m.dim - len(indep) - linalg.rank_mod(deque(rows, maxlen=1).pop(), m.p)
-
-
 def _free_by_rank(m: CpModule) -> bool:
     """Freeness from the rank of zeta - 1 alone: free iff rank z = dim -
     dim/p, which holds when no Jordan block is larger than p (see verdicts).
@@ -376,41 +366,3 @@ def _window_vanishes(p: int, window: list) -> bool:
     for _, _, embed in window[1:]:
         composite = embed[composite]
     return _induced_step(p, composite, tgt_mod.dim, _tate_data(src_mod), _tate_data(tgt_mod), first)
-
-
-# ---------------------------------------------------------------------------
-# the nilpotence suite
-
-# the dense cells, dim^2 summed over degrees, that one nilpotence_reports may rank
-TATE_CELLS = 2**23
-
-
-def check_tate_budget(params: HeightParams, caps: dict[int, int]) -> None:
-    """Refuse the Tate dimensions of every k of caps, lowest first, where the
-    dense degrees that the verdict's pattern leaves not free, d <= caps[k]
-    with d mod p <= k, pass TATE_CELLS in total, naming that k and degree."""
-    cells = 0
-    for k in sorted(caps):
-        for d in range(caps[k] + 1):
-            dim = symmetric_dimension(level_vars(params, k), d)
-            if dim > DENSE_LIMIT:
-                break
-            cells += dim * dim if d % params.p <= k else 0
-            if cells > TATE_CELLS:
-                raise ResourceGuard(f"the Tate dimensions up to k={k} degree {d} would rank {cells} dense cells, "
-                                    f"over the {TATE_CELLS} budget")
-
-
-def nilpotence_tate_report(params: HeightParams, k: int, flags: list[bool]) -> NilpotenceReport:
-    """nilpotence_report with the Tate dimension of every dense degree that
-    is not free, from _tate_dim_by_rank on one walk up U_k that stops at the
-    last such degree."""
-    report = nilpotence_report(params, k, flags)
-    todo = [d.deg for d in report.degrees if not d.free and d.dim <= DENSE_LIMIT]
-    if not todo:
-        return report
-    walk = _symmetric_walk(u_k_module(params, k), todo[-1])
-    tate = {deg: _tate_dim_by_rank(mod) for deg, mod, _ in walk if deg in todo}
-    degrees = tuple(d._replace(even_dim=tate[d.deg], odd_dim=tate[d.deg]) if d.deg in tate else d
-                    for d in report.degrees)
-    return report._replace(degrees=degrees)

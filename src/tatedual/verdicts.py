@@ -21,9 +21,11 @@ rank z <= dim - dim/p, with equality iff the module is free.  So rank D =
 dim - dim/p proves the degree free, exactly.  D's columns stream into its
 rank one exponent row at a time, so only the pivots stay live.  Only when
 rank D falls short does a degree import cp_rep, for a rank of z
-(cp_rep._free_by_rank).  The same bounds give sympow its Jordan profile
-(jordan_profile) from the freeness flags and one rank of D wherever they
-force it, and cp_rep's dense decomposition only where they do not.
+(cp_rep._free_by_rank).  The same bounds prove the Jordan profile of a
+base degree b < p, and the Almkvist-Fossum periodicity adds the free blocks
+of every degree b + tp (jordan_profile), so sympow and the Tate dimensions
+of the nilpotence reports import cp_rep only to decompose a base degree
+that the bounds leave open.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ WEIGHT_ROWS = 1_000_000
 # the largest dimension at which cp_rep makes z a dense matrix, and so the
 # largest power whose profile sympow takes
 DENSE_LIMIT = 2000
+# the dense cells, dim^2 summed over degrees, that one nilpotence_reports may rank
+TATE_CELLS = 2**23
 
 
 class JordanProfile(namedtuple("JordanProfile", "blocks")):
@@ -131,12 +135,11 @@ def weight_rank(p: int, nvars: int, deg: int) -> int:
     return _rank_mod(_weight_columns(p, nvars, deg), p)
 
 
-def free_flags_by_k(params: HeightParams, caps: dict[int, int], first: int = 0) -> dict[int, list[bool]]:
+def free_flags_by_k(params: HeightParams, caps: dict[int, int]) -> dict[int, list[bool]]:
     """Whether Sym^d(U_k) is free, d = 0, ..., caps[k], for every k of caps,
     from one pass down the levels U_n, whose powers are not free, ..., U_k
     for the lowest k.  Each level U_j is decided up to the largest caps[k]
-    over k <= j, each (level, degree) at most once.  A pass from first > 0
-    reads the degrees below it as not free, unexamined.
+    over k <= j, each (level, degree) at most once.
 
     A degree whose dimension p does not divide is not free.  One that p
     divides is free if the degree below it and the same degree of U_(j+1)
@@ -157,14 +160,13 @@ def free_flags_by_k(params: HeightParams, caps: dict[int, int], first: int = 0) 
         check_dim_cap(level_vars(params, k), caps[k], f"k={k} degree {caps[k]}: ")
     # reach[j]: the last degree of U_j that some k <= j reads
     reach = {j: max(c for k, c in caps.items() if k <= j) for j in range(low, n + 1)}
-    rows = sum(symmetric_dimension(n - j + 1, d) for j in range(low, n) for d in range(j + 1, reach[j] + 1, p)
-               if d >= first)
+    rows = sum(symmetric_dimension(n - j + 1, d) for j in range(low, n) for d in range(j + 1, reach[j] + 1, p))
     if rows > WEIGHT_ROWS:
         raise ResourceGuard(f"the freeness ranks from k={low} read {rows} monomials, over the {WEIGHT_ROWS} budget")
     levels = {n: [False] * (reach[n] + 1)}
     for j in range(n - 1, low - 1, -1):
-        upper, flags, walk, nvars = levels[j + 1], [False] * max(first, 1), None, n - j + 1
-        for deg in range(max(first, 1), reach[j] + 1):
+        upper, flags, walk, nvars = levels[j + 1], [False], None, n - j + 1
+        for deg in range(1, reach[j] + 1):
             dim = symmetric_dimension(nvars, deg)
             if dim % p:
                 flags.append(False)
@@ -180,44 +182,36 @@ def free_flags_by_k(params: HeightParams, caps: dict[int, int], first: int = 0) 
     return {k: levels[k][: caps[k] + 1] for k in caps}
 
 
-def jordan_profile(params: HeightParams, k: int, deg: int) -> JordanProfile | None:
-    """The Jordan profile of Sym^deg(U_k) where freeness flags and one rank
-    of D decide it, else None; refuses above DIM_CAP first.
+def jordan_profile(params: HeightParams, k: int, deg: int) -> JordanProfile:
+    """The Jordan profile of Sym^deg(U_k), from that of its base degree b =
+    deg mod p.
 
-    Split: for the invariant last variable x, 0 -> x Sym^(d-1)(U_j) ->
-    Sym^d(U_j) -> Sym^d(U_(j+1)) -> 0 is exact, and F_p[C_p] is
-    self-injective, so a free Sym^(d-1)(U_j) splits off as dim/p blocks of
-    size p, leaving Sym^d(U_(j+1)).  The walk climbs from U_k while that
-    holds.  A free Sym^d(U_(j+1)) would split off as well, but the freeness
-    pattern, Sym^d(U_k) free iff k + 1 <= d mod p <= p - 1, frees
-    Sym^(d-1)(U_j) with it, so the walk never needs that split.
+    Periodicity: for a Jordan block V_v of size v <= p, Sym^(d+p)(V_v) is
+    Sym^d(V_v) plus a free module (G. Almkvist and R. Fossum, LNM 641, 1978;
+    see also Hughes and Kemper, Comm. Algebra 28, 2000).  U_k is one block
+    of size v = p - k <= p, so Sym^deg(U_k) has the blocks of Sym^b(U_k)
+    and (dim_deg - dim_b)/p more of size p.
 
-    Leaf: a free power is dim/p blocks of size p.  Otherwise, as no block is
-    larger than p, there are at least c = ceil(dim/p) blocks and rank z <=
-    dim - c, and rank z >= rank D, so rank D = dim - c proves exactly c
-    blocks.  Summing to dim = q p + r, they are forced to be q of size p and
-    one of size r when c = 1 or c p - dim = 1.  U_n, degree 0 and degree 1
-    are such leaves, with rank D = 0, 0 and v - 1.
-
-    The walk reads the flags of degrees deg - 1 and deg only.  By Lucas's
-    theorem p divides the dimension of Sym^d(U_j) iff d mod p >= j + 1, in
-    runs of fewer than p degrees, and the extensions that prove a degree
-    free stay within its run and the runs of the levels above, which lie
-    inside it.  So a pass from deg - p flags those two as one from 0."""
-    p, n = params.p, params.n
-    check_dim_cap(level_vars(params, k), deg)
-    flags = free_flags_by_k(params, {j: deg for j in range(k, n)}, first=deg - p)
-    j, full = k, 0
-    while j < n and deg and flags[j][deg - 1] and not flags[j][deg]:
-        full += symmetric_dimension(n - j + 1, deg - 1) // p
-        j += 1
-    nvars = n - j + 1
-    q, r = divmod(symmetric_dimension(nvars, deg), p)
+    Base: a free Sym^b(U_k), by its freeness flag, is dim/p blocks of size
+    p.  Otherwise, as no block is larger than p, there are at least c =
+    ceil(dim/p) blocks and rank z <= dim - c, and rank z >= rank D, so rank
+    D = dim - c proves exactly c blocks.  Summing to dim = q p + r, they are
+    forced to be q of size p and one of size r when c = 1 or c p - dim = 1.
+    U_n, degree 0 and degree 1 are such leaves, with rank D = 0, 0 and v -
+    1.  Where both are silent, cp_rep decomposes Sym^b(U_k), whose dimension
+    is at most that of Sym^deg(U_k); no power past degree p - 1 is built."""
+    p = params.p
+    nvars, b = level_vars(params, k), deg % p
+    q, r = divmod(symmetric_dimension(nvars, b), p)
     # a free leaf, or c = q + 1 blocks, forced where c = 1 or c p - dim = p - r = 1
-    if (j < n and flags[j][deg]) or (r and (q == 0 or r == p - 1)
-                                     and weight_rank(p, nvars, deg) == q * p + r - (q + 1)):
-        return JordanProfile((p,) * (full + q) + ((r,) if r else ()))
-    return None
+    if free_flags_by_k(params, {k: b})[k][b] or (r and (q == 0 or r == p - 1)
+                                                 and weight_rank(p, nvars, b) == q * p + r - (q + 1)):
+        base = (p,) * q + ((r,) if r else ())
+    else:
+        from . import cp_rep
+
+        base = cp_rep.jordan_decompose(cp_rep.symmetric_power(cp_rep.u_k_module(params, k), b)).blocks
+    return JordanProfile((p,) * ((symmetric_dimension(nvars, deg) - q * p - r) // p) + base)
 
 
 # ---------------------------------------------------------------------------
@@ -239,24 +233,37 @@ class NilpotenceReport(namedtuple("NilpotenceReport", "p k max_deg degrees windo
                 "trivial": self.trivial, "windows_checked": self.windows, "degrees": degrees}
 
 
+def check_tate_budget(params: HeightParams, caps: dict[int, int]) -> None:
+    """Refuse the Tate dimensions of every k of caps, lowest first, where the
+    dense degrees that the verdict's pattern leaves not free, d <= caps[k]
+    with d mod p <= k, pass TATE_CELLS in total, naming that k and degree."""
+    cells = 0
+    for k in sorted(caps):
+        for d in range(caps[k] + 1):
+            dim = symmetric_dimension(level_vars(params, k), d)
+            if dim > DENSE_LIMIT:
+                break
+            cells += dim * dim if d % params.p <= k else 0
+            if cells > TATE_CELLS:
+                raise ResourceGuard(f"the Tate dimensions up to k={k} degree {d} would rank {cells} dense cells, "
+                                    f"over the {TATE_CELLS} budget")
+
+
 def nilpotence_reports(
     params: HeightParams, caps: dict[int, int], tate_dims: bool
 ) -> list[NilpotenceReport]:
     """One report for each k of caps, in order, up to caps[k].  One pass of
     free_flags_by_k first decides every k with a verdict to find (1 <= k <
-    n, caps[k] > k), whose report then comes from its flags, through
-    cp_rep.nilpotence_tate_report with tate_dims, else nilpotence_report.
-    With tate_dims, cp_rep.check_tate_budget runs before the pass.
+    n, caps[k] > k), whose report then comes from its flags through
+    nilpotence_report.  With tate_dims, check_tate_budget runs before the
+    pass, and every dense degree that is not free gets the Tate dimension of
+    its base degree d mod p from jordan_profile, once per base.
     k = 0 gets the trivial report; any other k outside [1, n - 1], or with
     caps[k] < k + 1, is refused when its turn comes, after the pass."""
     p, n = params.p, params.n
     decided = {k: d for k, d in caps.items() if 1 <= k < n and d > k}
-    report_of = nilpotence_report
     if tate_dims:
-        from . import cp_rep
-
-        cp_rep.check_tate_budget(params, decided)
-        report_of = cp_rep.nilpotence_tate_report
+        check_tate_budget(params, decided)
     flags = free_flags_by_k(params, decided)
     reports = []
     for k, max_deg in caps.items():
@@ -269,7 +276,14 @@ def nilpotence_reports(
         elif max_deg < k + 1:
             raise InvalidInput("max_deg must be at least k + 1")
         else:
-            reports.append(report_of(params, k, flags[k]))
+            report = nilpotence_report(params, k, flags[k])
+            if tate_dims:
+                todo = {d for d in report.degrees if not d.free and d.dim <= DENSE_LIMIT}
+                tate = {b: jordan_profile(params, k, b).tate_dim(p) for b in {d.deg % p for d in todo}}
+                report = report._replace(degrees=tuple(
+                    d._replace(even_dim=tate[d.deg % p], odd_dim=tate[d.deg % p]) if d in todo else d
+                    for d in report.degrees))
+            reports.append(report)
     return reports
 
 

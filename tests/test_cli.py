@@ -161,15 +161,15 @@ def test_nilpotence_json_over_tate_budget_refused_at_once(capsys):
 def test_tate_budget_boundary():
     # at p = 3, U_1 has dimension d + 1, and the degrees d = 0, 1 mod 3 are
     # not free: their squares first pass 2^23 at degree 334
-    from tatedual import cp_rep
+    from tatedual import verdicts
     from tatedual.errors import ResourceGuard
 
     params = mod_arith.height_params(3)
     cells = sum((d + 1) ** 2 for d in range(335) if d % 3 <= 1)
-    assert cells - 335**2 <= cp_rep.TATE_CELLS < cells
-    cp_rep.check_tate_budget(params, {1: 333})
+    assert cells - 335**2 <= verdicts.TATE_CELLS < cells
+    verdicts.check_tate_budget(params, {1: 333})
     with pytest.raises(ResourceGuard):
-        cp_rep.check_tate_budget(params, {1: 334})
+        verdicts.check_tate_budget(params, {1: 334})
 
 
 def test_verify_nilpotence_p7_golden(capsys):
@@ -296,25 +296,66 @@ def test_sympow_golden(capsys, argv, golden):
 
 @pytest.mark.parametrize(
     "p,k,degree,route",
-    [(5, 1, 6, "leaf"), (5, 1, 20, "split"), (7, 4, 9, "dense")],
+    [(5, 1, 6, "leaf"), (5, 1, 20, "leaf"), (7, 4, 9, "dense")],
 )
 def test_sympow_golden_routes(p, k, degree, route, monkeypatch):
-    # the three goldens take the three routes of sympow: the rank of D alone
-    # decides degree 6 (84 = 16 * 5 + 4, so 17 blocks are forced to be 16 of
-    # size 5 and one of 4); degree 20 (1771 = 354 * 5 + 1) needs the split
-    # off of free powers first; S^9(U_4) at p = 7 has blocks 5 and 1 beside
-    # its free part, which neither decides, and goes to jordan_decompose
-    from tatedual import verdicts
+    # the three goldens take the two routes of sympow at their base degree
+    # d mod p: the rank of D alone decides S^1(U_1) at p = 5 (one block of
+    # size 4) and S^0(U_1) (one of size 1); S^2(U_4) at p = 7 has blocks 5
+    # and 1, which it does not decide, and goes to jordan_decompose.  The
+    # free blocks of degrees 6, 20 and 9 come on top
+    from tatedual import cp_rep, verdicts
 
+    decomposed = []
+    real = cp_rep.jordan_decompose
+    monkeypatch.setattr(cp_rep, "jordan_decompose", lambda m: decomposed.append(m.dim) or real(m))
     params = mod_arith.height_params(p)
     profile = verdicts.jordan_profile(params, k, degree)
-    # no power is free: the walk cannot climb, and only the leaf is left
+    assert decomposed == {"leaf": [], "dense": [6]}[route]
+    # no freeness flag is needed: the leaf or the decomposition decides alone
     monkeypatch.setattr(verdicts, "free_flags_by_k",
-                        lambda params, caps, first=0: {j: [False] * (c + 1) for j, c in caps.items()})
-    leaf = verdicts.jordan_profile(params, k, degree)
-    assert {"leaf": profile is not None and leaf == profile,
-            "split": profile is not None and leaf is None,
-            "dense": profile is None}[route]
+                        lambda params, caps: {j: [False] * (c + 1) for j, c in caps.items()})
+    assert verdicts.jordan_profile(params, k, degree) == profile
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "nilpotence", "--prime", "3", "--json"),
+     ("verify", "nilpotence", "--prime", "5", "--json"),
+     ("verify", "nilpotence", "--prime", "7", "--json"),
+     ("sympow", "--prime", "7", "--k", "4", "--degree", "9"),
+     ("sympow", "--prime", "13", "--k", "11", "--degree", "1999")],
+    ids=lambda argv: " ".join(argv),
+)
+def test_no_walk_past_base_degree(capsys, monkeypatch, argv):
+    # every Jordan profile and Tate dimension is read off the base degree d
+    # mod p, so no symmetric power past degree p - 1 is built, and every
+    # default --json suite and sympow answer at once
+    from tatedual import cp_rep
+
+    stepped = []
+    step = cp_rep._SymmetricChain.step
+
+    def counted(chain):
+        stepped.append(chain.deg + 1)
+        step(chain)
+
+    monkeypatch.setattr(cp_rep._SymmetricChain, "step", counted)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert (code, err) == (0, "")
+    assert max(stepped, default=0) < int(argv[argv.index("--prime") + 1])
+
+
+def test_sympow_far_past_p():
+    # S^1999(U_11) at p = 13, the largest power of U_11 that sympow accepts:
+    # 1999 = 10 mod 13, S^10(U_11) is one block of size 11, and the other
+    # 1989 dimensions are 153 free blocks
+    from tatedual import verdicts
+
+    profile = verdicts.jordan_profile(mod_arith.height_params(13), 11, 1999)
+    assert profile.blocks == (13,) * 153 + (11,)
 
 
 @pytest.mark.parametrize("argv", [("--prime", "3", "--k", "2", "--degree", "-1"),
@@ -534,7 +575,7 @@ def test_closed_form_commands_load_no_numpy(argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [("verify", "nilpotence", "--prime", "3", "--json"), ("sympow", "--prime", "7", "--k", "4", "--degree", "9")],
+    [("sympow", "--prime", "7", "--k", "4", "--degree", "9")],
     ids=_command_id,
 )
 def test_dense_commands_load_numpy_without_scipy(argv):
@@ -547,13 +588,15 @@ def test_dense_commands_load_numpy_without_scipy(argv):
      (("verify", "nilpotence", "--prime", "7", "--k", "2"), BENCH_EXPECTED / "nilpotence-p7-k2.out"),
      (("verify", "freeness", "--prime", "5", "--k", "1"), BENCH_EXPECTED / "freeness-p5-k1.out"),
      (("sympow", "--prime", "5", "--k", "1", "--degree", "6"), BENCH_EXPECTED / "sympow-p5-k1-d6.out"),
-     (("sympow", "--prime", "5", "--k", "1", "--degree", "20"), GOLDEN / "sympow_p5_k1_d20.json")],
-    ids=["nilp-p5", "nilp-p7-k2", "free-p5-k1", "sympow-d6", "sympow-d20"],
+     (("sympow", "--prime", "5", "--k", "1", "--degree", "20"), GOLDEN / "sympow_p5_k1_d20.json"),
+     (("verify", "nilpotence", "--prime", "3", "--json"), GOLDEN / "nilpotence_p3.json")],
+    ids=["nilp-p5", "nilp-p7-k2", "free-p5-k1", "sympow-d6", "sympow-d20", "nilp-p3-json"],
 )
 def test_verdicts_load_no_numpy(argv, expected):
-    # the verdicts of the benchmark workloads, and the Jordan profiles that
-    # the weight certificate decides, come from exponent rows alone: a
-    # fresh interpreter prints the recorded bytes and never loads numpy
+    # the verdicts of the benchmark workloads, and the Jordan profiles and
+    # Tate dimensions that the weight certificate decides at the base
+    # degree, come from exponent rows alone: a fresh interpreter prints the
+    # recorded bytes and never loads numpy
     probe = (
         "import contextlib, io, json, sys\n"
         "from tatedual import cli\n"
@@ -582,7 +625,7 @@ _CLI_IMPORT = ["cli", "errors", "mod_arith", "tatedual"]
         (("shifts", "--prime", "7"), ["duality_shifts", "tate_engine"]),
         (("verify", "cancellation", "--prime", "3"), ["tate_engine"]),
         (("chart", "--prime", "5", "--overlay"), ["chart_render", "tate_engine"]),
-        (("verify", "nilpotence", "--prime", "3", "--json"), ["cp_rep", "json", "linalg", "verdicts"]),
+        (("verify", "nilpotence", "--prime", "3", "--json"), ["json", "verdicts"]),
         (("sympow", "--prime", "5", "--k", "1", "--degree", "6"), ["json", "verdicts"]),
     ],
     ids=_command_id,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import re
 import tracemalloc
@@ -283,14 +284,14 @@ class TestTate:
 
 
 class TestTateRankFormula:
-    """dim - rank(z) - rank(N), and the count of Jordan blocks smaller than p
-    that sympow prints, against the kernel and image bases of _tate_data."""
+    """The count of Jordan blocks smaller than p, the Tate dimension that
+    sympow and `verify nilpotence --json` print, against the kernel and
+    image bases of _tate_data."""
 
     @staticmethod
     def _agrees(module):
         td = cp_rep._tate_data(module).tate
-        by_profile = cp_rep.jordan_decompose(module).tate_dim(module.p)
-        return cp_rep._tate_dim_by_rank(module) == by_profile == td.even_dim == td.odd_dim
+        return cp_rep.jordan_decompose(module).tate_dim(module.p) == td.even_dim == td.odd_dim
 
     def test_random_modules(self):
         rng = np.random.default_rng(7919)
@@ -325,7 +326,28 @@ class TestTateRankFormula:
             action = action[np.ix_(perm, perm)]
             assert np.triu(action, 1).any()
         with pytest.raises(InvalidInput):
-            cp_rep._tate_dim_by_rank(cp_rep.CpModule(p=p, dim=dim, gen_action=action))
+            cp_rep.jordan_decompose(cp_rep.CpModule(p=p, dim=dim, gen_action=action))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_json_tate_dims_match_kernel_and_image(self, p, capsys):
+        # every dense degree that is not free in `verify nilpotence --json`
+        # takes the Tate dimension of its base degree d mod p; the explicit
+        # power's kernel and image bases, along one walk per level, must
+        # give it in both groups.  About 2 s at p = 5 and 1.5 s at p = 7 on
+        # a 2-core machine, most of it at degree 20 of U_1 (dimension 1771)
+        # at p = 5 and at degree 8 of U_1 (1287) at p = 7
+        params = height_params(p)
+        assert cli.main(["verify", "nilpotence", "--prime", str(p), "--json"]) == 0
+        checked = 0
+        for report in json.loads(capsys.readouterr().out):
+            todo = {d["degree"]: d for d in report["degrees"]
+                    if not d["free"] and d["dimension"] <= cp_rep.DENSE_LIMIT}
+            for deg, mod, _ in cp_rep._symmetric_walk(cp_rep.u_k_module(params, report["k"]), max(todo)):
+                if deg in todo:
+                    tate = cp_rep._tate_data(mod).tate
+                    assert (todo[deg]["even_dim"], todo[deg]["odd_dim"]) == tuple(tate), (report["k"], deg)
+                    checked += 1
+        assert checked == {3: 19, 5: 46, 7: 43}[p]
 
 
 class TestFreeness:
@@ -723,14 +745,18 @@ class TestNilpotence:
         assert built == _ranked_pairs(5, 2, 15)
 
     def test_z_built_once_per_dense_degree(self, params5, monkeypatch):
-        # the ranked degrees, which are free, and the degrees of U_2 that
-        # are not free, for their Tate dimensions
+        # the ranks of z at the ranked degrees, which are free, and one
+        # decomposition for each base degree d mod p of the degrees of U_2
+        # that are not free, 0, 1 and 2, all below p: with the weight
+        # certificate forced short, no leaf decides them
         _weight_short(monkeypatch)
-        built = _levels_seen(monkeypatch, "_z_triplets", params5)
+        ranked = _levels_seen(monkeypatch, "_free_by_rank", params5)
+        decomposed = self._dims_seen(monkeypatch, "jordan_decompose")
         report = report_for_k(params5, 2, 15, tate_dims=True)
         assert all(d.dim <= cp_rep.DENSE_LIMIT for d in report.degrees)
-        assert len(built) == len(set(built))
-        assert set(built) == set(_ranked_pairs(5, 2, 15)) | {(2, d.deg) for d in report.degrees if not d.free}
+        assert ranked == _ranked_pairs(5, 2, 15)
+        assert {d.deg % 5 for d in report.degrees if not d.free} == {0, 1, 2}
+        assert sorted(decomposed) == [verdicts.symmetric_dimension(3, b) for b in (0, 1, 2)]
 
     def test_verdict_takes_no_powers_of_z(self, params5, monkeypatch):
         # one rank of z at each degree that free_flags_by_k ranks, and nothing else
@@ -742,11 +768,18 @@ class TestNilpotence:
         assert report_for_k(params5, 1, 20).holds
 
     def test_tate_report_skips_free_degrees(self, params5, monkeypatch):
-        # at a free dense degree the rank of z is the whole answer
+        # a free degree reports 0, and one that is not free the Tate
+        # dimension of its base degree d mod p: at k = 1 the bases 0 and 1,
+        # which the rank of D decides, so no power is built or decomposed
+        def refused(*args):
+            raise AssertionError("the Tate report built a power")
+
+        monkeypatch.setattr(cp_rep._SymmetricChain, "step", refused)
         skinny = self._dims_seen(monkeypatch, "_skinny_powers")
         report = report_for_k(params5, 1, 20, tate_dims=True)
         assert any(d.free for d in report.degrees)
-        assert skinny == [d.dim for d in report.degrees if not d.free]
+        assert {d.deg % 5 for d in report.degrees if not d.free} == {0, 1}
+        assert skinny == []
 
     def test_walk_stops_at_last_ranked_degree(self, monkeypatch):
         # p = 7, k = 2: each level U_j steps only to its last ranked degree,
@@ -786,7 +819,6 @@ class TestNilpotence:
         # the dense limit is refused.  Its last degree has dimension 5 at
         # p = 3, which 3 does not divide, and 15 at p = 5, which is ranked
         monkeypatch.setattr(cp_rep, "DENSE_LIMIT", limit)
-        monkeypatch.setattr(cp_rep, "_tate_dim_by_rank", lambda m: 1)
         monkeypatch.setattr(cp_rep, "_free_by_rank", lambda m: False)
         _weight_short(monkeypatch)
         with pytest.raises(ResourceGuard) as refused:

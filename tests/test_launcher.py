@@ -55,19 +55,19 @@ def _launch(spans_path, *argv):
 def test_spans_land_for_function_local_imports(tmp_path):
     # cli imports verdicts, and verdicts cp_rep, inside the commands that use
     # them; the patched module attributes must still see every call.  The
-    # plain verdict no longer reaches cp_rep; --json does, for its Tate
-    # dimensions
+    # verdicts and the --json Tate dimensions at p = 3 no longer reach
+    # cp_rep; a sympow whose base degree S^2(U_4) at p = 7 (blocks 5 and 1)
+    # the weight certificate leaves open does, for its decomposition
     spans_path = tmp_path / "spans.json"
-    proc = _launch(spans_path, "verify", "nilpotence", "--prime", "3", "--json")
+    proc = _launch(spans_path, "sympow", "--prime", "7", "--k", "4", "--degree", "9")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (ROOT / "tests" / "golden" / "nilpotence_p3.json").read_bytes()
+    assert proc.stdout == (ROOT / "tests" / "golden" / "sympow_p7_k4_d9.json").read_bytes()
     names = {span["name"] for span in json.loads(spans_path.read_text())}
-    assert {"cp_rep.nilpotence", "cp_rep.chain_step", "linalg.matmul"} <= names
+    assert {"cp_rep.jordan", "cp_rep.chain_step", "linalg.matmul"} <= names
 
 
 def test_nilpotence_json_runs_under_the_launcher(tmp_path):
-    # the Tate-dimension report is a second entry beside the wrapped
-    # nilpotence_report; its output must not change under the wrappers
+    # the --json output must not change under the wrappers
     proc = _launch(tmp_path / "spans.json", "verify", "nilpotence", "--prime", "3", "--json")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (ROOT / "tests" / "golden" / "nilpotence_p3.json").read_bytes()

@@ -297,7 +297,7 @@ def test_sparse_rank_budget_refuses_before_allocating(monkeypatch):
 
 # (rows, cols): both sides of _BLOCKED_MIN (192) and of the structural
 # rank's row block (512), wide and tall; (160, 820) is shaped like the rows
-# of N that _tate_dim_by_rank ranks
+# of N that jordan_decompose stacks
 RANK_SHAPES = [(100, 300), (160, 820), (191, 191), (192, 192), (200, 420), (520, 196)]
 
 

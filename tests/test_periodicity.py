@@ -251,35 +251,28 @@ def _sympow_inputs(p, limit):
             for k in range(p)]
 
 
-@pytest.mark.parametrize("p,certified", [(3, 330), (5, 225)])
-def test_certified_profile_matches_decomposition(p, certified):
-    # the profile that sympow reads off the freeness flags and the rank of
-    # D, wherever they decide it, against the dense decomposition along one
-    # walk per level and against the periodicity.  To dimension 300 it
-    # takes about 3 s on a 2-core machine; to 500, 10 s, most of it in
-    # jordan_decompose on the powers of the two-variable U_(p-2)
-    params, seen = height_params(p), 0
+@pytest.mark.parametrize("p", [3, 5])
+def test_certified_profile_matches_decomposition(p):
+    # the profile that sympow reads off its base degree d mod p and the
+    # periodicity, against the dense decomposition along one walk per level
+    # and against the periodicity of the test's own ranks.  To dimension
+    # 300 it takes about 3 s on a 2-core machine; to 500, 10 s, most of it
+    # in jordan_decompose on the powers of the two-variable U_(p-2)
+    params = height_params(p)
     for k, top in _sympow_inputs(p, 300):
         for deg, mod, _ in cp_rep._symmetric_walk(cp_rep.u_k_module(params, k), top):
             profile = verdicts.jordan_profile(params, k, deg)
-            if profile is not None:
-                seen += 1
-                assert profile == cp_rep.jordan_decompose(mod), (k, deg)
-                assert profile.blocks == predicted_blocks(p, k, deg), (k, deg)
-    assert seen == certified
+            assert profile == cp_rep.jordan_decompose(mod), (k, deg)
+            assert profile.blocks == predicted_blocks(p, k, deg), (k, deg)
 
 
-# the walks up U_(p-2) to degree 1999 alone would take a minute per prime,
-# so this sweep checks against the periodicity only: about 30 s on a
-# 2-core machine; CI runs it with -m slow
-@pytest.mark.slow
-@pytest.mark.parametrize("p,certified", [(3, 2068), (5, 1284), (7, 944)])
-def test_certified_profile_matches_prediction_to_dense_limit(p, certified):
-    params, seen = height_params(p), 0
+# every sympow input at p up to dimension 2000 (2068, 2106 and 2127 at p =
+# 3, 5 and 7), against the periodicity: about 0.2 s at p = 3 and 5, and
+# 8 s at p = 7 on a 2-core machine, nearly all of it in the oracle's ranks
+# below degree 7 of the seven-variable U_0; CI runs p = 7 with -m slow
+@pytest.mark.parametrize("p", [3, 5, pytest.param(7, marks=pytest.mark.slow)])
+def test_certified_profile_matches_prediction_to_dense_limit(p):
+    params = height_params(p)
     for k, top in _sympow_inputs(p, cp_rep.DENSE_LIMIT):
         for deg in range(top + 1):
-            profile = verdicts.jordan_profile(params, k, deg)
-            if profile is not None:
-                seen += 1
-                assert profile.blocks == predicted_blocks(p, k, deg), (k, deg)
-    assert seen == certified
+            assert verdicts.jordan_profile(params, k, deg).blocks == predicted_blocks(p, k, deg), (k, deg)
