@@ -110,7 +110,7 @@ def _verify_cancellation(args) -> int:
     from . import tate_engine
     params = mod_arith.height_params(args.prime)
     failures = 0
-    for group in tate_engine.GROUPS:
+    for group in mod_arith.GROUPS:
         record = tate_engine.run_to_einfty(group, params)
         ok = record.einfty().is_empty()
         left = len(record.einfty().fundamental_domain())

@@ -77,8 +77,6 @@ def u_k_module(params: HeightParams, k: int) -> CpModule:
 
 def jordan_block_module(p: int, size: int) -> CpModule:
     """A single unipotent Jordan block; size must be between 1 and p."""
-    if not 1 <= size <= p:
-        raise InvalidInput(f"block size must lie in [1, {p}], got {size}")
     mat = np.eye(size, dtype=np.int64)
     for t in range(size - 1):
         mat[t + 1, t] = 1
@@ -124,10 +122,6 @@ class _SymmetricChain:
     """
 
     def __init__(self, base: CpModule):
-        if not isinstance(base.gen_action, np.ndarray):
-            raise InvalidInput("symmetric powers need a base module with an array action")
-        if base.dim == 0:
-            raise InvalidInput("empty base module")
         self.base = base
         self.p = base.p
         self.nvars = base.dim

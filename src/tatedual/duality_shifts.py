@@ -17,8 +17,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import tate_engine as eng
-from .errors import InvalidInput, RouteDisagreement, VerificationFailure
-from .mod_arith import HeightParams, invariant_delta_exponent
+from .errors import RouteDisagreement, VerificationFailure
+from .mod_arith import GROUPS, HeightParams, invariant_delta_exponent
 
 
 # Normalized duality shift for one group, with its certificate: the
@@ -97,10 +97,6 @@ def shift_det_route(group: str, params: HeightParams) -> ShiftReport:
     periodicity step 2p*n^2 brings the exponent into normal position and
     the monochromatic offset subtracts n.
     """
-    if group == "Cp":
-        raise InvalidInput("determinant route undefined for Cp; use the dual route")
-    if group not in eng.GROUPS:
-        raise InvalidInput(f"unknown group {group!r}")
     p, n = params.p, params.n
     k = invariant_delta_exponent(params)
     per = periodicity(group, params)
@@ -117,11 +113,7 @@ def shift_det_route(group: str, params: HeightParams) -> ShiftReport:
 
 def shift_report(group: str, params: HeightParams, route: str = "both") -> ShiftReport:
     """A single group's report on the requested route(s)."""
-    if route not in ("dual", "det", "both"):
-        raise InvalidInput(f"unknown route {route!r}")
     if route == "dual" or group == "Cp":
-        if route == "det":
-            raise InvalidInput("determinant route undefined for Cp")
         return shift_dual_route(group, params)
     if route == "det":
         return shift_det_route(group, params)
@@ -149,7 +141,7 @@ def shift_report(group: str, params: HeightParams, route: str = "both") -> Shift
 def shifts_table(params: HeightParams, route: str = "both") -> dict[str, ShiftReport]:
     """All three groups; both routes where defined, agreement asserted."""
     out: dict[str, ShiftReport] = {}
-    for group in eng.GROUPS:
+    for group in GROUPS:
         if group == "Cp" and route == "det":
             continue
         out[group] = shift_report(group, params, route)

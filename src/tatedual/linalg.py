@@ -88,10 +88,7 @@ class Triplets(namedtuple("Triplets", "shape rows cols vals")):
 
 
 def as_field_matrix(a, p: int) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    return a % p
+    return np.asarray(a, dtype=np.int64) % p
 
 
 def _float_type(inner: int, p: int):
@@ -122,16 +119,12 @@ def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact a @ b mod p for arrays with entries in [0, p), as int64 or,
     for a float a, as _mul's floats."""
-    if a.shape[1] != b.shape[0]:
-        raise ValueError("shape mismatch")
     out = _mul(a, b, p)
     return out if a.dtype.kind == "f" else out.astype(np.int64)
 
 
 def matrix_power_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
     """a^e mod p for entries in [0, p), in the type matmul_mod returns."""
-    if e < 0:
-        raise ValueError("negative power")
     out = None
     base = a
     while e:

@@ -26,13 +26,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InvalidInput, VerificationFailure
-from .mod_arith import GROUPS, HeightParams
+from .errors import VerificationFailure
+from .mod_arith import HeightParams
 
 
 def _family(group: str) -> str:
-    if group not in GROUPS:
-        raise InvalidInput(f"unknown group {group!r}; expected one of {GROUPS}")
     return "Cp" if group == "Cp" else "F"
 
 
@@ -41,13 +39,6 @@ class MonomialClass(namedtuple("MonomialClass", "eps i j family")):
     analogue (F family, also used for G)."""
 
     __slots__ = ()
-
-    def __new__(cls, eps: int, i: int, j: int, family: str) -> MonomialClass:
-        if eps not in (0, 1):
-            raise InvalidInput("eps must be 0 or 1")
-        if family not in ("Cp", "F"):
-            raise InvalidInput("family must be 'Cp' or 'F'")
-        return super().__new__(cls, eps, i, j, family)
 
     def label(self) -> str:
         power = "d" if self.family == "Cp" else "D"
@@ -155,8 +146,6 @@ class Page(namedtuple("Page", "group params r survivors")):
 
     def canonical(self, cls: MonomialClass) -> tuple[int, int]:
         """Orbit representative (eps, j mod p) of a class under the lattice."""
-        if cls.family != self.family:
-            raise InvalidInput("class family does not match page")
         n, p = self.params.n, self.params.p
         if self.family == "Cp":
             return cls.eps, (cls.j - n * cls.i) % p
@@ -231,7 +220,6 @@ def pair_json(src: MonomialClass, tgt: MonomialClass, coeff: int, r: int, params
 
 
 def e2_page(group: str, params: HeightParams) -> Page:
-    _family(group)  # validates the tag
     survivors = frozenset((eps, j) for eps in (0, 1) for j in range(params.p))
     return Page(group=group, params=params, r=2, survivors=survivors)
 
@@ -241,11 +229,7 @@ def effective_diff_index(page: Page) -> int:
     between the two families is zero, so pages only ever sit at three
     stages."""
     r1, r2 = first_diff_index(page.params), second_diff_index(page.params)
-    if page.r <= r1:
-        return r1
-    if page.r <= r2:
-        return r2
-    raise InvalidInput(f"no differentials on or after page r={page.r}")
+    return r1 if page.r <= r1 else r2
 
 
 # The r-th differential recorded over the fundamental domain: a partial
@@ -272,8 +256,6 @@ def turn_page(page: Page, diff: DifferentialMap) -> Page:
     The recorded pairings are injective monomial matchings, so passing to
     homology removes matched sources and targets.
     """
-    if diff.r != effective_diff_index(page):
-        raise InvalidInput("differential page index does not match the page")
     killed = {page.canonical(end) for pair in diff.pairs for end in pair[:2]}
     if any(k not in page.survivors for k in killed):
         raise VerificationFailure("differential touches classes outside the page")
@@ -305,8 +287,6 @@ class SequenceRecord(namedtuple("SequenceRecord", "group params pages diffs inde
     def page_at(self, r: int) -> Page:
         """The page holding at index r: E_2 up to the first differential,
         the middle page up to the second, the final page after it."""
-        if r < 2:
-            raise InvalidInput("page index must be at least 2")
         return [page for page in self.pages if page.r <= r][-1]
 
     def partner(self, r: int, role: str, cls: MonomialClass) -> tuple[MonomialClass, int] | None:

@@ -73,7 +73,8 @@ def d_first_incoming(cls: MonomialClass, params: HeightParams) -> tuple[Monomial
     out = d_first(source, params)
     if out is None:
         return None
-    assert out[0] == cls
+    if out[0] != cls:
+        raise VerificationFailure(f"d_first of {source.label()} hits {out[0].label()}, not {cls.label()}")
     return source, out[1]
 
 
@@ -88,7 +89,8 @@ def d_second_incoming(cls: MonomialClass, params: HeightParams) -> tuple[Monomia
     else:
         source = MonomialClass(1, cls.i - n * n - 1, cls.j + n, cls.family)
     out = d_second(source, params)
-    assert out is not None and out[0] == cls
+    if out is None or out[0] != cls:
+        raise VerificationFailure(f"d_second of {source.label()} does not hit {cls.label()}")
     return source, out[1]
 
 

@@ -77,7 +77,7 @@ def test_criterion_3_full_cancellation():
     def check():
         for p in PRIMES:
             pa = height_params(p)
-            for group in eng.GROUPS:
+            for group in mod_arith.GROUPS:
                 record = eng.run_to_einfty(group, pa)
                 assert record.einfty().survivors == frozenset()
                 assert eng.run_to_einfty(group, pa).einfty().is_empty()
@@ -144,7 +144,7 @@ def test_criterion_7_property_suites():
         # structural invariants on every produced page
         for p in PRIMES:
             pa = height_params(p)
-            for group in eng.GROUPS:
+            for group in mod_arith.GROUPS:
                 record = eng.run_to_einfty(group, pa)
                 oracles.verify_bidegree_law(record.diffs[0], pa)
                 oracles.verify_bidegree_law(record.diffs[1], pa)

@@ -80,6 +80,52 @@ def test_unknown_subcommand_exits_2(capsys):
     assert code == 2
 
 
+# Every input is checked once, where it enters: by argparse, HeightParams,
+# level_vars, symmetric_dimension, ChartSpec, the budgets, cmd_verify,
+# _verify_congruence and cmd_sympow; the layers below trust their callers.
+# Each refusal exits 2 before any output, with this last line on stderr
+REFUSALS = [
+    ("shifts --prime 2", "error: p must be an odd prime, got 2"),
+    ("shifts --prime 4", "error: p must be an odd prime, got 4"),
+    ("chart --prime 9", "error: p must be an odd prime, got 9"),
+    ("verify cancellation --prime 1009", "error: p = 1009 exceeds supported range (1000)"),
+    ("sympow --prime 5 --k 5 --degree 3", "error: k must lie in [0, 4], got 5"),
+    ("sympow --prime 5 --k -1 --degree 3", "error: k must lie in [0, 4], got -1"),
+    ("verify freeness --prime 5 --k -1", "error: k must lie in [0, 4], got -1"),
+    ("verify nilpotence --prime 5 --k 4", "error: k must lie in [0, 3]"),
+    ("chart --page 1", "error: page index must be at least 2"),
+    ("chart --group F --prime 31",
+     "error: chart window has 804639605 cells, above the budget of 10000000; choose a smaller window"),
+    ("chart --prime 3 --window -5000 4999 -500 499",
+     "error: chart window holds 1666666 classes, above the budget of 100000; choose a smaller window"),
+    ("verify congruence --max-prime 1001", "error: --max-prime 1001 exceeds the supported range (1000)"),
+    ("verify nilpotence --max-degree 0", "error: --max-degree must be at least 1, got 0"),
+    ("verify freeness --max-degree 0", "error: --max-degree must be at least 1, got 0"),
+    ("sympow --prime 7 --k 0 --degree 14",
+     "error: sympow needs dimension <= 2000, but degree 14 has dimension 38760; "
+     "`tatedual verify freeness` checks larger powers from ranks"),
+    ("verify nilpotence --prime 3 --json --max-degree 1500",
+     "error: the Tate dimensions up to k=1 degree 334 would rank 8429456 dense cells, over the 8388608 budget"),
+]
+
+
+@pytest.mark.parametrize("argv,last", REFUSALS, ids=[argv for argv, _ in REFUSALS])
+def test_refused_at_the_boundary(capsys, argv, last):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err.splitlines()[-1]) == (2, "", last)
+
+
+@pytest.mark.parametrize("argv,option", [("chart --group Q8", "--group"), ("chart --format png", "--format"),
+                                         ("shifts --route sideways", "--route"), ("verify everything", "suite")])
+def test_unknown_choice_refused_by_the_parser(capsys, argv, option):
+    # the groups, formats, routes and suites are checked by argparse alone;
+    # the list of choices after the refused value is worded by the Python version
+    code, out, err = run_cli(capsys, *argv.split())
+    value = argv.split()[-1]
+    prefix = f"tatedual {argv.split()[0]}: error: argument {option}: invalid choice: '{value}'"
+    assert (code, out) == (2, "") and err.splitlines()[-1].startswith(prefix)
+
+
 def test_verify_congruence(capsys):
     code, out, _ = run_cli(capsys, "verify", "congruence", "--max-prime", "101")
     assert code == 0

@@ -3,7 +3,8 @@ src/tatedual, dunders excepted, must be read in src/ other than at its own
 definition: src/ holds what the commands run.  Code that only tests call is
 deleted, or, when the tests use it as an independent oracle, kept in
 tests/oracles.py.  Likewise every field of a collections.namedtuple in src/
-must be read there as an attribute."""
+must be read there as an attribute, and every name a module of src/
+imports must be read in that module."""
 
 from __future__ import annotations
 
@@ -82,3 +83,38 @@ def test_unread_record_field_is_flagged(tmp_path):
                                    'Pair = namedtuple("Pair", "p q")\n'
                                    'print(Pair(3, 9).p)\n')
     assert dead_fields(tmp_path) == ["m.py:2 q"]
+
+
+# (module, name) of the imports kept for readers outside src/: bench/launcher.py
+# wraps cp_rep.nilpotence_report, which cp_rep itself never calls
+REEXPORTS = {("cp_rep.py", "nilpotence_report")}
+
+
+def unread_imports(src: Path = SRC) -> list[str]:
+    """The names that a module of src/ imports, at any depth, but never
+    reads, the REEXPORTS excepted."""
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read and (path.name, name) not in REEXPORTS:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    return unread
+
+
+def test_no_unread_import():
+    assert unread_imports() == []
+
+
+def test_unread_import_is_flagged(tmp_path):
+    (tmp_path / "m.py").write_text("from __future__ import annotations\n"
+                                   "import numpy as np\n"
+                                   "from .errors import InvalidInput, ResourceGuard\n"
+                                   "def f():\n"
+                                   "    from . import linalg\n"
+                                   "    raise ResourceGuard(np.int64)\n")
+    assert unread_imports(tmp_path) == ["m.py:3 InvalidInput", "m.py:5 linalg"]

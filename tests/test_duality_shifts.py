@@ -4,8 +4,8 @@ import pytest
 
 from tatedual import duality_shifts as ds
 from tatedual import tate_engine as eng
-from tatedual.errors import InvalidInput, RouteDisagreement
-from tatedual.mod_arith import height_params
+from tatedual.errors import RouteDisagreement
+from tatedual.mod_arith import GROUPS, height_params
 
 from oracles import is_boundary
 
@@ -55,13 +55,6 @@ def test_det_route(p, group):
     assert report.route == "det"
 
 
-def test_det_route_rejects_cp(params5):
-    with pytest.raises(InvalidInput):
-        ds.shift_det_route("Cp", params5)
-    with pytest.raises(InvalidInput):
-        ds.shift_report("Cp", params5, route="det")
-
-
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_routes_agree(p):
     pa = height_params(p)
@@ -88,7 +81,7 @@ def test_periodicity(case, expected):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-@pytest.mark.parametrize("group", eng.GROUPS)
+@pytest.mark.parametrize("group", GROUPS)
 def test_tate_vanishing(group, p):
     assert eng.run_to_einfty(group, height_params(p)).einfty().is_empty()
 
@@ -148,8 +141,3 @@ def test_route_disagreement_is_loud(monkeypatch, params3):
     assert info.value.first.shift == 22
     assert info.value.second.shift == 24
     assert "dual gives 22" in str(info.value)
-
-
-def test_unknown_route(params3):
-    with pytest.raises(InvalidInput):
-        ds.shift_report("F", params3, route="sideways")

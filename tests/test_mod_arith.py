@@ -28,11 +28,6 @@ def test_rejects_non_odd_primes(bad):
         height_params(bad)
 
 
-def test_rejects_inconsistent_fields():
-    with pytest.raises(ValueError):
-        HeightParams(p=5, n=3)
-
-
 def test_height_params_immutable_hashable_equal_by_value():
     pa = height_params(5)
     with pytest.raises(AttributeError):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tatedual import tate_engine as eng
-from tatedual.mod_arith import height_params
+from tatedual.mod_arith import GROUPS, height_params
 
 SMALL = st.integers(min_value=-50, max_value=50)
 
@@ -49,7 +49,7 @@ def test_dual_transform_is_an_involution_on_bidegrees(p, i, j):
 
 
 def test_differential_pairing_is_injective(params7):
-    for group in eng.GROUPS:
+    for group in GROUPS:
         page = eng.e2_page(group, params7)
         d1 = eng.differential_map(page)
         targets = [page.canonical(t) for _, t, _ in d1.pairs]
