@@ -119,7 +119,7 @@ def shift_report(group: str, params: HeightParams, route: str = "both") -> Shift
         return shift_det_route(group, params)
     via_dual = shift_dual_route(group, params)
     via_det = shift_det_route(group, params)
-    if via_dual.shift != via_det.shift or via_dual.periodicity != via_det.periodicity:
+    if via_dual.shift != via_det.shift:
         raise RouteDisagreement(
             "shift routes disagree for {}/p={}: dual gives {} via {} (t={}), "
             "det gives {} via {} (t={})".format(

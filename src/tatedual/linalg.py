@@ -18,15 +18,15 @@ pivots of the row loop _forward_naive.  _BLOCKED_MIN picks only
 forward_eliminate's route: the row loop while a side is below it, the
 kernel from there on.
 
-A rank is the number of independent_columns.  For arrays and for Triplets
-(index arrays of the nonzero entries, kept by symmetric powers) of every
-shape, these are the columns with distinct first nonzero rows and the
-pivot columns of their Schur complement, which alone goes through the
-kernel; the whole matrix is never formed.  Triplets are read directly:
-their lead rows come from the entries, and they are relabelled into pivot
-order and sorted once, so each block of rows is scattered from a
-contiguous slice.  check_rank_budget refuses a rank whose float array would
-exceed RANK_BYTES before anything is allocated.
+A rank is the number of independent_columns.  Of an array, these are its
+column rank profile, the pivots of one run of the kernel, so the rank of
+every leading block of columns comes with them (Jeannerod, Pernet and
+Storjohann, J. Symbolic Comput. 2013).  Of Triplets (index arrays of the
+nonzero entries, kept by symmetric powers), they are the columns with
+distinct first nonzero rows and the pivot columns of their Schur
+complement, which alone goes through the kernel; the whole matrix is never
+formed.  check_rank_budget refuses a rank whose float array would exceed
+RANK_BYTES before anything is allocated.
 """
 
 from __future__ import annotations
@@ -292,49 +292,37 @@ def _solve_unit_upper(m: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _mul(_unit_lower_inverse(m.T, p).T, b, p).astype(np.int64)
 
 
-def _permuted_blocks(a, row_order: np.ndarray, col_order: np.ndarray, edges: list[int], ft):
-    """Yield rows row_order[lo:hi] of a, for consecutive edges lo and hi,
-    with their columns in col_order, as new arrays of type ft.  An array is
-    gathered block by block; coalesced Triplets are relabelled into this
-    order and sorted by row once, so each block is scattered from a
-    contiguous slice."""
-    if not isinstance(a, Triplets):
-        for lo, hi in zip(edges, edges[1:]):
-            yield a[row_order[lo:hi]].astype(ft, copy=False)[:, col_order]
-        return
-    # the inverse permutations, in int32 to halve the relabelled copy
-    row_at, col_at = np.argsort(row_order).astype(np.int32), np.argsort(col_order).astype(np.int32)
-    rows = row_at[a.rows]
-    order = np.argsort(rows, kind="stable")
-    rows, cols, vals = rows[order], col_at[a.cols[order]], a.vals[order].astype(ft)
-    bounds = np.searchsorted(rows, edges)
-    for lo, hi, i, j in zip(edges, edges[1:], bounds, bounds[1:]):
-        blk = np.zeros((hi - lo, a.shape[1]), dtype=ft)
-        blk[rows[i:j] - lo, cols[i:j]] = vals[i:j]
-        yield blk
-
-
-def _structural_columns(a, lead: np.ndarray, p: int, ft) -> np.ndarray:
-    """Rank-many independent columns of M over F_p from structural pivots,
-    as in Faugere-Lachartre (PASCO 2010) and SpaSM (PASCO 2017).  M is an
-    array with entries in [0, p) or coalesced Triplets, and its column c
-    has its first nonzero entry in row lead[c] (rows if none).  One column
-    per distinct lead row gives s pivots on which M is a lower triangular P
-    with nonzero diagonal, so M, permuted to [[P, B], [C, D]], has rank
-    s + rank(D - C X) with X = P^-1 B, solved by blocks of _ROW_BLOCK rows
-    of P: each block's rows solve for X on their unscaled entries, and only
-    the diagonal block and the right side are scaled to a unit diagonal.
-    The s columns and the pivots of D - C X are returned."""
-    rows, cols = a.shape
+def _structural_columns(a: Triplets, p: int) -> np.ndarray:
+    """Rank-many independent columns of coalesced Triplets M over F_p from
+    structural pivots, as in Faugere-Lachartre (PASCO 2010) and SpaSM
+    (PASCO 2017).  Column c of M has its first nonzero entry in row lead[c]
+    (rows if none).  One column per distinct lead row gives s pivots on
+    which M is a lower triangular P with nonzero diagonal, so M, permuted
+    to [[P, B], [C, D]], has rank s + rank(D - C X) with X = P^-1 B, solved
+    by blocks of _ROW_BLOCK rows of P: each block's rows solve for X on
+    their unscaled entries, and only the diagonal block and the right side
+    are scaled to a unit diagonal.  M is relabelled into this order and
+    sorted by row once, so each block is scattered from a contiguous
+    slice.  The s columns and the pivots of D - C X are returned."""
+    (rows, cols), ft = a.shape, _float_type(min(a.shape), p)
+    lead = np.full(cols, rows)
+    np.minimum.at(lead, a.cols, a.rows)
     piv_rows, piv_cols = np.unique(lead, return_index=True)
     s = int(np.searchsorted(piv_rows, rows))  # the lead row of zero columns sorts last
     row_order = np.concatenate([piv_rows[:s], np.delete(np.arange(rows), piv_rows[:s])])
     col_order = np.concatenate([piv_cols[:s], np.delete(np.arange(cols), piv_cols[:s])])
+    # the inverse permutations, in int32 to halve the relabelled copy
+    row_at, col_at = np.argsort(row_order).astype(np.int32), np.argsort(col_order).astype(np.int32)
+    at = row_at[a.rows]
+    order = np.argsort(at, kind="stable")
+    at, to, vals = at[order], col_at[a.cols[order]], a.vals[order].astype(ft)
     x = np.empty((s, cols - s), dtype=ft)
     schur = np.empty((rows - s, cols - s), dtype=ft)
     edges = [*range(0, s, _ROW_BLOCK), *range(s, rows, _ROW_BLOCK), rows]
-    blocks = _permuted_blocks(a, row_order, col_order, edges, ft)
-    for lo, hi, blk in zip(edges, edges[1:], blocks):
+    bounds = np.searchsorted(at, edges)
+    for lo, hi, i, j in zip(edges, edges[1:], bounds, bounds[1:]):
+        blk = np.zeros((hi - lo, cols), dtype=ft)
+        blk[at[i:j] - lo, to[i:j]] = vals[i:j]
         done = min(lo, s)
         rest = blk[:, s:] - _mul(blk[:, :done], x[:done], p)
         np.add(rest, p, out=rest, where=rest < 0)
@@ -352,22 +340,17 @@ def _structural_columns(a, lead: np.ndarray, p: int, ft) -> np.ndarray:
 
 
 def independent_columns(a, p: int) -> np.ndarray:
-    """Indices of rank-many independent columns over F_p of an array or of
-    Triplets (coalesced first), from structural pivots at every shape.  A
-    float array must hold integers in [0, p) and is read in place."""
+    """Indices of rank-many independent columns over F_p.  Of an array,
+    the column rank profile: the pivots of _eliminate on one float copy,
+    the columns _forward_naive picks; a float array must hold integers in
+    [0, p).  Of Triplets, coalesced first, the structural columns."""
     if isinstance(a, Triplets):
-        a = a.coalesced(p)
-        (rows, cols), ft = a.shape, _float_type(min(a.shape), p)
-        lead = np.full(cols, rows)
-        np.minimum.at(lead, a.cols, a.rows)
-        return _structural_columns(a, lead, p, ft)
+        return _structural_columns(a.coalesced(p), p)
     a = np.asarray(a)
     if a.dtype.kind != "f":
         a = as_field_matrix(a, p)
-    # a row of ones under the matrix gives a zero column the lead row rows,
-    # and an empty matrix no columns
-    lead = np.vstack([a != 0, np.ones((1, a.shape[1]), dtype=bool)]).argmax(axis=0)
-    return _structural_columns(a, lead, p, _float_type(min(a.shape), p))
+    w = a.astype(_float_type(min(a.shape), p), order="C")
+    return np.array(_eliminate(w, p, 0, 0, a.shape[1], False)[0], dtype=np.int64)
 
 
 def rank_mod(a, p: int) -> int:

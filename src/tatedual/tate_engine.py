@@ -224,14 +224,6 @@ def e2_page(group: str, params: HeightParams) -> Page:
     return Page(group=group, params=params, r=2, survivors=survivors)
 
 
-def effective_diff_index(page: Page) -> int:
-    """The next nonzero differential for a page at stage r; everything
-    between the two families is zero, so pages only ever sit at three
-    stages."""
-    r1, r2 = first_diff_index(page.params), second_diff_index(page.params)
-    return r1 if page.r <= r1 else r2
-
-
 # The r-th differential recorded over the fundamental domain: a partial
 # pairing representative -> (target, coefficient), as a tuple of
 # (source MonomialClass, target MonomialClass, coeff).
@@ -239,9 +231,11 @@ DifferentialMap = namedtuple("DifferentialMap", "r pairs")
 
 
 def differential_map(page: Page) -> DifferentialMap:
-    """The page's next nonzero differential over its fundamental domain."""
-    r = effective_diff_index(page)
-    d = d_first if r == first_diff_index(page.params) else d_second
+    """The page's next nonzero differential over its fundamental domain;
+    everything between the two families is zero, so pages only ever sit at
+    three stages."""
+    r1 = first_diff_index(page.params)
+    r, d = (r1, d_first) if page.r <= r1 else (second_diff_index(page.params), d_second)
     pairs = []
     for cls in page.fundamental_domain():
         out = d(cls, page.params)

@@ -12,7 +12,7 @@ from tatedual import cli, cp_rep, linalg, verdicts
 from tatedual.errors import InvalidInput, ResourceGuard
 from tatedual.mod_arith import height_params
 
-from conftest import random_cp_module, report_for_k
+from conftest import inverse_mod, random_cp_module, random_invertible, report_for_k
 from oracles import direct_sum, freeness_check, monomials
 
 
@@ -87,6 +87,27 @@ class TestJordan:
         monkeypatch.setattr(linalg, "matmul_mod", recorded)
         blocks = cp_rep.jordan_decompose(m).blocks
         assert left_rows == [len(blocks)] * (p - 1) and len(blocks) < m.dim
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_one_elimination_per_decomposition(self, p, monkeypatch):
+        # one rank of z from its triplets and one row rank profile of the
+        # stacked skinny rows, which gives every rank of z^j, 2 <= j < p:
+        # two blocks of each size, in a random basis
+        planted = tuple(s for s in range(p, 0, -1) for _ in range(2))
+        plain = direct_sum([cp_rep.jordan_block_module(p, s) for s in planted])
+        basis = random_invertible(np.random.default_rng(p), plain.dim, p)
+        action = linalg.matmul_mod(linalg.matmul_mod(basis, plain.gen_action, p), inverse_mod(basis, p), p)
+        calls = []
+        columns = linalg.independent_columns
+
+        def counted(a, p_):
+            calls.append(type(a).__name__)
+            return columns(a, p_)
+
+        monkeypatch.setattr(linalg, "independent_columns", counted)
+        blocks = cp_rep.jordan_decompose(cp_rep.CpModule(p=p, dim=plain.dim, gen_action=action)).blocks
+        assert blocks == planted
+        assert calls == ["Triplets", "ndarray"]
 
     def test_random_modules_recover_planted_blocks(self):
         rng = np.random.default_rng(2024)
@@ -325,8 +346,12 @@ class TestTateRankFormula:
             perm = np.random.default_rng(7 + dim * p).permutation(dim)
             action = action[np.ix_(perm, perm)]
             assert np.triu(action, 1).any()
+        module = cp_rep.CpModule(p=p, dim=dim, gen_action=action)
         with pytest.raises(InvalidInput):
-            cp_rep.jordan_decompose(cp_rep.CpModule(p=p, dim=dim, gen_action=action))
+            cp_rep.jordan_decompose(module)
+        # the kernel and image bases check z N = 0, also under python -O
+        with pytest.raises(InvalidInput):
+            cp_rep._tate_data(module)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_json_tate_dims_match_kernel_and_image(self, p, capsys):
@@ -763,7 +788,7 @@ class TestNilpotence:
         def refused(*args):
             raise AssertionError("the verdict took a power of z")
 
-        monkeypatch.setattr(cp_rep, "_skinny_powers", refused)
+        monkeypatch.setattr(cp_rep, "jordan_decompose", refused)
         monkeypatch.setattr(linalg, "matmul_mod", refused)
         assert report_for_k(params5, 1, 20).holds
 
@@ -775,11 +800,11 @@ class TestNilpotence:
             raise AssertionError("the Tate report built a power")
 
         monkeypatch.setattr(cp_rep._SymmetricChain, "step", refused)
-        skinny = self._dims_seen(monkeypatch, "_skinny_powers")
+        decomposed = self._dims_seen(monkeypatch, "jordan_decompose")
         report = report_for_k(params5, 1, 20, tate_dims=True)
         assert any(d.free for d in report.degrees)
         assert {d.deg % 5 for d in report.degrees if not d.free} == {0, 1}
-        assert skinny == []
+        assert decomposed == []
 
     def test_walk_stops_at_last_ranked_degree(self, monkeypatch):
         # p = 7, k = 2: each level U_j steps only to its last ranked degree,

@@ -3,12 +3,13 @@ src/tatedual, dunders excepted, must be read in src/ other than at its own
 definition: src/ holds what the commands run.  Code that only tests call is
 deleted, or, when the tests use it as an independent oracle, kept in
 tests/oracles.py.  Likewise every field of a collections.namedtuple in src/
-must be read there as an attribute, and every name a module of src/
-imports must be read in that module."""
+must be read there, as an attribute or by name in a format template, and
+every name a module of src/ imports must be read in that module."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "tatedual"
@@ -61,10 +62,14 @@ def test_no_test_only_surface():
 
 def dead_fields(src: Path = SRC) -> list[str]:
     """The fields of each collections.namedtuple in src/ that src/ never
-    reads as an attribute."""
+    reads, as an attribute or by name in a format template: the shift rows
+    of cli print each report's _asdict() through one."""
     trees = [(path, ast.parse(path.read_text(), filename=str(path))) for path in sorted(src.glob("*.py"))]
     read = {node.attr for _, tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read |= {name for _, tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             for name in re.findall(r"\{(\w+)[^{}]*\}", node.value)}
     dead = []
     for path, tree in trees:
         for node in ast.walk(tree):
@@ -83,6 +88,10 @@ def test_unread_record_field_is_flagged(tmp_path):
                                    'Pair = namedtuple("Pair", "p q")\n'
                                    'print(Pair(3, 9).p)\n')
     assert dead_fields(tmp_path) == ["m.py:2 q"]
+    (tmp_path / "m.py").write_text('from collections import namedtuple\n'
+                                   'Pair = namedtuple("Pair", "p q")\n'
+                                   'print(Pair(3, 9).p, "{q:>3}".format_map(Pair(3, 9)._asdict()))\n')
+    assert dead_fields(tmp_path) == []
 
 
 # (module, name) of the imports kept for readers outside src/: bench/launcher.py

@@ -340,23 +340,23 @@ def _repeated_triplets(rng, a, p):
 @pytest.mark.parametrize("shape", RANK_SHAPES)
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
 def test_rank_matches_naive(p, shape, monkeypatch):
-    # the ranks of arrays (int and float) and of triplets against the row
-    # loop of _forward_naive, and the independent columns behind them; the
-    # structural rank also with a row block that splits every shape into
-    # several blocks and a short last one
+    # an int or float array's independent columns are exactly the pivot
+    # columns of the row loop of _forward_naive, its column rank profile,
+    # and the array is left as it was; the rank of triplets is theirs too,
+    # also with a row block that splits every shape into several blocks
+    # and a short last one
     rng = np.random.default_rng(p * 1000 + shape[0])
     for a in _rank_cases(rng, *shape, p):
-        want = _naive_rank(a, p)
+        pivots = linalg._forward_naive(np.asarray(a, dtype=np.int64) % p, p)[1]
         triplets = _repeated_triplets(rng, a, p)
+        for m in (a.astype(np.int64), a.astype(np.float64)):
+            before = m.copy()
+            assert linalg.independent_columns(m, p).tolist() == pivots
+            assert linalg.rank_mod(m, p) == len(pivots)
+            assert np.array_equal(m, before)
         for block in (linalg._ROW_BLOCK, 48):
             monkeypatch.setattr(linalg, "_ROW_BLOCK", block)
-            cols = linalg.independent_columns(a, p)
-            assert len(cols) == want and _naive_rank(a[:, cols], p) == want
-            assert linalg.rank_mod(a, p) == want
-            w = a.astype(np.float64)
-            assert linalg.rank_mod(w, p) == want
-            assert np.array_equal(w, a)
-            assert linalg.sparse_rank_mod(triplets, p) == want
+            assert linalg.sparse_rank_mod(triplets, p) == len(pivots)
 
 
 # shapes with both sides below _BLOCKED_MIN (192), where forward_eliminate
@@ -369,10 +369,10 @@ SMALL_SHAPES = [(1, 1), (1, 9), (9, 1), (1, 191), (191, 1), (2, 3), (3, 2), (17,
 @pytest.mark.parametrize("shape", SMALL_SHAPES)
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_small_triplets_rank_structurally(p, shape, monkeypatch):
-    # coalesced Triplets, int64 arrays and float64 arrays of any shape take
-    # the structural route: their rank must be that of the row loop on the
-    # array, and their columns independent; the row loop itself is never
-    # entered
+    # coalesced Triplets of any shape take the structural route, and int64
+    # and float64 arrays the kernel: their rank must be that of the row loop
+    # on the array, and their columns independent; the row loop itself is
+    # never entered
     rng = np.random.default_rng(p * 1000 + shape[0] * 7 + shape[1])
     sparse = rng.integers(0, p, size=shape) * (rng.random(shape) < 0.1)
     for a in [*_rank_cases(rng, *shape, p), sparse]:
