@@ -555,6 +555,19 @@ def test_bench_commands_print_expected_bytes(capsys, monkeypatch):
         assert (code, run.check_output(cmd, out.encode())) == (0, None), cmd.argv
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("--group", "F", "--prime", "7", "--format", "svg"), "chart-f-p7.svg"),
+        (("--prime", "5", "--overlay"), "chart-overlay-p5.out"),
+    ],
+)
+def test_bench_charts_within_budget(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, "chart", *argv)
+    assert code == 0
+    assert out.encode() == (BENCH_EXPECTED / expected).read_bytes()
+
+
 def test_verification_failure_exit_code(capsys, monkeypatch):
     from tatedual import duality_shifts as ds
 
