@@ -172,8 +172,7 @@ def _ascii_lines(doc: dict) -> list[str]:
 
 
 def _label(entry: dict, group: str) -> str:
-    family = "Cp" if group == "Cp" else "F"
-    return eng.MonomialClass(entry["eps"], entry["i"], entry["j"], family).label()
+    return eng.MonomialClass(entry["eps"], entry["i"], entry["j"], eng._family(group)).label()
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,11 @@ rank z <= dim - dim/p, with equality iff the module is free.  So rank D =
 dim - dim/p proves the degree free, exactly.  D's columns stream into its
 rank one exponent row at a time, so only the pivots stay live.  Only when
 rank D falls short does a degree import cp_rep, for a rank of z
-(cp_rep._free_by_rank).  The same bounds prove the Jordan profile of a
-base degree b < p, and the Almkvist-Fossum periodicity adds the free blocks
-of every degree b + tp (jordan_profile), so sympow and the Tate dimensions
-of the nilpotence reports import cp_rep only to decompose a base degree
-that the bounds leave open.
+(cp_rep._free_by_rank).  One rank of D also proves the Jordan profile of
+a base degree b < p, and the Almkvist-Fossum periodicity adds the free
+blocks of every degree b + tp (jordan_profile), so sympow and the Tate
+dimensions of the nilpotence reports take no freeness pass and import
+cp_rep only to decompose a base degree that the bounds leave open.
 """
 
 from __future__ import annotations
@@ -192,34 +192,32 @@ def jordan_profile(params: HeightParams, k: int, deg: int) -> JordanProfile:
     of size v = p - k <= p, so Sym^deg(U_k) has the blocks of Sym^b(U_k)
     and (dim_deg - dim_b)/p more of size p.
 
-    Base: a free Sym^b(U_k), by its freeness flag, is dim/p blocks of size
-    p.  Otherwise, as no block is larger than p, there are at least c =
-    ceil(dim/p) blocks and rank z <= dim - c, and rank z >= rank D, so rank
-    D = dim - c proves exactly c blocks.  Summing to dim = q p + r, they are
-    forced to be q of size p and one of size r when c = 1 or c p - dim = 1.
-    U_n, degree 0 and degree 1 are such leaves, with rank D = 0, 0 and v -
-    1.  Where both are silent, cp_rep decomposes Sym^b(U_k), whose dimension
-    is at most that of Sym^deg(U_k); no power past degree p - 1 is built."""
-    p = params.p
-    nvars, b = level_vars(params, k), deg % p
-    q, r = divmod(symmetric_dimension(nvars, b), p)
-    # a free leaf, or c = q + 1 blocks, forced where c = 1 or c p - dim = p - r = 1
-    if free_flags_by_k(params, {k: b})[k][b] or (r and (q == 0 or r == p - 1)
-                                                 and weight_rank(p, nvars, b) == q * p + r - (q + 1)):
+    Base: as no block is larger than p, there are at least c = ceil(dim/p)
+    blocks and rank z <= dim - c, and rank z >= rank D, so rank D = dim - c
+    proves exactly c blocks.  Summing to dim = q p + r, they are forced to
+    be q of size p and one of size r when r = 0 (the freeness certificate:
+    Sym^b(U_k) is free), c = 1 or c p - dim = 1.  U_n, degree 0 and degree 1
+    are such leaves, with rank D = 0, 0 and v - 1.  Where the rank is silent,
+    cp_rep decomposes Sym^b(U_k), whose dimension is at most that of
+    Sym^deg(U_k); no power past degree p - 1 is built."""
+    p, nvars, b = params.p, level_vars(params, k), deg % params.p
+    dim = symmetric_dimension(nvars, b)
+    q, r = divmod(dim, p)
+    if (r == 0 or q == 0 or r == p - 1) and weight_rank(p, nvars, b) == dim - q - (r > 0):
         base = (p,) * q + ((r,) if r else ())
     else:
         from . import cp_rep
 
         base = cp_rep.jordan_decompose(cp_rep.symmetric_power(cp_rep.u_k_module(params, k), b)).blocks
-    return JordanProfile((p,) * ((symmetric_dimension(nvars, deg) - q * p - r) // p) + base)
+    return JordanProfile((p,) * ((symmetric_dimension(nvars, deg) - dim) // p) + base)
 
 
 # ---------------------------------------------------------------------------
 # the nilpotence suite
 
 
-# even_dim and odd_dim are None where unknown
-DegreeSummary = namedtuple("DegreeSummary", "deg dim even_dim odd_dim free")
+# tate, the dimension of both Tate groups, is None where unknown
+DegreeSummary = namedtuple("DegreeSummary", "deg dim tate free")
 
 
 class NilpotenceReport(namedtuple("NilpotenceReport", "p k max_deg degrees windows holds trivial",
@@ -227,26 +225,30 @@ class NilpotenceReport(namedtuple("NilpotenceReport", "p k max_deg degrees windo
     __slots__ = ()
 
     def to_json(self) -> dict:
-        degrees = [{"degree": d.deg, "dimension": d.dim, "even_dim": d.even_dim, "odd_dim": d.odd_dim,
+        degrees = [{"degree": d.deg, "dimension": d.dim, "even_dim": d.tate, "odd_dim": d.tate,
                     "free": d.free} for d in self.degrees]
         return {"p": self.p, "k": self.k, "max_degree": self.max_deg, "holds": self.holds,
                 "trivial": self.trivial, "windows_checked": self.windows, "degrees": degrees}
 
 
-def check_tate_budget(params: HeightParams, caps: dict[int, int]) -> None:
-    """Refuse the Tate dimensions of every k of caps, lowest first, where the
-    dense degrees that the verdict's pattern leaves not free, d <= caps[k]
-    with d mod p <= k, pass TATE_CELLS in total, naming that k and degree."""
-    cells = 0
+def tate_bases(params: HeightParams, caps: dict[int, int]) -> dict[int, list[int]]:
+    """For each k of caps, the base degrees b <= min(k, caps[k]), which the
+    verdict's pattern leaves not free, with Sym^b(U_k) dense: the bases whose
+    Tate dimensions --json fills.  Refused, lowest k first, naming k and b,
+    where their squared dimensions pass TATE_CELLS in total."""
+    cells, bases = 0, {}
     for k in sorted(caps):
-        for d in range(caps[k] + 1):
-            dim = symmetric_dimension(level_vars(params, k), d)
+        bases[k] = []
+        for b in range(min(k, caps[k]) + 1):
+            dim = symmetric_dimension(level_vars(params, k), b)
             if dim > DENSE_LIMIT:
                 break
-            cells += dim * dim if d % params.p <= k else 0
+            cells += dim * dim
             if cells > TATE_CELLS:
-                raise ResourceGuard(f"the Tate dimensions up to k={k} degree {d} would rank {cells} dense cells, "
+                raise ResourceGuard(f"the Tate dimensions up to k={k} degree {b} would rank {cells} dense cells, "
                                     f"over the {TATE_CELLS} budget")
+            bases[k].append(b)
+    return bases
 
 
 def nilpotence_reports(
@@ -255,15 +257,14 @@ def nilpotence_reports(
     """One report for each k of caps, in order, up to caps[k].  One pass of
     free_flags_by_k first decides every k with a verdict to find (1 <= k <
     n, caps[k] > k), whose report then comes from its flags through
-    nilpotence_report.  With tate_dims, check_tate_budget runs before the
-    pass, and every dense degree that is not free gets the Tate dimension of
-    its base degree d mod p from jordan_profile, once per base.
+    nilpotence_report.  With tate_dims, tate_bases runs before the pass, and
+    every degree that is not free, with its base d mod p among the bases of
+    k, gets the Tate dimension of that base from jordan_profile, once per base.
     k = 0 gets the trivial report; any other k outside [1, n - 1], or with
     caps[k] < k + 1, is refused when its turn comes, after the pass."""
     p, n = params.p, params.n
     decided = {k: d for k, d in caps.items() if 1 <= k < n and d > k}
-    if tate_dims:
-        check_tate_budget(params, decided)
+    bases = tate_bases(params, decided) if tate_dims else {}
     flags = free_flags_by_k(params, decided)
     reports = []
     for k, max_deg in caps.items():
@@ -278,11 +279,10 @@ def nilpotence_reports(
         else:
             report = nilpotence_report(params, k, flags[k])
             if tate_dims:
-                todo = {d for d in report.degrees if not d.free and d.dim <= DENSE_LIMIT}
-                tate = {b: jordan_profile(params, k, b).tate_dim(p) for b in {d.deg % p for d in todo}}
+                todo = {d.deg % p for d in report.degrees if not d.free}.intersection(bases[k])
+                tate = {b: jordan_profile(params, k, b).tate_dim(p) for b in todo}
                 report = report._replace(degrees=tuple(
-                    d._replace(even_dim=tate[d.deg % p], odd_dim=tate[d.deg % p]) if d in todo else d
-                    for d in report.degrees))
+                    d if d.free else d._replace(tate=tate.get(d.deg % p)) for d in report.degrees))
             reports.append(report)
     return reports
 
@@ -302,8 +302,7 @@ def nilpotence_report(params: HeightParams, k: int, flags: list[bool]) -> Nilpot
     p, n, max_deg = params.p, params.n, len(flags) - 1
     summaries, run, holds = [], 0, True
     for deg, free in enumerate(flags):
-        tate = 0 if free else None
-        summaries.append(DegreeSummary(deg, symmetric_dimension(n - k + 1, deg), tate, tate, free))
+        summaries.append(DegreeSummary(deg, symmetric_dimension(n - k + 1, deg), 0 if free else None, free))
         # a vanishing degree makes every composite through it zero
         run = 0 if free else run + 1
         if run >= k + 2:

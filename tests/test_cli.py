@@ -105,8 +105,8 @@ REFUSALS = [
     ("sympow --prime 7 --k 0 --degree 14",
      "error: sympow needs dimension <= 2000, but degree 14 has dimension 38760; "
      "`tatedual verify freeness` checks larger powers from ranks"),
-    ("verify nilpotence --prime 3 --json --max-degree 1500",
-     "error: the Tate dimensions up to k=1 degree 334 would rank 8429456 dense cells, over the 8388608 budget"),
+    ("verify nilpotence --prime 997 --k 995 --json --max-degree 996",
+     "error: the Tate dimensions up to k=995 degree 292 would rank 8427559 dense cells, over the 8388608 budget"),
 ]
 
 
@@ -178,12 +178,14 @@ def test_verify_nilpotence_small(capsys):
         (("--prime", "3"), "nilpotence_p3.json"),
         (("--prime", "5", "--k", "2"), "nilpotence_p5_k2.json"),
         # degree 13 (dimension 2380) is ranked above DENSE_LIMIT and free;
-        # degree 14 (dimension 3060) is reported from its dimension alone
+        # degree 14 (dimension 3060) takes the Tate dimension of its base
+        # degree 0, unbuilt
         (("--prime", "7", "--k", "2"), "nilpotence_p7_k2.json"),
         # the largest dense Tate data: dimensions up to 1771
         (("--prime", "5", "--k", "1"), "nilpotence_p5_k1.json"),
         # every k at p = 7; the k = 1 powers above DENSE_LIMIT, degrees 9 to
-        # 14, are free by extension or not a multiple of 7 in dimension
+        # 13, are free by extension or not a multiple of 7 in dimension, and
+        # degree 14 (dimension 11628) takes the Tate dimension of degree 0
         (("--prime", "7"), "nilpotence_p7.json"),
     ],
 )
@@ -193,30 +195,68 @@ def test_verify_nilpotence_json_golden(capsys, argv, golden):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
-def test_nilpotence_json_over_tate_budget_refused_at_once(capsys):
-    # the Tate dimensions up to degree 1500 would rank about 7.5e8 dense
-    # cells; the refusal comes before the freeness pass, which alone takes
-    # seconds at that degree
+def test_nilpotence_json_over_tate_budget_refused_at_once(capsys, monkeypatch):
+    # the base degrees 0, ..., 995 of U_995 at p = 997 would rank about 3.3e8
+    # dense cells; the refusal comes before the freeness pass
+    from tatedual import verdicts
+
+    def no_pass(params, caps):
+        raise AssertionError("the freeness pass ran")
+
+    monkeypatch.setattr(verdicts, "free_flags_by_k", no_pass)
     t0 = time.perf_counter()
-    code, out, err = run_cli(capsys, "verify", "nilpotence", "--prime", "3", "--json", "--max-degree", "1500")
+    code, out, err = run_cli(capsys, "verify", "nilpotence", "--prime", "997", "--k", "995", "--json",
+                             "--max-degree", "996")
     assert time.perf_counter() - t0 < 1
     assert code == 2
     assert out == ""
-    assert "k=1 degree 334" in err and "budget" in err
+    assert "k=995 degree 292" in err and "budget" in err
 
 
 def test_tate_budget_boundary():
-    # at p = 3, U_1 has dimension d + 1, and the degrees d = 0, 1 mod 3 are
-    # not free: their squares first pass 2^23 at degree 334
+    # at p = 997, U_995 has two variables and dimension b + 1 at degree b,
+    # and the bases b <= 995 are not free: their squares first pass 2^23 at
+    # b = 292
     from tatedual import verdicts
     from tatedual.errors import ResourceGuard
 
-    params = mod_arith.height_params(3)
-    cells = sum((d + 1) ** 2 for d in range(335) if d % 3 <= 1)
-    assert cells - 335**2 <= verdicts.TATE_CELLS < cells
-    verdicts.check_tate_budget(params, {1: 333})
+    params = mod_arith.height_params(997)
+    cells = sum((b + 1) ** 2 for b in range(293))
+    assert cells - 293**2 <= verdicts.TATE_CELLS < cells
+    assert verdicts.tate_bases(params, {995: 291}) == {995: list(range(292))}
     with pytest.raises(ResourceGuard):
-        verdicts.check_tate_budget(params, {1: 334})
+        verdicts.tate_bases(params, {995: 292})
+
+
+def test_nilpotence_json_past_old_tate_budget(capsys):
+    # at p = 3 only the bases 0 and 1 of U_1 are decomposed, so the degrees
+    # that once passed the Tate budget, 334 on, are answered, and every
+    # degree that is not free has its Tate dimension
+    code, out, err = run_cli(capsys, "verify", "nilpotence", "--prime", "3", "--json", "--max-degree", "334")
+    assert (code, err) == (0, "")
+    degrees = json.loads(out)[0]["degrees"]
+    assert len(degrees) == 335
+    assert all(d["even_dim"] == d["odd_dim"] == (0 if d["free"] else 1) for d in degrees)
+
+
+@pytest.mark.parametrize(
+    "argv,passes",
+    [("verify nilpotence --prime 5 --json", 1),
+     ("verify nilpotence --prime 7 --json", 1),
+     ("verify nilpotence --prime 13 --k 8 --json", 1),
+     ("sympow --prime 5 --k 1 --degree 6", 0),
+     ("sympow --prime 7 --k 4 --degree 9", 0)],
+)
+def test_one_freeness_pass_per_command(capsys, monkeypatch, argv, passes):
+    # the verdict decides every k in one pass, and the Jordan profiles of
+    # the Tate dimensions and of sympow take none of their own
+    from tatedual import verdicts
+
+    calls = []
+    real = verdicts.free_flags_by_k
+    monkeypatch.setattr(verdicts, "free_flags_by_k", lambda params, caps: calls.append(caps) or real(params, caps))
+    code, _, err = run_cli(capsys, *argv.split())
+    assert (code, err, len(calls)) == (0, "", passes)
 
 
 def test_verify_nilpotence_p7_golden(capsys):
@@ -356,13 +396,8 @@ def test_sympow_golden_routes(p, k, degree, route, monkeypatch):
     decomposed = []
     real = cp_rep.jordan_decompose
     monkeypatch.setattr(cp_rep, "jordan_decompose", lambda m: decomposed.append(m.dim) or real(m))
-    params = mod_arith.height_params(p)
-    profile = verdicts.jordan_profile(params, k, degree)
+    verdicts.jordan_profile(mod_arith.height_params(p), k, degree)
     assert decomposed == {"leaf": [], "dense": [6]}[route]
-    # no freeness flag is needed: the leaf or the decomposition decides alone
-    monkeypatch.setattr(verdicts, "free_flags_by_k",
-                        lambda params, caps: {j: [False] * (c + 1) for j, c in caps.items()})
-    assert verdicts.jordan_profile(params, k, degree) == profile
 
 
 @pytest.mark.parametrize(
@@ -417,8 +452,10 @@ def test_sympow_negative_degree_exits_2(capsys, argv):
 def test_sympow_resource_guard(capsys, monkeypatch):
     from tatedual import verdicts
 
+    # S^2(U_4) at p = 7, the base of degree 9, has dimension 6 and blocks 5
+    # and 1, which the rank of D leaves open, so it is built and refused
     monkeypatch.setattr(verdicts, "DIM_CAP", 5)
-    code, out, err = run_cli(capsys, "sympow", "--prime", "5", "--k", "0", "--degree", "3")
+    code, out, err = run_cli(capsys, "sympow", "--prime", "7", "--k", "4", "--degree", "9")
     assert code == 2
     assert "cap" in err
 

@@ -374,6 +374,57 @@ class TestTateRankFormula:
                     checked += 1
         assert checked == {3: 19, 5: 46, 7: 43}[p]
 
+    # (p, k, degree) of every Tate dimension that the default --json
+    # reports at p <= 13 fill above DENSE_LIMIT, up to dimension 4000
+    FILLED_TO_4000 = [(7, 2, 14), (11, 6, 13), (11, 6, 14), (11, 6, 15), (11, 7, 22), (13, 8, 13),
+                      (13, 8, 14), (13, 8, 15), (13, 9, 21), (13, 9, 22), (13, 9, 26)]
+
+    def test_filled_to_4000_is_every_such_degree(self):
+        found = []
+        for p in (3, 5, 7, 11, 13):
+            params = height_params(p)
+            for k in range(1, params.n):
+                try:
+                    report = report_for_k(params, k, verdicts.default_degree_cap(params, k), tate_dims=True)
+                except ResourceGuard:
+                    continue
+                found += [(p, k, d.deg) for d in report.degrees
+                          if not d.free and d.tate is not None and verdicts.DENSE_LIMIT < d.dim <= 4000]
+        assert found == self.FILLED_TO_4000
+
+    @pytest.mark.parametrize("p,k,deg", [
+        pytest.param(*case, marks=[] if case in [(11, 6, 13), (11, 7, 22)] else pytest.mark.slow)
+        for case in FILLED_TO_4000])
+    def test_filled_tate_dim_matches_explicit_decomposition(self, p, k, deg, monkeypatch):
+        # the Tate dimension read off the base degree against the Jordan
+        # decomposition of the explicit power, dense past DENSE_LIMIT.  On a
+        # 2-core machine, about 0.8 s at (11, 6, 13) and (11, 7, 22); the
+        # slow ones take up to 3 s each
+        params = height_params(p)
+        report = report_for_k(params, k, verdicts.default_degree_cap(params, k), tate_dims=True)
+        monkeypatch.setattr(cp_rep, "DENSE_LIMIT", 4000)
+        power = cp_rep.symmetric_power(cp_rep.u_k_module(params, k), deg)
+        assert report.degrees[deg].tate == cp_rep.jordan_decompose(power).tate_dim(p)
+
+    def test_no_free_base_decomposed(self, monkeypatch):
+        # a base degree b < p that the freeness pass finds free, up to
+        # dimension 2000 at p <= 13, is proved free by the rank of D alone
+        decomposed = []
+        real = cp_rep.jordan_decompose
+        monkeypatch.setattr(cp_rep, "jordan_decompose", lambda m: decomposed.append(m.dim) or real(m))
+        checked = 0
+        for p in (3, 5, 7, 11, 13):
+            params = height_params(p)
+            for k in range(params.n + 1):
+                nvars = verdicts.level_vars(params, k)
+                top = max(b for b in range(p) if verdicts.symmetric_dimension(nvars, b) <= 2000)
+                for b, free in enumerate(verdicts.free_flags_by_k(params, {k: top})[k]):
+                    if free:
+                        assert verdicts.jordan_profile(params, k, b).all_full(p), (p, k, b)
+                        assert decomposed == [], (p, k, b)
+                        checked += 1
+        assert checked == 87
+
 
 class TestFreeness:
     @pytest.mark.parametrize(
@@ -824,7 +875,7 @@ class TestNilpotence:
         report = report_for_k(height_params(7), 2, 14)
         assert stepped == {j: list(range(1, j + 9)) for j in (5, 4, 3, 2)}
         assert list(stepped) == [5, 4, 3, 2]
-        assert report.degrees[-1] == verdicts.DegreeSummary(14, 3060, None, None, False)
+        assert report.degrees[-1] == verdicts.DegreeSummary(14, 3060, None, False)
         assert report.holds
 
     def test_report_fits_in_memory(self):

@@ -73,10 +73,10 @@ def test_engine_records_immutable_keep_fields_and_equality():
 def test_report_records_keep_fields_and_equality():
     from tatedual.verdicts import DegreeSummary, NilpotenceReport
 
-    d = DegreeSummary(3, 4, None, None, False)
-    assert (d.deg, d.dim, d.even_dim, d.odd_dim, d.free) == (3, 4, None, None, False)
-    assert d == DegreeSummary(deg=3, dim=4, even_dim=None, odd_dim=None, free=False)
-    assert d != DegreeSummary(3, 4, 0, 0, True)
+    d = DegreeSummary(3, 4, None, False)
+    assert (d.deg, d.dim, d.tate, d.free) == (3, 4, None, False)
+    assert d == DegreeSummary(deg=3, dim=4, tate=None, free=False)
+    assert d != DegreeSummary(3, 4, 0, True)
     r = NilpotenceReport(p=5, k=1, max_deg=3, degrees=(d,), windows=2, holds=True)
     assert (r.p, r.k, r.max_deg, r.degrees, r.windows, r.holds, r.trivial) == (5, 1, 3, (d,), 2, True, False)
     assert r == NilpotenceReport(5, 1, 3, (d,), 2, True, False) != r._replace(holds=False)

@@ -137,12 +137,12 @@ def test_nilpotence_report_matches_prediction(p, k, max_deg):
     assert [d.deg for d in report.degrees] == list(range(max_deg + 1))
     for d in report.degrees:
         dim, rz, rn = predicted(p, k, d.deg)
-        assert (d.dim, d.even_dim, d.odd_dim) == (dim, dim - rz - rn, dim - rz - rn), d
+        assert (d.dim, d.tate) == (dim, dim - rz - rn), d
         assert d.free is predicted_free(p, k, d.deg), d
     # the verdict alone: Tate dimension 0 where free, unknown elsewhere
     verdict = report_for_k(height_params(p), k, max_deg)
-    expected = [(d.deg, d.dim, *[0 if d.free else None] * 2, d.free) for d in report.degrees]
-    assert [(d.deg, d.dim, d.even_dim, d.odd_dim, d.free) for d in verdict.degrees] == expected
+    expected = [(d.deg, d.dim, 0 if d.free else None, d.free) for d in report.degrees]
+    assert [(d.deg, d.dim, d.tate, d.free) for d in verdict.degrees] == expected
     assert (verdict.holds, verdict.windows) == (report.holds, report.windows)
 
 
