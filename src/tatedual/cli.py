@@ -18,7 +18,7 @@ verdicts alone (no numpy or json), as do `sympow` and `verify nilpotence
 weight certificate of verdicts leaves a freeness, or the Jordan profile of
 a base degree, open; json only where JSON is printed.  Every record of the
 package is a collections.namedtuple, so no command loads dataclasses.
-Cold, with no bytecode, this import takes about 12 ms on a 2-core machine.
+Cold and with no bytecode, `-X importtime` puts this import at about 7 ms.
 """
 
 from __future__ import annotations
@@ -151,16 +151,16 @@ def _verify_freeness(args) -> int:
     p = params.p
     ks = [args.k] if args.k is not None else list(range(0, params.n))
     caps = _degree_caps(args, params, ks)
-    # the degrees d <= max_deg with d mod p > k, free by the pattern: U_n
-    # has none, and free_flags_by_k refuses a huge max_deg on any other level
+    # the degrees d <= max_deg with d mod p > k, free by the pattern, each
+    # reading the flag of its base d mod p, counted per base; U_n has none
     flags = verdicts.free_flags_by_k(params, {k: d if k < params.n else 0 for k, d in caps.items()})
     failures = 0
     for k, max_deg in caps.items():
-        degrees = [d for d in range(len(flags[k])) if d % p > k]
-        bad = [d for d in degrees if not flags[k][d]]
+        checked = sum((max_deg - b) // p + 1 for b in range(k + 1, len(flags[k])))
+        bad = [] if all(flags[k][k + 1:]) else [d for d in range(max_deg + 1) if d % p > k and not flags[k][d % p]]
         status = "PASS" if not bad else "FAIL"
         print(
-            f"{status} freeness p={p} k={k} degrees_checked={len(degrees)} "
+            f"{status} freeness p={p} k={k} degrees_checked={checked} "
             f"max_degree={max_deg}" + (f" failing={bad}" if bad else "")
         )
         failures += len(bad)

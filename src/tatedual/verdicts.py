@@ -21,11 +21,11 @@ rank z <= dim - dim/p, with equality iff the module is free.  So rank D =
 dim - dim/p proves the degree free, exactly.  D's columns stream into its
 rank one exponent row at a time, so only the pivots stay live.  Only when
 rank D falls short does a degree import cp_rep, for a rank of z
-(cp_rep._free_by_rank).  One rank of D also proves the Jordan profile of
-a base degree b < p, and the Almkvist-Fossum periodicity adds the free
-blocks of every degree b + tp (jordan_profile), so sympow and the Tate
-dimensions of the nilpotence reports take no freeness pass and import
-cp_rep only to decompose a base degree that the bounds leave open.
+(cp_rep._free_by_rank).  By the periodicity of free_flags_by_k, the bases
+b < p decide every degree, so the verdicts rank D on the bases alone.  One
+rank of D also proves the Jordan profile of a base (jordan_profile), so
+sympow and the Tate dimensions of the nilpotence reports take no freeness
+pass and import cp_rep only to decompose a base that the bounds leave open.
 """
 
 from __future__ import annotations
@@ -74,11 +74,13 @@ def symmetric_dimension(nvars: int, deg: int) -> int:
     return math.comb(deg + nvars - 1, nvars - 1)
 
 
-def check_dim_cap(nvars: int, deg: int, context: str = "") -> None:
-    """Refuse, prefixed by context, a symmetric power above DIM_CAP."""
+def check_dim_cap(nvars: int, deg: int, context: str = "") -> int:
+    """The dimension of a symmetric power; refused, prefixed by context,
+    above DIM_CAP."""
     dim = symmetric_dimension(nvars, deg)
     if dim > DIM_CAP:
         raise ResourceGuard(f"{context}symmetric power dimension {dim} exceeds cap {DIM_CAP}")
+    return dim
 
 
 def level_vars(params: HeightParams, k: int) -> int:
@@ -136,36 +138,38 @@ def weight_rank(p: int, nvars: int, deg: int) -> int:
 
 
 def free_flags_by_k(params: HeightParams, caps: dict[int, int]) -> dict[int, list[bool]]:
-    """Whether Sym^d(U_k) is free, d = 0, ..., caps[k], for every k of caps,
-    from one pass down the levels U_n, whose powers are not free, ..., U_k
-    for the lowest k.  Each level U_j is decided up to the largest caps[k]
-    over k <= j, each (level, degree) at most once.
+    """Whether Sym^b(U_k) is free, b = 0, ..., min(p - 1, caps[k]), for every
+    k of caps; degree d of U_k reads the flag of its base d mod p.
 
+    Periodicity: for a Jordan block V_v of size v <= p, Sym^(d+p)(V_v) is
+    Sym^d(V_v) plus a free module (G. Almkvist and R. Fossum, LNM 641, 1978;
+    see also Hughes and Kemper, Comm. Algebra 28, 2000).  U_k is one block
+    of size v = p - k <= p, so Sym^d(U_k) is free exactly when its base is.
+
+    One pass goes down the levels U_n, whose powers are not free, ..., U_k
+    for the lowest k, each U_j decided up to the largest base of a k <= j.
     A degree whose dimension p does not divide is not free.  One that p
     divides is free if the degree below it and the same degree of U_(j+1)
     are: the invariant last variable x gives 0 -> x Sym^(d-1)(U_j) ->
     Sym^d(U_j) -> Sym^d(U_(j+1)) -> 0, z is block triangular for that split,
     and so rank z is at least the sum of the two free ranks, dim - dim/p.
-    Any other such degree, on U_j only d = j + 1 mod p, is free if rank D
-    = dim - dim/p, and otherwise takes one rank of z, budgeted just before
-    its level is walked that far.
-
+    The other such base, on U_j only d = j + 1, is free if rank D = dim -
+    dim/p, and otherwise takes one rank of z, budgeted before it is built.
     Before any row is built, each k, lowest first, is checked against its
-    range and DIM_CAP at caps[k], and the ranks of D at d = j + 1 mod p, the
-    pattern the verdict proves, against WEIGHT_ROWS."""
+    range, and the powers at d = j + 1 against DIM_CAP and WEIGHT_ROWS."""
     if not caps:
         return {}
     p, n, low = params.p, params.n, min(caps)
     for k in sorted(caps):
-        check_dim_cap(level_vars(params, k), caps[k], f"k={k} degree {caps[k]}: ")
-    # reach[j]: the last degree of U_j that some k <= j reads
-    reach = {j: max(c for k, c in caps.items() if k <= j) for j in range(low, n + 1)}
-    rows = sum(symmetric_dimension(n - j + 1, d) for j in range(low, n) for d in range(j + 1, reach[j] + 1, p))
+        level_vars(params, k)
+    # reach[j]: the last base degree of U_j that some k <= j reads
+    reach = {j: min(p - 1, max(c for k, c in caps.items() if k <= j)) for j in range(low, n + 1)}
+    rows = sum(check_dim_cap(n - j + 1, j + 1, f"k={j} degree {j + 1}: ") for j in range(low, n) if j < reach[j])
     if rows > WEIGHT_ROWS:
         raise ResourceGuard(f"the freeness ranks from k={low} read {rows} monomials, over the {WEIGHT_ROWS} budget")
     levels = {n: [False] * (reach[n] + 1)}
     for j in range(n - 1, low - 1, -1):
-        upper, flags, walk, nvars = levels[j + 1], [False], None, n - j + 1
+        upper, flags, nvars = levels[j + 1], [False], n - j + 1
         for deg in range(1, reach[j] + 1):
             dim = symmetric_dimension(nvars, deg)
             if dim % p:
@@ -176,21 +180,16 @@ def free_flags_by_k(params: HeightParams, caps: dict[int, int]) -> dict[int, lis
                 from . import cp_rep, linalg
 
                 linalg.check_rank_budget((dim, dim), p, f"k={j} degree {deg} has dimension {dim}: ")
-                walk = walk or cp_rep._symmetric_walk(cp_rep.u_k_module(params, j), reach[j])
-                flags.append(cp_rep._free_by_rank(next(m for d, m, _ in walk if d == deg)))
+                walk = cp_rep._symmetric_walk(cp_rep.u_k_module(params, j), deg)
+                flags.append(cp_rep._free_by_rank(deque(walk, maxlen=1)[0][1]))
         levels[j] = flags
-    return {k: levels[k][: caps[k] + 1] for k in caps}
+    return {k: levels[k][: min(p - 1, caps[k]) + 1] for k in caps}
 
 
 def jordan_profile(params: HeightParams, k: int, deg: int) -> JordanProfile:
-    """The Jordan profile of Sym^deg(U_k), from that of its base degree b =
-    deg mod p.
-
-    Periodicity: for a Jordan block V_v of size v <= p, Sym^(d+p)(V_v) is
-    Sym^d(V_v) plus a free module (G. Almkvist and R. Fossum, LNM 641, 1978;
-    see also Hughes and Kemper, Comm. Algebra 28, 2000).  U_k is one block
-    of size v = p - k <= p, so Sym^deg(U_k) has the blocks of Sym^b(U_k)
-    and (dim_deg - dim_b)/p more of size p.
+    """The Jordan profile of Sym^deg(U_k): by the periodicity that
+    free_flags_by_k states, the blocks of its base Sym^b(U_k), b = deg mod
+    p, and (dim_deg - dim_b)/p more of size p.
 
     Base: as no block is larger than p, there are at least c = ceil(dim/p)
     blocks and rank z <= dim - c, and rank z >= rank D, so rank D = dim - c
@@ -257,14 +256,18 @@ def nilpotence_reports(
     """One report for each k of caps, in order, up to caps[k].  One pass of
     free_flags_by_k first decides every k with a verdict to find (1 <= k <
     n, caps[k] > k), whose report then comes from its flags through
-    nilpotence_report.  With tate_dims, tate_bases runs before the pass, and
-    every degree that is not free, with its base d mod p among the bases of
-    k, gets the Tate dimension of that base from jordan_profile, once per base.
-    k = 0 gets the trivial report; any other k outside [1, n - 1], or with
-    caps[k] < k + 1, is refused when its turn comes, after the pass."""
+    nilpotence_report.  With tate_dims, the report lists each degree up to
+    caps[k], which DIM_CAP bounds, and every degree that is not free, with
+    its base among tate_bases, gets the Tate dimension of that base from
+    jordan_profile, once per base; both are checked before the pass.  k = 0
+    gets the trivial report; any other k outside [1, n - 1], or with caps[k]
+    < k + 1, is refused when its turn comes, after the pass."""
     p, n = params.p, params.n
     decided = {k: d for k, d in caps.items() if 1 <= k < n and d > k}
-    bases = tate_bases(params, decided) if tate_dims else {}
+    if tate_dims:
+        bases = tate_bases(params, decided)
+        for k in sorted(decided):
+            check_dim_cap(level_vars(params, k), decided[k], f"k={k} degree {decided[k]}: ")
     flags = free_flags_by_k(params, decided)
     reports = []
     for k, max_deg in caps.items():
@@ -277,49 +280,45 @@ def nilpotence_reports(
         elif max_deg < k + 1:
             raise InvalidInput("max_deg must be at least k + 1")
         else:
-            report = nilpotence_report(params, k, flags[k])
+            report = nilpotence_report(params, k, flags[k], max_deg)
             if tate_dims:
-                todo = {d.deg % p for d in report.degrees if not d.free}.intersection(bases[k])
-                tate = {b: jordan_profile(params, k, b).tate_dim(p) for b in todo}
-                report = report._replace(degrees=tuple(
-                    d if d.free else d._replace(tate=tate.get(d.deg % p)) for d in report.degrees))
+                free, nvars = flags[k], level_vars(params, k)
+                tate = {b: 0 if f else jordan_profile(params, k, b).tate_dim(p)
+                        for b, f in enumerate(free) if f or b in bases[k]}
+                report = report._replace(degrees=tuple(DegreeSummary(
+                    d, symmetric_dimension(nvars, d), tate.get(d % p), free[d % p]) for d in range(max_deg + 1)))
             reports.append(report)
     return reports
 
 
-def nilpotence_report(params: HeightParams, k: int, flags: list[bool]) -> NilpotenceReport:
+def nilpotence_report(params: HeightParams, k: int, flags: list[bool], max_deg: int) -> NilpotenceReport:
     """Check that the (k+1)-fold multiplication by the invariant variable is
     zero on Tate cohomology of symmetric powers of U_k, 1 <= k <= n - 1, in
-    all start degrees m with m + k + 1 <= max_deg, given the flags that
-    free_flags_by_k has decided for k, one per degree d <= max_deg.
+    all start degrees m with m + k + 1 <= max_deg, given the flags of the
+    base degrees that free_flags_by_k has decided for k; it lists no degree.
 
-    A free degree reports Tate dimensions 0 and any other unknown ones
-    (None).  A composite vanishes when its window holds a free degree, as
-    the freeness pattern (k+1 <= d mod p <= p-1) guarantees for valid
-    inputs; a window of k+2 degrees that are not free goes to the explicit
-    test cp_rep._window_vanishes.
+    A composite vanishes when its window holds a free degree, as the
+    freeness pattern (k+1 <= d mod p <= p-1) guarantees for valid inputs.
+    The windows at m and m + p hold the same flags, so those that start in
+    one period decide every window.  Each window of k + 2 degrees that are
+    not free goes to the explicit test cp_rep._window_vanishes.
     """
-    p, n, max_deg = params.p, params.n, len(flags) - 1
-    summaries, run, holds = [], 0, True
-    for deg, free in enumerate(flags):
-        summaries.append(DegreeSummary(deg, symmetric_dimension(n - k + 1, deg), 0 if free else None, free))
-        # a vanishing degree makes every composite through it zero
-        run = 0 if free else run + 1
-        if run >= k + 2:
+    p = params.p
+    open_starts = {m for m in range(min(p, max_deg - k)) if not any(flags[d % p] for d in range(m, m + k + 2))}
+    holds = True
+    for m in range(max_deg - k) if open_starts else ():
+        if m % p in open_starts:
             from . import cp_rep
 
-            window = deque(cp_rep._symmetric_walk(cp_rep.u_k_module(params, k), deg), maxlen=k + 2)
+            window = deque(cp_rep._symmetric_walk(cp_rep.u_k_module(params, k), m + k + 1), maxlen=k + 2)
             holds = cp_rep._window_vanishes(p, list(window)) and holds
-    return NilpotenceReport(p=p, k=k, max_deg=max_deg, degrees=tuple(summaries), windows=max_deg - k,
-                            holds=holds)
+    return NilpotenceReport(p=p, k=k, max_deg=max_deg, degrees=(), windows=max_deg - k, holds=holds)
 
 
 def default_degree_cap(params: HeightParams, k: int) -> int:
-    """Default degree bound for the verification suites.
-
-    Chosen to cover at least one full period of p in every residue class
-    while keeping the dense-rank path fast; the one large family at p = 5
-    (k = 1, dimensions up to 1771) gets the tighter bound."""
+    """Default degree bound for the verification suites: at least one full
+    period of p.  The verdicts read every degree off its base d mod p, so it
+    costs them nothing; the recorded outputs pin its values."""
     p = params.p
     if p == 3:
         return 3 * p * p

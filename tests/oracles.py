@@ -17,7 +17,8 @@ src/tatedual holds, and these oracles recompute the same facts another way.
   half plane and reads the zero-line survivors off it;
 - the verify_* checks test properties that hold on every recorded sequence;
 - freeness_check decides freeness at one degree from a fresh symmetric
-  power, against the flags of verdicts.free_flags_by_k;
+  power, and free_flags_per_degree proves it degree by degree up to a cap
+  with no periodicity, both against the flags of verdicts.free_flags_by_k;
 - direct_sum builds the planted-block modules of the Jordan and Tate tests,
   and coordinates_in_span inverts the change of basis of the random ones;
 - monomials enumerates exponent tuples of one degree in descending lex
@@ -34,7 +35,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from tatedual import cp_rep, linalg
+from tatedual import cp_rep, linalg, verdicts
 from tatedual.cp_rep import CpModule
 from tatedual.errors import InvalidInput, VerificationFailure
 from tatedual.mod_arith import HeightParams
@@ -355,6 +356,31 @@ def freeness_check(params: HeightParams, k: int, deg: int) -> bool:
     """Is the degree-deg symmetric power of the height module free over
     F_p[C_p]?  Decided by the rank of zeta - 1 alone, dense or sparse."""
     return cp_rep._free_by_rank(cp_rep.symmetric_power(cp_rep.u_k_module(params, k), deg))
+
+
+def free_flags_per_degree(params: HeightParams, caps: dict[int, int]) -> dict[int, list[bool]]:
+    """Whether Sym^d(U_k) is free, d = 0, ..., caps[k], for every k of caps,
+    each degree proved on its own: the pass of verdicts.free_flags_by_k run
+    up to caps[k] rather than over one period, with no budget.  Down the
+    levels U_n, whose powers are not free, ..., U_k for the lowest k, a degree
+    of U_j is not free when p does not divide its dimension, free when the
+    degree below it and the same degree of U_(j+1) are, or when rank D =
+    dim - dim/p, and otherwise decided by freeness_check."""
+    p, n, low = params.p, params.n, min(caps)
+    reach = {j: max(c for k, c in caps.items() if k <= j) for j in range(low, n + 1)}
+    levels = {n: [False] * (reach[n] + 1)}
+    for j in range(n - 1, low - 1, -1):
+        upper, flags, nvars = levels[j + 1], [False], n - j + 1
+        for deg in range(1, reach[j] + 1):
+            dim = verdicts.symmetric_dimension(nvars, deg)
+            if dim % p:
+                flags.append(False)
+            elif (flags[-1] and upper[deg]) or verdicts.weight_rank(p, nvars, deg) == dim - dim // p:
+                flags.append(True)
+            else:
+                flags.append(freeness_check(params, j, deg))
+        levels[j] = flags
+    return {k: levels[k][: caps[k] + 1] for k in caps}
 
 
 def monomials(nvars: int, deg: int) -> list[tuple[int, ...]]:

@@ -107,6 +107,9 @@ REFUSALS = [
      "`tatedual verify freeness` checks larger powers from ranks"),
     ("verify nilpotence --prime 997 --k 995 --json --max-degree 996",
      "error: the Tate dimensions up to k=995 degree 292 would rank 8427559 dense cells, over the 8388608 budget"),
+    # --json lists every degree, so DIM_CAP at --max-degree bounds its output
+    ("verify nilpotence --prime 3 --json --max-degree 1000000000000",
+     "error: k=1 degree 1000000000000: symmetric power dimension 1000000000001 exceeds cap 50000"),
 ]
 
 
@@ -313,39 +316,70 @@ def test_max_degree_one_is_honoured(capsys):
     )
 
 
-@pytest.mark.parametrize(
-    "k,code,out,err",
-    [
-        (3, 2, "", "error: k=3 degree 1000000000000: symmetric power dimension 1000000000001 "
-                   "exceeds cap 50000\n"),
-        (4, 0, "PASS freeness p=5 k=4 degrees_checked=0 max_degree=1000000000000\n", ""),
-    ],
-    ids=["k3-refused", "k4-no-degrees"],
-)
-def test_freeness_huge_max_degree_answers_at_once(k, code, out, err):
-    # the wanted degrees are read lazily: k = 3 is refused by DIM_CAP before
-    # any row is built, and k = 4 wants no degree at all.  A fresh interpreter,
-    # so that a run that lists every degree is killed at the time limit
+def _run_fresh(argv):
+    """(exit code, stdout, stderr) of the command line in a fresh interpreter
+    on src/, killed after 2 s, so that a run that walks or lists every
+    degree up to the one asked for fails."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    argv = ["verify", "freeness", "--prime", "5", "--k", str(k), "--max-degree", str(10**12)]
     proc = subprocess.run([sys.executable, "-m", "tatedual.cli", *argv], env=env, capture_output=True,
                           text=True, timeout=2)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _freeness_line(p, k, cap):
+    """The PASS line of freeness at k: the degrees d <= cap with d mod p > k
+    are cap // p full periods of p - 1 - k each and the cap % p - k past them."""
+    checked = cap // p * (p - 1 - k) + max(0, cap % p - k)
+    return f"PASS freeness p={p} k={k} degrees_checked={checked} max_degree={cap}\n"
+
+
+@pytest.mark.parametrize(
+    "k,out",
+    [
+        (3, "PASS freeness p=5 k=3 degrees_checked=200000000000 max_degree=1000000000000\n"),
+        (4, "PASS freeness p=5 k=4 degrees_checked=0 max_degree=1000000000000\n"),
+    ],
+    ids=["k3-answered", "k4-no-degrees"],
+)
+def test_freeness_huge_max_degree_answers_at_once(k, out):
+    # every degree reads its base d mod p: k = 3 is decided on degrees 0 to
+    # 4 and counts the degrees d = 4 mod 5, and k = 4 wants no degree at all
+    argv = ["verify", "freeness", "--prime", "5", "--k", str(k), "--max-degree", str(10**12)]
+    assert _run_fresh(argv) == (0, out, "")
+    assert out == _freeness_line(5, k, 10**12)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+@pytest.mark.parametrize("suite", ["nilpotence", "freeness"])
+def test_default_verdicts_at_p11_and_p13_answer(suite, p):
+    # each k at its default cap 2p: the bases b < p decide every degree
+    if suite == "nilpotence":
+        out = "".join(f"PASS nilpotence p={p} k={k} max_degree={2 * p} windows={2 * p - k}\n"
+                      for k in range(1, p - 1))
+    else:
+        out = "".join(_freeness_line(p, k, 2 * p) for k in range(p - 1))
+    assert _run_fresh(["verify", suite, "--prime", str(p)]) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv,out",
+    [(("nilpotence", "--prime", "3"), f"PASS nilpotence p=3 k=1 max_degree={10**9} windows={10**9 - 1}\n"),
+     (("freeness", "--prime", "5", "--k", "2"), _freeness_line(5, 2, 10**9))],
+    ids=["nilpotence-p3", "freeness-p5-k2"],
+)
+def test_plain_verdict_huge_max_degree_answers_at_once(argv, out):
+    assert _run_fresh(["verify", *argv, "--max-degree", str(10**9)]) == (0, out, "")
 
 
 @pytest.mark.parametrize("degree", [7, 10**8])
 def test_sympow_trivial_level_answers_at_once(degree):
     # every power of U_4 at p = 5 has dimension 1, so no cap refuses it; its
     # profile is one block of size 1 at every degree, read without building
-    # a power.  A fresh interpreter, so that a walk up to the degree is
-    # killed at the time limit
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    argv = ["sympow", "--prime", "5", "--k", "4", "--degree", str(degree)]
-    proc = subprocess.run([sys.executable, "-m", "tatedual.cli", *argv], env=env, capture_output=True,
-                          text=True, timeout=2)
+    # a power
     out = {"p": 5, "k": 4, "degree": degree, "dimension": 1, "jordan": {"blocks": [1], "total": 1},
            "tate": {"even_dim": 1, "odd_dim": 1}, "free": False}
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, json.dumps(out, indent=2) + "\n", "")
+    argv = ["sympow", "--prime", "5", "--k", "4", "--degree", str(degree)]
+    assert _run_fresh(argv) == (0, json.dumps(out, indent=2) + "\n", "")
 
 
 def test_sympow_json(capsys):
@@ -476,11 +510,11 @@ def test_sympow_above_dense_limit_refused_before_walking(capsys, monkeypatch):
 
 
 def test_freeness_over_rank_budget_exits_2(capsys, monkeypatch):
-    # degree 16 of U_0 at p = 5 has dimension 4845 and, with its weight
-    # certificate forced short, falls back to a rank of z, as 16 = 0 + 1
-    # mod 5; its float32 work array of 4 * 4845^2 bytes is one byte over the
-    # patched budget; the command must refuse before building any
-    # symmetric power
+    # degree 6 of U_5 at p = 13, the largest power that a verdict at p <= 13
+    # ranks, has dimension 1716 and, with its weight certificate forced
+    # short, falls back to a rank of z, as 6 = 5 + 1; its float32 work array
+    # of 4 * 1716^2 bytes is one byte over the patched budget; the command
+    # must refuse before building any symmetric power
     from tatedual import cp_rep, linalg, verdicts
 
     def no_steps(self):
@@ -488,20 +522,19 @@ def test_freeness_over_rank_budget_exits_2(capsys, monkeypatch):
 
     real = verdicts.weight_rank
     monkeypatch.setattr(cp_rep._SymmetricChain, "step", no_steps)
-    monkeypatch.setattr(verdicts, "weight_rank", lambda p, nvars, deg: -1 if deg == 16 else real(p, nvars, deg))
-    monkeypatch.setattr(linalg, "RANK_BYTES", 4 * 4845**2 - 1)
-    code, out, err = run_cli(capsys, "verify", "freeness", "--prime", "5", "--k", "0", "--max-degree", "16")
+    monkeypatch.setattr(verdicts, "weight_rank", lambda p, nvars, deg: -1 if nvars == 8 else real(p, nvars, deg))
+    monkeypatch.setattr(linalg, "RANK_BYTES", 4 * 1716**2 - 1)
+    code, out, err = run_cli(capsys, "verify", "freeness", "--prime", "13", "--k", "5", "--max-degree", "100")
     assert code == 2
     assert out == ""
-    assert "4845 x 4845" in err and "byte budget" in err
-    assert "k=0" in err and "degree 16" in err
+    assert "1716 x 1716" in err and "byte budget" in err
+    assert "k=5" in err and "degree 6" in err
 
 
 def test_verify_freeness_golden(capsys):
-    # every k at p = 7, the README command: each level ranks only its
-    # degrees d = k + 1 mod 7, the largest at dimension 3003 (k = 0,
-    # degree 8); U_0 at degrees 11 to 13, dimensions 12376 to 27132, is free
-    # by extension
+    # every k at p = 7, the README command: each level U_k ranks only its
+    # base degree k + 1, the largest at dimension 35 (k = 2 and 3), and
+    # every degree up to 14 reads the flag of its base d mod 7
     code, out, err = run_cli(capsys, "verify", "freeness", "--prime", "7")
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / "freeness_p7.txt").read_bytes()
@@ -509,7 +542,7 @@ def test_verify_freeness_golden(capsys):
 
 def test_verify_freeness_p5_golden(capsys):
     # every k at p = 5, the README command: U_0 at degree 21 (dimension
-    # 12650) is decided by the rank of D, where a rank of z was over budget
+    # 12650) reads the flag of its base 1, where a rank of z was over budget
     code, out, err = run_cli(capsys, "verify", "freeness", "--prime", "5")
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / "freeness_p5.txt").read_bytes()

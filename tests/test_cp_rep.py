@@ -474,13 +474,19 @@ class TestFreeness:
         pa = height_params(p)
         degrees = range(0, verdicts.default_degree_cap(pa, k) + 1)
         expected = {d: freeness_check(pa, k, d) for d in degrees}
+        # each degree reads the flag of its base d mod p
         flags = verdicts.free_flags_by_k(pa, {k: degrees[-1]})[k]
-        assert {d: flags[d] for d in degrees} == expected
+        assert {d: flags[d % p] for d in degrees} == expected
 
     def test_one_pass_edge_cases(self, params3):
+        # a cap below p gives one flag per degree up to it, and any cap from
+        # p - 1 on the flags of the whole period, however large
         assert verdicts.free_flags_by_k(params3, {1: 0})[1] == [False]
+        assert verdicts.free_flags_by_k(params3, {1: 1})[1] == [False, False]
+        for cap in (2, 3, 10**12):
+            assert verdicts.free_flags_by_k(params3, {1: cap}) == {1: [False, False, True]}
         with pytest.raises(InvalidInput):
-            verdicts.free_flags_by_k(params3, {1: -1})[1]
+            verdicts.free_flags_by_k(params3, {3: 2})
 
 
 class TestOrbitProduct:
@@ -577,9 +583,9 @@ class TestMultiplication:
 
 def _ranked_pairs(p, k, max_deg):
     """The (level, degree) pairs that free_flags_by_k ranks, bottom-up: on each
-    U_j, k <= j < n, the degrees d = j + 1 mod p, the first of each period
-    whose dimension p divides."""
-    return [(j, d) for j in range(p - 2, k - 1, -1) for d in range(1, max_deg + 1) if d % p == j + 1]
+    U_j, k <= j < n, the base degree d = j + 1, the first whose dimension p
+    divides, if max_deg reaches it."""
+    return [(j, j + 1) for j in range(p - 2, k - 1, -1) if j + 1 <= max_deg]
 
 
 def _levels_seen(monkeypatch, name, params):
@@ -649,9 +655,11 @@ class TestFreeFlags:
         # the budget covers exactly the fallback ranks, each before its walk
         assert budgeted == _ranked_pairs(p, k, max_deg)
         if (p, k) == (7, 2):
-            # against 13 ranks of U_2 alone, up to dimension 2380
+            # one rank per level, on its bases: against 8 up to dimension
+            # 1001 when every period was ranked, and 13 ranks of U_2 alone
+            # up to dimension 2380 when each degree was
             dims = [cp_rep.symmetric_dimension(params.n + 1 - j, d) for j, d in ranked]
-            assert (len(ranked), max(dims)) == (8, 1001)
+            assert (len(ranked), max(dims)) == (4, 35)
 
     @pytest.mark.parametrize("p,k", [(p, k) for p in (3, 5, 7) for k in range(p - 1)])
     def test_last_variable_makes_z_block_triangular(self, p, k):
@@ -708,10 +716,28 @@ def _suite_caps(params, suite, max_degree):
 
 def _union_pairs(p, caps):
     """The (level, degree) pairs that one pass for every k of caps ranks,
-    levels top-down: on each U_j, j >= min k, the degrees d = j + 1 mod p up
-    to the largest cap of a k <= j."""
-    return [(j, d) for j in range(p - 2, min(caps) - 1, -1)
-            for d in range(1, max(c for k, c in caps.items() if k <= j) + 1) if d % p == j + 1]
+    levels top-down: on each U_j, j >= min k, the base degree d = j + 1 if
+    the largest cap of a k <= j reaches it."""
+    return [(j, j + 1) for j in range(p - 2, min(caps) - 1, -1)
+            if j + 1 <= max(c for k, c in caps.items() if k <= j)]
+
+
+def _huge_max_degree_cases(cap=10**12):
+    """(suite, p, --json, stdout, stderr) of `verify <suite> --prime p
+    --max-degree cap` for every k: the plain lines in closed form, windows =
+    cap - k and, for freeness, the degrees d <= cap with d mod p > k, and
+    --json refused by DIM_CAP at k = 1."""
+    for p in (3, 5, 7):
+        lines = [f"PASS nilpotence p={p} k={k} max_degree={cap} windows={cap - k}\n" for k in range(1, p - 1)]
+        yield pytest.param("nilpotence", p, False, "".join(lines), "", id=f"nilpotence-{p}-k=1 plain")
+    for p in (3, 5, 7):
+        checked = {k: cap // p * (p - 1 - k) + max(0, cap % p - k) for k in range(p - 1)}
+        lines = [f"PASS freeness p={p} k={k} degrees_checked={c} max_degree={cap}\n" for k, c in checked.items()]
+        yield pytest.param("freeness", p, False, "".join(lines), "", id=f"freeness-{p}-k=0 plain")
+    for p in (3, 5, 7):
+        dim = math.comb(cap + p - 2, p - 2)
+        err = f"error: k=1 degree {cap}: symmetric power dimension {dim} exceeds cap 50000\n"
+        yield pytest.param("nilpotence", p, True, "", err, id=f"nilpotence-{p}-k=1 json")
 
 
 class TestOnePass:
@@ -727,8 +753,9 @@ class TestOnePass:
         caps = _suite_caps(params, suite, max_degree)
         alone = {k: verdicts.free_flags_by_k(params, {k: d})[k] for k, d in caps.items()}
         assert verdicts.free_flags_by_k(params, caps) == alone
-        # the pattern that test_periodicity derives from the Jordan profiles
-        assert all(alone[k] == [k + 1 <= d % p for d in range(c + 1)] for k, c in caps.items())
+        # the pattern that test_periodicity derives from the Jordan profiles,
+        # over the bases b < p that every degree reads
+        assert all(alone[k] == [k + 1 <= b for b in range(min(p - 1, c) + 1)] for k, c in caps.items())
 
     @pytest.mark.parametrize(
         "argv",
@@ -757,30 +784,31 @@ class TestOnePass:
         # the budget covers the union of the ranked pairs, each before its walk
         assert budgeted == ranked
         if argv == ("nilpotence", "--prime", "5"):
-            # against 27 ranks and 125 steps when each k is decided alone: U_3
-            # and U_2 to degree 25, U_1 to 20, each walked to its last rank
-            assert len(ranked) == 14 and len(steps) <= 64
+            # one rank per level, each walked to its base degree j + 1 alone:
+            # against 14 ranks and up to 64 steps when every period of the
+            # caps 20 and 25 was ranked
+            assert len(ranked) == 3 and len(steps) == 4 + 3 + 2
             assert len(set(steps)) == len(steps)
 
-    @pytest.mark.parametrize(
-        "suite,p,err",
-        [(suite, p, f"k={k} degree {10**12}: symmetric power dimension {math.comb(10**12 + p - 1 - k, p - 1 - k)} "
-                    "exceeds cap 50000")
-         for suite, k in (("nilpotence", 1), ("freeness", 0)) for p in (3, 5, 7)],
-    )
-    def test_one_pass_refuses_huge_max_degree_before_any_step(self, suite, p, err, monkeypatch, capsys):
-        # the lowest k, refused by DIM_CAP before any row is built or any
-        # power stepped, with stdout empty
+    @pytest.mark.parametrize("suite,p,json_,out,err", _huge_max_degree_cases())
+    def test_one_pass_refuses_huge_max_degree_before_any_step(self, suite, p, json_, out, err, monkeypatch,
+                                                              capsys):
+        # --max-degree 10^12: the plain verdict is answered from the bases b
+        # < p, its lines counted in closed form, and --json, which lists
+        # every degree, is refused by DIM_CAP at the lowest k before any row
+        # is built.  Neither steps a chain: the ranks of D decide the bases
         def no_steps(self):
-            raise AssertionError("the pass stepped a chain before its budget")
+            raise AssertionError("the pass stepped a chain")
 
         def no_rows(*args):
             raise AssertionError("the pass ranked D before its budget")
 
         monkeypatch.setattr(cp_rep._SymmetricChain, "step", no_steps)
-        monkeypatch.setattr(verdicts, "weight_rank", no_rows)
-        assert cli.main(["verify", suite, "--prime", str(p), "--max-degree", str(10**12)]) == 2
-        assert capsys.readouterr() == ("", f"error: {err}\n")
+        if json_:
+            monkeypatch.setattr(verdicts, "weight_rank", no_rows)
+        argv = ["verify", suite, "--prime", str(p), "--max-degree", str(10**12)] + ["--json"] * json_
+        assert cli.main(argv) == (2 if json_ else 0)
+        assert capsys.readouterr() == (out, err)
 
 
 class TestNilpotence:
@@ -811,9 +839,9 @@ class TestNilpotence:
         return seen
 
     def test_verdict_builds_z_where_p_divides_dim(self, params5, monkeypatch):
-        # only at the ranked degrees, levels bottom-up: U_3 at degrees 4, 9
-        # and 14, then U_2 at 3, 8 and 13; U_2 at 4, 9 and 14, whose
-        # dimensions 5 also divides, are free by extension
+        # only at the ranked base degrees, levels bottom-up: U_3 at degree
+        # 4, then U_2 at 3; U_2 at 4, whose dimension 5 also divides, is
+        # free by extension, and every degree past 4 reads its base d mod 5
         _weight_short(monkeypatch)
         built = _levels_seen(monkeypatch, "_z_triplets", params5)
         report = report_for_k(params5, 2, 15)
@@ -858,11 +886,10 @@ class TestNilpotence:
         assert decomposed == []
 
     def test_walk_stops_at_last_ranked_degree(self, monkeypatch):
-        # p = 7, k = 2: each level U_j steps only to its last ranked degree,
-        # d = j + 1 + 7: U_2 to degree 10 (dimension 1001), not to 13
-        # (dimension 2380), which U_3 at 13 and U_2 at 12 prove free; degree
-        # 14 (dimension 3060, not a multiple of 7) is reported from its
-        # dimension, unbuilt
+        # p = 7, k = 2: each level U_j steps only to its one ranked degree,
+        # the base d = j + 1: U_2 to degree 3 (dimension 35), not to 10
+        # (dimension 1001) or 13 (dimension 2380), which read the flags of
+        # their bases 3 and 6; the plain verdict lists no degree
         stepped: dict = {}
         step = cp_rep._SymmetricChain.step
 
@@ -873,21 +900,23 @@ class TestNilpotence:
         monkeypatch.setattr(cp_rep._SymmetricChain, "step", counted)
         _weight_short(monkeypatch)
         report = report_for_k(height_params(7), 2, 14)
-        assert stepped == {j: list(range(1, j + 9)) for j in (5, 4, 3, 2)}
+        assert stepped == {j: list(range(1, j + 2)) for j in (5, 4, 3, 2)}
         assert list(stepped) == [5, 4, 3, 2]
-        assert report.degrees[-1] == verdicts.DegreeSummary(14, 3060, None, False)
+        assert report.degrees == ()
         assert report.holds
 
     def test_report_fits_in_memory(self):
         # p = 7, k = 2 peaked at 40.5 MiB while it built degree 14 (dimension
-        # 3060), which no rank reads; without that step it peaks near 31 MiB
+        # 3060), which no rank reads, and near 31 MiB while it ranked every
+        # period up to 14; over one period, at most dimension 35, it keeps
+        # about 0.01 MiB
         tracemalloc.start()
         try:
             assert report_for_k(height_params(7), 2, 14).holds
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 36 * 2**20
+        assert peak < 2**20
 
     @pytest.mark.parametrize("p,k,max_deg,limit,window", [(3, 1, 4, 4, "2..4"), (5, 2, 15, 10, "1..4")])
     def test_window_past_dense_limit_refused(self, p, k, max_deg, limit, window, monkeypatch):
@@ -902,11 +931,13 @@ class TestNilpotence:
         assert str(refused.value) == f"window {window} has no vanishing degree and exceeds the dense limit"
 
     def test_report_json_shape(self, params3):
-        report = report_for_k(params3, 1, 6)
+        # the report of --json lists every degree; the plain verdict's none
+        report = report_for_k(params3, 1, 6, tate_dims=True)
         blob = report.to_json()
         assert blob["holds"] is True
         assert blob["windows_checked"] == report.windows
         assert len(blob["degrees"]) == 7
+        assert report_for_k(params3, 1, 6).to_json() == dict(blob, degrees=[])
 
 
 class TestNilpotenceFallback:
@@ -927,6 +958,15 @@ class TestNilpotenceFallback:
         report = report_for_k(height_params(p), k, max_deg)
         assert report.holds
         assert tested == list(range(max_deg - k)) and report.windows == max_deg - k
+
+    def test_explicit_windows_follow_the_bases(self, monkeypatch):
+        # a made-up period at p = 5, k = 1 where only base 0 is free: the
+        # windows m, m + 1, m + 2 that hold no degree d = 0 mod 5, m = 1 or 2
+        # mod 5 up to m = 8 - 2, go to the explicit test, and only they
+        tested = []
+        monkeypatch.setattr(cp_rep, "_window_vanishes", lambda p, window: tested.append(window[0][0]) or True)
+        report = verdicts.nilpotence_report(height_params(5), 1, [True, False, False, False, False], 8)
+        assert (tested, report.windows, report.holds) == ([1, 2, 6], 7, True)
 
     @pytest.mark.parametrize(
         "p,k,max_deg,nonzero",

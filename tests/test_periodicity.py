@@ -139,35 +139,39 @@ def test_nilpotence_report_matches_prediction(p, k, max_deg):
         dim, rz, rn = predicted(p, k, d.deg)
         assert (d.dim, d.tate) == (dim, dim - rz - rn), d
         assert d.free is predicted_free(p, k, d.deg), d
-    # the verdict alone: Tate dimension 0 where free, unknown elsewhere
+    # the verdict alone lists no degree, and holds over the same windows
     verdict = report_for_k(height_params(p), k, max_deg)
-    expected = [(d.deg, d.dim, 0 if d.free else None, d.free) for d in report.degrees]
-    assert [(d.deg, d.dim, d.tate, d.free) for d in verdict.degrees] == expected
-    assert (verdict.holds, verdict.windows) == (report.holds, report.windows)
+    assert verdict.degrees == ()
+    assert (verdict.holds, verdict.windows) == (report.holds, report.windows) == (True, max_deg - k)
 
 
 def test_free_flags_catch_an_off_by_one_rank(monkeypatch):
     # mutation check: the verdict's free flags rest on the ranks of D, or
-    # of z where D falls short, at the degrees that the last-variable
-    # extensions leave open, so a block count off by one in both must show
-    # against the prediction.  (Off by one in D alone sends every such
-    # degree to the rank of z, which answers right; the no-fallback test of
-    # test_verdicts catches that mutant.)  (By Lucas's
-    # theorem p divides C(d + p-1-k, p-1-k) exactly when d mod p >= k + 1,
-    # so testing only whether p divides the dimension, or answering free
-    # wherever it does, agrees with freeness at every degree of U_k, and no
-    # output could catch that mutant; TestFreeFlags in test_cp_rep checks
-    # the certificate's hypothesis instead.)
+    # of z where D falls short, at the base degrees that the last-variable
+    # extensions leave open, d = j + 1 on U_j, so a block count off by one
+    # in both must show against the prediction at every degree read off
+    # those bases.  (Off by one in D alone sends every such degree to the
+    # rank of z, which answers right; the no-fallback test of test_verdicts
+    # catches that mutant.)  (By Lucas's theorem p divides C(d + p-1-k,
+    # p-1-k) exactly when d mod p >= k + 1, so testing only whether p
+    # divides the dimension, or answering free wherever it does, agrees
+    # with freeness at every degree of U_k, and no output could catch that
+    # mutant; TestFreeFlags in test_cp_rep checks the certificate's
+    # hypothesis instead.)
     def off_by_one(m):
         rank = linalg.sparse_rank_mod(cp_rep._z_triplets(m), m.p)
         return m.dim % m.p == 0 and rank == m.dim - m.dim // m.p - 1
 
+    seen = []
     real = verdicts.weight_rank
     monkeypatch.setattr(verdicts, "weight_rank", lambda p, nvars, deg: real(p, nvars, deg) + 1)
-    monkeypatch.setattr(cp_rep, "_free_by_rank", off_by_one)
+    monkeypatch.setattr(cp_rep, "_free_by_rank", lambda m: seen.append(m.dim) or off_by_one(m))
     p, k, max_deg = 5, 1, 20
-    report = report_for_k(height_params(p), k, max_deg)
-    assert [d.free for d in report.degrees] != [predicted_free(p, k, d) for d in range(max_deg + 1)]
+    flags = verdicts.free_flags_by_k(height_params(p), {k: max_deg})[k]
+    # the fallback ranks z on the bases b < p alone, wherever p divides the
+    # dimension: U_3 at degree 4, U_2 at 3 and 4, and U_1 at 2, 3 and 4
+    assert seen == [5, 10, 15, 10, 20, 35]
+    assert [flags[d % p] for d in range(max_deg + 1)] != [predicted_free(p, k, d) for d in range(max_deg + 1)]
 
 
 @pytest.mark.parametrize("p,k,max_deg", [*NILPOTENCE_SUITES, (7, 2, 14)])
@@ -182,9 +186,10 @@ def test_jordan_profile_matches_prediction(p, k, max_deg):
 
 @pytest.mark.parametrize("p,k,max_deg", FREENESS_SUITES)
 def test_freeness_by_degree_matches_prediction(p, k, max_deg):
-    degrees = range(max_deg + 1)
-    expected = {d: predicted_free(p, k, d) for d in degrees}
-    assert dict(enumerate(verdicts.free_flags_by_k(height_params(p), {k: max_deg})[k])) == expected
+    # each degree reads the flag of its base d mod p
+    flags = verdicts.free_flags_by_k(height_params(p), {k: max_deg})[k]
+    assert len(flags) == p
+    assert [flags[d % p] for d in range(max_deg + 1)] == [predicted_free(p, k, d) for d in range(max_deg + 1)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

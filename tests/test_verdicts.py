@@ -15,15 +15,17 @@ import pytest
 from tatedual import cli, cp_rep, linalg, verdicts
 from tatedual.mod_arith import height_params
 
-from oracles import monomials, rank_row_loop
+from oracles import free_flags_per_degree, monomials, rank_row_loop
 
 BENCH_EXPECTED = Path(__file__).parent.parent / "bench" / "expected"
 
 
 def _dense_ranked_pairs(p):
     """(level j, degree d) of every rank that the default nilpotence and
-    freeness suites at p take, whose power is dense: d = j + 1 mod p up to
-    the largest default cap of a k <= j, k from 0."""
+    freeness suites at p took when each degree was proved on its own
+    (oracles.free_flags_per_degree), whose power is dense: d = j + 1 mod p
+    up to the largest default cap of a k <= j, k from 0.  The suites now
+    take the first, the base d = j + 1, on each level."""
     params = height_params(p)
     pairs = []
     for j in range(p - 1):
@@ -139,7 +141,7 @@ def _fallbacks(monkeypatch):
     return seen
 
 
-SUITES = [(suite, p) for suite in ("nilpotence", "freeness") for p in ("3", "5", "7")]
+SUITES = [(suite, p) for suite in ("nilpotence", "freeness") for p in ("3", "5", "7", "11", "13")]
 
 
 @pytest.mark.parametrize("suite,p", SUITES)
@@ -152,14 +154,15 @@ def test_default_suites_take_no_fallback(suite, p, monkeypatch, capsys):
 
 def test_a_comparison_one_short_shows_only_as_fallbacks(monkeypatch, capsys):
     # mutation check: comparing rank D with dim - dim/p - 1 proves no degree
-    # free, so every ranked degree falls back to a rank of z, which answers
-    # right; the output is unchanged and only the fallback spy sees it
+    # free, so every ranked degree, d = j + 1 on U_j for j = 3, 2, 1, falls
+    # back to a rank of z, which answers right; the output is unchanged and
+    # only the fallback spy sees it
     real = verdicts.weight_rank
     monkeypatch.setattr(verdicts, "weight_rank", lambda p, nvars, deg: real(p, nvars, deg) + 1)
     fallbacks = _fallbacks(monkeypatch)
     assert cli.main(["verify", "nilpotence", "--prime", "5"]) == 0
     assert capsys.readouterr().out == (BENCH_EXPECTED / "nilpotence-p5.out").read_text()
-    assert len(fallbacks) == 14
+    assert fallbacks == [verdicts.symmetric_dimension(5 - j, j + 1) for j in (3, 2, 1)]
 
 
 def _steps(monkeypatch):
@@ -190,3 +193,33 @@ def test_json_walks_each_level_once(monkeypatch, capsys):
     assert cli.main(["verify", "nilpotence", "--prime", "5", "--json"]) == 0
     capsys.readouterr()
     assert len(steps) <= 70 and len(set(steps)) == len(steps)
+
+
+def _parent_accepts(params, k, cap):
+    """Whether the per-degree pass, with its budgets at caps[k], took {k: cap}:
+    Sym^cap(U_k) within DIM_CAP, and the ranks of D at d = j + 1 mod p, d <=
+    cap, on the levels j >= k within WEIGHT_ROWS."""
+    p = params.p
+    if verdicts.symmetric_dimension(p - k, cap) > verdicts.DIM_CAP:
+        return False
+    rows = sum(verdicts.symmetric_dimension(p - j, d) for j in range(k, p - 1) for d in range(j + 1, cap + 1, p))
+    return rows <= verdicts.WEIGHT_ROWS
+
+
+# the oracle ranks D up to dimension 50000: about 0.5 s at p <= 7 on a
+# 2-core machine, 2 s each at p = 11 and 13
+@pytest.mark.parametrize("p", [3, 5, 7, *(pytest.param(p, marks=pytest.mark.slow) for p in (11, 13))])
+def test_period_flags_match_the_per_degree_pass(p):
+    # every (k, cap) with cap <= 3p + 1 that the per-degree pass accepted:
+    # degree d read off the flag of its base d mod p, against each degree
+    # proved on its own.  The largest accepted cap of each k bounds the
+    # others, and one oracle pass decides every k at its largest
+    params = height_params(p)
+    tops = {k: max(c for c in range(3 * p + 2) if _parent_accepts(params, k, c)) for k in range(p)}
+    oracle = free_flags_per_degree(params, tops)
+    for k, top in tops.items():
+        for cap in range(top + 1):
+            flags = verdicts.free_flags_by_k(params, {k: cap})[k]
+            assert len(flags) == min(p, cap + 1), (k, cap)
+            assert [flags[d % p] for d in range(cap + 1)] == oracle[k][: cap + 1], (k, cap)
+    assert sum(top + 1 for top in tops.values()) == {3: 33, 5: 85, 7: 150, 11: 248, 13: 287}[p]
