@@ -153,7 +153,7 @@ def _verify_freeness(args) -> int:
     caps = _degree_caps(args, params, ks)
     # the degrees d <= max_deg with d mod p > k, free by the pattern, each
     # reading the flag of its base d mod p, counted per base; U_n has none
-    flags = verdicts.free_flags_by_k(params, {k: d if k < params.n else 0 for k, d in caps.items()})
+    flags = verdicts.free_flags_by_k(params, caps)
     failures = 0
     for k, max_deg in caps.items():
         checked = sum((max_deg - b) // p + 1 for b in range(k + 1, len(flags[k])))

@@ -22,10 +22,12 @@ dim - dim/p proves the degree free, exactly.  D's columns stream into its
 rank one exponent row at a time, so only the pivots stay live.  Only when
 rank D falls short does a degree import cp_rep, for a rank of z
 (cp_rep._free_by_rank).  By the periodicity of free_flags_by_k, the bases
-b < p decide every degree, so the verdicts rank D on the bases alone.  One
-rank of D also proves the Jordan profile of a base (jordan_profile), so
-sympow and the Tate dimensions of the nilpotence reports take no freeness
-pass and import cp_rep only to decompose a base that the bounds leave open.
+b < p decide every degree, and by its induction one certificate per level,
+Sym^(j+1)(U_j) free, decides every base, so the verdicts rank D on those
+powers alone, of dimension C(p, j + 1).  One rank of D also proves the
+Jordan profile of a base (jordan_profile), so sympow and the Tate
+dimensions of the nilpotence reports take no freeness pass and import
+cp_rep only to decompose a base that the bounds leave open.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from .mod_arith import HeightParams
 
 # the largest symmetric power a walk builds or a verdict ranks
 DIM_CAP = 50_000
-# the monomials that the weight ranks of one freeness pass read, in total
-WEIGHT_ROWS = 1_000_000
 # the largest dimension at which cp_rep makes z a dense matrix, and so the
 # largest power whose profile sympow takes
 DENSE_LIMIT = 2000
@@ -146,44 +146,39 @@ def free_flags_by_k(params: HeightParams, caps: dict[int, int]) -> dict[int, lis
     see also Hughes and Kemper, Comm. Algebra 28, 2000).  U_k is one block
     of size v = p - k <= p, so Sym^d(U_k) is free exactly when its base is.
 
-    One pass goes down the levels U_n, whose powers are not free, ..., U_k
-    for the lowest k, each U_j decided up to the largest base of a k <= j.
-    A degree whose dimension p does not divide is not free.  One that p
-    divides is free if the degree below it and the same degree of U_(j+1)
-    are: the invariant last variable x gives 0 -> x Sym^(d-1)(U_j) ->
-    Sym^d(U_j) -> Sym^d(U_(j+1)) -> 0, z is block triangular for that split,
-    and so rank z is at least the sum of the two free ranks, dim - dim/p.
-    The other such base, on U_j only d = j + 1, is free if rank D = dim -
-    dim/p, and otherwise takes one rank of z, budgeted before it is built.
-    Before any row is built, each k, lowest first, is checked against its
-    range, and the powers at d = j + 1 against DIM_CAP and WEIGHT_ROWS."""
+    The flag of a base b is k < b and every level j in [k, b) certified:
+    Sym^(j+1)(U_j) free.  This folds two rules into one induction on b - k.
+    Dimension: by Lucas's theorem p divides C(b + p-1-k, p-1-k) exactly
+    when k < b, so no b <= k is free.  Extension: for k + 1 < b, the
+    invariant last variable x gives 0 -> x Sym^(b-1)(U_k) -> Sym^b(U_k) ->
+    Sym^b(U_(k+1)) -> 0, z is block triangular for that split, and so when
+    both ends are free rank z is at least the sum of their free ranks, dim
+    - dim/p, and the middle is free.  The ends need the levels [k, b - 1)
+    and [k + 1, b), and the base b = k + 1 its own level.  A level is
+    certified by rank D = dim - dim/p, or else by one rank of z, budgeted
+    before it is built; every level is, so the flags are k < b.  The levels
+    are ranked top first, and no other power is ranked.  Before any row is
+    built, each k, lowest first, is checked against its range, and the
+    certified powers, lowest first, against DIM_CAP."""
     if not caps:
         return {}
-    p, n, low = params.p, params.n, min(caps)
+    p, n = params.p, params.n
     for k in sorted(caps):
         level_vars(params, k)
-    # reach[j]: the last base degree of U_j that some k <= j reads
-    reach = {j: min(p - 1, max(c for k, c in caps.items() if k <= j)) for j in range(low, n + 1)}
-    rows = sum(check_dim_cap(n - j + 1, j + 1, f"k={j} degree {j + 1}: ") for j in range(low, n) if j < reach[j])
-    if rows > WEIGHT_ROWS:
-        raise ResourceGuard(f"the freeness ranks from k={low} read {rows} monomials, over the {WEIGHT_ROWS} budget")
-    levels = {n: [False] * (reach[n] + 1)}
-    for j in range(n - 1, low - 1, -1):
-        upper, flags, nvars = levels[j + 1], [False], n - j + 1
-        for deg in range(1, reach[j] + 1):
-            dim = symmetric_dimension(nvars, deg)
-            if dim % p:
-                flags.append(False)
-            elif (flags[-1] and upper[deg]) or weight_rank(p, nvars, deg) == dim - dim // p:
-                flags.append(True)
-            else:
-                from . import cp_rep, linalg
+    # the levels some flag reads: j < b <= caps[k] for a k <= j
+    ranked = [j for j in range(min(caps), n) if any(k <= j < c for k, c in caps.items())]
+    dims = {j: check_dim_cap(n - j + 1, j + 1, f"k={j} degree {j + 1}: ") for j in ranked}
+    certified = {}
+    for j, dim in reversed(dims.items()):
+        certified[j] = weight_rank(p, n - j + 1, j + 1) == dim - dim // p
+        if not certified[j]:
+            from . import cp_rep, linalg
 
-                linalg.check_rank_budget((dim, dim), p, f"k={j} degree {deg} has dimension {dim}: ")
-                walk = cp_rep._symmetric_walk(cp_rep.u_k_module(params, j), deg)
-                flags.append(cp_rep._free_by_rank(deque(walk, maxlen=1)[0][1]))
-        levels[j] = flags
-    return {k: levels[k][: min(p - 1, caps[k]) + 1] for k in caps}
+            linalg.check_rank_budget((dim, dim), p, f"k={j} degree {j + 1} has dimension {dim}: ")
+            walk = cp_rep._symmetric_walk(cp_rep.u_k_module(params, j), j + 1)
+            certified[j] = cp_rep._free_by_rank(deque(walk, maxlen=1)[0][1])
+    return {k: [k < b and all(certified[j] for j in range(k, b)) for b in range(min(p - 1, caps[k]) + 1)]
+            for k in caps}
 
 
 def jordan_profile(params: HeightParams, k: int, deg: int) -> JordanProfile:

@@ -582,7 +582,7 @@ class TestMultiplication:
 
 
 def _ranked_pairs(p, k, max_deg):
-    """The (level, degree) pairs that free_flags_by_k ranks, bottom-up: on each
+    """The (level, degree) pairs that free_flags_by_k ranks, top-down: on each
     U_j, k <= j < n, the base degree d = j + 1, the first whose dimension p
     divides, if max_deg reaches it."""
     return [(j, j + 1) for j in range(p - 2, k - 1, -1) if j + 1 <= max_deg]
@@ -660,6 +660,23 @@ class TestFreeFlags:
             # up to dimension 2380 when each degree was
             dims = [cp_rep.symmetric_dimension(params.n + 1 - j, d) for j, d in ranked]
             assert (len(ranked), max(dims)) == (4, 35)
+
+    @pytest.mark.parametrize("p,j0", [(5, 0), (5, 2), (7, 1), (7, 4)])
+    def test_a_level_left_uncertified_clears_only_the_bases_above_it(self, p, j0, monkeypatch):
+        # rank D forced short everywhere, and the rank of z answering "not
+        # free" on U_j0 alone: the pass still ranks D and z only at the
+        # certificate Sym^(j+1)(U_j) of each level, and exactly the bases b
+        # > j0 of the levels k <= j0 lose their flag
+        params = height_params(p)
+        weighed = []
+        monkeypatch.setattr(verdicts, "weight_rank", lambda p_, nvars, deg: weighed.append((p - nvars, deg)) or -1)
+        real = cp_rep._free_by_rank
+        # the forced rank reads the level that the spy below has just recorded
+        monkeypatch.setattr(cp_rep, "_free_by_rank", lambda m: ranked[-1][0] != j0 and real(m))
+        ranked = _levels_seen(monkeypatch, "_free_by_rank", params)
+        flags = verdicts.free_flags_by_k(params, {k: 3 * p for k in range(params.n + 1)})
+        assert weighed == ranked == [(j, j + 1) for j in range(params.n - 1, -1, -1)]
+        assert flags == {k: [k < b and not k <= j0 < b for b in range(p)] for k in range(params.n + 1)}
 
     @pytest.mark.parametrize("p,k", [(p, k) for p in (3, 5, 7) for k in range(p - 1)])
     def test_last_variable_makes_z_block_triangular(self, p, k):

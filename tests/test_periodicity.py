@@ -147,8 +147,8 @@ def test_nilpotence_report_matches_prediction(p, k, max_deg):
 
 def test_free_flags_catch_an_off_by_one_rank(monkeypatch):
     # mutation check: the verdict's free flags rest on the ranks of D, or
-    # of z where D falls short, at the base degrees that the last-variable
-    # extensions leave open, d = j + 1 on U_j, so a block count off by one
+    # of z where D falls short, at the one certificate of each level, d =
+    # j + 1 on U_j, so a block count off by one
     # in both must show against the prediction at every degree read off
     # those bases.  (Off by one in D alone sends every such degree to the
     # rank of z, which answers right; the no-fallback test of test_verdicts
@@ -168,9 +168,9 @@ def test_free_flags_catch_an_off_by_one_rank(monkeypatch):
     monkeypatch.setattr(cp_rep, "_free_by_rank", lambda m: seen.append(m.dim) or off_by_one(m))
     p, k, max_deg = 5, 1, 20
     flags = verdicts.free_flags_by_k(height_params(p), {k: max_deg})[k]
-    # the fallback ranks z on the bases b < p alone, wherever p divides the
-    # dimension: U_3 at degree 4, U_2 at 3 and 4, and U_1 at 2, 3 and 4
-    assert seen == [5, 10, 15, 10, 20, 35]
+    # the fallback ranks z once per level, on its certificate Sym^(j+1)(U_j)
+    # alone: U_3 at degree 4, U_2 at 3 and U_1 at 2
+    assert seen == [5, 10, 10]
     assert [flags[d % p] for d in range(max_deg + 1)] != [predicted_free(p, k, d) for d in range(max_deg + 1)]
 
 

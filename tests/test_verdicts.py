@@ -198,12 +198,12 @@ def test_json_walks_each_level_once(monkeypatch, capsys):
 def _parent_accepts(params, k, cap):
     """Whether the per-degree pass, with its budgets at caps[k], took {k: cap}:
     Sym^cap(U_k) within DIM_CAP, and the ranks of D at d = j + 1 mod p, d <=
-    cap, on the levels j >= k within WEIGHT_ROWS."""
+    cap, on the levels j >= k within that pass's budget of 10^6 monomials."""
     p = params.p
     if verdicts.symmetric_dimension(p - k, cap) > verdicts.DIM_CAP:
         return False
     rows = sum(verdicts.symmetric_dimension(p - j, d) for j in range(k, p - 1) for d in range(j + 1, cap + 1, p))
-    return rows <= verdicts.WEIGHT_ROWS
+    return rows <= 1_000_000
 
 
 # the oracle ranks D up to dimension 50000: about 0.5 s at p <= 7 on a
