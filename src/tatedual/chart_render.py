@@ -78,16 +78,8 @@ def build_document(spec: ChartSpec, overlay: bool = False) -> dict:
         orbit = page.canonical(cls)
         if orbit not in page.survivors:
             continue
-        s, t = eng.bidegree(cls, params)
-        dot = {
-            "eps": cls.eps,
-            "i": cls.i,
-            "j": cls.j,
-            "s": s,
-            "t": t,
-            "x": t - s,
-            "label": cls.label(),
-        }
+        dot = _class_json(cls, params)
+        dot.update(x=dot["t"] - dot["s"], label=cls.label())
         if overlay:
             dot["fate"] = record.fates[orbit]
         dots.append(dot)
@@ -99,7 +91,7 @@ def build_document(spec: ChartSpec, overlay: bool = False) -> dict:
         for cls in classes:
             out = record.partner(dmap.r, "source", cls)
             if out is not None:
-                arrows.append({**eng.pair_json(cls, *out, dmap.r, params), "color": color})
+                arrows.append({**pair_json(cls, *out, dmap.r, params), "color": color})
 
     return {
         "spec": {
@@ -115,6 +107,15 @@ def build_document(spec: ChartSpec, overlay: bool = False) -> dict:
         "dots": dots,
         "arrows": arrows,
     }
+
+
+def _class_json(cls: eng.MonomialClass, params: HeightParams) -> dict:
+    s, t = eng.bidegree(cls, params)
+    return {"eps": cls.eps, "i": cls.i, "j": cls.j, "s": s, "t": t}
+
+
+def pair_json(src: eng.MonomialClass, tgt: eng.MonomialClass, coeff: int, r: int, params: HeightParams) -> dict:
+    return {"source": _class_json(src, params), "target": _class_json(tgt, params), "coeff": coeff, "r": r}
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +137,15 @@ def _ascii_lines(doc: dict) -> list[str]:
         lines.append("# overlay: O survives, x killed")
 
     # (x, s) fixes eps, i and t, hence j: one class per cell at most
-    cells = {(dot["x"], dot["s"]): dot for dot in doc["dots"]}
+    rows: dict[int, list[dict]] = {}
+    for dot in doc["dots"]:
+        rows.setdefault(dot["s"], []).append(dot)
 
     width = max(x1 - x0 + 1, 0)
     for s in range(s1, s0 - 1, -1):
-        row = []
-        for x in range(x0, x1 + 1):
-            dot = cells.get((x, s))
-            if dot is None:
-                row.append(".")
-            elif overlay:
-                row.append("O" if dot.get("fate") == "survives" else "x")
-            else:
-                row.append("o")
+        row = ["."] * width
+        for dot in rows.get(s, ()):
+            row[dot["x"] - x0] = ("O" if dot.get("fate") == "survives" else "x") if overlay else "o"
         lines.append("{:5d} |{}".format(s, "".join(row)))
     lines.append("      +{}".format("-" * width))
     lines.append("       t-s from {} to {} (one column per unit)".format(x0, x1))

@@ -29,13 +29,8 @@ ShiftReport = namedtuple("ShiftReport", "group p route shift periodicity certifi
 
 def periodicity(group: str, params: HeightParams) -> int:
     """Internal degree of the pure periodicity translation of the page
-    lattice (the p-th power of delta, resp. of Delta)."""
-    page = eng.e2_page(group, params)
-    _, (_, dj) = page.lattice()
-    probe = eng.MonomialClass(0, 0, 0, page.family)
-    _, t0 = eng.bidegree(probe, params)
-    _, t1 = eng.bidegree(probe.translate(0, dj), params)
-    return t1 - t0
+    lattice, the p-th power of delta (resp. of Delta): p t_d."""
+    return params.p * eng.grading(eng._family(group), params)[2]
 
 
 def shift_dual_route(group: str, params: HeightParams) -> ShiftReport:

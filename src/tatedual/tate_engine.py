@@ -5,7 +5,7 @@ F[a, b^{+-1}, d^{+-1}]/(a^2) with two differential families, at r = 2n+1
 and r = 2n^2+1.  A class is a^eps b^i d^j; for the semidirect-product
 groups F and G the three generators are usually written alpha, beta, Delta
 but carry the same index structure, so one record serves both families
-and only the bidegrees and coefficient formulas differ.
+and only the grading and coefficient formulas differ.
 
 Seed differentials are normalized to coefficient one (the survivor pattern
 does not depend on the unit choices); all other coefficients follow from
@@ -55,15 +55,20 @@ class MonomialClass(namedtuple("MonomialClass", "eps i j family")):
         return MonomialClass(self.eps, self.i + di, self.j + dj, self.family)
 
 
+def grading(family: str, params: HeightParams) -> tuple[int, int, int]:
+    """(t_a, t_b, t_d), the internal degrees of a, b and d (alpha, beta and
+    Delta for F and G): the one statement of t.  A class a^eps b^i d^j sits
+    at s = eps + 2i and t = t_a eps + t_b i + t_d j."""
+    p, n = params.p, params.n
+    if family == "Cp":
+        return -2, 0, 2 * p
+    return 2 * n, 2 * p * n, 2 * p * n * n
+
+
 def bidegree(cls: MonomialClass, params: HeightParams) -> tuple[int, int]:
     """(s, t) with s the cohomological and t the internal degree."""
-    p, n = params.p, params.n
-    s = cls.eps + 2 * cls.i
-    if cls.family == "Cp":
-        t = -2 * cls.eps + 2 * p * cls.j
-    else:
-        t = 2 * n * cls.eps + 2 * p * n * cls.i + 2 * p * n * n * cls.j
-    return s, t
+    t_a, t_b, t_d = grading(cls.family, params)
+    return cls.eps + 2 * cls.i, t_a * cls.eps + t_b * cls.i + t_d * cls.j
 
 
 def first_diff_index(params: HeightParams) -> int:
@@ -146,10 +151,8 @@ class Page(namedtuple("Page", "group params r survivors")):
 
     def canonical(self, cls: MonomialClass) -> tuple[int, int]:
         """Orbit representative (eps, j mod p) of a class under the lattice."""
-        n, p = self.params.n, self.params.p
-        if self.family == "Cp":
-            return cls.eps, (cls.j - n * cls.i) % p
-        return cls.eps, cls.j % p
+        (_, shear), (_, period) = self.lattice()
+        return cls.eps, (cls.j - shear * cls.i) % period
 
     def fundamental_domain(self) -> list[MonomialClass]:
         return [MonomialClass(eps, 0, jbar, self.family) for eps, jbar in sorted(self.survivors)]
@@ -171,15 +174,12 @@ class Page(namedtuple("Page", "group params r survivors")):
 def window_rows(group: str, params: HeightParams, x_min: int, x_max: int, s_min: int, s_max: int):
     """(eps, i, range of j) of the classes with (t - s, s) in the window, for
     each s ascending: s = eps + 2i fixes eps and i, and t - s is affine in j
-    with step 2p (Cp) or 2pn^2 (F, G).  The ranges' total length is
+    with step t_d (grading).  The ranges' total length is
     window_class_count."""
-    p, n = params.p, params.n
-    cp = _family(group) == "Cp"
-    step = 2 * p if cp else 2 * p * n * n
+    t_a, t_b, step = grading(_family(group), params)
     for s in range(s_min, s_max + 1):
         eps, i = s % 2, s // 2
-        # t - s at j = 0: bidegree's formulas inlined, as a window may hold 10^7 rows
-        x0 = (-2 * eps if cp else 2 * n * eps + 2 * p * n * i) - s
+        x0 = t_a * eps + t_b * i - s  # t - s at j = 0
         yield eps, i, range(-((x0 - x_min) // step), (x_max - x0) // step + 1)
 
 
@@ -195,28 +195,20 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
 
 def window_class_count(group: str, params: HeightParams, x_min: int, x_max: int, s_min: int, s_max: int) -> int:
     """window_rows' total length in closed form: the rows s = eps + 2i of one
-    eps have t - s = c + a*i at j = 0, so each holds (x_max - c - a*i) // step
-    + (c + a*i - x_min) // step + 1 classes, two floor sums per eps."""
+    eps have t - s = c + a*i at j = 0, c = (t_a - 1) eps and a = t_b - 2, so
+    each holds (x_max - c - a*i) // step + (c + a*i - x_min) // step + 1
+    classes, two floor sums per eps."""
     if x_max < x_min:
         return 0  # the only windows where that row count may go negative
-    p, n = params.p, params.n
-    cp = _family(group) == "Cp"
-    step, a = (2 * p, -2) if cp else (2 * p * n * n, 2 * p * n - 2)
+    t_a, t_b, step = grading(_family(group), params)
+    a = t_b - 2
     total = 0
     for eps in (0, 1):
         lo = (s_min - eps + 1) // 2
         rows = max((s_max - eps) // 2 - lo + 1, 0)
-        x0 = (-3 * eps if cp else (2 * n - 1) * eps) + a * lo
+        x0 = (t_a - 1) * eps + a * lo
         total += rows + _floor_sum(rows, step, -a, x_max - x0) + _floor_sum(rows, step, a, x0 - x_min)
     return total
-
-
-def pair_json(src: MonomialClass, tgt: MonomialClass, coeff: int, r: int, params: HeightParams) -> dict:
-    def one(c):
-        s, t = bidegree(c, params)
-        return {"eps": c.eps, "i": c.i, "j": c.j, "s": s, "t": t}
-
-    return {"source": one(src), "target": one(tgt), "coeff": coeff, "r": r}
 
 
 def e2_page(group: str, params: HeightParams) -> Page:

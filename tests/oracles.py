@@ -19,12 +19,17 @@ src/tatedual holds, and these oracles recompute the same facts another way.
 - freeness_check decides freeness at one degree from a fresh symmetric
   power, and free_flags_per_degree proves it degree by degree up to a cap
   with no periodicity, both against the flags of verdicts.free_flags_by_k;
+- folded_profile reads the Jordan profile of a base power Sym^b(U_k), b < p,
+  off its characteristic-0 character, against verdicts.jordan_profile, and
+  its freeness against the flags of verdicts.free_flags_by_k;
 - direct_sum builds the planted-block modules of the Jordan and Tate tests,
   and coordinates_in_span inverts the change of basis of the random ones;
 - monomials enumerates exponent tuples of one degree in descending lex
   order, against the arithmetic ranking of cp_rep._SymmetricChain;
 - rank_row_loop ranks a list of rows over F_p with Python integers, one
   pivot row at a time, against the dict elimination of verdicts;
+- ascii_grid_per_cell fills the chart grid one cell at a time, against
+  the rows of chart_render._ascii_lines;
 - det_tau_exponent reduces the determinant twist of tau mod n^2, against
   the invariant power of delta of mod_arith.invariant_delta_exponent.
 """
@@ -411,6 +416,77 @@ def rank_row_loop(rows: list[list[int]], p: int) -> int:
         rest = [[(v - row[c] * inv * w) % p for v, w in zip(row, pivot)] for row in rest]
         rank += 1
     return rank
+
+
+def gaussian_binomial(top: int, low: int) -> list[int]:
+    """The coefficients of the Gaussian binomial [top choose low]_q, the
+    product of (1 - q^(top - low + i)) / (1 - q^i) over i = 1, ..., low."""
+    poly = [1]
+    for i in range(1, low + 1):
+        e = top - low + i
+        poly += [0] * e
+        for a in range(len(poly) - 1, e - 1, -1):
+            poly[a] -= poly[a - e]
+        for a in range(i, len(poly)):
+            poly[a] += poly[a - i]
+    return poly[: low * (top - low) + 1]
+
+
+def folded_profile(p: int, v: int, b: int) -> tuple[int, ...]:
+    """The Jordan blocks, descending, of Sym^b of one Jordan block of size
+    v <= p, b < p, from its character alone.
+
+    In characteristic 0, Sym^b of the SL_2 module of dimension v has the
+    weights b(v - 1) - 2a with multiplicities g_a, the coefficients of
+    [b + v - 1 choose b]_q, so the irreducible of dimension m + 1, m =
+    b(v - 1) - 2a >= 0, occurs g_a - g_(a-1) times.  Fold each dimension to
+    x = (m + 1) mod 2p: x < p gives that many blocks of size x, x in {0, p}
+    none, and x > p takes that many blocks of size 2p - x away.  The rest of
+    the dimension is blocks of size p.  Why: for b < p the module is a
+    summand of a tensor power of a tilting module, so tilting (Ringel, Math.
+    Z. 208, 1991; Donkin, Math. Z. 212, 1993), and the species of the Green
+    ring of C_p modulo free modules (J. A. Green, Illinois J. Math. 6, 1962)
+    read a tilting module's character at the 2p-th roots of unity."""
+    g = gaussian_binomial(b + v - 1, b)
+    top = b * (v - 1)
+    small: dict[int, int] = {}
+    for a in range(top // 2 + 1):
+        x = (top - 2 * a + 1) % (2 * p)
+        mult = g[a] - (g[a - 1] if a else 0)
+        if 0 < x < p:
+            small[x] = small.get(x, 0) + mult
+        elif x > p:
+            small[2 * p - x] = small.get(2 * p - x, 0) - mult
+    free, rest = divmod(sum(g) - sum(size * count for size, count in small.items()), p)
+    if rest or free < 0 or min(small.values(), default=0) < 0:
+        raise VerificationFailure(f"the fold of Sym^{b} of a block of size {v} at p={p} is no profile")
+    return (p,) * free + tuple(size for size in sorted(small, reverse=True) for _ in range(small[size]))
+
+
+# ---------------------------------------------------------------------------
+# the ASCII chart grid
+
+
+def ascii_grid_per_cell(doc: dict) -> list[str]:
+    """The rows of the ASCII chart grid, top s first, each cell looked up
+    on its own in a dict of the dots by (x, s)."""
+    x0, x1 = doc["spec"]["window"]["x"]
+    s0, s1 = doc["spec"]["window"]["s"]
+    overlay = doc["spec"]["overlay"]
+    cells = {(dot["x"], dot["s"]): dot for dot in doc["dots"]}
+    lines = []
+    for s in range(s1, s0 - 1, -1):
+        row = []
+        for x in range(x0, x1 + 1):
+            dot = cells.get((x, s))
+            if dot is None:
+                row.append(".")
+            elif overlay:
+                row.append("O" if dot.get("fate") == "survives" else "x")
+            else:
+                row.append("o")
+        lines.append("{:5d} |{}".format(s, "".join(row)))
+    return lines
 
 
 # ---------------------------------------------------------------------------

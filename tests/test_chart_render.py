@@ -18,7 +18,7 @@ from tatedual import tate_engine as eng
 from tatedual.errors import ResourceGuard
 from tatedual.mod_arith import GROUPS, height_params
 
-from oracles import contains, hfpss_view
+from oracles import ascii_grid_per_cell, contains, hfpss_view
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -63,6 +63,26 @@ class TestGoldens:
     def test_chart_matches_golden(self, capsys, argv, golden):
         assert cli.main(["chart", *argv]) == 0
         assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+
+    # the ASCII goldens stop at p = 5: the default window of F at p = 11
+    # (8801 columns by 405 rows), an overlay on the middle page and a window
+    # with x_max < x_min, against the grid filled one cell at a time
+    @pytest.mark.parametrize(
+        "group,p,page,window,overlay",
+        [("F", 11, 2, None, False), ("G", 7, 14, None, True), ("Cp", 5, 2, (20, -20, -10, 10), False)],
+        ids=["f_p11_default", "g_p7_overlay_middle_page", "cp_p5_x_max_below_x_min"],
+    )
+    def test_ascii_grid_matches_the_per_cell_fill(self, group, p, page, window, overlay):
+        window = window or cli._default_window(group, height_params(p))
+        doc = cr.build_document(cr.ChartSpec(group, p, page, *window), overlay=overlay)
+        want = ascii_grid_per_cell(doc)
+        lines = cr._ascii_lines(doc)
+        head = lines.index("      +" + "-" * max(window[1] - window[0] + 1, 0)) - len(want)
+        assert head == (4 if overlay else 3)
+        assert lines[head : head + len(want)] == want
+        # the last page is empty, so no dot of an overlay survives
+        marks = set("".join(row.split("|")[1] for row in want))
+        assert marks == ({".", "x"} if overlay else {".", "o"} if window[0] <= window[1] else set())
 
     def test_cp_dot_positions_follow_page_structure(self):
         # dot at (x, s) iff x + s + 2*(s mod 2) = 0 mod 2p: the vertical
@@ -261,7 +281,7 @@ class TestOverlay:
             for cls in stage_page.classes_in_window(*spec.window()):
                 out = closed(cls, params)
                 if out is not None:
-                    want.append({**eng.pair_json(cls, *out, r, params), "color": color})
+                    want.append({**cr.pair_json(cls, *out, r, params), "color": color})
         assert cr.build_document(spec, overlay=True)["arrows"] == want
         assert {a["r"] for a in want} == {r1, r2}
         # and some of them lie off the fundamental domain

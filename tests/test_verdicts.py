@@ -15,7 +15,7 @@ import pytest
 from tatedual import cli, cp_rep, linalg, verdicts
 from tatedual.mod_arith import height_params
 
-from oracles import free_flags_per_degree, monomials, rank_row_loop
+from oracles import folded_profile, free_flags_per_degree, monomials, rank_row_loop
 
 BENCH_EXPECTED = Path(__file__).parent.parent / "bench" / "expected"
 
@@ -223,3 +223,24 @@ def test_period_flags_match_the_per_degree_pass(p):
             assert len(flags) == min(p, cap + 1), (k, cap)
             assert [flags[d % p] for d in range(cap + 1)] == oracle[k][: cap + 1], (k, cap)
     assert sum(top + 1 for top in tops.values()) == {3: 33, 5: 85, 7: 150, 11: 248, 13: 287}[p]
+
+
+# the fold of the characteristic-0 character, a route that shares nothing
+# with the ranks: about 0.5 s at p = 13, most of it jordan_profile's
+# decompositions, on a 2-core machine
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_folded_character_gives_every_base_profile_and_flag(p):
+    # every base b < p of every level: the fold against jordan_profile where
+    # Sym^b(U_k) is dense, and its freeness against free_flags_by_k always
+    params = height_params(p)
+    flags = verdicts.free_flags_by_k(params, dict.fromkeys(range(p), p - 1))
+    dense = 0
+    for k in range(p):
+        for b in range(p):
+            folded = folded_profile(p, p - k, b)
+            assert sum(folded) == verdicts.symmetric_dimension(p - k, b), (k, b)
+            assert flags[k][b] == all(size == p for size in folded), (k, b)
+            if sum(folded) <= verdicts.DENSE_LIMIT:
+                assert verdicts.jordan_profile(params, k, b).blocks == folded, (k, b)
+                dense += 1
+    assert dense == {3: 9, 5: 25, 7: 49, 11: 95, 13: 115}[p]
