@@ -7,10 +7,11 @@ a cell holds at most one class.  Output formats: a fixed-layout ASCII grid
 text), and a JSON document that round-trips byte-identically.
 
 Each chart reads one recorded run of the spectral sequence
-(tate_engine.run_to_einfty): the page on display and each dot's fate come
-from that record, and so does every arrow, the recorded pair of its
-source's orbit moved onto the source by the lattice; no differential is
-evaluated here.
+(tate_engine.run_to_einfty): a class is a dot when its orbit
+(tate_engine.orbit, taken once per class) survives to the page on display,
+and its fate is that orbit's in the record.  Every arrow is read off the
+record too, the recorded pair of its source's orbit moved onto the source
+by the lattice; no differential is evaluated here.
 
 Every byte of output is a function of the chart spec alone; there are no
 timestamps, float formatting surprises, or hash-ordered collections.
@@ -70,28 +71,25 @@ def build_document(spec: ChartSpec, overlay: bool = False) -> dict:
                             f"{MAX_CHART_CLASSES}; choose a smaller window")
     record = eng.run_to_einfty(spec.group, params)
     page = record.page_at(spec.page)
-    # one walk for dots and arrows: partner finds no r-arrow off stage r's page
-    classes = record.pages[0].classes_in_window(*spec.window())
-
+    # the families drawn, each collecting its arrows: the E_2 walk serves
+    # both, as partner finds no r-arrow at a class off stage r's page
+    drawn = [(color, dmap, []) for color, stage_page, dmap in zip(COLORS.values(), record.pages, record.diffs)
+             if overlay or stage_page is page]
     dots = []
-    for cls in classes:
-        orbit = page.canonical(cls)
-        if orbit not in page.survivors:
-            continue
-        dot = _class_json(cls, params)
-        dot.update(x=dot["t"] - dot["s"], label=cls.label())
-        if overlay:
-            dot["fate"] = record.fates[orbit]
-        dots.append(dot)
-
-    arrows = []
-    for color, stage_page, dmap in zip(COLORS.values(), record.pages, record.diffs):
-        if not overlay and stage_page is not page:
-            continue
-        for cls in classes:
-            out = record.partner(dmap.r, "source", cls)
-            if out is not None:
-                arrows.append({**pair_json(cls, *out, dmap.r, params), "color": color})
+    for eps, i, js in eng.window_rows(spec.group, params, *spec.window()):
+        for j in js:
+            cls = eng.MonomialClass(eps, i, j, record.family)
+            orbit = eng.orbit(cls, params)
+            if orbit in page.survivors:
+                dot = _class_json(cls, params)
+                dot.update(x=dot["t"] - dot["s"], label=cls.label())
+                if overlay:
+                    dot["fate"] = record.fates[orbit]
+                dots.append(dot)
+            for color, dmap, family in drawn:
+                out = record.partner(dmap.r, "source", cls)
+                if out is not None:
+                    family.append({**pair_json(cls, *out, dmap.r, params), "color": color})
 
     return {
         "spec": {
@@ -103,9 +101,10 @@ def build_document(spec: ChartSpec, overlay: bool = False) -> dict:
             "colors": dict(COLORS),
             "overlay": overlay,
         },
-        "coeff_field_degree": page.coeff_field_degree,
+        # survivors carry one copy of F_(p^n) for Cp and F, of F_p for G
+        "coeff_field_degree": 1 if spec.group == "G" else params.n,
         "dots": dots,
-        "arrows": arrows,
+        "arrows": [arrow for _, _, family in drawn for arrow in family],
     }
 
 

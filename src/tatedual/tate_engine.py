@@ -10,8 +10,9 @@ and only the grading and coefficient formulas differ.
 Seed differentials are normalized to coefficient one (the survivor pattern
 does not depend on the unit choices); all other coefficients follow from
 linearity over the invariant elements.  Pages are stored as congruence
-conditions on (eps, i, j): a finite set of orbit representatives under the
-periodicity lattice, which the differentials respect.
+conditions on (eps, i, j): the set of their classes' orbits under the
+periodicity lattice, which the differentials respect.  orbit is the one
+statement of that lattice, its generators in its docstring.
 
 run_to_einfty is the one place where pages are turned and fates decided,
 and differential_map, which it calls once per family, the one place where
@@ -79,6 +80,17 @@ def second_diff_index(params: HeightParams) -> int:
     return 2 * params.n * params.n + 1
 
 
+def orbit(cls: MonomialClass, params: HeightParams) -> tuple[int, int]:
+    """The orbit (eps, j mod p) of a class under the periodicity lattice:
+    the one statement of the lattice.  It is generated by the two
+    differential-equivariant translations (di, dj): for Cp those of b d^n,
+    (1, n), and d^p, (0, p); for F and G those of beta, (1, 0), and of the
+    p-th power of Delta, (0, p).  Each orbit holds exactly one class with
+    i = 0 and 0 <= j < p, so there are 2p of them."""
+    shear = params.n if cls.family == "Cp" else 0
+    return cls.eps, (cls.j - shear * cls.i) % params.p
+
+
 # ---------------------------------------------------------------------------
 # closed-form differentials
 
@@ -123,13 +135,8 @@ def d_second(cls: MonomialClass, params: HeightParams) -> tuple[MonomialClass, i
 
 
 class Page(namedtuple("Page", "group params r survivors")):
-    """Survivors at stage r, stored as orbit representatives (eps, j mod p)
-    under the periodicity lattice.
-
-    The lattice is generated by the two differential-equivariant
-    translations: for Cp those of b d^n (i -> i+1, j -> j+n) and d^p
-    (j -> j+p); for F and G those of beta (i -> i+1) and of the p-th power
-    of Delta (j -> j+p)."""
+    """Survivors at stage r, stored as their orbits (eps, j mod p) under the
+    periodicity lattice (orbit)."""
 
     __slots__ = ()
 
@@ -137,38 +144,8 @@ class Page(namedtuple("Page", "group params r survivors")):
     def family(self) -> str:
         return _family(self.group)
 
-    @property
-    def coeff_field_degree(self) -> int:
-        """Survivors carry one copy of F_{p^n} for Cp and F, of F_p for G."""
-        return 1 if self.group == "G" else self.params.n
-
-    def lattice(self) -> tuple[tuple[int, int], ...]:
-        """Generators as (di, dj)."""
-        n, p = self.params.n, self.params.p
-        if self.family == "Cp":
-            return ((1, n), (0, p))
-        return ((1, 0), (0, p))
-
-    def canonical(self, cls: MonomialClass) -> tuple[int, int]:
-        """Orbit representative (eps, j mod p) of a class under the lattice."""
-        (_, shear), (_, period) = self.lattice()
-        return cls.eps, (cls.j - shear * cls.i) % period
-
     def fundamental_domain(self) -> list[MonomialClass]:
         return [MonomialClass(eps, 0, jbar, self.family) for eps, jbar in sorted(self.survivors)]
-
-    def is_empty(self) -> bool:
-        return not self.survivors
-
-    def classes_in_window(self, x_min: int, x_max: int, s_min: int, s_max: int) -> list[MonomialClass]:
-        """All surviving classes with (t - s, s) in the closed window, in (s, t) order."""
-        out = []
-        for eps, i, js in window_rows(self.group, self.params, x_min, x_max, s_min, s_max):
-            for j in js:
-                cls = MonomialClass(eps, i, j, self.family)
-                if self.canonical(cls) in self.survivors:
-                    out.append(cls)
-        return out
 
 
 def window_rows(group: str, params: HeightParams, x_min: int, x_max: int, s_min: int, s_max: int):
@@ -242,7 +219,7 @@ def turn_page(page: Page, diff: DifferentialMap) -> Page:
     The recorded pairings are injective monomial matchings, so passing to
     homology removes matched sources and targets.
     """
-    killed = {page.canonical(end) for pair in diff.pairs for end in pair[:2]}
+    killed = {orbit(end, page.params) for pair in diff.pairs for end in pair[:2]}
     if any(k not in page.survivors for k in killed):
         raise VerificationFailure("differential touches classes outside the page")
     return Page(group=page.group, params=page.params, r=diff.r + 1, survivors=page.survivors - killed)
@@ -280,7 +257,7 @@ class SequenceRecord(namedtuple("SequenceRecord", "group params pages diffs inde
         "target") lies in the orbit of cls, moved onto cls by the lattice
         translation, which the differentials and their coefficients respect,
         and its coefficient; None if the orbit of cls plays no such role."""
-        pair = self.index.get((r, role, self.pages[0].canonical(cls)))
+        pair = self.index.get((r, role, orbit(cls, self.params)))
         if pair is None:
             return None
         src, tgt, coeff = pair
@@ -298,12 +275,13 @@ def run_to_einfty(group: str, params: HeightParams) -> SequenceRecord:
         diffs.append(differential_map(pages[-1]))
         pages.append(turn_page(pages[-1], diffs[-1]))
 
-    key, index = pages[0].canonical, {}
+    index = {}
     for dmap in diffs:
         for pair in dmap.pairs:
-            index[dmap.r, "source", key(pair[0])] = index[dmap.r, "target", key(pair[1])] = pair
+            src, tgt = (orbit(end, params) for end in pair[:2])
+            index[dmap.r, "source", src] = index[dmap.r, "target", tgt] = pair
     fates = dict.fromkeys(sorted(pages[0].survivors), "survives")
-    fates.update((orbit, role) for _, role, orbit in index)
+    fates.update((key, role) for _, role, key in index)
 
     return SequenceRecord(group=group, params=params, pages=tuple(pages), diffs=tuple(diffs), index=index,
                           fates=fates)

@@ -273,7 +273,7 @@ def nilpotence_reports(
         elif not 1 <= k <= n - 1:
             raise InvalidInput(f"k must lie in [0, {n - 1}]")
         elif max_deg < k + 1:
-            raise InvalidInput("max_deg must be at least k + 1")
+            raise InvalidInput(f"--max-degree {max_deg} is below k + 1 = {k + 1} for k={k}")
         else:
             report = nilpotence_report(params, k, flags[k], max_deg)
             if tate_dims:

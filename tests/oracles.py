@@ -13,6 +13,11 @@ src/tatedual holds, and these oracles recompute the same facts another way.
   against the dual cycles and differentials that the dual shift route reads
   off SequenceRecord.partner: D(y) -> c D(x) for a recorded pair x -> c y,
   with D(x) kept as its base class x;
+- lattice_generators writes the periodicity lattice out generator by
+  generator, against tate_engine.orbit, and verify_lattice_equivariance
+  moves the recorded pairs by those generators;
+- classes_in_window filters the rows of tate_engine.window_rows by
+  contains, one class at a time, against the one walk of a chart;
 - SequenceView truncates a recorded sequence to the fixed-point or orbit
   half plane and reads the zero-line survivors off it;
 - the verify_* checks test properties that hold on every recorded sequence;
@@ -54,16 +59,36 @@ from tatedual.tate_engine import (
     d_first,
     d_second,
     first_diff_index,
+    orbit,
     second_diff_index,
+    window_rows,
 )
 
 # ---------------------------------------------------------------------------
 # page turning and the dual sequence
 
 
+def lattice_generators(family: str, params: HeightParams) -> tuple[tuple[int, int], ...]:
+    """The periodicity lattice written out as its generators (di, dj): for
+    Cp the translations by b d^n and by d^p, for F and G those by beta and
+    by the p-th power of Delta.  Against tate_engine.orbit."""
+    n, p = params.n, params.p
+    if family == "Cp":
+        return ((1, n), (0, p))
+    return ((1, 0), (0, p))
+
+
 def contains(page: Page, cls: MonomialClass) -> bool:
     """Whether cls survives to the page."""
-    return page.canonical(cls) in page.survivors
+    return orbit(cls, page.params) in page.survivors
+
+
+def classes_in_window(page: Page, x_min: int, x_max: int, s_min: int, s_max: int) -> list[MonomialClass]:
+    """The classes of the page with (t - s, s) in the closed window, in (s, t)
+    order: the walk of tate_engine.window_rows, filtered by contains."""
+    walk = (MonomialClass(eps, i, j, page.family)
+            for eps, i, js in window_rows(page.group, page.params, x_min, x_max, s_min, s_max) for j in js)
+    return [cls for cls in walk if contains(page, cls)]
 
 
 def d_first_incoming(cls: MonomialClass, params: HeightParams) -> tuple[MonomialClass, int] | None:
@@ -131,7 +156,7 @@ def _ranks(page: Page, r: int, cls: MonomialClass) -> tuple[int, int]:
 def turn_page_rank_route(page: Page, diff: DifferentialMap) -> Page:
     """Independent page turner: homology at a class from its per-class
     kernel and image ranks.  Used to cross-check turn_page."""
-    alive = [page.canonical(cls) for cls in page.fundamental_domain() if _ranks(page, diff.r, cls) == (0, 0)]
+    alive = [orbit(cls, page.params) for cls in page.fundamental_domain() if _ranks(page, diff.r, cls) == (0, 0)]
     return Page(group=page.group, params=page.params, r=diff.r + 1, survivors=frozenset(alive))
 
 
@@ -148,7 +173,7 @@ def fates_rank_route(record: SequenceRecord) -> dict:
         for cls in page.fundamental_domain():
             out_rank, in_rank = _ranks(page, r, cls)
             if out_rank or in_rank:
-                fates[page.canonical(cls)] = "source" if out_rank else "target"
+                fates[orbit(cls, params)] = "source" if out_rank else "target"
         alive = frozenset(key for key in page.survivors if fates[key] == "survives")
         page = Page(group=page.group, params=params, r=r + 1, survivors=alive)
     return fates
@@ -236,7 +261,7 @@ class SequenceView:
         return out
 
     def classes_in_window(self, x_min, x_max, s_min, s_max) -> list[MonomialClass]:
-        full = self.record.pages[0].classes_in_window(x_min, x_max, s_min, s_max)
+        full = classes_in_window(self.record.pages[0], x_min, x_max, s_min, s_max)
         return [c for c in full if self.contains_filtration(bidegree(c, self.params)[0])]
 
 
@@ -271,19 +296,18 @@ def verify_bidegree_law(diff: DifferentialMap, params: HeightParams) -> None:
 def verify_d_squared(record: SequenceRecord) -> None:
     """No class is a target and a source at the same page index."""
     for name, page, dmap in zip(("first", "second"), record.pages, record.diffs):
-        sources = {page.canonical(src) for src, _, _ in dmap.pairs}
-        if sources & {page.canonical(tgt) for _, tgt, _ in dmap.pairs}:
+        sources = {orbit(src, page.params) for src, _, _ in dmap.pairs}
+        if sources & {orbit(tgt, page.params) for _, tgt, _ in dmap.pairs}:
             raise VerificationFailure(f"d o d != 0 at the {name} differential")
 
 
 def verify_lattice_equivariance(record: SequenceRecord) -> None:
     """Both differentials commute with both lattice translations."""
     params = record.params
-    for stage, dmap in enumerate(record.diffs):
-        page = record.pages[stage]
+    for dmap in record.diffs:
         closed = d_first if dmap.r == first_diff_index(params) else d_second
         for src, tgt, coeff in dmap.pairs:
-            for di, dj in page.lattice():
+            for di, dj in lattice_generators(record.family, params):
                 moved = closed(src.translate(di, dj), params)
                 if moved is None or moved[0] != tgt.translate(di, dj) or moved[1] != coeff:
                     raise VerificationFailure(

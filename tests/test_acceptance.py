@@ -80,7 +80,7 @@ def test_criterion_3_full_cancellation():
             for group in mod_arith.GROUPS:
                 record = eng.run_to_einfty(group, pa)
                 assert record.einfty().survivors == frozenset()
-                assert eng.run_to_einfty(group, pa).einfty().is_empty()
+                assert not eng.run_to_einfty(group, pa).einfty().survivors
 
     criterion(3, "the last page is empty for all three groups at p=3,5,7", check)
 

@@ -18,7 +18,7 @@ from tatedual import tate_engine as eng
 from tatedual.errors import ResourceGuard
 from tatedual.mod_arith import GROUPS, height_params
 
-from oracles import ascii_grid_per_cell, contains, hfpss_view
+from oracles import ascii_grid_per_cell, classes_in_window, contains, hfpss_view
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -130,7 +130,7 @@ class TestInvariants:
         # classes in one cell of the ASCII grid
         params = height_params(p)
         per, s_max = ds.periodicity(group, params), 2 * params.n ** 2 + 2
-        classes = eng.e2_page(group, params).classes_in_window(-per, per, -s_max, s_max)
+        classes = classes_in_window(eng.e2_page(group, params), -per, per, -s_max, s_max)
         cells = [(t - s, s) for s, t in (eng.bidegree(c, params) for c in classes)]
         assert classes and len(set(cells)) == len(cells)
 
@@ -278,7 +278,7 @@ class TestOverlay:
         r1, r2 = eng.first_diff_index(params), eng.second_diff_index(params)
         want = []
         for stage_page, closed, r, color in zip(rec.pages, (eng.d_first, eng.d_second), (r1, r2), ("gray", "blue")):
-            for cls in stage_page.classes_in_window(*spec.window()):
+            for cls in classes_in_window(stage_page, *spec.window()):
                 out = closed(cls, params)
                 if out is not None:
                     want.append({**cr.pair_json(cls, *out, r, params), "color": color})
@@ -310,15 +310,15 @@ class TestOverlay:
     def test_one_window_walk_per_chart(self, monkeypatch, draw):
         # the dots and the arrows of both families read one walk of the window
         walks = []
-        walk = eng.Page.classes_in_window
+        walk = eng.window_rows
 
-        def counted(page, *window):
-            walks.append(page.r)
-            return walk(page, *window)
+        def counted(group, *args):
+            walks.append(group)
+            return walk(group, *args)
 
-        monkeypatch.setattr(eng.Page, "classes_in_window", counted)
+        monkeypatch.setattr(eng, "window_rows", counted)
         draw(spec_cp(page=10))
-        assert walks == [2]
+        assert walks == ["Cp"]
 
 
 class TestSvg:
@@ -354,3 +354,9 @@ class TestJsonDocument:
             assert set(dot) == {"eps", "i", "j", "s", "t", "x", "label"}
         payload = json.dumps(doc)
         assert json.loads(payload) == doc
+
+    @pytest.mark.parametrize("group,p,degree", [("G", 3, 1), ("F", 5, 4), ("G", 7, 1)])
+    def test_coeff_field_degree(self, group, p, degree):
+        # a dot is one copy of F_(p^n) for Cp and F, of F_p for G
+        spec = cr.ChartSpec(group=group, p=p, page=2, x_min=0, x_max=0, s_min=0, s_max=0)
+        assert cr.build_document(spec)["coeff_field_degree"] == degree

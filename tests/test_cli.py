@@ -275,7 +275,9 @@ def test_nilpotence_late_refusal_prints_nothing(capsys, max_degree):
     # must come before any PASS line
     code, out, err = run_cli(capsys, "verify", "nilpotence", "--prime", "5", "--max-degree", max_degree)
     assert (code, out) == (2, "")
-    assert err == "error: max_deg must be at least k + 1\n"
+    # the first k refused is the one with k + 1 > max_degree, k = max_degree
+    k = int(max_degree)
+    assert err == f"error: --max-degree {max_degree} is below k + 1 = {k + 1} for k={k}\n"
 
 
 def test_verify_freeness_small(capsys):
