@@ -1,10 +1,12 @@
 """Deterministic chart rendering of spectral sequence pages.
 
-Charts live in (t - s, s) coordinates.  A chart walks its window once, row
-by row in s, each row a closed-form range of j (tate_engine.window_rows), so
-a cell holds at most one class.  Output formats: a fixed-layout ASCII grid
-(one character per lattice cell), a minimal SVG 1.1 subset (circles, lines,
-text), and a JSON document that round-trips byte-identically.
+Charts live in (t - s, s) coordinates.  A chart lists its window's runs of
+classes once (tate_engine.window_runs): the class budget is the sum of their
+lengths, and the dots and arrows walk the classes in (s, j) order.  (x, s)
+fixes the class, so a cell holds at most one.  Output formats: a
+fixed-layout ASCII grid (one character per lattice cell), a minimal SVG 1.1
+subset (circles, lines, text), and a JSON document that round-trips
+byte-identically.
 
 Each chart reads one recorded run of the spectral sequence
 (tate_engine.run_to_einfty): a class is a dot when its orbit
@@ -65,7 +67,8 @@ def build_document(spec: ChartSpec, overlay: bool = False) -> dict:
     differential family is drawn.
     """
     params = spec.params()
-    count = eng.window_class_count(spec.group, params, *spec.window())
+    runs = list(eng.window_runs(spec.group, params, *spec.window()))
+    count = sum(run[-1] for run in runs)
     if count > MAX_CHART_CLASSES:
         raise ResourceGuard(f"chart window holds {count} classes, above the budget of "
                             f"{MAX_CHART_CLASSES}; choose a smaller window")
@@ -76,20 +79,21 @@ def build_document(spec: ChartSpec, overlay: bool = False) -> dict:
     drawn = [(color, dmap, []) for color, stage_page, dmap in zip(COLORS.values(), record.pages, record.diffs)
              if overlay or stage_page is page]
     dots = []
-    for eps, i, js in eng.window_rows(spec.group, params, *spec.window()):
-        for j in js:
-            cls = eng.MonomialClass(eps, i, j, record.family)
-            orbit = eng.orbit(cls, params)
-            if orbit in page.survivors:
-                dot = _class_json(cls, params)
-                dot.update(x=dot["t"] - dot["s"], label=cls.label())
-                if overlay:
-                    dot["fate"] = record.fates[orbit]
-                dots.append(dot)
-            for color, dmap, family in drawn:
-                out = record.partner(dmap.r, "source", cls)
-                if out is not None:
-                    family.append({**pair_json(cls, *out, dmap.r, params), "color": color})
+    # (s, j) fixes the class, as s = eps + 2i
+    for s, j in sorted((eps + 2 * (i + u * di), j + u * dj)
+                       for eps, i, j, di, dj, length in runs for u in range(length)):
+        cls = eng.MonomialClass(s % 2, s // 2, j, record.family)
+        orbit = eng.orbit(cls, params)
+        if orbit in page.survivors:
+            dot = _class_json(cls, params)
+            dot.update(x=dot["t"] - dot["s"], label=cls.label())
+            if overlay:
+                dot["fate"] = record.fates[orbit]
+            dots.append(dot)
+        for color, dmap, family in drawn:
+            out = record.partner(dmap.r, "source", cls)
+            if out is not None:
+                family.append({**pair_json(cls, *out, dmap.r, params), "color": color})
 
     return {
         "spec": {

@@ -70,12 +70,8 @@ def cmd_chart(args) -> int:
     )
     text = chart_render.diff_overlay(spec) if args.overlay else chart_render.render(spec)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0

@@ -21,11 +21,16 @@ check and the dual shift route all read the SequenceRecord of one run
 through SequenceRecord.partner: a chart arrow, and the dual differential
 D(y) -> c D(x) of a recorded pair x -> c y, is that pair moved by the
 lattice onto the class at hand, so no dual class is ever built.
+
+window_runs is the one statement of which classes a chart window holds:
+runs of classes along the window's shorter side, each a row of j or a
+progression in i, so a tall or wide window costs its short side only.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from math import gcd
 
 from .errors import VerificationFailure
 from .mod_arith import HeightParams
@@ -148,44 +153,35 @@ class Page(namedtuple("Page", "group params r survivors")):
         return [MonomialClass(eps, 0, jbar, self.family) for eps, jbar in sorted(self.survivors)]
 
 
-def window_rows(group: str, params: HeightParams, x_min: int, x_max: int, s_min: int, s_max: int):
-    """(eps, i, range of j) of the classes with (t - s, s) in the window, for
-    each s ascending: s = eps + 2i fixes eps and i, and t - s is affine in j
-    with step t_d (grading).  The ranges' total length is
-    window_class_count."""
-    t_a, t_b, step = grading(_family(group), params)
-    for s in range(s_min, s_max + 1):
-        eps, i = s % 2, s // 2
-        x0 = t_a * eps + t_b * i - s  # t - s at j = 0
-        yield eps, i, range(-((x0 - x_min) // step), (x_max - x0) // step + 1)
+def window_runs(group: str, params: HeightParams, x_min: int, x_max: int, s_min: int, s_max: int):
+    """The classes with (t - s, s) in the window, as runs (eps, i, j, di, dj,
+    length): the classes (eps, i + u di, j + u dj) for u < length.
 
-
-def _floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum((a*i + b) // m for i in range(n)), m > 0, in O(log m) steps (AtCoder Library floor_sum)."""
-    total = 0
-    while n:
-        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
-        a, b = a % m, b % m
-        n, b, m, a = divmod(a * n + b, m) + (a, m)
-    return total
-
-
-def window_class_count(group: str, params: HeightParams, x_min: int, x_max: int, s_min: int, s_max: int) -> int:
-    """window_rows' total length in closed form: the rows s = eps + 2i of one
-    eps have t - s = c + a*i at j = 0, c = (t_a - 1) eps and a = t_b - 2, so
-    each holds (x_max - c - a*i) // step + (c + a*i - x_min) // step + 1
-    classes, two floor sums per eps."""
-    if x_max < x_min:
-        return 0  # the only windows where that row count may go negative
+    A class sits at s = eps + 2i and t - s = c + a i + step j, with
+    c = (t_a - 1) eps, a = t_b - 2 (never 0) and step = t_d (grading).  For
+    each eps the walk takes the window's shorter side: a row i holds one
+    range of j; a column x holds classes only when g = gcd(a, step) divides
+    x - c, and then its i form a progression of difference m = step / g,
+    along which j moves by -a / g.  Runs come row by row or column by
+    column, not in (s, j) order."""
     t_a, t_b, step = grading(_family(group), params)
     a = t_b - 2
-    total = 0
+    g = gcd(a, step)
+    m = step // g
     for eps in (0, 1):
-        lo = (s_min - eps + 1) // 2
-        rows = max((s_max - eps) // 2 - lo + 1, 0)
-        x0 = (t_a - 1) * eps + a * lo
-        total += rows + _floor_sum(rows, step, -a, x_max - x0) + _floor_sum(rows, step, a, x0 - x_min)
-    return total
+        c = (t_a - 1) * eps
+        lo, hi = (s_min - eps + 1) // 2, (s_max - eps) // 2
+        if hi - lo <= x_max - x_min:
+            for i in range(lo, hi + 1):
+                j = -((x_min - c - a * i) // -step)
+                length = (x_max - c - a * i) // step - j + 1
+                if length > 0:
+                    yield eps, i, j, 0, 1, length
+            continue
+        for x in range(x_min + (c - x_min) % g, x_max + 1, g):
+            i = lo + ((x - c) // g * pow(a // g, -1, m) - lo) % m
+            if i <= hi:
+                yield eps, i, (x - c - a * i) // step, m, -a // g, (hi - i) // m + 1
 
 
 def e2_page(group: str, params: HeightParams) -> Page:

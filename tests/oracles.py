@@ -16,8 +16,12 @@ src/tatedual holds, and these oracles recompute the same facts another way.
 - lattice_generators writes the periodicity lattice out generator by
   generator, against tate_engine.orbit, and verify_lattice_equivariance
   moves the recorded pairs by those generators;
-- classes_in_window filters the rows of tate_engine.window_rows by
-  contains, one class at a time, against the one walk of a chart;
+- window_rows walks a chart window row by row in s, each row one range of
+  j, and window_class_count counts those rows' classes in closed form by
+  two floor sums per eps, both against the runs of
+  tate_engine.window_runs, which run_classes expands; classes_in_window
+  filters the row walk by contains, one class at a time, against the one
+  walk of a chart;
 - SequenceView truncates a recorded sequence to the fixed-point or orbit
   half plane and reads the zero-line survivors off it;
 - the verify_* checks test properties that hold on every recorded sequence;
@@ -59,9 +63,9 @@ from tatedual.tate_engine import (
     d_first,
     d_second,
     first_diff_index,
+    grading,
     orbit,
     second_diff_index,
-    window_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -83,9 +87,55 @@ def contains(page: Page, cls: MonomialClass) -> bool:
     return orbit(cls, page.params) in page.survivors
 
 
+def window_rows(group: str, params: HeightParams, x_min: int, x_max: int, s_min: int, s_max: int):
+    """(eps, i, range of j) of the classes with (t - s, s) in the window, for
+    each s ascending: s = eps + 2i fixes eps and i, and t - s is affine in j
+    with step t_d (grading)."""
+    t_a, t_b, step = grading(_family(group), params)
+    for s in range(s_min, s_max + 1):
+        eps, i = s % 2, s // 2
+        x0 = t_a * eps + t_b * i - s  # t - s at j = 0
+        yield eps, i, range(-((x0 - x_min) // step), (x_max - x0) // step + 1)
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum((a*i + b) // m for i in range(n)), m > 0, in O(log m) steps (AtCoder Library floor_sum)."""
+    total = 0
+    while n:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        n, b, m, a = divmod(a * n + b, m) + (a, m)
+    return total
+
+
+def window_class_count(group: str, params: HeightParams, x_min: int, x_max: int, s_min: int, s_max: int) -> int:
+    """window_rows' total length in closed form: the rows s = eps + 2i of one
+    eps have t - s = c + a*i at j = 0, c = (t_a - 1) eps and a = t_b - 2, so
+    each holds (x_max - c - a*i) // step + (c + a*i - x_min) // step + 1
+    classes, two floor sums per eps."""
+    if x_max < x_min:
+        return 0  # the only windows where that row count may go negative
+    t_a, t_b, step = grading(_family(group), params)
+    a = t_b - 2
+    total = 0
+    for eps in (0, 1):
+        lo = (s_min - eps + 1) // 2
+        rows = max((s_max - eps) // 2 - lo + 1, 0)
+        x0 = (t_a - 1) * eps + a * lo
+        total += rows + _floor_sum(rows, step, -a, x_max - x0) + _floor_sum(rows, step, a, x0 - x_min)
+    return total
+
+
+def run_classes(runs) -> list[tuple[int, int, int]]:
+    """The (eps, i, j) of the classes of tate_engine.window_runs' runs, in
+    (s, j) order, the order of window_rows."""
+    return sorted(((eps, i + u * di, j + u * dj) for eps, i, j, di, dj, length in runs for u in range(length)),
+                  key=lambda c: (c[0] + 2 * c[1], c[2]))
+
+
 def classes_in_window(page: Page, x_min: int, x_max: int, s_min: int, s_max: int) -> list[MonomialClass]:
     """The classes of the page with (t - s, s) in the closed window, in (s, t)
-    order: the walk of tate_engine.window_rows, filtered by contains."""
+    order: the walk of window_rows, filtered by contains."""
     walk = (MonomialClass(eps, i, j, page.family)
             for eps, i, js in window_rows(page.group, page.params, x_min, x_max, s_min, s_max) for j in js)
     return [cls for cls in walk if contains(page, cls)]

@@ -18,7 +18,8 @@ from tatedual import tate_engine as eng
 from tatedual.errors import ResourceGuard
 from tatedual.mod_arith import GROUPS, height_params
 
-from oracles import ascii_grid_per_cell, classes_in_window, contains, hfpss_view
+from oracles import (ascii_grid_per_cell, classes_in_window, contains, hfpss_view, run_classes, window_class_count,
+                     window_rows)
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -161,30 +162,48 @@ class TestWindows:
             cr.ChartSpec(group="F", p=7, page=2, x_min=0, x_max=side, s_min=1, s_max=cr.MAX_CHART_CELLS // side)
 
     def test_class_budget_at_cap_counted_from_rows(self, params3):
-        # the count is the total length of the window's j ranges: no class
-        # is built and nothing is rendered
+        # the count is the total length of the window's runs: no class is
+        # built and nothing is rendered
         x0, x1, s0, s1 = map(int, AT_CAP[3:])
-        assert sum(len(js) for _, _, js in eng.window_rows("Cp", params3, x0, x1, s0, s1)) == cr.MAX_CHART_CLASSES
-        assert sum(len(js) for _, _, js in eng.window_rows("Cp", params3, x0, x1, s0, s1 + 1)) > cr.MAX_CHART_CLASSES
-        assert eng.window_class_count("Cp", params3, x0, x1, s0, s1) == cr.MAX_CHART_CLASSES
-        assert eng.window_class_count("Cp", params3, x0, x1, s0, s1 + 1) > cr.MAX_CHART_CLASSES
+        for want, window in ((cr.MAX_CHART_CLASSES, (x0, x1, s0, s1)),
+                             (cr.MAX_CHART_CLASSES + 100, (x0, x1, s0, s1 + 1))):
+            assert sum(run[-1] for run in eng.window_runs("Cp", params3, *window)) == want
+            assert sum(len(js) for _, _, js in window_rows("Cp", params3, *window)) == want
+            assert window_class_count("Cp", params3, *window) == want
 
-    @pytest.mark.parametrize("p", [3, 5, 11])
+    @pytest.mark.parametrize("p", [3, 5, 11, 997])
     @pytest.mark.parametrize("group", GROUPS)
     def test_class_count_is_the_rows_total(self, group, p):
-        # the closed-form count against the walk of the rows: plain,
+        # the runs' total against the closed-form count and the walk of the
+        # rows, and the runs against that walk class by class in (s, j)
+        # order wherever it is small: plain,
         # negative with odd ends, inverted in x, in s and in both, tall,
-        # wide, and random windows of either sign
+        # wide, and random windows of either sign, wide and tall, so that
+        # both sides of the walk are taken
         params = height_params(p)
         windows = [(-20, 20, -10, 10), (-301, -7, -99, -3), (5, 4, 0, 10), (0, 10, 10, 0), (5, 4, 3, 2),
-                   (0, 0, -20001, 19999), (-3, 2, -5000, 5001), (-10**6, 10**6 + 1, -3, 3), (-10**5, 10**5, 1, 1)]
+                   (0, 0, -20001, 19999), (-3, 2, -5000, 5001), (-10**6, 10**6 + 1, -3, 3), (-10**5, 10**5, 1, 1),
+                   (-7, 7, -10**6, 10**6), (2 * 10**9, 2 * 10**9 + 40, -10**6, 10**6)]
         rng = random.Random(p)
         for _ in range(200):
             x0, s0 = rng.randint(-5000, 5000), rng.randint(-500, 500)
             windows.append((x0, x0 + rng.randint(-30, 5000), s0, s0 + rng.randint(-3, 500)))
+        for _ in range(100):
+            x0, s0 = rng.randint(-5000, 5000), rng.randint(-5000, 5000)
+            windows.append((x0, x0 + rng.randint(-3, 30), s0, s0 + rng.randint(-30, 5000)))
+        sides = set()
         for window in windows:
-            want = sum(len(js) for _, _, js in eng.window_rows(group, params, *window))
-            assert eng.window_class_count(group, params, *window) == want, window
+            runs = list(eng.window_runs(group, params, *window))
+            assert all(length > 0 for *_, length in runs), window
+            sides.update((di, dj) == (0, 1) for _, _, _, di, dj, _ in runs)
+            total = sum(run[-1] for run in runs)
+            assert total == window_class_count(group, params, *window), window
+            if window[3] - window[2] <= 50000:
+                rows = list(window_rows(group, params, *window))
+                assert sum(len(js) for _, _, js in rows) == total, window
+                if total <= 5000:
+                    assert run_classes(runs) == [(eps, i, j) for eps, i, js in rows for j in js], window
+        assert sides == {True, False}
 
     def test_class_budget_refused_through_cli(self, capsys, monkeypatch):
         # 1,666,666 classes: refused with exit 2 before the sequence runs
@@ -211,6 +230,22 @@ class TestWindows:
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert b"1666667 classes" in proc.stderr
 
+    @pytest.mark.parametrize("argv,circles,dots", [
+        (("--group", "F", "--prime", "11", "--format", "json"), 0, 4545),
+        (("--group", "G", "--prime", "997", "--format", "svg"), 1, 0),
+    ], ids=["f-p11-json", "g-p997-svg"])
+    def test_tall_window_accepted_within_1s(self, argv, circles, dots):
+        # 10^7 rows of one column: the walk takes the column, so a fresh
+        # interpreter draws it at once
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        argv = ["chart", *argv, "--window", "0", "0", "-5000000", "4999999"]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "tatedual.cli", *argv], env=env, capture_output=True,
+                              timeout=30)
+        assert time.perf_counter() - start < 1.0
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.count(b"<circle") == circles and proc.stdout.count(b'"label"') == dots
+
     def test_default_windows_within_class_budget(self):
         # every default window the cell budget accepts stays accepted; the
         # largest is Cp at p = 23, with 89,329 classes
@@ -221,7 +256,7 @@ class TestWindows:
                 window = cli._default_window(group, params)
                 if (window[1] - window[0] + 1) * (window[3] - window[2] + 1) > cr.MAX_CHART_CELLS:
                     break
-                largest = max(largest, sum(len(js) for _, _, js in eng.window_rows(group, params, *window)))
+                largest = max(largest, sum(run[-1] for run in eng.window_runs(group, params, *window)))
         assert largest == 89329 <= cr.MAX_CHART_CLASSES
 
     @pytest.mark.slow
@@ -310,13 +345,13 @@ class TestOverlay:
     def test_one_window_walk_per_chart(self, monkeypatch, draw):
         # the dots and the arrows of both families read one walk of the window
         walks = []
-        walk = eng.window_rows
+        walk = eng.window_runs
 
         def counted(group, *args):
             walks.append(group)
             return walk(group, *args)
 
-        monkeypatch.setattr(eng, "window_rows", counted)
+        monkeypatch.setattr(eng, "window_runs", counted)
         draw(spec_cp(page=10))
         assert walks == ["Cp"]
 

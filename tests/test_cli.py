@@ -577,8 +577,8 @@ def test_chart_bad_directory_is_io_error_not_verification(capsys):
     code, out, err = run_cli(
         capsys, "chart", "--out", "/nonexistent-dir/x.txt", "--window", "-4", "4", "-2", "2"
     )
-    assert code == 2
-    assert "cannot write" in err
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: '/nonexistent-dir/x.txt'\n"
 
 
 def test_chart_overlay(capsys):

@@ -356,7 +356,9 @@ class TestWindows:
         assert oracles.classes_in_window(page, *window) == brute
         assert brute or window[0] > window[1] or window[2] > window[3] or stage == 2
         if stage == 0:
-            assert eng.window_class_count(group, params5, *window) == len(brute)
+            runs = list(eng.window_runs(group, params5, *window))
+            assert sum(run[-1] for run in runs) == oracles.window_class_count(group, params5, *window) == len(brute)
+            assert oracles.run_classes(runs) == [(c.eps, c.i, c.j) for c in brute]
 
     def test_mid_page_window(self, params3):
         page = eng.e2_page("Cp", params3)
