@@ -21,6 +21,7 @@ timestamps, float formatting surprises, or hash-ordered collections.
 
 from __future__ import annotations
 
+import io
 from collections import namedtuple
 
 from . import tate_engine as eng
@@ -125,19 +126,20 @@ def pair_json(src: eng.MonomialClass, tgt: eng.MonomialClass, coeff: int, r: int
 # ASCII
 
 
-def _ascii_lines(doc: dict) -> list[str]:
+def _ascii_text(doc: dict) -> str:
+    """The ASCII chart, written into one buffer: a row without a dot is the
+    one blank row, so a tall window keeps no string per row."""
     spec = doc["spec"]
     x0, x1 = spec["window"]["x"]
     s0, s1 = spec["window"]["s"]
     deg = doc["coeff_field_degree"]
     overlay = spec["overlay"]
-    lines = [
-        "# tate chart  group={}  p={}  page={}".format(spec["group"], spec["p"], spec["page"]),
-        "# window: t-s in [{}, {}], s in [{}, {}]".format(x0, x1, s0, s1),
-        "# dot = one copy of F_(p^{})  legend: o class, 2-9 classes in cell, * 10+".format(deg),
-    ]
+    out = io.StringIO()
+    out.write("# tate chart  group={}  p={}  page={}\n".format(spec["group"], spec["p"], spec["page"]))
+    out.write("# window: t-s in [{}, {}], s in [{}, {}]\n".format(x0, x1, s0, s1))
+    out.write("# dot = one copy of F_(p^{})  legend: o class, 2-9 classes in cell, * 10+\n".format(deg))
     if overlay:
-        lines.append("# overlay: O survives, x killed")
+        out.write("# overlay: O survives, x killed\n")
 
     # (x, s) fixes eps, i and t, hence j: one class per cell at most
     rows: dict[int, list[dict]] = {}
@@ -145,30 +147,24 @@ def _ascii_lines(doc: dict) -> list[str]:
         rows.setdefault(dot["s"], []).append(dot)
 
     width = max(x1 - x0 + 1, 0)
+    blank = "." * width
     for s in range(s1, s0 - 1, -1):
-        row = ["."] * width
-        for dot in rows.get(s, ()):
-            row[dot["x"] - x0] = ("O" if dot.get("fate") == "survives" else "x") if overlay else "o"
-        lines.append("{:5d} |{}".format(s, "".join(row)))
-    lines.append("      +{}".format("-" * width))
-    lines.append("       t-s from {} to {} (one column per unit)".format(x0, x1))
+        row = blank
+        if s in rows:
+            cells = list(blank)
+            for dot in rows[s]:
+                cells[dot["x"] - x0] = ("O" if dot.get("fate") == "survives" else "x") if overlay else "o"
+            row = "".join(cells)
+        out.write(f"{s:5d} |{row}\n")
+    out.write("      +{}\n".format("-" * width))
+    out.write("       t-s from {} to {} (one column per unit)\n".format(x0, x1))
 
     for arrow in doc["arrows"]:
         src, tgt = arrow["source"], arrow["target"]
-        lines.append(
-            "# d{} [{}]: {} ({},{}) -> {} ({},{}) coeff {}".format(
-                arrow["r"],
-                arrow["color"],
-                _label(src, spec["group"]),
-                src["t"] - src["s"],
-                src["s"],
-                _label(tgt, spec["group"]),
-                tgt["t"] - tgt["s"],
-                tgt["s"],
-                arrow["coeff"],
-            )
-        )
-    return lines
+        out.write("# d{} [{}]: {} ({},{}) -> {} ({},{}) coeff {}\n".format(
+            arrow["r"], arrow["color"], _label(src, spec["group"]), src["t"] - src["s"], src["s"],
+            _label(tgt, spec["group"]), tgt["t"] - tgt["s"], tgt["s"], arrow["coeff"]))
+    return out.getvalue()
 
 
 def _label(entry: dict, group: str) -> str:
@@ -254,7 +250,7 @@ def _svg_lines(doc: dict) -> list[str]:
 
 def serialize(doc: dict, fmt: str) -> str:
     if fmt == "ascii":
-        return "\n".join(_ascii_lines(doc)) + "\n"
+        return _ascii_text(doc)
     if fmt == "svg":
         return "\n".join(_svg_lines(doc)) + "\n"
     import json

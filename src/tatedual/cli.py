@@ -14,10 +14,11 @@ FORMATS; `verify congruence` adds nothing, `shifts` duality_shifts and
 tate_engine, `chart` chart_render and tate_engine, `verify cancellation`
 tate_engine, and the plain `verify nilpotence` and `verify freeness`
 verdicts alone (no numpy or json), as do `sympow` and `verify nilpotence
---json`, with json.  cp_rep, and with it numpy, is imported only where the
-weight certificate of verdicts leaves a freeness, or the Jordan profile of
-a base degree, open; json only where JSON is printed.  Every record of the
-package is a collections.namedtuple, so no command loads dataclasses.
+--json`, with json.  No valid command imports cp_rep, and with it numpy:
+only a freeness that the weight certificate of verdicts leaves open, or a
+window without a free degree, would; json only where JSON is printed.
+Every record of the package is a collections.namedtuple, so no command
+loads dataclasses.
 Cold and with no bytecode, `-X importtime` puts this import at about 7 ms.
 """
 
@@ -178,7 +179,7 @@ def cmd_sympow(args) -> int:
     import json
     from . import verdicts
     params = mod_arith.height_params(args.prime)
-    # sympow answers up to the dense limit, though it builds at most the base degree
+    # the profile lists every block, so sympow answers up to the dense limit
     dim = verdicts.symmetric_dimension(verdicts.level_vars(params, args.k), args.degree)
     if dim > verdicts.DENSE_LIMIT:
         raise ResourceGuard(f"sympow needs dimension <= {verdicts.DENSE_LIMIT}, but degree {args.degree} has "

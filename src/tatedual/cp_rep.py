@@ -17,13 +17,10 @@ z^i[R, :], i < p, where R is the dim - rank(z) indices outside a set of
 independent columns of z; the ranks of every power of z, and so the Jordan
 profile, come from one row rank profile of these rows stacked, and no
 power of z is formed.
-Only a base degree b < p whose Jordan profile the weight certificate of
-verdicts leaves open is decomposed here (verdicts.jordan_profile), for
-sympow and for the Tate dimensions of the nilpotence reports, and the
-suites decide freeness here too, except for a degree that it leaves open
-(_free_by_rank).  A window of degrees without a free one, which no valid
-input has, would be tested explicitly against kernel and image bases of z
-and N, the one place they are built.
+No valid command reaches this module: the verdicts come here only for a
+degree that their weight certificate leaves open (_free_by_rank), or for a
+window without a free degree, tested against kernel and image bases of z
+and N.  jordan_decompose is the tests' oracle for the profiles of verdicts.
 
 Everything is computed over F_p.  Coefficient extensions to F_{p^n} only
 rescale multiplicities, so dimension counts, freeness and vanishing
@@ -32,7 +29,7 @@ statements are unaffected.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -185,12 +182,6 @@ def _symmetric_walk(base: CpModule, max_deg: int):
     for _ in range(max_deg):
         chain.step()
         yield chain.deg, chain.current_module(), chain.last_var_embed
-
-
-def symmetric_power(m: CpModule, deg: int) -> CpModule:
-    """The induced action on the monomial basis of total degree deg."""
-    _, module, _ = deque(_symmetric_walk(m, deg), maxlen=1)[0]
-    return m if deg == 1 else module
 
 
 # ---------------------------------------------------------------------------

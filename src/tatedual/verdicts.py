@@ -24,10 +24,10 @@ rank D falls short does a degree import cp_rep, for a rank of z
 (cp_rep._free_by_rank).  By the periodicity of free_flags_by_k, the bases
 b < p decide every degree, and by its induction one certificate per level,
 Sym^(j+1)(U_j) free, decides every base, so the verdicts rank D on those
-powers alone, of dimension C(p, j + 1).  One rank of D also proves the
-Jordan profile of a base (jordan_profile), so sympow and the Tate
-dimensions of the nilpotence reports take no freeness pass and import
-cp_rep only to decompose a base that the bounds leave open.
+powers alone, of dimension C(p, j + 1).  The Jordan profile of a base is
+read off its characteristic-0 character (jordan_profile), with no rank, so
+sympow and the Tate dimensions of the nilpotence reports take no freeness
+pass and never import cp_rep.
 """
 
 from __future__ import annotations
@@ -35,16 +35,14 @@ from __future__ import annotations
 import math
 from collections import deque, namedtuple
 
-from .errors import InvalidInput, ResourceGuard
+from .errors import InvalidInput, ResourceGuard, VerificationFailure
 from .mod_arith import HeightParams
 
 # the largest symmetric power a walk builds or a verdict ranks
 DIM_CAP = 50_000
-# the largest dimension at which cp_rep makes z a dense matrix, and so the
-# largest power whose profile sympow takes
+# the largest power whose profile sympow prints, as it lists every block;
+# also the largest dimension at which cp_rep makes z a dense matrix
 DENSE_LIMIT = 2000
-# the dense cells, dim^2 summed over degrees, that one nilpotence_reports may rank
-TATE_CELLS = 2**23
 
 
 class JordanProfile(namedtuple("JordanProfile", "blocks")):
@@ -181,36 +179,67 @@ def free_flags_by_k(params: HeightParams, caps: dict[int, int]) -> dict[int, lis
             for k in caps}
 
 
+def _gaussian_binomial(top: int, low: int) -> list[int]:
+    """The coefficients of the Gaussian binomial [top choose low]_q, the
+    product of (1 - q^(top - low + i)) / (1 - q^i) over i = 1, ..., low,
+    each partial product a polynomial of degree i (top - low): cut there,
+    its division by 1 - q^i, low terms first, is exact."""
+    low = min(low, top - low)
+    poly = [1]
+    for i in range(1, low + 1):
+        poly += [0] * (top - low)
+        for a in range(len(poly) - 1, top - low + i - 1, -1):
+            poly[a] -= poly[a - top + low - i]
+        for a in range(i, len(poly)):
+            poly[a] += poly[a - i]
+    return poly
+
+
 def jordan_profile(params: HeightParams, k: int, deg: int) -> JordanProfile:
     """The Jordan profile of Sym^deg(U_k): by the periodicity that
     free_flags_by_k states, the blocks of its base Sym^b(U_k), b = deg mod
     p, and (dim_deg - dim_b)/p more of size p.
 
-    Base: as no block is larger than p, there are at least c = ceil(dim/p)
-    blocks and rank z <= dim - c, and rank z >= rank D, so rank D = dim - c
-    proves exactly c blocks.  Summing to dim = q p + r, they are forced to
-    be q of size p and one of size r when r = 0 (the freeness certificate:
-    Sym^b(U_k) is free), c = 1 or c p - dim = 1.  U_n, degree 0 and degree 1
-    are such leaves, with rank D = 0, 0 and v - 1.  Where the rank is silent,
-    cp_rep decomposes Sym^b(U_k), whose dimension is at most that of
-    Sym^deg(U_k); no power past degree p - 1 is built."""
-    p, nvars, b = params.p, level_vars(params, k), deg % params.p
-    dim = symmetric_dimension(nvars, b)
-    q, r = divmod(dim, p)
-    if (r == 0 or q == 0 or r == p - 1) and weight_rank(p, nvars, b) == dim - q - (r > 0):
-        base = (p,) * q + ((r,) if r else ())
-    else:
-        from . import cp_rep
-
-        base = cp_rep.jordan_decompose(cp_rep.symmetric_power(cp_rep.u_k_module(params, k), b)).blocks
-    return JordanProfile((p,) * ((symmetric_dimension(nvars, deg) - dim) // p) + base)
+    The base, from its character: U_k is L(v - 1), the tilting (v-1)-th
+    symmetric power of the natural module of SL_2, v = p - k <= p,
+    restricted to a unipotent element of order p.  For b < p, Sym^b is a
+    summand of the b-th tensor power, so Sym^b(L(v - 1)) is tilting
+    (C. M. Ringel, Math. Z. 208, 1991; S. Donkin, Math. Z. 212, 1993), and
+    T(m) restricts to one block of size m + 1 for m <= p - 2 and to a free
+    module for m >= p - 1.  The species of the Green ring of C_p modulo free
+    modules, V_n -> sin(n pi j/p) / sin(pi j/p), 0 < j < p (J. A. Green,
+    Illinois J. Math. 6, 1962), separate the non-free part; on a tilting
+    module they are its character at e^(i pi j/p), which vanishes on every
+    T(m), m >= p - 1, by Donkin's tensor product theorem.  In characteristic
+    0 the irreducible of dimension m + 1, m = b(v - 1) - 2a >= 0, occurs
+    g_a - g_(a-1) times in Sym^b, g the coefficients of the Gaussian
+    binomial [b + v - 1 choose b]_q.  Folded to x = (m + 1) mod 2p, it gives
+    that many blocks of size x for x < p, none for x in {0, p}, and takes
+    that many of size 2p - x away for x > p; the rest are blocks of size p
+    (see also G. Almkvist and R. Fossum, LNM 641, 1978; Hughes and Kemper,
+    Comm. Algebra 28, 2000)."""
+    p, v, b = params.p, level_vars(params, k), deg % params.p
+    g, top = _gaussian_binomial(b + v - 1, b), b * (v - 1)
+    small: dict[int, int] = {}
+    for a in range(top // 2 + 1):
+        x, mult = (top - 2 * a + 1) % (2 * p), g[a] - (g[a - 1] if a else 0)
+        if 0 < x < p:
+            small[x] = small.get(x, 0) + mult
+        elif x > p:
+            small[2 * p - x] = small.get(2 * p - x, 0) - mult
+    dim = symmetric_dimension(v, b)
+    free, rest = divmod(dim - sum(size * c for size, c in small.items()), p)
+    if rest or free < 0 or min(small.values(), default=0) < 0:
+        raise VerificationFailure(f"the fold of Sym^{b} of a block of size {v} at p={p} is no profile")
+    free += (symmetric_dimension(v, deg) - dim) // p
+    return JordanProfile((p,) * free + tuple(size for size in sorted(small, reverse=True) for _ in range(small[size])))
 
 
 # ---------------------------------------------------------------------------
 # the nilpotence suite
 
 
-# tate, the dimension of both Tate groups, is None where unknown
+# tate, the common dimension of both Tate groups
 DegreeSummary = namedtuple("DegreeSummary", "deg dim tate free")
 
 
@@ -225,42 +254,19 @@ class NilpotenceReport(namedtuple("NilpotenceReport", "p k max_deg degrees windo
                 "trivial": self.trivial, "windows_checked": self.windows, "degrees": degrees}
 
 
-def tate_bases(params: HeightParams, caps: dict[int, int]) -> dict[int, list[int]]:
-    """For each k of caps, the base degrees b <= min(k, caps[k]), which the
-    verdict's pattern leaves not free, with Sym^b(U_k) dense: the bases whose
-    Tate dimensions --json fills.  Refused, lowest k first, naming k and b,
-    where their squared dimensions pass TATE_CELLS in total."""
-    cells, bases = 0, {}
-    for k in sorted(caps):
-        bases[k] = []
-        for b in range(min(k, caps[k]) + 1):
-            dim = symmetric_dimension(level_vars(params, k), b)
-            if dim > DENSE_LIMIT:
-                break
-            cells += dim * dim
-            if cells > TATE_CELLS:
-                raise ResourceGuard(f"the Tate dimensions up to k={k} degree {b} would rank {cells} dense cells, "
-                                    f"over the {TATE_CELLS} budget")
-            bases[k].append(b)
-    return bases
-
-
-def nilpotence_reports(
-    params: HeightParams, caps: dict[int, int], tate_dims: bool
-) -> list[NilpotenceReport]:
+def nilpotence_reports(params: HeightParams, caps: dict[int, int], tate_dims: bool) -> list[NilpotenceReport]:
     """One report for each k of caps, in order, up to caps[k].  One pass of
     free_flags_by_k first decides every k with a verdict to find (1 <= k <
     n, caps[k] > k), whose report then comes from its flags through
     nilpotence_report.  With tate_dims, the report lists each degree up to
-    caps[k], which DIM_CAP bounds, and every degree that is not free, with
-    its base among tate_bases, gets the Tate dimension of that base from
-    jordan_profile, once per base; both are checked before the pass.  k = 0
-    gets the trivial report; any other k outside [1, n - 1], or with caps[k]
-    < k + 1, is refused when its turn comes, after the pass."""
+    caps[k], with the Tate dimension of its base from jordan_profile, once
+    per base; DIM_CAP at caps[k], checked before the pass, bounds both that
+    output and every base folded.  k = 0 gets the trivial report; any other
+    k outside [1, n - 1], or with caps[k] < k + 1, is refused when its turn
+    comes, after the pass."""
     p, n = params.p, params.n
     decided = {k: d for k, d in caps.items() if 1 <= k < n and d > k}
     if tate_dims:
-        bases = tate_bases(params, decided)
         for k in sorted(decided):
             check_dim_cap(level_vars(params, k), decided[k], f"k={k} degree {decided[k]}: ")
     flags = free_flags_by_k(params, decided)
@@ -278,10 +284,9 @@ def nilpotence_reports(
             report = nilpotence_report(params, k, flags[k], max_deg)
             if tate_dims:
                 free, nvars = flags[k], level_vars(params, k)
-                tate = {b: 0 if f else jordan_profile(params, k, b).tate_dim(p)
-                        for b, f in enumerate(free) if f or b in bases[k]}
+                tate = [jordan_profile(params, k, b).tate_dim(p) for b in range(len(free))]
                 report = report._replace(degrees=tuple(DegreeSummary(
-                    d, symmetric_dimension(nvars, d), tate.get(d % p), free[d % p]) for d in range(max_deg + 1)))
+                    d, symmetric_dimension(nvars, d), tate[d % p], free[d % p]) for d in range(max_deg + 1)))
             reports.append(report)
     return reports
 

@@ -25,12 +25,11 @@ src/tatedual holds, and these oracles recompute the same facts another way.
 - SequenceView truncates a recorded sequence to the fixed-point or orbit
   half plane and reads the zero-line survivors off it;
 - the verify_* checks test properties that hold on every recorded sequence;
-- freeness_check decides freeness at one degree from a fresh symmetric
+- symmetric_power builds one explicit power, whose cp_rep.jordan_decompose
+  is the oracle of the profiles that verdicts.jordan_profile folds from the
+  character; freeness_check decides freeness at one degree from such a
   power, and free_flags_per_degree proves it degree by degree up to a cap
   with no periodicity, both against the flags of verdicts.free_flags_by_k;
-- folded_profile reads the Jordan profile of a base power Sym^b(U_k), b < p,
-  off its characteristic-0 character, against verdicts.jordan_profile, and
-  its freeness against the flags of verdicts.free_flags_by_k;
 - direct_sum builds the planted-block modules of the Jordan and Tate tests,
   and coordinates_in_span inverts the change of basis of the random ones;
 - monomials enumerates exponent tuples of one degree in descending lex
@@ -38,13 +37,14 @@ src/tatedual holds, and these oracles recompute the same facts another way.
 - rank_row_loop ranks a list of rows over F_p with Python integers, one
   pivot row at a time, against the dict elimination of verdicts;
 - ascii_grid_per_cell fills the chart grid one cell at a time, against
-  the rows of chart_render._ascii_lines;
+  the rows of chart_render._ascii_text;
 - det_tau_exponent reduces the determinant twist of tau mod n^2, against
   the invariant power of delta of mod_arith.invariant_delta_exponent.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -431,10 +431,17 @@ def coordinates_in_span(basis: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarr
     return linalg._solve_unit_upper(ech[:k, :k], ech[:k, k:], p)
 
 
+def symmetric_power(m: CpModule, deg: int) -> CpModule:
+    """The induced action on the monomial basis of total degree deg, the
+    last degree of cp_rep._symmetric_walk."""
+    _, module, _ = deque(cp_rep._symmetric_walk(m, deg), maxlen=1)[0]
+    return m if deg == 1 else module
+
+
 def freeness_check(params: HeightParams, k: int, deg: int) -> bool:
     """Is the degree-deg symmetric power of the height module free over
     F_p[C_p]?  Decided by the rank of zeta - 1 alone, dense or sparse."""
-    return cp_rep._free_by_rank(cp_rep.symmetric_power(cp_rep.u_k_module(params, k), deg))
+    return cp_rep._free_by_rank(symmetric_power(cp_rep.u_k_module(params, k), deg))
 
 
 def free_flags_per_degree(params: HeightParams, caps: dict[int, int]) -> dict[int, list[bool]]:
@@ -490,51 +497,6 @@ def rank_row_loop(rows: list[list[int]], p: int) -> int:
         rest = [[(v - row[c] * inv * w) % p for v, w in zip(row, pivot)] for row in rest]
         rank += 1
     return rank
-
-
-def gaussian_binomial(top: int, low: int) -> list[int]:
-    """The coefficients of the Gaussian binomial [top choose low]_q, the
-    product of (1 - q^(top - low + i)) / (1 - q^i) over i = 1, ..., low."""
-    poly = [1]
-    for i in range(1, low + 1):
-        e = top - low + i
-        poly += [0] * e
-        for a in range(len(poly) - 1, e - 1, -1):
-            poly[a] -= poly[a - e]
-        for a in range(i, len(poly)):
-            poly[a] += poly[a - i]
-    return poly[: low * (top - low) + 1]
-
-
-def folded_profile(p: int, v: int, b: int) -> tuple[int, ...]:
-    """The Jordan blocks, descending, of Sym^b of one Jordan block of size
-    v <= p, b < p, from its character alone.
-
-    In characteristic 0, Sym^b of the SL_2 module of dimension v has the
-    weights b(v - 1) - 2a with multiplicities g_a, the coefficients of
-    [b + v - 1 choose b]_q, so the irreducible of dimension m + 1, m =
-    b(v - 1) - 2a >= 0, occurs g_a - g_(a-1) times.  Fold each dimension to
-    x = (m + 1) mod 2p: x < p gives that many blocks of size x, x in {0, p}
-    none, and x > p takes that many blocks of size 2p - x away.  The rest of
-    the dimension is blocks of size p.  Why: for b < p the module is a
-    summand of a tensor power of a tilting module, so tilting (Ringel, Math.
-    Z. 208, 1991; Donkin, Math. Z. 212, 1993), and the species of the Green
-    ring of C_p modulo free modules (J. A. Green, Illinois J. Math. 6, 1962)
-    read a tilting module's character at the 2p-th roots of unity."""
-    g = gaussian_binomial(b + v - 1, b)
-    top = b * (v - 1)
-    small: dict[int, int] = {}
-    for a in range(top // 2 + 1):
-        x = (top - 2 * a + 1) % (2 * p)
-        mult = g[a] - (g[a - 1] if a else 0)
-        if 0 < x < p:
-            small[x] = small.get(x, 0) + mult
-        elif x > p:
-            small[2 * p - x] = small.get(2 * p - x, 0) - mult
-    free, rest = divmod(sum(g) - sum(size * count for size, count in small.items()), p)
-    if rest or free < 0 or min(small.values(), default=0) < 0:
-        raise VerificationFailure(f"the fold of Sym^{b} of a block of size {v} at p={p} is no profile")
-    return (p,) * free + tuple(size for size in sorted(small, reverse=True) for _ in range(small[size]))
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ class TestGoldens:
         window = window or cli._default_window(group, height_params(p))
         doc = cr.build_document(cr.ChartSpec(group, p, page, *window), overlay=overlay)
         want = ascii_grid_per_cell(doc)
-        lines = cr._ascii_lines(doc)
+        lines = cr._ascii_text(doc).split("\n")
         head = lines.index("      +" + "-" * max(window[1] - window[0] + 1, 0)) - len(want)
         assert head == (4 if overlay else 3)
         assert lines[head : head + len(want)] == want

@@ -105,11 +105,12 @@ REFUSALS = [
     ("sympow --prime 7 --k 0 --degree 14",
      "error: sympow needs dimension <= 2000, but degree 14 has dimension 38760; "
      "`tatedual verify freeness` checks larger powers from ranks"),
-    ("verify nilpotence --prime 997 --k 995 --json --max-degree 996",
-     "error: the Tate dimensions up to k=995 degree 292 would rank 8427559 dense cells, over the 8388608 budget"),
     # --json lists every degree, so DIM_CAP at --max-degree bounds its output
     ("verify nilpotence --prime 3 --json --max-degree 1000000000000",
      "error: k=1 degree 1000000000000: symmetric power dimension 1000000000001 exceeds cap 50000"),
+    # U_995 at p = 997 has two variables, so degree 50000 is the first past DIM_CAP
+    ("verify nilpotence --prime 997 --k 995 --json --max-degree 50000",
+     "error: k=995 degree 50000: symmetric power dimension 50001 exceeds cap 50000"),
 ]
 
 
@@ -198,9 +199,26 @@ def test_verify_nilpotence_json_golden(capsys, argv, golden):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+def test_nilpotence_json_p997_k995_answers_at_once(capsys):
+    # U_995 at p = 997 is one block of size 2, and for b < p, Sym^b of a
+    # block of size 2 is one block of size b + 1: every base b <= 995 has
+    # Tate dimension 1, and degree 996 is one free block.  996 bases are
+    # folded from their characters, and none is decomposed
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "nilpotence", "--prime", "997", "--k", "995", "--json",
+                             "--max-degree", "996")
+    assert time.perf_counter() - t0 < 1
+    assert (code, err) == (0, "")
+    [report] = json.loads(out)
+    assert report["holds"] and report["windows_checked"] == 1
+    assert report["degrees"] == [{"degree": d, "dimension": d + 1, "even_dim": int(d < 996), "odd_dim": int(d < 996),
+                                  "free": d == 996} for d in range(997)]
+
+
 def test_nilpotence_json_over_tate_budget_refused_at_once(capsys, monkeypatch):
-    # the base degrees 0, ..., 995 of U_995 at p = 997 would rank about 3.3e8
-    # dense cells; the refusal comes before the freeness pass
+    # no Tate budget is left: the one refusal of a JSON report is DIM_CAP at
+    # --max-degree, and it comes before the freeness pass, however far past
+    # the degrees that the dense Tate ranks once refused
     from tatedual import verdicts
 
     def no_pass(params, caps):
@@ -209,32 +227,17 @@ def test_nilpotence_json_over_tate_budget_refused_at_once(capsys, monkeypatch):
     monkeypatch.setattr(verdicts, "free_flags_by_k", no_pass)
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", "nilpotence", "--prime", "997", "--k", "995", "--json",
-                             "--max-degree", "996")
+                             "--max-degree", "1000000000000")
     assert time.perf_counter() - t0 < 1
-    assert code == 2
-    assert out == ""
-    assert "k=995 degree 292" in err and "budget" in err
-
-
-def test_tate_budget_boundary():
-    # at p = 997, U_995 has two variables and dimension b + 1 at degree b,
-    # and the bases b <= 995 are not free: their squares first pass 2^23 at
-    # b = 292
-    from tatedual import verdicts
-    from tatedual.errors import ResourceGuard
-
-    params = mod_arith.height_params(997)
-    cells = sum((b + 1) ** 2 for b in range(293))
-    assert cells - 293**2 <= verdicts.TATE_CELLS < cells
-    assert verdicts.tate_bases(params, {995: 291}) == {995: list(range(292))}
-    with pytest.raises(ResourceGuard):
-        verdicts.tate_bases(params, {995: 292})
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == ("error: k=995 degree 1000000000000: symmetric power dimension "
+                                    "1000000000001 exceeds cap 50000")
 
 
 def test_nilpotence_json_past_old_tate_budget(capsys):
-    # at p = 3 only the bases 0 and 1 of U_1 are decomposed, so the degrees
-    # that once passed the Tate budget, 334 on, are answered, and every
-    # degree that is not free has its Tate dimension
+    # at p = 3 only the bases 0 and 1 of U_1 are folded, so the degrees that
+    # once passed the Tate budget, 334 on, are answered, and every degree
+    # that is not free has its Tate dimension
     code, out, err = run_cli(capsys, "verify", "nilpotence", "--prime", "3", "--json", "--max-degree", "334")
     assert (code, err) == (0, "")
     degrees = json.loads(out)[0]["degrees"]
@@ -409,8 +412,8 @@ def test_sympow_json(capsys):
 )
 def test_sympow_golden(capsys, argv, golden):
     # Tate dimensions 1, 2 and 1: blocks smaller than p, one, two and one of
-    # them; degree 20 (dimension 1771) is the largest power sympow decomposes
-    # at its default suites
+    # them; degree 20 (dimension 1771) is the largest power of the default
+    # suites
     code, out, err = run_cli(capsys, "sympow", *argv)
     assert code == 0
     assert err == ""
@@ -422,18 +425,30 @@ def test_sympow_golden(capsys, argv, golden):
     [(5, 1, 6, "leaf"), (5, 1, 20, "leaf"), (7, 4, 9, "dense")],
 )
 def test_sympow_golden_routes(p, k, degree, route, monkeypatch):
-    # the three goldens take the two routes of sympow at their base degree
-    # d mod p: the rank of D alone decides S^1(U_1) at p = 5 (one block of
-    # size 4) and S^0(U_1) (one of size 1); S^2(U_4) at p = 7 has blocks 5
-    # and 1, which it does not decide, and goes to jordan_decompose.  The
-    # free blocks of degrees 6, 20 and 9 come on top
+    # the three goldens at their base degree d mod p, against two
+    # certificates that share nothing with the fold: where c = ceil(dim/p)
+    # blocks are forced, a "leaf", rank D = dim - c proves them, as for
+    # S^1(U_1) at p = 5 (one block of size 4) and S^0(U_1) (one of size 1);
+    # S^2(U_4) at p = 7 has blocks 5 and 1, which rank D leaves open, and
+    # the explicit power's decomposition gives them.  jordan_profile
+    # decomposes neither
     from tatedual import cp_rep, verdicts
 
-    decomposed = []
+    from oracles import symmetric_power
+
+    params = mod_arith.height_params(p)
     real = cp_rep.jordan_decompose
-    monkeypatch.setattr(cp_rep, "jordan_decompose", lambda m: decomposed.append(m.dim) or real(m))
-    verdicts.jordan_profile(mod_arith.height_params(p), k, degree)
-    assert decomposed == {"leaf": [], "dense": [6]}[route]
+    monkeypatch.setattr(cp_rep, "jordan_decompose", lambda m: pytest.fail("jordan_profile decomposed a power"))
+    b, nvars = degree % p, p - k
+    dim = verdicts.symmetric_dimension(nvars, b)
+    free = (verdicts.symmetric_dimension(nvars, degree) - dim) // p
+    blocks = verdicts.jordan_profile(params, k, degree).blocks
+    assert blocks[:free] == (p,) * free
+    base = blocks[free:]
+    if route == "leaf":
+        assert len(base) == -(-dim // p) and verdicts.weight_rank(p, nvars, b) == dim - len(base)
+    else:
+        assert base == real(symmetric_power(cp_rep.u_k_module(params, k), b)).blocks == (5, 1)
 
 
 @pytest.mark.parametrize(
@@ -488,12 +503,17 @@ def test_sympow_negative_degree_exits_2(capsys, argv):
 def test_sympow_resource_guard(capsys, monkeypatch):
     from tatedual import verdicts
 
-    # S^2(U_4) at p = 7, the base of degree 9, has dimension 6 and blocks 5
-    # and 1, which the rank of D leaves open, so it is built and refused
+    # S^9(U_4) at p = 7 has dimension 55, and its base S^2(U_4) dimension 6.
+    # No power is built, so a DIM_CAP below both refuses nothing; the one
+    # guard of sympow is its output bound, DENSE_LIMIT on the power itself
     monkeypatch.setattr(verdicts, "DIM_CAP", 5)
     code, out, err = run_cli(capsys, "sympow", "--prime", "7", "--k", "4", "--degree", "9")
-    assert code == 2
-    assert "cap" in err
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "sympow_p7_k4_d9.json").read_bytes()
+    monkeypatch.setattr(verdicts, "DENSE_LIMIT", 54)
+    code, out, err = run_cli(capsys, "sympow", "--prime", "7", "--k", "4", "--degree", "9")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sympow needs dimension <= 54, but degree 9 has dimension 55;")
 
 
 def test_sympow_above_dense_limit_refused_before_walking(capsys, monkeypatch):
@@ -707,36 +727,31 @@ def test_closed_form_commands_load_no_numpy(argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("sympow", "--prime", "7", "--k", "4", "--degree", "9")],
-    ids=_command_id,
-)
-def test_dense_commands_load_numpy_without_scipy(argv):
-    assert _modules_after(_main(argv)) == ["numpy"]
-
-
-@pytest.mark.parametrize(
     "argv,expected",
     [(("verify", "nilpotence", "--prime", "5"), BENCH_EXPECTED / "nilpotence-p5.out"),
      (("verify", "nilpotence", "--prime", "7", "--k", "2"), BENCH_EXPECTED / "nilpotence-p7-k2.out"),
      (("verify", "freeness", "--prime", "5", "--k", "1"), BENCH_EXPECTED / "freeness-p5-k1.out"),
      (("sympow", "--prime", "5", "--k", "1", "--degree", "6"), BENCH_EXPECTED / "sympow-p5-k1-d6.out"),
      (("sympow", "--prime", "5", "--k", "1", "--degree", "20"), GOLDEN / "sympow_p5_k1_d20.json"),
-     (("verify", "nilpotence", "--prime", "3", "--json"), GOLDEN / "nilpotence_p3.json")],
-    ids=["nilp-p5", "nilp-p7-k2", "free-p5-k1", "sympow-d6", "sympow-d20", "nilp-p3-json"],
+     (("sympow", "--prime", "7", "--k", "4", "--degree", "9"), GOLDEN / "sympow_p7_k4_d9.json"),
+     (("verify", "nilpotence", "--prime", "3", "--json"), GOLDEN / "nilpotence_p3.json"),
+     (("verify", "nilpotence", "--prime", "5", "--k", "1", "--json"), GOLDEN / "nilpotence_p5_k1.json"),
+     (("verify", "nilpotence", "--prime", "7", "--json"), GOLDEN / "nilpotence_p7.json")],
+    ids=["nilp-p5", "nilp-p7-k2", "free-p5-k1", "sympow-d6", "sympow-d20", "sympow-p7-k4-d9", "nilp-p3-json",
+         "nilp-p5-k1-json", "nilp-p7-json"],
 )
 def test_verdicts_load_no_numpy(argv, expected):
-    # the verdicts of the benchmark workloads, and the Jordan profiles and
-    # Tate dimensions that the weight certificate decides at the base
-    # degree, come from exponent rows alone: a fresh interpreter prints the
-    # recorded bytes and never loads numpy
+    # the verdicts of the benchmark workloads, from exponent rows alone, and
+    # every Jordan profile and Tate dimension, folded from the character of
+    # the base degree: a fresh interpreter prints the recorded bytes and
+    # loads neither cp_rep nor numpy
     probe = (
         "import contextlib, io, json, sys\n"
         "from tatedual import cli\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         f"    code = cli.main({list(argv)!r})\n"
-        "print(json.dumps([code, out.getvalue(), 'numpy' in sys.modules]))\n"
+        "print(json.dumps([code, out.getvalue(), 'numpy' in sys.modules or 'tatedual.cp_rep' in sys.modules]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
@@ -760,6 +775,8 @@ _CLI_IMPORT = ["cli", "errors", "mod_arith", "tatedual"]
         (("chart", "--prime", "5", "--overlay"), ["chart_render", "tate_engine"]),
         (("verify", "nilpotence", "--prime", "3", "--json"), ["json", "verdicts"]),
         (("sympow", "--prime", "5", "--k", "1", "--degree", "6"), ["json", "verdicts"]),
+        (("sympow", "--prime", "13", "--k", "6", "--degree", "6"), ["json", "verdicts"]),
+        (("verify", "nilpotence", "--prime", "7", "--json"), ["json", "verdicts"]),
     ],
     ids=_command_id,
 )
@@ -775,7 +792,7 @@ def test_step_past_dense_limit_loads_numpy_without_scipy():
     code = (
         "from tatedual import cp_rep\n"
         "from tatedual.mod_arith import height_params\n"
-        "m = cp_rep.symmetric_power(cp_rep.u_k_module(height_params(7), 2), 13)\n"
+        "_, m, _ = list(cp_rep._symmetric_walk(cp_rep.u_k_module(height_params(7), 2), 13))[-1]\n"
         "assert m.dim == 2380 > cp_rep.DENSE_LIMIT and not m.is_dense()\n"
         "assert cp_rep._free_by_rank(m)"
     )

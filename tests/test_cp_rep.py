@@ -13,7 +13,7 @@ from tatedual.errors import InvalidInput, ResourceGuard
 from tatedual.mod_arith import height_params
 
 from conftest import inverse_mod, random_cp_module, random_invertible, report_for_k
-from oracles import direct_sum, freeness_check, monomials
+from oracles import direct_sum, freeness_check, monomials, symmetric_power
 
 
 def _action(m):
@@ -62,7 +62,7 @@ class TestJordan:
         assert cp_rep.jordan_decompose(cp_rep.jordan_block_module(7, 1)).blocks == (1,)
 
     def test_symmetric_square_of_v2_at_p3(self, params3):
-        sq = cp_rep.symmetric_power(cp_rep.u_k_module(params3, 1), 2)
+        sq = symmetric_power(cp_rep.u_k_module(params3, 1), 2)
         assert cp_rep.jordan_decompose(sq).blocks == (3,)
 
     def test_wrong_order_detected(self):
@@ -75,7 +75,7 @@ class TestJordan:
     def test_no_dense_power_formed(self, p, k, deg, monkeypatch):
         # every product is a skinny Y_i times z, one row per Jordan block:
         # p - 2 of them for the rows and one for the z^p = 0 certificate
-        m = cp_rep.symmetric_power(cp_rep.u_k_module(height_params(p), k), deg)
+        m = symmetric_power(cp_rep.u_k_module(height_params(p), k), deg)
         assert m.dim >= 192
         left_rows = []
         matmul = linalg.matmul_mod
@@ -120,19 +120,19 @@ class TestJordan:
 class TestSymmetricPower:
     def test_degree_one_is_identity(self, params5):
         m = cp_rep.u_k_module(params5, 2)
-        assert cp_rep.symmetric_power(m, 1) is m
+        assert symmetric_power(m, 1) is m
 
     def test_degree_zero(self, params3):
-        m = cp_rep.symmetric_power(cp_rep.u_k_module(params3, 0), 0)
+        m = symmetric_power(cp_rep.u_k_module(params3, 0), 0)
         assert m.dim == 1
         assert np.array_equal(_action(m), np.ones((1, 1), dtype=np.int64))
 
     def test_binomial_dimension(self, params3):
-        m = cp_rep.symmetric_power(cp_rep.u_k_module(params3, 1), 2)
+        m = symmetric_power(cp_rep.u_k_module(params3, 1), 2)
         assert m.dim == 3
 
     def test_dimension_35(self, params5):
-        m = cp_rep.symmetric_power(cp_rep.u_k_module(params5, 0), 3)
+        m = symmetric_power(cp_rep.u_k_module(params5, 0), 3)
         assert m.dim == 35
         profile = cp_rep.jordan_decompose(m)
         assert profile.total == 35
@@ -141,7 +141,7 @@ class TestSymmetricPower:
     @pytest.mark.parametrize("p,k,deg", [(3, 0, 4), (3, 1, 7), (5, 2, 6), (7, 4, 5)])
     def test_dimension_formula(self, p, k, deg):
         pa = height_params(p)
-        m = cp_rep.symmetric_power(cp_rep.u_k_module(pa, k), deg)
+        m = symmetric_power(cp_rep.u_k_module(pa, k), deg)
         nvars = pa.n - k + 1
         assert m.dim == math.comb(deg + nvars - 1, nvars - 1)
         assert cp_rep.jordan_decompose(m).total == m.dim
@@ -149,7 +149,7 @@ class TestSymmetricPower:
     def test_action_is_multiplicative(self, params5):
         # images of monomials equal products of images of variables
         base = cp_rep.u_k_module(params5, 1)
-        sq = cp_rep.symmetric_power(base, 2)
+        sq = symmetric_power(base, 2)
         g = base.gen_action
         monos = monomials(base.dim, 2)
         index = {mm: c for c, mm in enumerate(monos)}
@@ -175,12 +175,12 @@ class TestSymmetricPower:
 
     def test_resource_guard(self, params5):
         with pytest.raises(ResourceGuard):
-            cp_rep.symmetric_power(cp_rep.u_k_module(params5, 0), 400)
+            symmetric_power(cp_rep.u_k_module(params5, 0), 400)
 
     def test_env_cap_override(self, params5, monkeypatch):
         monkeypatch.setattr(verdicts, "DIM_CAP", 10)
         with pytest.raises(ResourceGuard):
-            cp_rep.symmetric_power(cp_rep.u_k_module(params5, 0), 3)
+            symmetric_power(cp_rep.u_k_module(params5, 0), 3)
 
     @pytest.mark.parametrize("nvars", range(1, 7))
     def test_monomial_ranking_matches_enumeration(self, nvars):
@@ -220,9 +220,9 @@ class TestSymmetricPower:
             assert m.is_dense() is (m.dim <= cp_rep.DENSE_LIMIT)
 
     def test_sparse_path_matches_dense(self, params5, monkeypatch):
-        dense = cp_rep.symmetric_power(cp_rep.u_k_module(params5, 1), 5)
+        dense = symmetric_power(cp_rep.u_k_module(params5, 1), 5)
         monkeypatch.setattr(cp_rep, "DENSE_LIMIT", 10)
-        sparse_mod = cp_rep.symmetric_power(cp_rep.u_k_module(params5, 1), 5)
+        sparse_mod = symmetric_power(cp_rep.u_k_module(params5, 1), 5)
         assert not sparse_mod.is_dense()
         t = sparse_mod.gen_action
         assert t.shape == dense.gen_action.shape
@@ -290,7 +290,7 @@ class TestTate:
 
     @pytest.mark.parametrize("p,k,deg", [(3, 0, 7), (3, 1, 9), (5, 1, 6), (5, 2, 11), (7, 1, 4), (7, 3, 8)])
     def test_norm_matches_horner_on_symmetric_powers(self, p, k, deg):
-        module = cp_rep.symmetric_power(cp_rep.u_k_module(height_params(p), k), deg)
+        module = symmetric_power(cp_rep.u_k_module(height_params(p), k), deg)
         z, norm = cp_rep._norm_matrix(module)
         assert np.array_equal(z, cp_rep._z_triplets(module).scatter(np.int64))
         assert np.array_equal(norm, self._horner_norm(module))
@@ -389,7 +389,7 @@ class TestTateRankFormula:
                 except ResourceGuard:
                     continue
                 found += [(p, k, d.deg) for d in report.degrees
-                          if not d.free and d.tate is not None and verdicts.DENSE_LIMIT < d.dim <= 4000]
+                          if not d.free and verdicts.DENSE_LIMIT < d.dim <= 4000]
         assert found == self.FILLED_TO_4000
 
     @pytest.mark.parametrize("p,k,deg", [
@@ -403,12 +403,13 @@ class TestTateRankFormula:
         params = height_params(p)
         report = report_for_k(params, k, verdicts.default_degree_cap(params, k), tate_dims=True)
         monkeypatch.setattr(cp_rep, "DENSE_LIMIT", 4000)
-        power = cp_rep.symmetric_power(cp_rep.u_k_module(params, k), deg)
+        power = symmetric_power(cp_rep.u_k_module(params, k), deg)
         assert report.degrees[deg].tate == cp_rep.jordan_decompose(power).tate_dim(p)
 
     def test_no_free_base_decomposed(self, monkeypatch):
         # a base degree b < p that the freeness pass finds free, up to
-        # dimension 2000 at p <= 13, is proved free by the rank of D alone
+        # dimension 2000 at p <= 13, is free by its folded character too,
+        # and no power is decomposed
         decomposed = []
         real = cp_rep.jordan_decompose
         monkeypatch.setattr(cp_rep, "jordan_decompose", lambda m: decomposed.append(m.dim) or real(m))
@@ -513,7 +514,7 @@ class TestOrbitProduct:
 
     @staticmethod
     def _fixed(base, p, poly):
-        sym = cp_rep.symmetric_power(base, p)
+        sym = symmetric_power(base, p)
         index = {m: c for c, m in enumerate(monomials(base.dim, p))}
         vec = np.zeros(sym.dim, dtype=np.int64)
         for expo, c in poly.items():
@@ -866,10 +867,10 @@ class TestNilpotence:
         assert built == _ranked_pairs(5, 2, 15)
 
     def test_z_built_once_per_dense_degree(self, params5, monkeypatch):
-        # the ranks of z at the ranked degrees, which are free, and one
-        # decomposition for each base degree d mod p of the degrees of U_2
-        # that are not free, 0, 1 and 2, all below p: with the weight
-        # certificate forced short, no leaf decides them
+        # the ranks of z at the ranked degrees, which are free, and no
+        # decomposition: the base degrees d mod p of the degrees of U_2 that
+        # are not free, 0, 1 and 2, are folded from their characters, which
+        # the weight certificate, forced short, does not reach
         _weight_short(monkeypatch)
         ranked = _levels_seen(monkeypatch, "_free_by_rank", params5)
         decomposed = self._dims_seen(monkeypatch, "jordan_decompose")
@@ -877,7 +878,7 @@ class TestNilpotence:
         assert all(d.dim <= cp_rep.DENSE_LIMIT for d in report.degrees)
         assert ranked == _ranked_pairs(5, 2, 15)
         assert {d.deg % 5 for d in report.degrees if not d.free} == {0, 1, 2}
-        assert sorted(decomposed) == [verdicts.symmetric_dimension(3, b) for b in (0, 1, 2)]
+        assert decomposed == []
 
     def test_verdict_takes_no_powers_of_z(self, params5, monkeypatch):
         # one rank of z at each degree that free_flags_by_k ranks, and nothing else
@@ -891,7 +892,7 @@ class TestNilpotence:
     def test_tate_report_skips_free_degrees(self, params5, monkeypatch):
         # a free degree reports 0, and one that is not free the Tate
         # dimension of its base degree d mod p: at k = 1 the bases 0 and 1,
-        # which the rank of D decides, so no power is built or decomposed
+        # folded from their characters, so no power is built or decomposed
         def refused(*args):
             raise AssertionError("the Tate report built a power")
 

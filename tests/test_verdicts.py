@@ -15,7 +15,7 @@ import pytest
 from tatedual import cli, cp_rep, linalg, verdicts
 from tatedual.mod_arith import height_params
 
-from oracles import folded_profile, free_flags_per_degree, monomials, rank_row_loop
+from oracles import free_flags_per_degree, monomials, rank_row_loop
 
 BENCH_EXPECTED = Path(__file__).parent.parent / "bench" / "expected"
 
@@ -186,13 +186,12 @@ def test_plain_verdict_takes_no_chain_step(monkeypatch, capsys):
 
 
 def test_json_walks_each_level_once(monkeypatch, capsys):
-    # U_k is walked only for its Tate dimensions, to its last dense degree
-    # that is not free: 20 + 22 + 24 steps for k = 1, 2, 3 (134 when the
-    # freeness pass walked every level first)
+    # at most once, and in fact never: the Tate dimensions are folded from
+    # the characters of the base degrees
     steps = _steps(monkeypatch)
     assert cli.main(["verify", "nilpotence", "--prime", "5", "--json"]) == 0
     capsys.readouterr()
-    assert len(steps) <= 70 and len(set(steps)) == len(steps)
+    assert steps == []
 
 
 def _parent_accepts(params, k, cap):
@@ -225,22 +224,34 @@ def test_period_flags_match_the_per_degree_pass(p):
     assert sum(top + 1 for top in tops.values()) == {3: 33, 5: 85, 7: 150, 11: 248, 13: 287}[p]
 
 
-# the fold of the characteristic-0 character, a route that shares nothing
-# with the ranks: about 0.5 s at p = 13, most of it jordan_profile's
-# decompositions, on a 2-core machine
+# jordan_profile folds the characteristic-0 character, a route that shares
+# nothing with the ranks behind the flags: about 0.1 s at p = 13 on a 2-core
+# machine
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_folded_character_gives_every_base_profile_and_flag(p):
-    # every base b < p of every level: the fold against jordan_profile where
-    # Sym^b(U_k) is dense, and its freeness against free_flags_by_k always
+    # every base b < p of every level: the fold is a profile of Sym^b(U_k),
+    # blocks of size at most p summing to its dimension, and its freeness is
+    # the flag of free_flags_by_k
     params = height_params(p)
     flags = verdicts.free_flags_by_k(params, dict.fromkeys(range(p), p - 1))
-    dense = 0
     for k in range(p):
         for b in range(p):
-            folded = folded_profile(p, p - k, b)
-            assert sum(folded) == verdicts.symmetric_dimension(p - k, b), (k, b)
-            assert flags[k][b] == all(size == p for size in folded), (k, b)
-            if sum(folded) <= verdicts.DENSE_LIMIT:
-                assert verdicts.jordan_profile(params, k, b).blocks == folded, (k, b)
-                dense += 1
-    assert dense == {3: 9, 5: 25, 7: 49, 11: 95, 13: 115}[p]
+            blocks = verdicts.jordan_profile(params, k, b).blocks
+            assert sum(blocks) == verdicts.symmetric_dimension(p - k, b) and max(blocks) <= p, (k, b)
+            assert flags[k][b] == all(size == p for size in blocks), (k, b)
+
+
+# the fold against the decomposition of the explicit power, along one walk
+# per level, on every base b < p of dimension at most DENSE_LIMIT: 603
+# bases at p <= 19.  About 2.5 s for p <= 11 on a 2-core machine; -m slow
+# takes p = 13, 17 and 19, about 12 s
+@pytest.mark.parametrize("p", [3, 5, 7, 11, *(pytest.param(p, marks=pytest.mark.slow) for p in (13, 17, 19))])
+def test_fold_matches_decomposition_on_every_dense_base(p):
+    params = height_params(p)
+    checked = 0
+    for k in range(p):
+        top = max(b for b in range(p) if verdicts.symmetric_dimension(p - k, b) <= verdicts.DENSE_LIMIT)
+        for b, mod, _ in cp_rep._symmetric_walk(cp_rep.u_k_module(params, k), top):
+            assert verdicts.jordan_profile(params, k, b) == cp_rep.jordan_decompose(mod), (k, b)
+            checked += 1
+    assert checked == {3: 9, 5: 25, 7: 49, 11: 95, 13: 115, 17: 147, 19: 163}[p]
