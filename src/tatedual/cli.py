@@ -14,9 +14,8 @@ FORMATS; `verify congruence` adds nothing, `shifts` duality_shifts and
 tate_engine, `chart` chart_render and tate_engine, `verify cancellation`
 tate_engine, and the plain `verify nilpotence` and `verify freeness`
 verdicts alone (no numpy or json), as do `sympow` and `verify nilpotence
---json`, with json.  No valid command imports cp_rep, and with it numpy:
-only a freeness that the weight certificate of verdicts leaves open, or a
-window without a free degree, would; json only where JSON is printed.
+--json`, with json.  No command imports cp_rep, linalg or numpy, which
+only the tests use; json only where JSON is printed.
 Every record of the package is a collections.namedtuple, so no command
 loads dataclasses.
 Cold and with no bytecode, `-X importtime` puts this import at about 7 ms.

@@ -17,10 +17,12 @@ z^i[R, :], i < p, where R is the dim - rank(z) indices outside a set of
 independent columns of z; the ranks of every power of z, and so the Jordan
 profile, come from one row rank profile of these rows stacked, and no
 power of z is formed.
-No valid command reaches this module: the verdicts come here only for a
-degree that their weight certificate leaves open (_free_by_rank), or for a
-window without a free degree, tested against kernel and image bases of z
-and N.  jordan_decompose is the tests' oracle for the profiles of verdicts.
+No command reaches this module, and no other module of the package calls
+it: the verdicts decide freeness by their weight certificate alone, and
+fold every Jordan profile from its character.  It is the tests' dense
+oracle: jordan_decompose for the profiles, _free_by_rank for freeness, and
+the kernel and image bases of z and N (_tate_data) for the windows of the
+nilpotence suite; bench/launcher.py wraps its layer functions by name.
 
 Everything is computed over F_p.  Coefficient extensions to F_{p^n} only
 rescale multiplicities, so dimension counts, freeness and vanishing
@@ -35,8 +37,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, ResourceGuard
-from .mod_arith import HeightParams
-from .verdicts import DENSE_LIMIT, JordanProfile, check_dim_cap, level_vars, symmetric_dimension
+from .verdicts import DENSE_LIMIT, JordanProfile, symmetric_dimension
 # bench/launcher.py wraps cp_rep.nilpotence_report by name
 from .verdicts import nilpotence_report
 
@@ -47,8 +48,9 @@ class CpModule(namedtuple("CpModule", "p dim gen_action")):
     gen_action is the matrix of the chosen generator: an int64 array for a
     Jordan block (and for the direct sums the tests build), coalesced
     linalg.Triplets for symmetric powers.  Its columns follow the basis
-    order of the constructor: z_n, ..., z_k for u_k_module, and the
-    descending-lex monomials of _SymmetricChain.monos for symmetric powers.
+    order of the constructor: z_n, ..., z_k for the height module U_k, and
+    the descending-lex monomials of _SymmetricChain.monos for symmetric
+    powers.
     The order of the action is not checked here; the z^p = 0 certificates
     of jordan_decompose and _norm_matrix raise on it.
     """
@@ -65,20 +67,6 @@ class CpModule(namedtuple("CpModule", "p dim gen_action")):
 # degrees: even = ker(zeta - 1)/im(N) and odd = ker(N)/im(zeta - 1);
 # degree 2 periodicity means these two subquotients are the whole story.
 TateDims = namedtuple("TateDims", "even_dim odd_dim")
-
-
-def u_k_module(params: HeightParams, k: int) -> CpModule:
-    """The height module on z_n, ..., z_k: zeta shifts each z_i by z_{i-1}
-    and fixes z_k.  A single Jordan block of size n - k + 1."""
-    return jordan_block_module(params.p, level_vars(params, k))
-
-
-def jordan_block_module(p: int, size: int) -> CpModule:
-    """A single unipotent Jordan block; size must be between 1 and p."""
-    mat = np.eye(size, dtype=np.int64)
-    for t in range(size - 1):
-        mat[t + 1, t] = 1
-    return CpModule(p=p, dim=size, gen_action=mat)
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +155,6 @@ class _SymmetricChain:
         self.deg = deg
         self.monos = monos
         self.last_var_embed = embeds[v - 1]
-
-
-def _symmetric_walk(base: CpModule, max_deg: int):
-    """Yield (deg, module, embed) for the symmetric powers of base in degrees
-    0, 1, ..., max_deg, where embed is the index scatter of multiplication by
-    the last variable from degree deg - 1 (None in degree 0).
-
-    The dimension cap is checked once, for max_deg, before any step.
-    """
-    check_dim_cap(base.dim, max_deg)
-    chain = _SymmetricChain(base)
-    yield 0, chain.current_module(), None
-    for _ in range(max_deg):
-        chain.step()
-        yield chain.deg, chain.current_module(), chain.last_var_embed
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +302,3 @@ def _induced_step(
     return lands(s.even_dim, t.even_dim, src.ker_z, tgt.im_n) and lands(
         s.odd_dim, t.odd_dim, src.ker_n, tgt.im_z
     )
-
-
-def _window_vanishes(p: int, window: list) -> bool:
-    """The explicit test of one window of consecutive degrees, given as the
-    (deg, module, embed) triples of _symmetric_walk: the embeds after the
-    first compose into one index scatter, the multiplication from the first
-    degree to the last, whose map on Tate cohomology is the composite of
-    the maps of each step and must be zero.  Only the two end degrees get
-    Tate data."""
-    if not all(mod.is_dense() for _, mod, _ in window):
-        raise ResourceGuard(
-            f"window {window[0][0]}..{window[-1][0]} has no vanishing degree and exceeds the dense limit"
-        )
-    (first, src_mod, _), (_, tgt_mod, _) = window[0], window[-1]
-    composite = np.arange(src_mod.dim)
-    for _, _, embed in window[1:]:
-        composite = embed[composite]
-    return _induced_step(p, composite, tgt_mod.dim, _tate_data(src_mod), _tate_data(tgt_mod), first)

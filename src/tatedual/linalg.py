@@ -373,16 +373,15 @@ def kernel_and_image(a, p: int) -> tuple[np.ndarray, np.ndarray]:
     return basis, np.asarray(a, dtype=np.int64)[:, pivots] % p
 
 
-def check_rank_budget(shape: tuple[int, int], p: int, context: str = ""):
+def check_rank_budget(shape: tuple[int, int], p: int):
     """The float type of the rank kernel for a matrix of this shape; raises
-    ResourceGuard, prefixed by context, when a float array of that shape
-    would exceed RANK_BYTES."""
+    ResourceGuard when a float array of that shape would exceed RANK_BYTES."""
     rows, cols = shape
     ft = _float_type(min(rows, cols), p)
     size = np.dtype(ft).itemsize * rows * cols
     if size > RANK_BYTES:
         raise ResourceGuard(
-            f"{context}a rank of a {rows} x {cols} matrix mod {p} needs {size} bytes, "
+            f"a rank of a {rows} x {cols} matrix mod {p} needs {size} bytes, "
             f"over the {RANK_BYTES} byte budget"
         )
     return ft

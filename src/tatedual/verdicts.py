@@ -2,8 +2,8 @@
 powers of the height modules U_k, from exponent rows alone; this module
 imports no numpy.
 
-U_j has the variables x_0, ..., x_(v-1), v = n - j + 1, in the order of
-cp_rep.u_k_module: zeta x_t = x_t + x_(t+1), and x_(v-1) is invariant.
+U_j has the variables x_0, ..., x_(v-1), v = n - j + 1, x_t = z_(n-t):
+zeta x_t = x_t + x_(t+1), and x_(v-1) is invariant.
 Give x^a the weight sum_t t a_t.  zeta(x^a) = prod_t (x_t + x_(t+1))^(a_t),
 and each term of the expansion moves some factors x_t to x_(t+1), so z =
 zeta - 1 raises the weight by at least one; its weight-one part is
@@ -19,21 +19,22 @@ the D_w on its diagonal, and rank [[A, 0], [C, B]] >= rank A + rank B
 order-p module is larger than p, so there are at least dim/p blocks and
 rank z <= dim - dim/p, with equality iff the module is free.  So rank D =
 dim - dim/p proves the degree free, exactly.  D's columns stream into its
-rank one exponent row at a time, so only the pivots stay live.  Only when
-rank D falls short does a degree import cp_rep, for a rank of z
-(cp_rep._free_by_rank).  By the periodicity of free_flags_by_k, the bases
-b < p decide every degree, and by its induction one certificate per level,
-Sym^(j+1)(U_j) free, decides every base, so the verdicts rank D on those
-powers alone, of dimension C(p, j + 1).  The Jordan profile of a base is
-read off its characteristic-0 character (jordan_profile), with no rank, so
-sympow and the Tate dimensions of the nilpotence reports take no freeness
-pass and never import cp_rep.
+rank one exponent row at a time, so only the pivots stay live.  By the
+periodicity of free_flags_by_k, the bases b < p decide every degree, and by
+its induction one certificate per level, Sym^(j+1)(U_j) free, decides every
+base, so the verdicts rank D on those powers alone, of dimension C(p, j +
+1).  A level whose rank D falls short is not certified, and no other rank
+stands in for it: its bases read as not free, and the verdict fails.  None
+does: rank D = dim - dim/p on each of the 526 levels that DIM_CAP admits
+for the primes up to MAX_PRIME.  The Jordan profile of a base is read off
+its characteristic-0 character (jordan_profile), with no rank, so sympow
+and the Tate dimensions of the nilpotence reports take no freeness pass.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from .errors import InvalidInput, ResourceGuard, VerificationFailure
 from .mod_arith import HeightParams
@@ -153,9 +154,9 @@ def free_flags_by_k(params: HeightParams, caps: dict[int, int]) -> dict[int, lis
     both ends are free rank z is at least the sum of their free ranks, dim
     - dim/p, and the middle is free.  The ends need the levels [k, b - 1)
     and [k + 1, b), and the base b = k + 1 its own level.  A level is
-    certified by rank D = dim - dim/p, or else by one rank of z, budgeted
-    before it is built; every level is, so the flags are k < b.  The levels
-    are ranked top first, and no other power is ranked.  Before any row is
+    certified by rank D = dim - dim/p, and one that falls short is not;
+    every level DIM_CAP admits is, so the flags are k < b.  The levels are
+    ranked top first, and no other power is ranked.  Before any row is
     built, each k, lowest first, is checked against its range, and the
     certified powers, lowest first, against DIM_CAP."""
     if not caps:
@@ -166,15 +167,7 @@ def free_flags_by_k(params: HeightParams, caps: dict[int, int]) -> dict[int, lis
     # the levels some flag reads: j < b <= caps[k] for a k <= j
     ranked = [j for j in range(min(caps), n) if any(k <= j < c for k, c in caps.items())]
     dims = {j: check_dim_cap(n - j + 1, j + 1, f"k={j} degree {j + 1}: ") for j in ranked}
-    certified = {}
-    for j, dim in reversed(dims.items()):
-        certified[j] = weight_rank(p, n - j + 1, j + 1) == dim - dim // p
-        if not certified[j]:
-            from . import cp_rep, linalg
-
-            linalg.check_rank_budget((dim, dim), p, f"k={j} degree {j + 1} has dimension {dim}: ")
-            walk = cp_rep._symmetric_walk(cp_rep.u_k_module(params, j), j + 1)
-            certified[j] = cp_rep._free_by_rank(deque(walk, maxlen=1)[0][1])
+    certified = {j: weight_rank(p, n - j + 1, j + 1) == dim - dim // p for j, dim in reversed(dims.items())}
     return {k: [k < b and all(certified[j] for j in range(k, b)) for b in range(min(p - 1, caps[k]) + 1)]
             for k in caps}
 
@@ -298,20 +291,15 @@ def nilpotence_report(params: HeightParams, k: int, flags: list[bool], max_deg: 
     base degrees that free_flags_by_k has decided for k; it lists no degree.
 
     A composite vanishes when its window holds a free degree, as the
-    freeness pattern (k+1 <= d mod p <= p-1) guarantees for valid inputs.
-    The windows at m and m + p hold the same flags, so those that start in
-    one period decide every window.  Each window of k + 2 degrees that are
-    not free goes to the explicit test cp_rep._window_vanishes.
+    freeness pattern (k+1 <= d mod p <= p-1) guarantees for valid inputs:
+    k + 2 consecutive degrees hold one with d mod p > k.  The windows at m
+    and m + p hold the same flags, so those that start in one period decide
+    every window.  A window of k + 2 degrees that are not free, which only a
+    level left uncertified can make, is not certified, and the report does
+    not hold.
     """
     p = params.p
-    open_starts = {m for m in range(min(p, max_deg - k)) if not any(flags[d % p] for d in range(m, m + k + 2))}
-    holds = True
-    for m in range(max_deg - k) if open_starts else ():
-        if m % p in open_starts:
-            from . import cp_rep
-
-            window = deque(cp_rep._symmetric_walk(cp_rep.u_k_module(params, k), m + k + 1), maxlen=k + 2)
-            holds = cp_rep._window_vanishes(p, list(window)) and holds
+    holds = all(any(flags[d % p] for d in range(m, m + k + 2)) for m in range(min(p, max_deg - k)))
     return NilpotenceReport(p=p, k=k, max_deg=max_deg, degrees=(), windows=max_deg - k, holds=holds)
 
 

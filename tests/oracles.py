@@ -25,6 +25,12 @@ src/tatedual holds, and these oracles recompute the same facts another way.
 - SequenceView truncates a recorded sequence to the fixed-point or orbit
   half plane and reads the zero-line survivors off it;
 - the verify_* checks test properties that hold on every recorded sequence;
+- u_k_module and jordan_block_module build the height modules U_k and
+  single Jordan blocks, symmetric_walk steps cp_rep._SymmetricChain through
+  their symmetric powers, and window_vanishes tests one window of the
+  nilpotence suite by kernel and image bases of z and N, the composite of
+  its multiplications against the free degree that verdicts.nilpotence_report
+  reads off its flags;
 - symmetric_power builds one explicit power, whose cp_rep.jordan_decompose
   is the oracle of the profiles that verdicts.jordan_profile folds from the
   character; freeness_check decides freeness at one degree from such a
@@ -51,7 +57,7 @@ import numpy as np
 
 from tatedual import cp_rep, linalg, verdicts
 from tatedual.cp_rep import CpModule
-from tatedual.errors import InvalidInput, VerificationFailure
+from tatedual.errors import InvalidInput, ResourceGuard, VerificationFailure
 from tatedual.mod_arith import HeightParams
 from tatedual.tate_engine import (
     DifferentialMap,
@@ -400,6 +406,55 @@ def verify_duality_involution(record: SequenceRecord) -> None:
 # C_p-modules
 
 
+def u_k_module(params: HeightParams, k: int) -> CpModule:
+    """The height module on z_n, ..., z_k: zeta shifts each z_i by z_{i-1}
+    and fixes z_k.  A single Jordan block of size n - k + 1."""
+    return jordan_block_module(params.p, verdicts.level_vars(params, k))
+
+
+def jordan_block_module(p: int, size: int) -> CpModule:
+    """A single unipotent Jordan block; size must be between 1 and p."""
+    mat = np.eye(size, dtype=np.int64)
+    for t in range(size - 1):
+        mat[t + 1, t] = 1
+    return CpModule(p=p, dim=size, gen_action=mat)
+
+
+def symmetric_walk(base: CpModule, max_deg: int):
+    """Yield (deg, module, embed) for the symmetric powers of base in degrees
+    0, 1, ..., max_deg, where embed is the index scatter of multiplication by
+    the last variable from degree deg - 1 (None in degree 0).
+
+    The dimension cap is checked once, for max_deg, before any step.
+    """
+    verdicts.check_dim_cap(base.dim, max_deg)
+    chain = cp_rep._SymmetricChain(base)
+    yield 0, chain.current_module(), None
+    for _ in range(max_deg):
+        chain.step()
+        yield chain.deg, chain.current_module(), chain.last_var_embed
+
+
+def window_vanishes(p: int, window: list) -> bool:
+    """The explicit test of one window of consecutive degrees, given as the
+    (deg, module, embed) triples of symmetric_walk: the embeds after the
+    first compose into one index scatter, the multiplication from the first
+    degree to the last, whose map on Tate cohomology is the composite of
+    the maps of each step and must be zero.  Only the two end degrees get
+    Tate data.  Against the flags of verdicts.nilpotence_report, which
+    certify a window by a free degree in it."""
+    if not all(mod.is_dense() for _, mod, _ in window):
+        raise ResourceGuard(
+            f"window {window[0][0]}..{window[-1][0]} has no vanishing degree and exceeds the dense limit"
+        )
+    (first, src_mod, _), (_, tgt_mod, _) = window[0], window[-1]
+    composite = np.arange(src_mod.dim)
+    for _, _, embed in window[1:]:
+        composite = embed[composite]
+    return cp_rep._induced_step(p, composite, tgt_mod.dim, cp_rep._tate_data(src_mod),
+                                cp_rep._tate_data(tgt_mod), first)
+
+
 def direct_sum(modules: list[CpModule]) -> CpModule:
     if not modules:
         raise InvalidInput("empty direct sum")
@@ -433,15 +488,15 @@ def coordinates_in_span(basis: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarr
 
 def symmetric_power(m: CpModule, deg: int) -> CpModule:
     """The induced action on the monomial basis of total degree deg, the
-    last degree of cp_rep._symmetric_walk."""
-    _, module, _ = deque(cp_rep._symmetric_walk(m, deg), maxlen=1)[0]
+    last degree of symmetric_walk."""
+    _, module, _ = deque(symmetric_walk(m, deg), maxlen=1)[0]
     return m if deg == 1 else module
 
 
 def freeness_check(params: HeightParams, k: int, deg: int) -> bool:
     """Is the degree-deg symmetric power of the height module free over
     F_p[C_p]?  Decided by the rank of zeta - 1 alone, dense or sparse."""
-    return cp_rep._free_by_rank(symmetric_power(cp_rep.u_k_module(params, k), deg))
+    return cp_rep._free_by_rank(symmetric_power(u_k_module(params, k), deg))
 
 
 def free_flags_per_degree(params: HeightParams, caps: dict[int, int]) -> dict[int, list[bool]]:

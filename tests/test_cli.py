@@ -434,7 +434,7 @@ def test_sympow_golden_routes(p, k, degree, route, monkeypatch):
     # decomposes neither
     from tatedual import cp_rep, verdicts
 
-    from oracles import symmetric_power
+    from oracles import symmetric_power, u_k_module
 
     params = mod_arith.height_params(p)
     real = cp_rep.jordan_decompose
@@ -448,7 +448,7 @@ def test_sympow_golden_routes(p, k, degree, route, monkeypatch):
     if route == "leaf":
         assert len(base) == -(-dim // p) and verdicts.weight_rank(p, nvars, b) == dim - len(base)
     else:
-        assert base == real(symmetric_power(cp_rep.u_k_module(params, k), b)).blocks == (5, 1)
+        assert base == real(symmetric_power(u_k_module(params, k), b)).blocks == (5, 1)
 
 
 @pytest.mark.parametrize(
@@ -529,28 +529,6 @@ def test_sympow_above_dense_limit_refused_before_walking(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "38760" in err and "verify freeness" in err
-
-
-def test_freeness_over_rank_budget_exits_2(capsys, monkeypatch):
-    # degree 6 of U_5 at p = 13, the largest power that a verdict at p <= 13
-    # ranks, has dimension 1716 and, with its weight certificate forced
-    # short, falls back to a rank of z, as 6 = 5 + 1; its float32 work array
-    # of 4 * 1716^2 bytes is one byte over the patched budget; the command
-    # must refuse before building any symmetric power
-    from tatedual import cp_rep, linalg, verdicts
-
-    def no_steps(self):
-        raise AssertionError("freeness stepped the chain")
-
-    real = verdicts.weight_rank
-    monkeypatch.setattr(cp_rep._SymmetricChain, "step", no_steps)
-    monkeypatch.setattr(verdicts, "weight_rank", lambda p, nvars, deg: -1 if nvars == 8 else real(p, nvars, deg))
-    monkeypatch.setattr(linalg, "RANK_BYTES", 4 * 1716**2 - 1)
-    code, out, err = run_cli(capsys, "verify", "freeness", "--prime", "13", "--k", "5", "--max-degree", "100")
-    assert code == 2
-    assert out == ""
-    assert "1716 x 1716" in err and "byte budget" in err
-    assert "k=5" in err and "degree 6" in err
 
 
 def test_verify_freeness_golden(capsys):
@@ -790,9 +768,11 @@ def test_step_past_dense_limit_loads_numpy_without_scipy():
     # S^13(U_2) at p = 7 (dimension 2380) is kept as triplets, and its rank
     # goes through the float kernel
     code = (
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from oracles import symmetric_walk, u_k_module\n"
         "from tatedual import cp_rep\n"
         "from tatedual.mod_arith import height_params\n"
-        "_, m, _ = list(cp_rep._symmetric_walk(cp_rep.u_k_module(height_params(7), 2), 13))[-1]\n"
+        "_, m, _ = list(symmetric_walk(u_k_module(height_params(7), 2), 13))[-1]\n"
         "assert m.dim == 2380 > cp_rep.DENSE_LIMIT and not m.is_dense()\n"
         "assert cp_rep._free_by_rank(m)"
     )

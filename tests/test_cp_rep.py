@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +12,8 @@ from tatedual.errors import InvalidInput, ResourceGuard
 from tatedual.mod_arith import height_params
 
 from conftest import inverse_mod, random_cp_module, random_invertible, report_for_k
-from oracles import direct_sum, freeness_check, monomials, symmetric_power
+from oracles import (direct_sum, freeness_check, jordan_block_module, monomials, symmetric_power, symmetric_walk,
+                     u_k_module, window_vanishes)
 
 
 def _action(m):
@@ -24,19 +24,19 @@ def _action(m):
 
 class TestHeightModules:
     def test_u0_is_one_full_block(self, params5):
-        m = cp_rep.u_k_module(params5, 0)
+        m = u_k_module(params5, 0)
         assert m.dim == 5
         assert cp_rep.jordan_decompose(m).blocks == (5,)
         # basis z4, ..., z0: zeta(z_i) = z_i + z_(i-1)
         assert np.array_equal(m.gen_action, np.eye(5, dtype=np.int64) + np.eye(5, k=-1, dtype=np.int64))
 
     def test_top_k_is_trivial(self, params5):
-        m = cp_rep.u_k_module(params5, 4)
+        m = u_k_module(params5, 4)
         assert m.dim == 1
         assert np.array_equal(m.gen_action, np.eye(1, dtype=np.int64))
 
     def test_two_dimensional_case(self, params3):
-        m = cp_rep.u_k_module(params3, 1)
+        m = u_k_module(params3, 1)
         assert m.dim == 2
         assert cp_rep.jordan_decompose(m).blocks == (2,)
         # zeta(z2) = z2 + z1, zeta(z1) = z1
@@ -44,25 +44,25 @@ class TestHeightModules:
 
     def test_k_out_of_range(self, params5):
         with pytest.raises(InvalidInput):
-            cp_rep.u_k_module(params5, 5)
+            u_k_module(params5, 5)
         with pytest.raises(InvalidInput):
-            cp_rep.u_k_module(params5, -1)
+            u_k_module(params5, -1)
 
     def test_generator_has_order_p(self, params7):
         for k in range(7):
-            m = cp_rep.u_k_module(params7, k)
+            m = u_k_module(params7, k)
             assert np.array_equal(linalg.matrix_power_mod(m.gen_action, 7, 7), np.eye(m.dim, dtype=np.int64))
 
 
 class TestJordan:
     def test_regular_module(self):
-        assert cp_rep.jordan_decompose(cp_rep.jordan_block_module(5, 5)).blocks == (5,)
+        assert cp_rep.jordan_decompose(jordan_block_module(5, 5)).blocks == (5,)
 
     def test_trivial_module(self):
-        assert cp_rep.jordan_decompose(cp_rep.jordan_block_module(7, 1)).blocks == (1,)
+        assert cp_rep.jordan_decompose(jordan_block_module(7, 1)).blocks == (1,)
 
     def test_symmetric_square_of_v2_at_p3(self, params3):
-        sq = symmetric_power(cp_rep.u_k_module(params3, 1), 2)
+        sq = symmetric_power(u_k_module(params3, 1), 2)
         assert cp_rep.jordan_decompose(sq).blocks == (3,)
 
     def test_wrong_order_detected(self):
@@ -75,7 +75,7 @@ class TestJordan:
     def test_no_dense_power_formed(self, p, k, deg, monkeypatch):
         # every product is a skinny Y_i times z, one row per Jordan block:
         # p - 2 of them for the rows and one for the z^p = 0 certificate
-        m = symmetric_power(cp_rep.u_k_module(height_params(p), k), deg)
+        m = symmetric_power(u_k_module(height_params(p), k), deg)
         assert m.dim >= 192
         left_rows = []
         matmul = linalg.matmul_mod
@@ -94,7 +94,7 @@ class TestJordan:
         # stacked skinny rows, which gives every rank of z^j, 2 <= j < p:
         # two blocks of each size, in a random basis
         planted = tuple(s for s in range(p, 0, -1) for _ in range(2))
-        plain = direct_sum([cp_rep.jordan_block_module(p, s) for s in planted])
+        plain = direct_sum([jordan_block_module(p, s) for s in planted])
         basis = random_invertible(np.random.default_rng(p), plain.dim, p)
         action = linalg.matmul_mod(linalg.matmul_mod(basis, plain.gen_action, p), inverse_mod(basis, p), p)
         calls = []
@@ -119,20 +119,20 @@ class TestJordan:
 
 class TestSymmetricPower:
     def test_degree_one_is_identity(self, params5):
-        m = cp_rep.u_k_module(params5, 2)
+        m = u_k_module(params5, 2)
         assert symmetric_power(m, 1) is m
 
     def test_degree_zero(self, params3):
-        m = symmetric_power(cp_rep.u_k_module(params3, 0), 0)
+        m = symmetric_power(u_k_module(params3, 0), 0)
         assert m.dim == 1
         assert np.array_equal(_action(m), np.ones((1, 1), dtype=np.int64))
 
     def test_binomial_dimension(self, params3):
-        m = symmetric_power(cp_rep.u_k_module(params3, 1), 2)
+        m = symmetric_power(u_k_module(params3, 1), 2)
         assert m.dim == 3
 
     def test_dimension_35(self, params5):
-        m = symmetric_power(cp_rep.u_k_module(params5, 0), 3)
+        m = symmetric_power(u_k_module(params5, 0), 3)
         assert m.dim == 35
         profile = cp_rep.jordan_decompose(m)
         assert profile.total == 35
@@ -141,14 +141,14 @@ class TestSymmetricPower:
     @pytest.mark.parametrize("p,k,deg", [(3, 0, 4), (3, 1, 7), (5, 2, 6), (7, 4, 5)])
     def test_dimension_formula(self, p, k, deg):
         pa = height_params(p)
-        m = symmetric_power(cp_rep.u_k_module(pa, k), deg)
+        m = symmetric_power(u_k_module(pa, k), deg)
         nvars = pa.n - k + 1
         assert m.dim == math.comb(deg + nvars - 1, nvars - 1)
         assert cp_rep.jordan_decompose(m).total == m.dim
 
     def test_action_is_multiplicative(self, params5):
         # images of monomials equal products of images of variables
-        base = cp_rep.u_k_module(params5, 1)
+        base = u_k_module(params5, 1)
         sq = symmetric_power(base, 2)
         g = base.gen_action
         monos = monomials(base.dim, 2)
@@ -175,18 +175,18 @@ class TestSymmetricPower:
 
     def test_resource_guard(self, params5):
         with pytest.raises(ResourceGuard):
-            symmetric_power(cp_rep.u_k_module(params5, 0), 400)
+            symmetric_power(u_k_module(params5, 0), 400)
 
     def test_env_cap_override(self, params5, monkeypatch):
         monkeypatch.setattr(verdicts, "DIM_CAP", 10)
         with pytest.raises(ResourceGuard):
-            symmetric_power(cp_rep.u_k_module(params5, 0), 3)
+            symmetric_power(u_k_module(params5, 0), 3)
 
     @pytest.mark.parametrize("nvars", range(1, 7))
     def test_monomial_ranking_matches_enumeration(self, nvars):
         # the chain's exponent rows and the arithmetic ranking against the
         # descending-lex enumeration, at every degree up to 12
-        chain = cp_rep._SymmetricChain(cp_rep.jordan_block_module(7, nvars))
+        chain = cp_rep._SymmetricChain(jordan_block_module(7, nvars))
         for deg in range(13):
             if deg:
                 chain.step()
@@ -206,7 +206,7 @@ class TestSymmetricPower:
     def test_walk_keeps_coalesced_triplets(self, p, k, max_deg):
         # one representation at every degree, coalesced for the action and for z;
         # a module is dense exactly up to DENSE_LIMIT
-        walk = cp_rep._symmetric_walk(cp_rep.u_k_module(height_params(p), k), max_deg)
+        walk = symmetric_walk(u_k_module(height_params(p), k), max_deg)
         for deg, m, _ in walk:
             t = m.gen_action
             assert isinstance(t, linalg.Triplets), deg
@@ -220,9 +220,9 @@ class TestSymmetricPower:
             assert m.is_dense() is (m.dim <= cp_rep.DENSE_LIMIT)
 
     def test_sparse_path_matches_dense(self, params5, monkeypatch):
-        dense = symmetric_power(cp_rep.u_k_module(params5, 1), 5)
+        dense = symmetric_power(u_k_module(params5, 1), 5)
         monkeypatch.setattr(cp_rep, "DENSE_LIMIT", 10)
-        sparse_mod = symmetric_power(cp_rep.u_k_module(params5, 1), 5)
+        sparse_mod = symmetric_power(u_k_module(params5, 1), 5)
         assert not sparse_mod.is_dense()
         t = sparse_mod.gen_action
         assert t.shape == dense.gen_action.shape
@@ -236,21 +236,21 @@ class TestSymmetricPower:
 
 class TestTate:
     def test_free_module_vanishes(self):
-        td = cp_rep._tate_data(cp_rep.jordan_block_module(5, 5)).tate
+        td = cp_rep._tate_data(jordan_block_module(5, 5)).tate
         assert (td.even_dim, td.odd_dim) == (0, 0)
 
     def test_trivial_module(self):
-        td = cp_rep._tate_data(cp_rep.jordan_block_module(5, 1)).tate
+        td = cp_rep._tate_data(jordan_block_module(5, 1)).tate
         assert (td.even_dim, td.odd_dim) == (1, 1)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_small_blocks(self, r):
-        td = cp_rep._tate_data(cp_rep.jordan_block_module(5, r)).tate
+        td = cp_rep._tate_data(jordan_block_module(5, r)).tate
         assert (td.even_dim, td.odd_dim) == (1, 1)
 
     def test_bases_are_honest_subquotient_data(self):
         m = direct_sum(
-            [cp_rep.jordan_block_module(5, 5), cp_rep.jordan_block_module(5, 2), cp_rep.jordan_block_module(5, 1)]
+            [jordan_block_module(5, 5), jordan_block_module(5, 2), jordan_block_module(5, 1)]
         )
         data = cp_rep._tate_data(m)
         td = data.tate
@@ -290,7 +290,7 @@ class TestTate:
 
     @pytest.mark.parametrize("p,k,deg", [(3, 0, 7), (3, 1, 9), (5, 1, 6), (5, 2, 11), (7, 1, 4), (7, 3, 8)])
     def test_norm_matches_horner_on_symmetric_powers(self, p, k, deg):
-        module = symmetric_power(cp_rep.u_k_module(height_params(p), k), deg)
+        module = symmetric_power(u_k_module(height_params(p), k), deg)
         z, norm = cp_rep._norm_matrix(module)
         assert np.array_equal(z, cp_rep._z_triplets(module).scatter(np.int64))
         assert np.array_equal(norm, self._horner_norm(module))
@@ -329,7 +329,7 @@ class TestTateRankFormula:
         [(3, 0, 12), (3, 1, 12), (5, 1, 10), (5, 2, 15), (3, 1, 119), (5, 1, 13), (5, 2, 33), (7, 4, 33)],
     )
     def test_symmetric_powers(self, p, k, max_deg):
-        walk = cp_rep._symmetric_walk(cp_rep.u_k_module(height_params(p), k), max_deg)
+        walk = symmetric_walk(u_k_module(height_params(p), k), max_deg)
         for deg, module, _ in walk:
             assert self._agrees(module), deg
 
@@ -367,7 +367,7 @@ class TestTateRankFormula:
         for report in json.loads(capsys.readouterr().out):
             todo = {d["degree"]: d for d in report["degrees"]
                     if not d["free"] and d["dimension"] <= cp_rep.DENSE_LIMIT}
-            for deg, mod, _ in cp_rep._symmetric_walk(cp_rep.u_k_module(params, report["k"]), max(todo)):
+            for deg, mod, _ in symmetric_walk(u_k_module(params, report["k"]), max(todo)):
                 if deg in todo:
                     tate = cp_rep._tate_data(mod).tate
                     assert (todo[deg]["even_dim"], todo[deg]["odd_dim"]) == tuple(tate), (report["k"], deg)
@@ -403,7 +403,7 @@ class TestTateRankFormula:
         params = height_params(p)
         report = report_for_k(params, k, verdicts.default_degree_cap(params, k), tate_dims=True)
         monkeypatch.setattr(cp_rep, "DENSE_LIMIT", 4000)
-        power = symmetric_power(cp_rep.u_k_module(params, k), deg)
+        power = symmetric_power(u_k_module(params, k), deg)
         assert report.degrees[deg].tate == cp_rep.jordan_decompose(power).tate_dim(p)
 
     def test_no_free_base_decomposed(self, monkeypatch):
@@ -450,7 +450,7 @@ class TestFreeness:
         assert freeness_check(params3, 2, 5) is False
 
     def test_freeness_iff_tate_vanishes_on_chain(self, params5):
-        chain = cp_rep._SymmetricChain(cp_rep.u_k_module(params5, 1))
+        chain = cp_rep._SymmetricChain(u_k_module(params5, 1))
         for deg in range(0, 9):
             if deg:
                 chain.step()
@@ -462,7 +462,7 @@ class TestFreeness:
     def test_sparse_rank_route(self):
         # block-diagonal modules above the dense limit, free and not free
         def as_triplets(sizes):
-            dense = direct_sum([cp_rep.jordan_block_module(5, s) for s in sizes]).gen_action
+            dense = direct_sum([jordan_block_module(5, s) for s in sizes]).gen_action
             rows, cols = np.nonzero(dense)
             action = linalg.Triplets(dense.shape, rows, cols, dense[rows, cols])
             return cp_rep.CpModule(p=5, dim=dense.shape[0], gen_action=action)
@@ -524,22 +524,22 @@ class TestOrbitProduct:
     def test_expansion_p3(self, params3):
         # z2 (z2 + z1) (z2 + 2 z1 + z0) on the basis z2, z1, z0
         expansion = {(3, 0, 0): 1, (2, 0, 1): 1, (1, 2, 0): 2, (1, 1, 1): 1}
-        base = cp_rep.u_k_module(params3, 0)
+        base = u_k_module(params3, 0)
         assert self._orbit_product(base, 3) == expansion
         assert self._fixed(base, 3, expansion)
 
     @pytest.mark.parametrize("p,k", [(3, 0), (3, 1), (5, 0), (5, 2), (5, 4)])
     def test_degree_and_invariance(self, p, k):
-        base = cp_rep.u_k_module(height_params(p), k)
+        base = u_k_module(height_params(p), k)
         poly = self._orbit_product(base, p)
         assert all(sum(e) == p for e in poly)
         assert self._fixed(base, p, poly)
 
 
 def _tate_window(params, k, lo, hi):
-    """The (deg, module, embed) triples of _symmetric_walk in degrees lo..hi,
+    """The (deg, module, embed) triples of symmetric_walk in degrees lo..hi,
     and the Tate data of each module."""
-    walk = list(cp_rep._symmetric_walk(cp_rep.u_k_module(params, k), hi))[lo:]
+    walk = list(symmetric_walk(u_k_module(params, k), hi))[lo:]
     return walk, [cp_rep._tate_data(mod) for _, mod, _ in walk]
 
 
@@ -555,15 +555,15 @@ class TestMultiplication:
         _, tgt_mod, embed = walk[1]
         assert (src.tate.even_dim, tgt.tate.even_dim) == (1, 1)
         assert cp_rep._induced_step(3, embed, tgt_mod.dim, src, tgt, 3) is False
-        assert not cp_rep._window_vanishes(3, walk)
+        assert not window_vanishes(3, walk)
 
     def test_negative_degree_refused(self, params5):
         with pytest.raises(InvalidInput):
-            list(cp_rep._symmetric_walk(cp_rep.u_k_module(params5, 1), -1))
+            list(symmetric_walk(u_k_module(params5, 1), -1))
 
     def test_embedding_is_equivariant(self, params3):
         # z_k is invariant, so multiplication commutes with the action
-        chain = cp_rep._SymmetricChain(cp_rep.u_k_module(params3, 1))
+        chain = cp_rep._SymmetricChain(u_k_module(params3, 1))
         for _ in range(4):
             prev = chain.current_module()
             chain.step()
@@ -577,9 +577,9 @@ class TestMultiplication:
 
     def test_composites_vanish(self, params3):
         # product of k+1 = 2 consecutive maps is zero even when steps are not
-        walk = list(cp_rep._symmetric_walk(cp_rep.u_k_module(params3, 1), 8))
+        walk = list(symmetric_walk(u_k_module(params3, 1), 8))
         for d in range(0, 7):
-            assert cp_rep._window_vanishes(3, walk[d : d + 3]), d
+            assert window_vanishes(3, walk[d : d + 3]), d
 
 
 def _ranked_pairs(p, k, max_deg):
@@ -589,52 +589,23 @@ def _ranked_pairs(p, k, max_deg):
     return [(j, j + 1) for j in range(p - 2, k - 1, -1) if j + 1 <= max_deg]
 
 
-def _levels_seen(monkeypatch, name, params):
-    """The (level j, degree) of each symmetric power Sym^d(U_j) passed to
-    cp_rep.<name>, in order.  Each module is tagged when its chain makes it,
-    and kept, so that its id stays its own."""
-    made = {}
-    current = cp_rep._SymmetricChain.current_module
-
-    def tagged(chain):
-        mod = current(chain)
-        made[id(mod)] = (mod, (params.n + 1 - chain.nvars, chain.deg))
-        return mod
-
+def _weighed(monkeypatch, short=()):
+    """The (level j, degree d) of each rank of D that verdicts takes, in
+    order, Sym^d(U_j) having p - j variables; the levels in short get their
+    rank one short, and so are left uncertified."""
     seen = []
-    real = getattr(cp_rep, name)
+    real = verdicts.weight_rank
 
-    def spied(m, *args):
-        seen.append(made[id(m)][1])
-        return real(m, *args)
+    def spied(p, nvars, deg):
+        seen.append((p - nvars, deg))
+        return real(p, nvars, deg) - (p - nvars in short)
 
-    monkeypatch.setattr(cp_rep._SymmetricChain, "current_module", tagged)
-    monkeypatch.setattr(cp_rep, name, spied)
+    monkeypatch.setattr(verdicts, "weight_rank", spied)
     return seen
 
 
-def _weight_short(monkeypatch):
-    """Force the weight certificate of verdicts.free_flags_by_k short, so
-    that every degree it would prove free goes to the fallback rank of z."""
-    monkeypatch.setattr(verdicts, "weight_rank", lambda p, nvars, deg: -1)
-
-
-def _budgeted(monkeypatch):
-    """The (level j, degree) that each budget check of a fallback rank names,
-    in order: the calls of linalg.check_rank_budget with a context, whose
-    shape must be the dimension of Sym^d(U_j) it names."""
-    seen = []
-    real = linalg.check_rank_budget
-
-    def spied(shape, p, context=""):
-        if context:
-            j, d, dim = map(int, re.fullmatch(r"k=(\d+) degree (\d+) has dimension (\d+): ", context).groups())
-            assert shape == (dim, dim) and dim == cp_rep.symmetric_dimension(p - j, d), context
-            seen.append((j, d))
-        return real(shape, p, context)
-
-    monkeypatch.setattr(linalg, "check_rank_budget", spied)
-    return seen
+def _refused(*args):
+    raise AssertionError("the verdict built a power or a z")
 
 
 class TestFreeFlags:
@@ -644,17 +615,14 @@ class TestFreeFlags:
          (7, 1, 14, "tate"), (5, 0, 20, "freeness"), (7, 0, 10, "freeness"), (7, 3, 13, "freeness")],
     )
     def test_ranks_only_where_the_degree_below_is_not_free(self, p, k, max_deg, report, monkeypatch):
+        # rank D, the one certificate, at the base d = j + 1 of each level
         params = height_params(p)
-        _weight_short(monkeypatch)
-        ranked = _levels_seen(monkeypatch, "_free_by_rank", params)
-        budgeted = _budgeted(monkeypatch)
+        ranked = _weighed(monkeypatch)
         if report == "freeness":
-            verdicts.free_flags_by_k(params, {k: max_deg})[k]
+            assert all(verdicts.free_flags_by_k(params, {k: max_deg})[k][k + 1:])
         else:
             assert report_for_k(params, k, max_deg, tate_dims=report == "tate").holds
         assert ranked == _ranked_pairs(p, k, max_deg)
-        # the budget covers exactly the fallback ranks, each before its walk
-        assert budgeted == _ranked_pairs(p, k, max_deg)
         if (p, k) == (7, 2):
             # one rank per level, on its bases: against 8 up to dimension
             # 1001 when every period was ranked, and 13 ranks of U_2 alone
@@ -664,19 +632,14 @@ class TestFreeFlags:
 
     @pytest.mark.parametrize("p,j0", [(5, 0), (5, 2), (7, 1), (7, 4)])
     def test_a_level_left_uncertified_clears_only_the_bases_above_it(self, p, j0, monkeypatch):
-        # rank D forced short everywhere, and the rank of z answering "not
-        # free" on U_j0 alone: the pass still ranks D and z only at the
-        # certificate Sym^(j+1)(U_j) of each level, and exactly the bases b
-        # > j0 of the levels k <= j0 lose their flag
+        # rank D forced one short on U_j0 alone: the pass still ranks D
+        # only at the certificate Sym^(j+1)(U_j) of each level, no other
+        # rank stands in for U_j0, and exactly the bases b > j0 of the
+        # levels k <= j0 lose their flag
         params = height_params(p)
-        weighed = []
-        monkeypatch.setattr(verdicts, "weight_rank", lambda p_, nvars, deg: weighed.append((p - nvars, deg)) or -1)
-        real = cp_rep._free_by_rank
-        # the forced rank reads the level that the spy below has just recorded
-        monkeypatch.setattr(cp_rep, "_free_by_rank", lambda m: ranked[-1][0] != j0 and real(m))
-        ranked = _levels_seen(monkeypatch, "_free_by_rank", params)
+        weighed = _weighed(monkeypatch, short={j0})
         flags = verdicts.free_flags_by_k(params, {k: 3 * p for k in range(params.n + 1)})
-        assert weighed == ranked == [(j, j + 1) for j in range(params.n - 1, -1, -1)]
+        assert weighed == [(j, j + 1) for j in range(params.n - 1, -1, -1)]
         assert flags == {k: [k < b and not k <= j0 < b for b in range(p)] for k in range(params.n + 1)}
 
     @pytest.mark.parametrize("p,k", [(p, k) for p in (3, 5, 7) for k in range(p - 1)])
@@ -697,8 +660,8 @@ class TestFreeFlags:
             return sorted(zip(rows.tolist(), cols.tolist(), vals.tolist()))
 
         params = height_params(p)
-        chain = cp_rep._SymmetricChain(cp_rep.u_k_module(params, k))
-        upper = cp_rep._SymmetricChain(cp_rep.u_k_module(params, k + 1))
+        chain = cp_rep._SymmetricChain(u_k_module(params, k))
+        upper = cp_rep._SymmetricChain(u_k_module(params, k + 1))
         prev = cp_rep._z_triplets(chain.current_module())
         for deg in range(1, verdicts.default_degree_cap(params, k) + 1):
             if cp_rep.symmetric_dimension(chain.nvars, deg) > cp_rep.DENSE_LIMIT:
@@ -785,28 +748,16 @@ class TestOnePass:
     def test_one_pass_ranks_each_level_degree_once(self, argv, monkeypatch, capsys):
         params = height_params(int(argv[2]))
         caps = _suite_caps(params, argv[0], int(argv[-1]) if "--max-degree" in argv else None)
-        _weight_short(monkeypatch)
-        ranked = _levels_seen(monkeypatch, "_free_by_rank", params)
-        budgeted = _budgeted(monkeypatch)
-        steps = []
-        step = cp_rep._SymmetricChain.step
-
-        def counted(chain):
-            steps.append((chain.nvars, chain.deg + 1))
-            step(chain)
-
-        monkeypatch.setattr(cp_rep._SymmetricChain, "step", counted)
+        ranked = _weighed(monkeypatch)
+        monkeypatch.setattr(cp_rep._SymmetricChain, "step", _refused)
         assert cli.main(["verify", *argv]) == 0
         capsys.readouterr()
         assert ranked == _union_pairs(params.p, caps)
-        # the budget covers the union of the ranked pairs, each before its walk
-        assert budgeted == ranked
         if argv == ("nilpotence", "--prime", "5"):
-            # one rank per level, each walked to its base degree j + 1 alone:
-            # against 14 ranks and up to 64 steps when every period of the
-            # caps 20 and 25 was ranked
-            assert len(ranked) == 3 and len(steps) == 4 + 3 + 2
-            assert len(set(steps)) == len(steps)
+            # one rank of D per level, and no chain stepped: against 14
+            # ranks and up to 64 steps when every period of the caps 20 and
+            # 25 was ranked by z
+            assert len(ranked) == 3
 
     @pytest.mark.parametrize("suite,p,json_,out,err", _huge_max_degree_cases())
     def test_one_pass_refuses_huge_max_degree_before_any_step(self, suite, p, json_, out, err, monkeypatch,
@@ -857,22 +808,22 @@ class TestNilpotence:
         return seen
 
     def test_verdict_builds_z_where_p_divides_dim(self, params5, monkeypatch):
-        # only at the ranked base degrees, levels bottom-up: U_3 at degree
-        # 4, then U_2 at 3; U_2 at 4, whose dimension 5 also divides, is
-        # free by extension, and every degree past 4 reads its base d mod 5
-        _weight_short(monkeypatch)
-        built = _levels_seen(monkeypatch, "_z_triplets", params5)
-        report = report_for_k(params5, 2, 15)
-        assert all(d.dim <= cp_rep.DENSE_LIMIT for d in report.degrees)
-        assert built == _ranked_pairs(5, 2, 15)
+        # nowhere: rank D decides the ranked base degrees, levels top first,
+        # U_3 at degree 4, then U_2 at 3; U_2 at 4, whose dimension 5 also
+        # divides, is free by extension, and every degree past 4 reads its
+        # base d mod 5
+        ranked = _weighed(monkeypatch)
+        monkeypatch.setattr(cp_rep, "_z_triplets", _refused)
+        assert report_for_k(params5, 2, 15).holds
+        assert ranked == _ranked_pairs(5, 2, 15)
 
     def test_z_built_once_per_dense_degree(self, params5, monkeypatch):
-        # the ranks of z at the ranked degrees, which are free, and no
-        # decomposition: the base degrees d mod p of the degrees of U_2 that
-        # are not free, 0, 1 and 2, are folded from their characters, which
-        # the weight certificate, forced short, does not reach
-        _weight_short(monkeypatch)
-        ranked = _levels_seen(monkeypatch, "_free_by_rank", params5)
+        # not even once: rank D at the ranked degrees, which are free, and
+        # no decomposition, as the base degrees d mod p of the degrees of
+        # U_2 that are not free, 0, 1 and 2, are folded from their
+        # characters
+        ranked = _weighed(monkeypatch)
+        monkeypatch.setattr(cp_rep, "_z_triplets", _refused)
         decomposed = self._dims_seen(monkeypatch, "jordan_decompose")
         report = report_for_k(params5, 2, 15, tate_dims=True)
         assert all(d.dim <= cp_rep.DENSE_LIMIT for d in report.degrees)
@@ -904,22 +855,15 @@ class TestNilpotence:
         assert decomposed == []
 
     def test_walk_stops_at_last_ranked_degree(self, monkeypatch):
-        # p = 7, k = 2: each level U_j steps only to its one ranked degree,
-        # the base d = j + 1: U_2 to degree 3 (dimension 35), not to 10
-        # (dimension 1001) or 13 (dimension 2380), which read the flags of
-        # their bases 3 and 6; the plain verdict lists no degree
-        stepped: dict = {}
-        step = cp_rep._SymmetricChain.step
-
-        def counted(chain):
-            stepped.setdefault(7 - chain.nvars, []).append(chain.deg + 1)
-            step(chain)
-
-        monkeypatch.setattr(cp_rep._SymmetricChain, "step", counted)
-        _weight_short(monkeypatch)
+        # p = 7, k = 2: no level is walked, and each level U_j ranks D only
+        # at its one ranked degree, the base d = j + 1: U_2 at degree 3
+        # (dimension 35), not at 10 (dimension 1001) or 13 (dimension 2380),
+        # which read the flags of their bases 3 and 6; the plain verdict
+        # lists no degree
+        monkeypatch.setattr(cp_rep._SymmetricChain, "step", _refused)
+        ranked = _weighed(monkeypatch)
         report = report_for_k(height_params(7), 2, 14)
-        assert stepped == {j: list(range(1, j + 2)) for j in (5, 4, 3, 2)}
-        assert list(stepped) == [5, 4, 3, 2]
+        assert ranked == [(j, j + 1) for j in (5, 4, 3, 2)]
         assert report.degrees == ()
         assert report.holds
 
@@ -936,18 +880,6 @@ class TestNilpotence:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("p,k,max_deg,limit,window", [(3, 1, 4, 4, "2..4"), (5, 2, 15, 10, "1..4")])
-    def test_window_past_dense_limit_refused(self, p, k, max_deg, limit, window, monkeypatch):
-        # every degree forced non-free: the first window that reaches past
-        # the dense limit is refused.  Its last degree has dimension 5 at
-        # p = 3, which 3 does not divide, and 15 at p = 5, which is ranked
-        monkeypatch.setattr(cp_rep, "DENSE_LIMIT", limit)
-        monkeypatch.setattr(cp_rep, "_free_by_rank", lambda m: False)
-        _weight_short(monkeypatch)
-        with pytest.raises(ResourceGuard) as refused:
-            report_for_k(height_params(p), k, max_deg)
-        assert str(refused.value) == f"window {window} has no vanishing degree and exceeds the dense limit"
-
     def test_report_json_shape(self, params3):
         # the report of --json lists every degree; the plain verdict's none
         report = report_for_k(params3, 1, 6, tate_dims=True)
@@ -959,32 +891,29 @@ class TestNilpotence:
 
 
 class TestNilpotenceFallback:
-    """The explicit window test that no valid input reaches on its own."""
+    """The explicit window test of the oracles against the free degrees
+    that certify each window of the verdict."""
 
     @pytest.mark.parametrize("p,k,max_deg", [(3, 1, 12), (5, 2, 15), (5, 3, 15)])
-    def test_every_window_explicit(self, p, k, max_deg, monkeypatch):
-        tested = []
-        explicit = cp_rep._window_vanishes
-
-        def counted(p_, window):
-            tested.append(window[0][0])
-            return explicit(p_, window)
-
-        monkeypatch.setattr(cp_rep, "_free_by_rank", lambda m: False)
-        monkeypatch.setattr(cp_rep, "_window_vanishes", counted)
-        _weight_short(monkeypatch)
+    def test_every_window_explicit(self, p, k, max_deg):
+        # every window that the verdict certifies by a free degree vanishes
+        # on Tate cohomology when tested explicitly
         report = report_for_k(height_params(p), k, max_deg)
-        assert report.holds
-        assert tested == list(range(max_deg - k)) and report.windows == max_deg - k
+        assert report.holds and report.windows == max_deg - k
+        walk = list(symmetric_walk(u_k_module(height_params(p), k), max_deg))
+        assert all(window_vanishes(p, walk[m : m + k + 2]) for m in range(max_deg - k))
 
-    def test_explicit_windows_follow_the_bases(self, monkeypatch):
+    def test_explicit_windows_follow_the_bases(self):
         # a made-up period at p = 5, k = 1 where only base 0 is free: the
-        # windows m, m + 1, m + 2 that hold no degree d = 0 mod 5, m = 1 or 2
-        # mod 5 up to m = 8 - 2, go to the explicit test, and only they
-        tested = []
-        monkeypatch.setattr(cp_rep, "_window_vanishes", lambda p, window: tested.append(window[0][0]) or True)
-        report = verdicts.nilpotence_report(height_params(5), 1, [True, False, False, False, False], 8)
-        assert (tested, report.windows, report.holds) == ([1, 2, 6], 7, True)
+        # windows m, m + 1, m + 2 with m = 1 or 2 mod 5 hold no free degree,
+        # and the report does not hold, with no test to stand in for the
+        # flags.  With base 2 free too, every window holds a free degree,
+        # and so does the one window up to degree 2 with base 0 alone
+        params = height_params(5)
+        report = verdicts.nilpotence_report(params, 1, [True, False, False, False, False], 8)
+        assert (report.windows, report.holds) == (7, False)
+        assert verdicts.nilpotence_report(params, 1, [True, False, True, False, False], 8).holds
+        assert verdicts.nilpotence_report(params, 1, [True, False, False], 2).holds
 
     @pytest.mark.parametrize(
         "p,k,max_deg,nonzero",
@@ -993,9 +922,9 @@ class TestNilpotenceFallback:
     )
     def test_shortened_windows_can_fail(self, p, k, max_deg, nonzero):
         # k-fold instead of (k+1)-fold composites: the check must be able to fail
-        walk = list(cp_rep._symmetric_walk(cp_rep.u_k_module(height_params(p), k), max_deg))
+        walk = list(symmetric_walk(u_k_module(height_params(p), k), max_deg))
         starts = range(max_deg - k + 1)
-        assert [m for m in starts if not cp_rep._window_vanishes(p, walk[m : m + k + 1])] == nonzero
+        assert [m for m in starts if not window_vanishes(p, walk[m : m + k + 1])] == nonzero
 
 
 def test_default_degree_caps():

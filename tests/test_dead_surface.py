@@ -17,30 +17,35 @@ SRC = Path(__file__).parent.parent / "src" / "tatedual"
 # (module, name) of the imports kept for readers outside src/: bench/launcher.py
 # wraps cp_rep.nilpotence_report, which cp_rep itself never calls
 REEXPORTS = {("cp_rep.py", "nilpotence_report")}
-# (module, name) of the definitions kept for readers outside src/:
-# bench/launcher.py wraps cp_rep.jordan_decompose, which no command calls
-# since the Jordan profiles are folded from the character, and the tests
-# use it as their oracle; it can leave src/ once the launcher drops
-# LAYER_CALLS (ROADMAP item 2)
-LAYER_NAMES = {("cp_rep.py", "jordan_decompose")}
+# (module, name) of the definitions kept for readers outside src/, a class
+# with its methods: bench/launcher.py wraps each by name in LAYER_CALLS, and
+# the tests use each as their dense oracle, but no command calls them.  The
+# Jordan profiles are folded from the character (jordan_decompose), and the
+# verdicts rest on the weight certificate alone, with no rank of z
+# (_free_by_rank) and no explicit window test (_tate_data, _induced_step) on
+# the powers of a chain (_SymmetricChain).  They can leave src/ once the
+# launcher drops LAYER_CALLS (ROADMAP item 2)
+LAYER_NAMES = {("cp_rep.py", name)
+               for name in ("jordan_decompose", "_free_by_rank", "_tate_data", "_induced_step", "_SymmetricChain")}
 
 
 def _definitions():
-    """(file, name, node) for top-level functions, classes and assigned
-    names, and the methods of the classes."""
+    """(file, name, node, top) for top-level functions, classes and assigned
+    names, and the methods of the classes, with top the name of the
+    top-level definition that holds them."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield path, node.name, node
+                yield path, node.name, node, node.name
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
-                    yield path, name.id, node
+                    yield path, name.id, node, name.id
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
-                        yield path, item.name, item
+                        yield path, item.name, item, node.name
 
 
 def _references():
@@ -56,10 +61,10 @@ def _references():
 def dead_names() -> list[str]:
     refs = list(_references())
     dead = []
-    for path, name, node in _definitions():
+    for path, name, node, top in _definitions():
         if name.startswith("__") and name.endswith("__"):
             continue  # called by Python itself
-        if (path.name, name) in LAYER_NAMES:
+        if (path.name, top) in LAYER_NAMES:
             continue
         inside = range(node.lineno, node.end_lineno + 1)
         used = any(n == name and not (p == path and line in inside) for p, n, line in refs)

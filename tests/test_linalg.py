@@ -10,7 +10,7 @@ from tatedual.errors import ResourceGuard
 from tatedual.mod_arith import height_params
 
 from conftest import inverse_mod
-from oracles import coordinates_in_span, symmetric_power
+from oracles import coordinates_in_span, symmetric_power, u_k_module
 
 
 def _random_with_rank(rng, m, n, r, p):
@@ -73,7 +73,7 @@ def test_blocked_matches_naive_large_rank_deficient():
 
 @pytest.fixture(scope="module")
 def s20_u1_p5():
-    return symmetric_power(cp_rep.u_k_module(height_params(5), 1), 20)
+    return symmetric_power(u_k_module(height_params(5), 1), 20)
 
 
 @pytest.mark.parametrize("which", ["z", "N"])
@@ -281,7 +281,7 @@ def test_scatter_sums_like_a_dense_loop(dtype):
 def test_sparse_rank_budget_refuses_before_allocating(monkeypatch):
     # S^13(U_0) at p = 5 has dimension 2380; its float32 work array needs
     # 4 * 2380^2 bytes, one more than the patched budget
-    mod = symmetric_power(cp_rep.u_k_module(height_params(5), 0), 13)
+    mod = symmetric_power(u_k_module(height_params(5), 0), 13)
     assert mod.dim == 2380 and not mod.is_dense()
     z = cp_rep._z_triplets(mod)
     monkeypatch.setattr(linalg, "RANK_BYTES", 4 * 2380**2 - 1)
@@ -391,7 +391,7 @@ def test_small_triplets_rank_structurally(p, shape, monkeypatch):
 def test_rank_of_z_fits_in_memory():
     # z on S^11(U_1) at p = 7 (dimension 4368): the whole float work array
     # alone would be 73 MiB, and eliminating it peaked at 164 MiB
-    mod = symmetric_power(cp_rep.u_k_module(height_params(7), 1), 11)
+    mod = symmetric_power(u_k_module(height_params(7), 1), 11)
     z = cp_rep._z_triplets(mod)
     tracemalloc.start()
     try:

@@ -12,7 +12,7 @@ from tatedual.mod_arith import (
     is_odd_prime,
 )
 
-from oracles import det_tau_exponent
+from oracles import det_tau_exponent, jordan_block_module
 
 ODD_PRIMES_TO_101 = [p for p in range(3, 102) if is_odd_prime(p)]
 
@@ -57,7 +57,7 @@ def test_engine_records_immutable_keep_fields_and_equality():
     assert record.diffs[0] == eng.differential_map(record.pages[0])
     assert cp_rep.JordanProfile((3, 2)) == cp_rep.JordanProfile(blocks=(3, 2)) != cp_rep.JordanProfile((3, 1, 1))
     assert cp_rep.TateDims(1, 1) == cp_rep.TateDims(even_dim=1, odd_dim=1)
-    module = cp_rep.jordan_block_module(5, 3)
+    module = jordan_block_module(5, 3)
     data = cp_rep._tate_data(module)
     triplets = cp_rep._z_triplets(module)
     assert (module.p, module.dim, data.tate, triplets.shape) == (5, 3, (1, 1), (3, 3))

@@ -33,8 +33,8 @@ import pytest
 from tatedual import cp_rep, linalg, verdicts
 from tatedual.mod_arith import height_params
 
-from conftest import report_for_k
-from oracles import symmetric_power
+from conftest import main_with_rank_d_one_short, report_for_k
+from oracles import symmetric_power, symmetric_walk, u_k_module
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -147,38 +147,34 @@ def test_nilpotence_report_matches_prediction(p, k, max_deg):
 
 
 def test_free_flags_catch_an_off_by_one_rank(monkeypatch):
-    # mutation check: the verdict's free flags rest on the ranks of D, or
-    # of z where D falls short, at the one certificate of each level, d =
-    # j + 1 on U_j, so a block count off by one
-    # in both must show against the prediction at every degree read off
-    # those bases.  (Off by one in D alone sends every such degree to the
-    # rank of z, which answers right; the no-fallback test of test_verdicts
-    # catches that mutant.)  (By Lucas's theorem p divides C(d + p-1-k,
+    # mutation check: the verdict's free flags rest on the ranks of D alone,
+    # at the one certificate of each level, d = j + 1 on U_j, so a block
+    # count off by one must show against the prediction at every degree
+    # read off those bases, and `verify freeness --prime 5` must report
+    # every degree that the periodicity predicts free as failing, exit 1
+    # and load no numpy.  (By Lucas's theorem p divides C(d + p-1-k,
     # p-1-k) exactly when d mod p >= k + 1, so testing only whether p
     # divides the dimension, or answering free wherever it does, agrees
     # with freeness at every degree of U_k, and no output could catch that
     # mutant; TestFreeFlags in test_cp_rep checks the certificate's
     # hypothesis instead.)
-    def off_by_one(m):
-        rank = linalg.sparse_rank_mod(cp_rep._z_triplets(m), m.p)
-        return m.dim % m.p == 0 and rank == m.dim - m.dim // m.p - 1
-
-    seen = []
     real = verdicts.weight_rank
     monkeypatch.setattr(verdicts, "weight_rank", lambda p, nvars, deg: real(p, nvars, deg) + 1)
-    monkeypatch.setattr(cp_rep, "_free_by_rank", lambda m: seen.append(m.dim) or off_by_one(m))
     p, k, max_deg = 5, 1, 20
     flags = verdicts.free_flags_by_k(height_params(p), {k: max_deg})[k]
-    # the fallback ranks z once per level, on its certificate Sym^(j+1)(U_j)
-    # alone: U_3 at degree 4, U_2 at 3 and U_1 at 2
-    assert seen == [5, 10, 10]
     assert [flags[d % p] for d in range(max_deg + 1)] != [predicted_free(p, k, d) for d in range(max_deg + 1)]
+    lines = []
+    for k in range(p - 1):
+        cap = verdicts.default_degree_cap(height_params(p), k)
+        free = [d for d in range(cap + 1) if predicted_free(p, k, d)]
+        lines.append(f"FAIL freeness p=5 k={k} degrees_checked={len(free)} max_degree={cap} failing={free}\n")
+    assert main_with_rank_d_one_short(["verify", "freeness", "--prime", "5"]) == (1, "".join(lines), [])
 
 
 @pytest.mark.parametrize("p,k,max_deg", [*NILPOTENCE_SUITES, (7, 2, 14)])
 def test_jordan_profile_matches_prediction(p, k, max_deg):
     # every degree whose power is dense: up to 12 (dimension 1820) at p = 7
-    walk = cp_rep._symmetric_walk(cp_rep.u_k_module(height_params(p), k), max_deg)
+    walk = symmetric_walk(u_k_module(height_params(p), k), max_deg)
     dense = [(deg, mod) for deg, mod, _ in walk if mod.dim <= cp_rep.DENSE_LIMIT]
     assert dense[-1][0] == (12 if p == 7 else max_deg)
     for deg, mod in dense:
@@ -242,7 +238,7 @@ def test_p7_k1_rank_golden():
 def test_p7_k1_rank_path_matches_golden(degree):
     golden = json.loads((GOLDEN / "ranks_p7_k1.json").read_text())
     row = next(row for row in golden["degrees"] if row["degree"] == degree)
-    mod = symmetric_power(cp_rep.u_k_module(height_params(7), 1), degree)
+    mod = symmetric_power(u_k_module(height_params(7), 1), degree)
     assert not mod.is_dense()
     rank = linalg.sparse_rank_mod(cp_rep._z_triplets(mod), 7)
     assert (mod.dim, rank) == (row["dimension"], row["rank_z"])
@@ -266,7 +262,7 @@ def test_certified_profile_matches_decomposition(p):
     # in jordan_decompose on the powers of the two-variable U_(p-2)
     params = height_params(p)
     for k, top in _sympow_inputs(p, 300):
-        for deg, mod, _ in cp_rep._symmetric_walk(cp_rep.u_k_module(params, k), top):
+        for deg, mod, _ in symmetric_walk(u_k_module(params, k), top):
             profile = verdicts.jordan_profile(params, k, deg)
             assert profile == cp_rep.jordan_decompose(mod), (k, deg)
             assert profile.blocks == predicted_blocks(p, k, deg), (k, deg)

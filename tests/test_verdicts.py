@@ -1,7 +1,7 @@
 """The weight certificate of verdicts.free_flags_by_k against the engine:
 its D is the weight-one part of the z that cp_rep builds, its rank bounds
-rank z from below and reaches dim - dim/p wherever the suites rank, and the
-default suites never fall back to a rank of z."""
+rank z from below and reaches dim - dim/p on every level that a command
+can rank, and a comparison one short fails the verdict."""
 
 from __future__ import annotations
 
@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from tatedual import cli, cp_rep, linalg, verdicts
-from tatedual.mod_arith import height_params
+from tatedual.errors import ResourceGuard
+from tatedual.mod_arith import MAX_PRIME, height_params, is_odd_prime
 
-from oracles import free_flags_per_degree, monomials, rank_row_loop
+from conftest import main_with_rank_d_one_short
+from oracles import free_flags_per_degree, monomials, rank_row_loop, symmetric_walk, u_k_module
 
 BENCH_EXPECTED = Path(__file__).parent.parent / "bench" / "expected"
 
@@ -73,7 +75,7 @@ def test_d_is_the_weight_one_part_of_z(p):
     assert pairs
     for j in sorted({j for j, _ in pairs}):
         degrees = [d for i, d in pairs if i == j]
-        chain = cp_rep._SymmetricChain(cp_rep.u_k_module(params, j))
+        chain = cp_rep._SymmetricChain(u_k_module(params, j))
         nvars = chain.nvars
         while chain.deg < degrees[-1]:
             chain.step()
@@ -128,17 +130,18 @@ def test_dict_elimination_matches_row_loop(p):
         assert verdicts._rank_mod(columns, p) == rank_row_loop(matrix, p), (trial, matrix)
 
 
-def _fallbacks(monkeypatch):
-    """The dimension of each module that verdicts hands to cp_rep._free_by_rank."""
-    seen = []
-    real = cp_rep._free_by_rank
+def _ranks_of_d(monkeypatch):
+    """(rank D, dim - dim/p) of each power whose D verdicts ranks, in order."""
+    ranks = []
+    real = verdicts.weight_rank
 
-    def spied(m):
-        seen.append(m.dim)
-        return real(m)
+    def spied(p, nvars, deg):
+        dim = verdicts.symmetric_dimension(nvars, deg)
+        ranks.append((real(p, nvars, deg), dim - dim // p))
+        return ranks[-1][0]
 
-    monkeypatch.setattr(cp_rep, "_free_by_rank", spied)
-    return seen
+    monkeypatch.setattr(verdicts, "weight_rank", spied)
+    return ranks
 
 
 SUITES = [(suite, p) for suite in ("nilpotence", "freeness") for p in ("3", "5", "7", "11", "13")]
@@ -146,23 +149,42 @@ SUITES = [(suite, p) for suite in ("nilpotence", "freeness") for p in ("3", "5",
 
 @pytest.mark.parametrize("suite,p", SUITES)
 def test_default_suites_take_no_fallback(suite, p, monkeypatch, capsys):
-    fallbacks = _fallbacks(monkeypatch)
+    # none is needed: every rank of D that the default suites take reaches
+    # dim - dim/p, so no level is left uncertified
+    ranks = _ranks_of_d(monkeypatch)
     assert cli.main(["verify", suite, "--prime", p]) == 0
     capsys.readouterr()
-    assert fallbacks == []
+    assert ranks and all(rank == full for rank, full in ranks)
 
 
-def test_a_comparison_one_short_shows_only_as_fallbacks(monkeypatch, capsys):
-    # mutation check: comparing rank D with dim - dim/p - 1 proves no degree
-    # free, so every ranked degree, d = j + 1 on U_j for j = 3, 2, 1, falls
-    # back to a rank of z, which answers right; the output is unchanged and
-    # only the fallback spy sees it
-    real = verdicts.weight_rank
-    monkeypatch.setattr(verdicts, "weight_rank", lambda p, nvars, deg: real(p, nvars, deg) + 1)
-    fallbacks = _fallbacks(monkeypatch)
-    assert cli.main(["verify", "nilpotence", "--prime", "5"]) == 0
-    assert capsys.readouterr().out == (BENCH_EXPECTED / "nilpotence-p5.out").read_text()
-    assert fallbacks == [verdicts.symmetric_dimension(5 - j, j + 1) for j in (3, 2, 1)]
+# the proof that no fallback is needed: rank D on the certificate
+# Sym^(j+1)(U_j) of every level that DIM_CAP admits, each ranked by the pass
+# of {j: j + 1}, 34 levels at p <= 13 in about 0.1 s; -m slow takes every
+# prime up to MAX_PRIME, 526 levels in about 45 s on a 2-core machine, the
+# largest Sym^6(U_5) at p = 19 (dimension 27132) in about 2 s
+@pytest.mark.parametrize("top,levels", [(13, 34), pytest.param(MAX_PRIME, 526, marks=pytest.mark.slow)])
+def test_rank_d_certifies_every_admitted_level(top, levels, monkeypatch):
+    ranks = _ranks_of_d(monkeypatch)
+    for p in filter(is_odd_prime, range(3, top + 1)):
+        params = height_params(p)
+        for j in range(p - 1):
+            try:
+                flags = verdicts.free_flags_by_k(params, {j: j + 1})[j]
+            except ResourceGuard:
+                continue
+            assert flags[j + 1], (p, j)
+    assert len(ranks) == levels
+    assert all(rank == full for rank, full in ranks)
+
+
+def test_a_comparison_one_short_fails_the_verdict():
+    # mutation check: comparing rank D with dim - dim/p - 1 certifies no
+    # level, so no base is free and every window is open: each line of the
+    # verdict reads FAIL and the command exits 1, with no rank of z to
+    # stand in and no numpy loaded
+    code, out, loaded = main_with_rank_d_one_short(["verify", "nilpotence", "--prime", "5"])
+    expected = (BENCH_EXPECTED / "nilpotence-p5.out").read_text()
+    assert (code, out, loaded) == (1, expected.replace("PASS", "FAIL"), [])
 
 
 def _steps(monkeypatch):
@@ -251,7 +273,7 @@ def test_fold_matches_decomposition_on_every_dense_base(p):
     checked = 0
     for k in range(p):
         top = max(b for b in range(p) if verdicts.symmetric_dimension(p - k, b) <= verdicts.DENSE_LIMIT)
-        for b, mod, _ in cp_rep._symmetric_walk(cp_rep.u_k_module(params, k), top):
+        for b, mod, _ in symmetric_walk(u_k_module(params, k), top):
             assert verdicts.jordan_profile(params, k, b) == cp_rep.jordan_decompose(mod), (k, b)
             checked += 1
     assert checked == {3: 9, 5: 25, 7: 49, 11: 95, 13: 115, 17: 147, 19: 163}[p]
