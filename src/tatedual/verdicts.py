@@ -270,7 +270,7 @@ def nilpotence_reports(params: HeightParams, caps: dict[int, int], tate_dims: bo
             reports.append(NilpotenceReport(p=p, k=0, max_deg=max_deg, degrees=(), windows=0, holds=True,
                                             trivial=True))
         elif not 1 <= k <= n - 1:
-            raise InvalidInput(f"k must lie in [0, {n - 1}]")
+            raise InvalidInput(f"k must lie in [0, {n - 1}], got {k}")
         elif max_deg < k + 1:
             raise InvalidInput(f"--max-degree {max_deg} is below k + 1 = {k + 1} for k={k}")
         else:

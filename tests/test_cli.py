@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import os
@@ -93,7 +94,8 @@ REFUSALS = [
     ("sympow --prime 5 --k 5 --degree 3", "error: k must lie in [0, 4], got 5"),
     ("sympow --prime 5 --k -1 --degree 3", "error: k must lie in [0, 4], got -1"),
     ("verify freeness --prime 5 --k -1", "error: k must lie in [0, 4], got -1"),
-    ("verify nilpotence --prime 5 --k 4", "error: k must lie in [0, 3]"),
+    ("verify nilpotence --prime 5 --k 4", "error: k must lie in [0, 3], got 4"),
+    ("verify nilpotence --prime 5 --k -1", "error: k must lie in [0, 3], got -1"),
     ("chart --page 1", "error: page index must be at least 2"),
     ("chart --group F --prime 31",
      "error: chart window has 804639605 cells, above the budget of 10000000; choose a smaller window"),
@@ -321,13 +323,17 @@ def test_max_degree_one_is_honoured(capsys):
     )
 
 
-def _run_fresh(argv):
-    """(exit code, stdout, stderr) of the command line in a fresh interpreter
-    on src/, killed after 2 s, so that a run that walks or lists every
-    degree up to the one asked for fails."""
+def _python(*args, timeout):
+    """A fresh interpreter on src/ run with args, killed after timeout s."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-m", "tatedual.cli", *argv], env=env, capture_output=True,
-                          text=True, timeout=2)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def _run_fresh(argv):
+    """(exit code, stdout, stderr) of the command line in a fresh interpreter,
+    killed after 2 s, so that a run that walks or lists every degree up to
+    the one asked for fails."""
+    proc = _python("-m", "tatedual.cli", *argv, timeout=2)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -424,21 +430,18 @@ def test_sympow_golden(capsys, argv, golden):
     "p,k,degree,route",
     [(5, 1, 6, "leaf"), (5, 1, 20, "leaf"), (7, 4, 9, "dense")],
 )
-def test_sympow_golden_routes(p, k, degree, route, monkeypatch):
+def test_sympow_golden_routes(p, k, degree, route):
     # the three goldens at their base degree d mod p, against two
     # certificates that share nothing with the fold: where c = ceil(dim/p)
     # blocks are forced, a "leaf", rank D = dim - c proves them, as for
     # S^1(U_1) at p = 5 (one block of size 4) and S^0(U_1) (one of size 1);
     # S^2(U_4) at p = 7 has blocks 5 and 1, which rank D leaves open, and
-    # the explicit power's decomposition gives them.  jordan_profile
-    # decomposes neither
+    # the explicit power's decomposition gives them
     from tatedual import cp_rep, verdicts
 
     from oracles import symmetric_power, u_k_module
 
     params = mod_arith.height_params(p)
-    real = cp_rep.jordan_decompose
-    monkeypatch.setattr(cp_rep, "jordan_decompose", lambda m: pytest.fail("jordan_profile decomposed a power"))
     b, nvars = degree % p, p - k
     dim = verdicts.symmetric_dimension(nvars, b)
     free = (verdicts.symmetric_dimension(nvars, degree) - dim) // p
@@ -448,7 +451,7 @@ def test_sympow_golden_routes(p, k, degree, route, monkeypatch):
     if route == "leaf":
         assert len(base) == -(-dim // p) and verdicts.weight_rank(p, nvars, b) == dim - len(base)
     else:
-        assert base == real(symmetric_power(u_k_module(params, k), b)).blocks == (5, 1)
+        assert base == cp_rep.jordan_decompose(symmetric_power(u_k_module(params, k), b)).blocks == (5, 1)
 
 
 @pytest.mark.parametrize(
@@ -460,25 +463,13 @@ def test_sympow_golden_routes(p, k, degree, route, monkeypatch):
      ("sympow", "--prime", "13", "--k", "11", "--degree", "1999")],
     ids=lambda argv: " ".join(argv),
 )
-def test_no_walk_past_base_degree(capsys, monkeypatch, argv):
+def test_no_walk_past_base_degree(capsys, argv):
     # every Jordan profile and Tate dimension is read off the base degree d
-    # mod p, so no symmetric power past degree p - 1 is built, and every
-    # default --json suite and sympow answer at once
-    from tatedual import cp_rep
-
-    stepped = []
-    step = cp_rep._SymmetricChain.step
-
-    def counted(chain):
-        stepped.append(chain.deg + 1)
-        step(chain)
-
-    monkeypatch.setattr(cp_rep._SymmetricChain, "step", counted)
+    # mod p, so every default --json suite and sympow answer at once
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 1
     assert (code, err) == (0, "")
-    assert max(stepped, default=0) < int(argv[argv.index("--prime") + 1])
 
 
 def test_sympow_far_past_p():
@@ -516,15 +507,8 @@ def test_sympow_resource_guard(capsys, monkeypatch):
     assert err.startswith("error: sympow needs dimension <= 54, but degree 9 has dimension 55;")
 
 
-def test_sympow_above_dense_limit_refused_before_walking(capsys, monkeypatch):
-    # S^14(U_0) at p = 7 has dimension 38760: no dense Jordan profile exists,
-    # so the command must refuse before building any symmetric power
-    from tatedual import cp_rep
-
-    def no_steps(self):
-        raise AssertionError("sympow stepped the chain")
-
-    monkeypatch.setattr(cp_rep._SymmetricChain, "step", no_steps)
+def test_sympow_above_dense_limit_refused_before_walking(capsys):
+    # S^14(U_0) at p = 7 has dimension 38760, past sympow's output bound
     code, out, err = run_cli(capsys, "sympow", "--prime", "7", "--k", "0", "--degree", "14")
     assert code == 2
     assert out == ""
@@ -650,130 +634,129 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
     assert "VERIFICATION FAILED" in out
 
 
-def _loaded_after(code, report):
-    """The value of the expression report in a fresh interpreter on src/
-    after running code, its standard output muted; report is evaluated
-    before the probe imports json to print it."""
-    probe = (
-        "import contextlib, io, sys\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        + "".join(f"    {line}\n" for line in code.splitlines())
-        + f"seen = {report}\n"
-        "import json\n"
-        "print(json.dumps(seen))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+# the layers that a command can load; the probe refuses numpy and the dense
+# oracle, cp_rep and linalg, which only the tests and bench/launcher.py call
+_LIVE = ("cli", "verdicts", "tate_engine", "duality_shifts", "chart_render", "mod_arith", "errors")
+_REFUSED = ("numpy", "tatedual.cp_rep", "tatedual.linalg")
+
+_PROBE = """\
+import contextlib, io, sys
+
+class Refuse:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name in {refused!r} or name.startswith("numpy."):
+            self.seen.append(name)
+            raise ModuleNotFoundError(f"import of {{name}} refused")
+
+sys.meta_path.insert(0, Refuse())
+argv = {argv!r}
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    from tatedual import cli
+    code = cli.main(argv) if argv else 0
+loaded = sorted(m.removeprefix("tatedual.") for m in sys.modules
+                if m.startswith("tatedual") or m in ("dataclasses", "json"))
+from tatedual import {live}
+import json
+print(json.dumps([code, out.getvalue(), loaded, Refuse.seen]))
+"""
 
 
-def _modules_after(code):
-    """Which of numpy, scipy and scipy.sparse have been loaded after code."""
-    return _loaded_after(code, "[m for m in ('numpy', 'scipy', 'scipy.sparse') if m in sys.modules]")
+@functools.lru_cache(maxsize=None)
+def _probe(argv):
+    """cli.main(argv) in a fresh interpreter on src/ whose import system
+    refuses numpy, cp_rep and linalg (an empty argv only imports the command
+    line): its exit code, its standard output, the tatedual modules (without
+    the package prefix) and which of dataclasses and json it loaded, and
+    every refused import, a guarded one included.  The probe then imports
+    every live layer, which must load under the refusal too.  One
+    interpreter per distinct argv serves every load check below."""
+    code = _PROBE.format(refused=_REFUSED, argv=list(argv), live=", ".join(_LIVE))
+    proc = _python("-c", code, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    return tuple(json.loads(proc.stdout))
 
 
-def _layers_after(code):
-    """The tatedual modules, without the package prefix, and which of
-    dataclasses and json have been loaded after code, sorted."""
-    return _loaded_after(code, "sorted(m.removeprefix('tatedual.') for m in sys.modules "
-                               "if m.startswith('tatedual') or m in ('dataclasses', 'json'))")
+_CLI_IMPORT = ["cli", "errors", "mod_arith", "tatedual"]
+_NILP, _FREE, _SYMPOW = ("verify", "nilpotence", "--prime"), ("verify", "freeness", "--prime"), ("sympow", "--prime")
+
+# every probed command: its argv, its recorded standard output, the layers
+# it adds to the command line's import, and its name if it runs a verdict
+PROBED = [
+    ((), None, [], None),
+    (("verify", "congruence"), BENCH_EXPECTED / "congruence.out", [], None),
+    (("shifts", "--prime", "7"), BENCH_EXPECTED / "shifts-p7.out", ["duality_shifts", "tate_engine"], None),
+    (("verify", "cancellation", "--prime", "3"), GOLDEN / "cancellation_p3.txt", ["tate_engine"], None),
+    (("chart", "--prime", "5", "--overlay"), BENCH_EXPECTED / "chart-overlay-p5.out", ["chart_render", "tate_engine"],
+     None),
+    ((*_NILP, "5"), BENCH_EXPECTED / "nilpotence-p5.out", ["verdicts"], "nilp-p5"),
+    ((*_NILP, "7", "--k", "2"), BENCH_EXPECTED / "nilpotence-p7-k2.out", ["verdicts"], "nilp-p7-k2"),
+    ((*_FREE, "5", "--k", "1"), BENCH_EXPECTED / "freeness-p5-k1.out", ["verdicts"], "free-p5-k1"),
+    ((*_SYMPOW, "5", "--k", "1", "--degree", "6"), BENCH_EXPECTED / "sympow-p5-k1-d6.out", ["json", "verdicts"],
+     "sympow-d6"),
+    ((*_SYMPOW, "5", "--k", "1", "--degree", "20"), GOLDEN / "sympow_p5_k1_d20.json", ["json", "verdicts"],
+     "sympow-d20"),
+    ((*_SYMPOW, "7", "--k", "4", "--degree", "9"), GOLDEN / "sympow_p7_k4_d9.json", ["json", "verdicts"],
+     "sympow-p7-k4-d9"),
+    # a base of dimension 924, the README's example of a folded profile
+    ((*_SYMPOW, "13", "--k", "6", "--degree", "6"), GOLDEN / "sympow_p13_k6_d6.json", ["json", "verdicts"],
+     "sympow-p13-k6-d6"),
+    ((*_NILP, "3", "--json"), GOLDEN / "nilpotence_p3.json", ["json", "verdicts"], "nilp-p3-json"),
+    ((*_NILP, "5", "--k", "1", "--json"), GOLDEN / "nilpotence_p5_k1.json", ["json", "verdicts"], "nilp-p5-k1-json"),
+    ((*_NILP, "7", "--json"), GOLDEN / "nilpotence_p7.json", ["json", "verdicts"], "nilp-p7-json"),
+]
 
 
-def _main(argv):
-    return f"from tatedual import cli\nassert cli.main({list(argv)!r}) == 0"
+def _probed(argv, recorded):
+    """The modules that the probe of argv loaded, once it has exited 0,
+    printed the recorded bytes and asked for no refused import."""
+    code, out, loaded, refused = _probe(argv)
+    assert (code, out.encode(), refused) == (0, recorded.read_bytes() if recorded else b"", [])
+    return loaded
 
 
 def _command_id(argv):
     return " ".join(argv) or "import"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        (),
-        ("shifts", "--prime", "7"),
-        ("chart", "--prime", "5", "--overlay"),
-        ("verify", "cancellation", "--prime", "3"),
-        ("verify", "congruence"),
-    ],
-    ids=_command_id,
-)
-def test_closed_form_commands_load_no_numpy(argv):
-    assert _modules_after(_main(argv) if argv else "import tatedual.cli") == []
+@pytest.mark.parametrize("argv,recorded", [(a, r) for a, r, _, name in PROBED if not name],
+                         ids=[_command_id(a) for a, _, _, name in PROBED if not name])
+def test_closed_form_commands_load_no_numpy(argv, recorded):
+    _probed(argv, recorded)
 
 
-@pytest.mark.parametrize(
-    "argv,expected",
-    [(("verify", "nilpotence", "--prime", "5"), BENCH_EXPECTED / "nilpotence-p5.out"),
-     (("verify", "nilpotence", "--prime", "7", "--k", "2"), BENCH_EXPECTED / "nilpotence-p7-k2.out"),
-     (("verify", "freeness", "--prime", "5", "--k", "1"), BENCH_EXPECTED / "freeness-p5-k1.out"),
-     (("sympow", "--prime", "5", "--k", "1", "--degree", "6"), BENCH_EXPECTED / "sympow-p5-k1-d6.out"),
-     (("sympow", "--prime", "5", "--k", "1", "--degree", "20"), GOLDEN / "sympow_p5_k1_d20.json"),
-     (("sympow", "--prime", "7", "--k", "4", "--degree", "9"), GOLDEN / "sympow_p7_k4_d9.json"),
-     (("verify", "nilpotence", "--prime", "3", "--json"), GOLDEN / "nilpotence_p3.json"),
-     (("verify", "nilpotence", "--prime", "5", "--k", "1", "--json"), GOLDEN / "nilpotence_p5_k1.json"),
-     (("verify", "nilpotence", "--prime", "7", "--json"), GOLDEN / "nilpotence_p7.json")],
-    ids=["nilp-p5", "nilp-p7-k2", "free-p5-k1", "sympow-d6", "sympow-d20", "sympow-p7-k4-d9", "nilp-p3-json",
-         "nilp-p5-k1-json", "nilp-p7-json"],
-)
-def test_verdicts_load_no_numpy(argv, expected):
+@pytest.mark.parametrize("argv,recorded", [(a, r) for a, r, _, name in PROBED if name],
+                         ids=[name for _, _, _, name in PROBED if name])
+def test_verdicts_load_no_numpy(argv, recorded):
     # the verdicts of the benchmark workloads, from exponent rows alone, and
     # every Jordan profile and Tate dimension, folded from the character of
-    # the base degree: a fresh interpreter prints the recorded bytes and
-    # loads neither cp_rep nor numpy
-    probe = (
-        "import contextlib, io, json, sys\n"
-        "from tatedual import cli\n"
-        "out = io.StringIO()\n"
-        "with contextlib.redirect_stdout(out):\n"
-        f"    code = cli.main({list(argv)!r})\n"
-        "print(json.dumps([code, out.getvalue(), 'numpy' in sys.modules or 'tatedual.cp_rep' in sys.modules]))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, expected.read_text(), False]
+    # the base degree
+    _probed(argv, recorded)
 
 
-_CLI_IMPORT = ["cli", "errors", "mod_arith", "tatedual"]
-
-
-@pytest.mark.parametrize(
-    "argv,extra",
-    [
-        ((), []),
-        (("verify", "congruence"), []),
-        (("verify", "nilpotence", "--prime", "5"), ["verdicts"]),
-        (("verify", "nilpotence", "--prime", "7", "--k", "2"), ["verdicts"]),
-        (("verify", "freeness", "--prime", "5", "--k", "1"), ["verdicts"]),
-        (("shifts", "--prime", "7"), ["duality_shifts", "tate_engine"]),
-        (("verify", "cancellation", "--prime", "3"), ["tate_engine"]),
-        (("chart", "--prime", "5", "--overlay"), ["chart_render", "tate_engine"]),
-        (("verify", "nilpotence", "--prime", "3", "--json"), ["json", "verdicts"]),
-        (("sympow", "--prime", "5", "--k", "1", "--degree", "6"), ["json", "verdicts"]),
-        (("sympow", "--prime", "13", "--k", "6", "--degree", "6"), ["json", "verdicts"]),
-        (("verify", "nilpotence", "--prime", "7", "--json"), ["json", "verdicts"]),
-    ],
-    ids=_command_id,
-)
-def test_commands_load_only_their_layers(argv, extra):
+@pytest.mark.parametrize("argv,recorded,extra", [case[:3] for case in PROBED],
+                         ids=[f"{_command_id(a)}-{_command_id(x)}" for a, _, x, _ in PROBED])
+def test_commands_load_only_their_layers(argv, recorded, extra):
     # importing the command line loads no layer, and each command adds the
     # layers it runs; no command loads dataclasses, and the verdicts no json
-    assert _layers_after(_main(argv) if argv else "import tatedual.cli") == sorted(_CLI_IMPORT + extra)
+    assert _probed(argv, recorded) == sorted(_CLI_IMPORT + extra)
 
 
 def test_step_past_dense_limit_loads_numpy_without_scipy():
     # S^13(U_2) at p = 7 (dimension 2380) is kept as triplets, and its rank
     # goes through the float kernel
     code = (
+        "import sys\n"
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
         "from oracles import symmetric_walk, u_k_module\n"
         "from tatedual import cp_rep\n"
         "from tatedual.mod_arith import height_params\n"
         "_, m, _ = list(symmetric_walk(u_k_module(height_params(7), 2), 13))[-1]\n"
         "assert m.dim == 2380 > cp_rep.DENSE_LIMIT and not m.is_dense()\n"
-        "assert cp_rep._free_by_rank(m)"
+        "assert cp_rep._free_by_rank(m)\n"
+        "print([m for m in ('numpy', 'scipy') if m in sys.modules])"
     )
-    assert _modules_after(code) == ["numpy"]
+    proc = _python("-c", code, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "['numpy']\n"), proc.stderr

@@ -406,13 +406,9 @@ class TestTateRankFormula:
         power = symmetric_power(u_k_module(params, k), deg)
         assert report.degrees[deg].tate == cp_rep.jordan_decompose(power).tate_dim(p)
 
-    def test_no_free_base_decomposed(self, monkeypatch):
+    def test_no_free_base_decomposed(self):
         # a base degree b < p that the freeness pass finds free, up to
-        # dimension 2000 at p <= 13, is free by its folded character too,
-        # and no power is decomposed
-        decomposed = []
-        real = cp_rep.jordan_decompose
-        monkeypatch.setattr(cp_rep, "jordan_decompose", lambda m: decomposed.append(m.dim) or real(m))
+        # dimension 2000 at p <= 13, is free by its folded character too
         checked = 0
         for p in (3, 5, 7, 11, 13):
             params = height_params(p)
@@ -422,7 +418,6 @@ class TestTateRankFormula:
                 for b, free in enumerate(verdicts.free_flags_by_k(params, {k: top})[k]):
                     if free:
                         assert verdicts.jordan_profile(params, k, b).all_full(p), (p, k, b)
-                        assert decomposed == [], (p, k, b)
                         checked += 1
         assert checked == 87
 
@@ -604,31 +599,32 @@ def _weighed(monkeypatch, short=()):
     return seen
 
 
-def _refused(*args):
-    raise AssertionError("the verdict built a power or a z")
-
-
 class TestFreeFlags:
     @pytest.mark.parametrize(
         "p,k,max_deg,report",
-        [(3, 1, 27, "verdict"), (5, 1, 20, "verdict"), (5, 2, 25, "tate"), (7, 2, 14, "verdict"),
-         (7, 1, 14, "tate"), (5, 0, 20, "freeness"), (7, 0, 10, "freeness"), (7, 3, 13, "freeness")],
+        [(3, 1, 27, "verdict"), (5, 1, 20, "verdict"), (5, 2, 15, "verdict"), (5, 2, 15, "tate"),
+         (5, 2, 25, "tate"), (7, 2, 14, "verdict"), (7, 1, 14, "tate"), (5, 0, 20, "freeness"),
+         (7, 0, 10, "freeness"), (7, 3, 13, "freeness")],
     )
     def test_ranks_only_where_the_degree_below_is_not_free(self, p, k, max_deg, report, monkeypatch):
-        # rank D, the one certificate, at the base d = j + 1 of each level
+        # rank D, the one certificate, at the base d = j + 1 of each level,
+        # levels top first: at p = 5, k = 2, U_3 at degree 4 and U_2 at 3;
+        # U_2 at 4, whose dimension 5 also divides, is free by extension,
+        # and every degree past the bases reads the flag of its base d mod p
         params = height_params(p)
         ranked = _weighed(monkeypatch)
         if report == "freeness":
             assert all(verdicts.free_flags_by_k(params, {k: max_deg})[k][k + 1:])
         else:
-            assert report_for_k(params, k, max_deg, tate_dims=report == "tate").holds
+            result = report_for_k(params, k, max_deg, tate_dims=report == "tate")
+            assert result.holds
+            if report == "verdict":
+                # the plain verdict lists no degree
+                assert result.degrees == ()
+            else:
+                # the bases b <= k are not free
+                assert {d.deg % p for d in result.degrees if not d.free} == set(range(k + 1))
         assert ranked == _ranked_pairs(p, k, max_deg)
-        if (p, k) == (7, 2):
-            # one rank per level, on its bases: against 8 up to dimension
-            # 1001 when every period was ranked, and 13 ranks of U_2 alone
-            # up to dimension 2380 when each degree was
-            dims = [cp_rep.symmetric_dimension(params.n + 1 - j, d) for j, d in ranked]
-            assert (len(ranked), max(dims)) == (4, 35)
 
     @pytest.mark.parametrize("p,j0", [(5, 0), (5, 2), (7, 1), (7, 4)])
     def test_a_level_left_uncertified_clears_only_the_bases_above_it(self, p, j0, monkeypatch):
@@ -749,14 +745,11 @@ class TestOnePass:
         params = height_params(int(argv[2]))
         caps = _suite_caps(params, argv[0], int(argv[-1]) if "--max-degree" in argv else None)
         ranked = _weighed(monkeypatch)
-        monkeypatch.setattr(cp_rep._SymmetricChain, "step", _refused)
         assert cli.main(["verify", *argv]) == 0
         capsys.readouterr()
         assert ranked == _union_pairs(params.p, caps)
         if argv == ("nilpotence", "--prime", "5"):
-            # one rank of D per level, and no chain stepped: against 14
-            # ranks and up to 64 steps when every period of the caps 20 and
-            # 25 was ranked by z
+            # one rank of D per level
             assert len(ranked) == 3
 
     @pytest.mark.parametrize("suite,p,json_,out,err", _huge_max_degree_cases())
@@ -765,14 +758,10 @@ class TestOnePass:
         # --max-degree 10^12: the plain verdict is answered from the bases b
         # < p, its lines counted in closed form, and --json, which lists
         # every degree, is refused by DIM_CAP at the lowest k before any row
-        # is built.  Neither steps a chain: the ranks of D decide the bases
-        def no_steps(self):
-            raise AssertionError("the pass stepped a chain")
-
+        # is built
         def no_rows(*args):
             raise AssertionError("the pass ranked D before its budget")
 
-        monkeypatch.setattr(cp_rep._SymmetricChain, "step", no_steps)
         if json_:
             monkeypatch.setattr(verdicts, "weight_rank", no_rows)
         argv = ["verify", suite, "--prime", str(p), "--max-degree", str(10**12)] + ["--json"] * json_
@@ -795,77 +784,24 @@ class TestNilpotence:
         with pytest.raises(InvalidInput):
             report_for_k(params5, 2, 2)
 
-    def _dims_seen(self, monkeypatch, name):
-        """The dimension of each module passed to cp_rep.<name>, in order."""
-        seen = []
-        real = getattr(cp_rep, name)
-
-        def counted(m):
-            seen.append(m.dim)
-            return real(m)
-
-        monkeypatch.setattr(cp_rep, name, counted)
-        return seen
-
-    def test_verdict_builds_z_where_p_divides_dim(self, params5, monkeypatch):
-        # nowhere: rank D decides the ranked base degrees, levels top first,
-        # U_3 at degree 4, then U_2 at 3; U_2 at 4, whose dimension 5 also
-        # divides, is free by extension, and every degree past 4 reads its
-        # base d mod 5
-        ranked = _weighed(monkeypatch)
-        monkeypatch.setattr(cp_rep, "_z_triplets", _refused)
-        assert report_for_k(params5, 2, 15).holds
-        assert ranked == _ranked_pairs(5, 2, 15)
-
-    def test_z_built_once_per_dense_degree(self, params5, monkeypatch):
-        # not even once: rank D at the ranked degrees, which are free, and
-        # no decomposition, as the base degrees d mod p of the degrees of
-        # U_2 that are not free, 0, 1 and 2, are folded from their
-        # characters
-        ranked = _weighed(monkeypatch)
-        monkeypatch.setattr(cp_rep, "_z_triplets", _refused)
-        decomposed = self._dims_seen(monkeypatch, "jordan_decompose")
-        report = report_for_k(params5, 2, 15, tate_dims=True)
-        assert all(d.dim <= cp_rep.DENSE_LIMIT for d in report.degrees)
-        assert ranked == _ranked_pairs(5, 2, 15)
-        assert {d.deg % 5 for d in report.degrees if not d.free} == {0, 1, 2}
-        assert decomposed == []
-
-    def test_verdict_takes_no_powers_of_z(self, params5, monkeypatch):
-        # one rank of z at each degree that free_flags_by_k ranks, and nothing else
-        def refused(*args):
-            raise AssertionError("the verdict took a power of z")
-
-        monkeypatch.setattr(cp_rep, "jordan_decompose", refused)
-        monkeypatch.setattr(linalg, "matmul_mod", refused)
-        assert report_for_k(params5, 1, 20).holds
-
-    def test_tate_report_skips_free_degrees(self, params5, monkeypatch):
+    def test_tate_report_skips_free_degrees(self, params5):
         # a free degree reports 0, and one that is not free the Tate
         # dimension of its base degree d mod p: at k = 1 the bases 0 and 1,
-        # folded from their characters, so no power is built or decomposed
-        def refused(*args):
-            raise AssertionError("the Tate report built a power")
-
-        monkeypatch.setattr(cp_rep._SymmetricChain, "step", refused)
-        decomposed = self._dims_seen(monkeypatch, "jordan_decompose")
+        # folded from their characters
         report = report_for_k(params5, 1, 20, tate_dims=True)
         assert any(d.free for d in report.degrees)
         assert {d.deg % 5 for d in report.degrees if not d.free} == {0, 1}
-        assert decomposed == []
 
     def test_walk_stops_at_last_ranked_degree(self, monkeypatch):
-        # p = 7, k = 2: no level is walked, and each level U_j ranks D only
-        # at its one ranked degree, the base d = j + 1: U_2 at degree 3
-        # (dimension 35), not at 10 (dimension 1001) or 13 (dimension 2380),
-        # which read the flags of their bases 3 and 6; the plain verdict
-        # lists no degree
-        monkeypatch.setattr(cp_rep._SymmetricChain, "step", _refused)
+        # p = 7, k = 2: no level is walked, and each level U_j ranks D once,
+        # at its base d = j + 1: U_2 at degree 3 (dimension 35), not at 10
+        # (dimension 1001) or 13 (dimension 2380), which read the flags of
+        # their bases 3 and 6; the plain verdict lists no degree
         ranked = _weighed(monkeypatch)
         report = report_for_k(height_params(7), 2, 14)
-        assert ranked == [(j, j + 1) for j in (5, 4, 3, 2)]
-        assert report.degrees == ()
-        assert report.holds
+        dims = [verdicts.symmetric_dimension(7 - j, d) for j, d in ranked]
+        assert (ranked, max(dims)) == ([(j, j + 1) for j in (5, 4, 3, 2)], 35)
+        assert (report.holds, report.degrees) == (True, ())
 
     def test_report_fits_in_memory(self):
         # p = 7, k = 2 peaked at 40.5 MiB while it built degree 14 (dimension

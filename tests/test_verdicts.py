@@ -187,33 +187,14 @@ def test_a_comparison_one_short_fails_the_verdict():
     assert (code, out, loaded) == (1, expected.replace("PASS", "FAIL"), [])
 
 
-def _steps(monkeypatch):
-    """The (variables, degree) of each chain step."""
-    steps = []
-    step = cp_rep._SymmetricChain.step
-
-    def counted(chain):
-        steps.append((chain.nvars, chain.deg + 1))
-        step(chain)
-
-    monkeypatch.setattr(cp_rep._SymmetricChain, "step", counted)
-    return steps
-
-
 def test_plain_verdict_takes_no_chain_step(monkeypatch, capsys):
-    steps = _steps(monkeypatch)
+    # no power is walked: the plain verdict at p = 5 ranks D once on each
+    # level j >= 1, at its base d = j + 1, and prints the recorded verdict
+    ranked, real = [], verdicts.weight_rank
+    monkeypatch.setattr(verdicts, "weight_rank", lambda p, v, d: ranked.append((p - v, d)) or real(p, v, d))
     assert cli.main(["verify", "nilpotence", "--prime", "5"]) == 0
-    capsys.readouterr()
-    assert steps == []
-
-
-def test_json_walks_each_level_once(monkeypatch, capsys):
-    # at most once, and in fact never: the Tate dimensions are folded from
-    # the characters of the base degrees
-    steps = _steps(monkeypatch)
-    assert cli.main(["verify", "nilpotence", "--prime", "5", "--json"]) == 0
-    capsys.readouterr()
-    assert steps == []
+    assert capsys.readouterr().out == (BENCH_EXPECTED / "nilpotence-p5.out").read_text()
+    assert ranked == [(3, 4), (2, 3), (1, 2)]
 
 
 def _parent_accepts(params, k, cap):
